@@ -150,13 +150,18 @@ class QueryEvent:
             raise ValidationError(f"timestep must be >= 1, got {self.t}")
         if len(self.polarity) < 1:
             raise ValidationError("polarity vector must have at least one component")
+        if not all(math.isfinite(p) for p in self.polarity):
+            raise ValidationError(
+                f"query {self.query_id!r}: non-finite polarity {self.polarity}"
+            )
         for ind, r in self.relevance.items():
             if r < 0:
                 raise ValidationError(
                     f"query {self.query_id!r}: negative relevance {r} for {ind!r}"
                 )
         total = math.fsum(self.relevance.values())
-        if abs(total - 1.0) > RELEVANCE_SUM_TOL:
+        # written so a NaN total (any NaN relevance) fails too
+        if not abs(total - 1.0) <= RELEVANCE_SUM_TOL:
             raise ValidationError(
                 f"query {self.query_id!r}: relevance sums to {total!r}, not 1"
             )

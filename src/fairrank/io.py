@@ -28,7 +28,13 @@ import warnings
 from pathlib import Path
 
 from .core import Assignment, AttentionModel, Dataset, Ledger, QueryEvent
-from .errors import CoverageError, ParseError, StreamOrderError, ValidationError
+from .errors import (
+    CoverageError,
+    LengthMismatchError,
+    ParseError,
+    StreamOrderError,
+    ValidationError,
+)
 from .rerank import RerankConfig, RunResult
 
 STREAM_SUM_TOL = 1e-6
@@ -246,12 +252,22 @@ def load_run(path) -> dict:
 
 
 def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResult:
-    """Rebuild a RunResult (ledger included) from a saved run file."""
+    """Rebuild a RunResult (ledger included) from a saved run file.
+
+    Raises LengthMismatchError when a per-query list (orderings, fallback
+    flags, nDCG, objective trace, query ids) is not one entry per query.
+    """
     config = RerankConfig(**payload["config"])
     stream = [
         _parse_query(json.loads(line), lineno, raw=False)
         for lineno, line in enumerate(payload["stream"], start=1)
     ]
+    for key in ("orderings", "fallback", "ndcg", "objective_trace", "query_ids"):
+        if key in payload and len(payload[key]) != len(stream):
+            raise LengthMismatchError(
+                f"run file has {len(payload[key])} {key} entries "
+                f"for {len(stream)} queries"
+            )
     individuals = tuple(sorted(stream[0].relevance))
     dataset = build_dataset(individuals, group_of)
     attention = AttentionModel(config.k_att)

@@ -47,7 +47,12 @@ from .core import (
     ideal_ranking,
     ndcg_at_k,
 )
-from .divergence import DivergenceKind, _query_eta, divergence_matrix
+from .divergence import (
+    DivergenceKind,
+    _query_eta,
+    divergence_matrix,
+    w1_insert_matrix,
+)
 from .errors import LengthMismatchError, StreamOrderError, ValidationError
 from .metrics import (
     MetricsReport,
@@ -258,24 +263,21 @@ def _final_moment_matrix(ledger, step_query, step_ordering, candidates, config, 
 
 
 def _final_w1_matrix(ledger, step0, step_query, candidates, config, attention):
-    """Final-horizon W1 divergence: this step's sequence entry is replaced."""
-    dataset = ledger.dataset
+    """Final-horizon W1 divergence: this step's sequence entry is replaced.
+
+    Entry [i, j]: the end-of-stream W1 candidate ``i`` would hold if its
+    attention at step ``step0`` came from position ``j+1``; the step's entry
+    is deleted and the new value inserted in closed form.
+    """
     mode = config.polarity_mode
     K = len(candidates)
-    w_full = attention.weights(dataset.n)
     eta = _query_eta(step_query, ledger.components, mode)
-    rows = [dataset.index[c] for c in candidates]
+    rows = [ledger.dataset.index[c] for c in candidates]
     seq_a = ledger.sequences("attention", mode)[:, rows, :]  # (T, K, P)
-    seq_r = ledger.sequences("relevance", mode)[:, rows, :]
-    w_new = w_full[:K]
-    d = np.zeros((K, K))
-    for i in range(K):
-        rel_sorted = np.sort(seq_r[:, i, :], axis=0)
-        base = np.delete(seq_a[:, i, :], step0, axis=0)
-        for j in range(K):
-            seq = np.sort(np.vstack([base, eta * w_new[j]]), axis=0)
-            d[i, j] = float(np.mean(np.abs(seq - rel_sorted), axis=0).sum())
-    return d
+    base = np.sort(np.delete(seq_a, step0, axis=0), axis=0)
+    rel_sorted = np.sort(ledger.sequences("relevance", mode)[:, rows, :], axis=0)
+    w_new = attention.weights(ledger.dataset.n)[:K]
+    return w1_insert_matrix(base, rel_sorted, eta[None, :] * w_new[:, None])
 
 
 def _global_objective(ledger, config) -> float:

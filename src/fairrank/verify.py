@@ -9,10 +9,12 @@ or analytic bound and reports structured per-check diagnostics:
   concentration bounds beyond sampling error;
 * ``solver``   — the bottleneck and constrained min-sum solvers match the
   K!-enumeration oracle on objective value and feasibility verdict;
-* ``w1``       — the sort-based W1 equals a min-cost-matching transport
-  oracle on random sequence pairs.
+* ``w1``       — the sort-based W1 and the closed-form insertion kernel
+  behind prospective W1 matrices equal a min-cost-matching transport oracle
+  on random sequences.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +31,7 @@ from .assign import (
 )
 from .bounds import BernoulliStream, chernoff_bound, hoeffding_bound, monte_carlo_tail
 from .core import Assignment, AttentionModel, Ledger
-from .divergence import DivergenceKind, d_w1
+from .divergence import DivergenceKind, d_w1, w1_insert_matrix
 from .metrics import group_unfairness, individual_unfairness
 from .synth import gen_random_instance
 
@@ -225,6 +227,28 @@ def run_w1(instances: int = 200, seed: int = 0) -> VerifyReport:
             report.failures.append(
                 f"case {case} T={T}: sort formula {ours!r} != transport {oracle!r}"
             )
+    for case in range(instances):
+        m, K, P = (int(x) for x in rng.integers((0, 1, 1), (9, 5, 3)))
+        # a coarse grid in half the cases makes inserted values tie with the base
+        grid = case % 2 == 1
+        base, rel, values = (
+            rng.integers(-2, 3, shape) / 2.0 if grid else rng.normal(size=shape)
+            for shape in ((m, K, P), (m + 1, K, P), (K, P))
+        )
+        base, rel = np.sort(base, axis=0), np.sort(rel, axis=0)
+        ours = w1_insert_matrix(base, rel, values)
+        report.checks += 1
+        for i, j in itertools.product(range(K), range(K)):
+            oracle = sum(
+                w1_transport_oracle(np.append(base[:, i, p], values[j, p]), rel[:, i, p])
+                for p in range(P)
+            )
+            if abs(ours[i, j] - oracle) > 1e-9:
+                report.failures.append(
+                    f"insert case {case} m={m} cell ({i}, {j}): "
+                    f"kernel {ours[i, j]!r} != transport {oracle!r}"
+                )
+                break
     return report
 
 

@@ -136,8 +136,8 @@ def test_c06_quality_constraint_holds_everywhere(synth_binary_runs):
 
 def test_c07_w1_transport_oracle():
     report = run_w1(instances=200, seed=707)
-    _verdict(7, "sort-based W1 == min-cost transport on 200 pairs", report.passed,
-             f"{report.checks} pairs")
+    _verdict(7, "sort-based W1 and insertion kernel == min-cost transport",
+             report.passed, f"{report.checks} checks: 200 pairs, 200 matrices")
     assert report.failures == []
 
 

@@ -139,6 +139,20 @@ class TestValidation:
         with pytest.raises(ValidationError):
             QueryEvent("q", 1, (1.0,), {"a": 1.2, "b": -0.2})
 
+    @pytest.mark.parametrize(
+        "relevance", [{"a": math.nan}, {"a": 1.0, "b": math.nan}, {"a": math.inf}]
+    )
+    def test_query_rejects_non_finite_relevance(self, relevance):
+        with pytest.raises(ValidationError):
+            QueryEvent("q", 1, (1.0,), relevance)
+
+    @pytest.mark.parametrize(
+        "polarity", [(math.nan,), (math.inf,), (1.0, -math.inf), (0.0, math.nan)]
+    )
+    def test_query_rejects_non_finite_polarity(self, polarity):
+        with pytest.raises(ValidationError):
+            QueryEvent("q", 1, polarity, {"a": 0.5, "b": 0.5})
+
     def test_query_coverage(self):
         q = QueryEvent("q", 1, (1.0,), {"a": 0.5, "b": 0.5})
         with pytest.raises(CoverageError):

@@ -18,7 +18,9 @@ from fairrank.divergence import (
     prospective_divergence,
 )
 from fairrank.errors import LengthMismatchError, ValidationError
+from fairrank.rerank import RerankConfig, _final_w1_matrix
 from fairrank.verify import w1_transport_oracle
+from oracles import final_w1_matrix_oracle
 
 KINDS = (DivergenceKind.L1, DivergenceKind.L2VAR, DivergenceKind.W1)
 
@@ -258,3 +260,73 @@ class TestProspective:
                         ledger, ind, q, j + 1, attention, kind, mode
                     )
                     assert d[i, j] == pytest.approx(expected, abs=1e-12)
+
+
+def _w1_case(rng, T, P, binary):
+    """Six individuals after T random placements, plus the next query.
+
+    Binary relevance (three of six at 1/3) makes values tie within and
+    across sequences; P=2 carries a zero polarity component.
+    """
+    ids = ("a", "b", "c", "d", "e", "f")
+    dataset = Dataset.single_group(ids)
+    attention = AttentionModel(2)  # k_att < K
+    ledger = Ledger(dataset, P)
+
+    def query(t):
+        if binary:
+            rel = np.zeros(6)
+            rel[rng.choice(6, 3, replace=False)] = 1.0 / 3.0
+        else:
+            rel = rng.dirichlet(np.ones(6))
+        eta = rng.choice([-1.0, 0.5, 1.0], size=P)
+        if P == 2:
+            eta[int(rng.integers(0, 2))] = 0.0
+        return QueryEvent(f"q{t}", t, tuple(eta.tolist()), dict(zip(ids, rel.tolist())))
+
+    stream = [query(t) for t in range(1, T + 1)]
+    for q in stream:
+        ledger.update(q, Assignment(tuple(np.array(ids)[rng.permutation(6)])), attention)
+    return ledger, attention, stream, query(T + 1)
+
+
+class TestW1InsertKernel:
+    """The closed-form W1 matrices against their per-cell definitions."""
+
+    @pytest.mark.parametrize("P", [1, 2])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_prospective_matrix_matches_per_cell(self, P, binary):
+        rng = np.random.default_rng(31 + P + 2 * binary)
+        for T in range(10):  # T=0 is the empty ledger at the first query
+            ledger, attention, _, q = _w1_case(rng, T, P, binary)
+            candidates = ("c", "a", "f", "d")  # K=4 < n=6
+            for mode in ("aware", "agnostic"):
+                d = divergence_matrix(
+                    ledger, candidates, q, attention, DivergenceKind.W1, mode
+                )
+                for i, ind in enumerate(candidates):
+                    for j in range(len(candidates)):
+                        expected = prospective_divergence(
+                            ledger, ind, q, j + 1, attention, DivergenceKind.W1, mode
+                        )
+                        assert abs(d[i, j] - expected) <= 1e-12, (T, mode, i, j)
+
+    @pytest.mark.parametrize("P", [1, 2])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_final_horizon_matrix_matches_per_cell(self, P, binary):
+        rng = np.random.default_rng(41 + P + 2 * binary)
+        for T in range(1, 10):
+            ledger, attention, stream, _ = _w1_case(rng, T, P, binary)
+            candidates = ("b", "e", "a", "c")
+            for mode in ("aware", "agnostic"):
+                config = RerankConfig(
+                    kind="W1", k_re=4, k_att=2, k_eval=4, polarity_mode=mode
+                )
+                for step0 in range(T):
+                    d = _final_w1_matrix(
+                        ledger, step0, stream[step0], candidates, config, attention
+                    )
+                    expected = final_w1_matrix_oracle(
+                        ledger, step0, stream[step0], candidates, mode, attention
+                    )
+                    np.testing.assert_allclose(d, expected, rtol=0, atol=1e-12)

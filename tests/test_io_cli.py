@@ -10,6 +10,7 @@ from fairrank import io as fio
 from fairrank.cli import main, sweep_table
 from fairrank.errors import (
     CoverageError,
+    LengthMismatchError,
     ParseError,
     StreamOrderError,
     ValidationError,
@@ -184,6 +185,19 @@ class TestRunFiles:
                     )
         assert replayed.ndcg == run.ndcg
         assert replayed.fallback == run.fallback
+
+    @pytest.mark.parametrize(
+        "key", ["orderings", "fallback", "ndcg", "objective_trace", "query_ids"]
+    )
+    def test_per_query_list_of_wrong_length_rejected(self, binary_files, tmp_path, key):
+        dataset, stream, _, _ = binary_files
+        config = RerankConfig(k_re=8, k_att=3, k_eval=3, theta=0.9)
+        run_path = tmp_path / "run.json"
+        fio.save_run(run_path, rerank_online(dataset, stream, config), stream)
+        payload = fio.load_run(run_path)
+        del payload[key][2]
+        with pytest.raises(LengthMismatchError):
+            fio.replay_run(payload, dataset.group_of)
 
     def test_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "run.json"
