@@ -188,7 +188,10 @@ def lexicographic_refine(
     bottleneck) and re-solves the reduced problem, re-checking the quality
     constraint on the full matching each step. The bottleneck value is
     preserved exactly; falls back to ``base`` whenever refinement cannot
-    strictly (lexicographically) match it.
+    strictly (lexicographically) match it. Each distinct reduced problem is
+    searched once: interchangeable columns (e.g. the zero-attention,
+    zero-gain tail) are tried once per level, and the chosen edge's
+    sub-search becomes the next level.
     """
     if not base.feasible:
         return base
@@ -201,28 +204,30 @@ def lexicographic_refine(
     cols = list(range(k))
     fixed: dict[int, int] = {}
     fixed_gain = 0.0
-    cap = math.inf
 
     def reduced(rs, cs, gain_so_far, level_cap):
         sub_d = d[np.ix_(rs, cs)]
         sub_gains = relevance[rs][:, None] * disc[cs][None, :]
         return _bottleneck_search(sub_d, sub_gains, theta_rho - gain_so_far, level_cap)
 
+    level = reduced(rows, cols, fixed_gain, math.inf)
+    if level is None:
+        return base
+    z = level[0]
     while rows:
-        level = reduced(rows, cols, fixed_gain, cap)
-        if level is None:
-            return base
-        z = level[0]
-        # candidate edges realizing z, in row-major order
-        cands = [
-            (il, jl)
-            for il in range(len(rows))
-            for jl in range(len(cols))
-            if d[rows[il], cols[jl]] == z
-        ]
+        sub_d = d[np.ix_(rows, cols)]
+        # a column equal to its left neighbour (values and discount) leaves
+        # the same reduced problem as that neighbour, whose edge comes first
+        # in row-major order and so wins every tie: try only the first of a run
+        twin = np.zeros(len(cols), dtype=bool)
+        twin[1:] = (sub_d[:, 1:] == sub_d[:, :-1]).all(axis=0) & (
+            disc[cols[1:]] == disc[cols[:-1]]
+        )
         best_edge = None
         best_next = math.inf
-        for il, jl in cands:
+        for il, jl in np.argwhere(sub_d == z).tolist():  # row-major
+            if twin[jl]:
+                continue
             gain2 = fixed_gain + relevance[rows[il]] * disc[cols[jl]]
             rows2 = rows[:il] + rows[il + 1 :]
             cols2 = cols[:jl] + cols[jl + 1 :]
@@ -245,7 +250,8 @@ def lexicographic_refine(
         fixed[rows[il]] = cols[jl]
         fixed_gain += relevance[rows[il]] * disc[cols[jl]]
         del rows[il], cols[jl]
-        cap = z
+        # the winner's sub-search is the next level's search
+        z = best_next
 
     assignment = tuple(fixed[i] for i in range(k))
     refined_vec = _sorted_desc(matching_values(d, assignment))

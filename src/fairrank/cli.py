@@ -14,7 +14,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +127,6 @@ def sweep_table(
     k_re: int = 50,
     k_att: int = 10,
     k_eval: int = 10,
-    workers: int = 1,
 ) -> list[dict]:
     """One row per (theta, kind, objective, repeat, polarity mode).
 
@@ -176,12 +174,7 @@ def sweep_table(
             "fallback_flags": list(result.fallback),
         }
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, grid))
-    else:
-        rows = [one(point) for point in grid]
-    return rows
+    return [one(point) for point in grid]
 
 
 SWEEP_COLUMNS = (
@@ -213,7 +206,6 @@ def cmd_sweep(args) -> int:
         k_re=args.k_re,
         k_att=args.k_att,
         k_eval=args.k_eval,
-        workers=args.workers,
     )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -290,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-re", dest="k_re", type=int, default=50)
     p.add_argument("--k-att", dest="k_att", type=int, default=10)
     p.add_argument("--k-eval", dest="k_eval", type=int, default=10)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="CSV table path")
     p.set_defaults(func=cmd_sweep)

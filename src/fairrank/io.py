@@ -96,12 +96,14 @@ def load_stream(path, raw: bool = False) -> tuple[tuple[str, ...], list[QueryEve
     """Parse and validate a stream file.
 
     Returns the inferred individual set (sorted) and the query list. Raises
-    ParseError (with line number), StreamOrderError, ValidationError, or
-    CoverageError when queries rank different individual sets.
+    ParseError (with line number, also for a repeated query id),
+    StreamOrderError, ValidationError, or CoverageError when queries rank
+    different individual sets.
     """
     path = Path(path)
     stream: list[QueryEvent] = []
     individuals: set[str] | None = None
+    seen_ids: set[str] = set()
     prev_t = 0
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -112,6 +114,9 @@ def load_stream(path, raw: bool = False) -> tuple[tuple[str, ...], list[QueryEve
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
             query = _parse_query(record, lineno, raw)
+            if query.query_id in seen_ids:
+                raise ParseError(f"duplicate query_id {query.query_id!r}", lineno)
+            seen_ids.add(query.query_id)
             if query.t <= prev_t:
                 raise StreamOrderError(
                     f"line {lineno}: timestep {query.t} not greater than {prev_t}"

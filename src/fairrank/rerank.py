@@ -412,7 +412,7 @@ def rerank_offline(
         step_config = RerankConfig(**{**config.to_dict(), "objective": "minmax-lex"})
     options_cache: list | None = None
 
-    def sweep(ledger) -> bool:
+    def sweep(ledger) -> tuple[bool, Ledger]:
         nonlocal orderings, best
         improved = False
         for step0, query in enumerate(stream):
@@ -444,7 +444,7 @@ def rerank_offline(
                 best = trial_profile
                 improved = True
                 ledger = rebuild(orderings)
-        return improved
+        return improved, ledger
 
     def escalate() -> bool:
         nonlocal orderings, best, options_cache
@@ -479,8 +479,8 @@ def rerank_offline(
     ledger = rebuild(orderings)
     for _ in range(max_sweeps):
         sweeps += 1
-        if sweep(ledger):
-            ledger = rebuild(orderings)
+        improved, ledger = sweep(ledger)
+        if improved:
             continue
         if escalate():
             ledger = rebuild(orderings)

@@ -5,7 +5,14 @@ import math
 
 import numpy as np
 
-from fairrank.assign import FEASIBILITY_TOL
+from fairrank.assign import (
+    FEASIBILITY_TOL,
+    MatchResult,
+    _bottleneck_search,
+    _sorted_desc,
+    matching_values,
+    position_discounts,
+)
 from fairrank.core import Assignment, AttentionModel, Ledger, dcg_at_k, ideal_ranking
 from fairrank.divergence import _query_eta
 from fairrank.metrics import iaa, individual_unfairness
@@ -67,3 +74,79 @@ def final_w1_matrix_oracle(ledger, step0, step_query, candidates, mode, attentio
             seq = np.sort(np.vstack([base, eta * w_new[j]]), axis=0)
             d[i, j] = float(np.mean(np.abs(seq - rel_sorted), axis=0).sum())
     return d
+
+
+def lexicographic_refine_oracle(
+    d, relevance, theta_rho: float, base: MatchResult, dcg_depth: int | None = None
+) -> MatchResult:
+    """Per-candidate lexicographic refinement, the reference for
+    ``fairrank.assign.lexicographic_refine``.
+
+    Scans all K² cells for the edges realizing each level's bottleneck value,
+    runs a full bottleneck search for every one of them, and searches the
+    chosen edge's reduced problem again as the next level. Falls back to
+    ``base`` under the same conditions as the solver.
+    """
+    if not base.feasible:
+        return base
+    d = np.asarray(d, dtype=np.float64)
+    k = d.shape[0]
+    relevance = np.asarray(relevance, dtype=np.float64)
+    disc = position_discounts(k, dcg_depth)
+
+    rows = list(range(k))
+    cols = list(range(k))
+    fixed: dict[int, int] = {}
+    fixed_gain = 0.0
+    cap = math.inf
+
+    def reduced(rs, cs, gain_so_far, level_cap):
+        sub_d = d[np.ix_(rs, cs)]
+        sub_gains = relevance[rs][:, None] * disc[cs][None, :]
+        return _bottleneck_search(sub_d, sub_gains, theta_rho - gain_so_far, level_cap)
+
+    while rows:
+        level = reduced(rows, cols, fixed_gain, cap)
+        if level is None:
+            return base
+        z = level[0]
+        # candidate edges realizing z, in row-major order
+        cands = [
+            (il, jl)
+            for il in range(len(rows))
+            for jl in range(len(cols))
+            if d[rows[il], cols[jl]] == z
+        ]
+        best_edge = None
+        best_next = math.inf
+        for il, jl in cands:
+            gain2 = fixed_gain + relevance[rows[il]] * disc[cols[jl]]
+            rows2 = rows[:il] + rows[il + 1 :]
+            cols2 = cols[:jl] + cols[jl + 1 :]
+            if not rows2:
+                if gain2 >= theta_rho - FEASIBILITY_TOL:
+                    z_next = -math.inf
+                else:
+                    continue
+            else:
+                sub = reduced(rows2, cols2, gain2, z)
+                if sub is None:
+                    continue
+                z_next = sub[0]
+            if z_next < best_next:
+                best_next = z_next
+                best_edge = (il, jl)
+        if best_edge is None:
+            return base
+        il, jl = best_edge
+        fixed[rows[il]] = cols[jl]
+        fixed_gain += relevance[rows[il]] * disc[cols[jl]]
+        del rows[il], cols[jl]
+        cap = z
+
+    assignment = tuple(fixed[i] for i in range(k))
+    refined_vec = _sorted_desc(matching_values(d, assignment))
+    base_vec = _sorted_desc(matching_values(d, base.assignment))
+    if refined_vec > base_vec:
+        return base
+    return MatchResult(assignment, float(refined_vec[0]), True)

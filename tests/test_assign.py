@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import fairrank.assign as assign_mod
 from fairrank.assign import (
     FEASIBILITY_TOL,
     bottleneck_with_quality,
@@ -16,8 +17,13 @@ from fairrank.assign import (
     max_dcg_matching,
     position_discounts,
 )
+from fairrank.core import AttentionModel, dcg_at_k, ideal_ranking
+from fairrank.divergence import DivergenceKind, divergence_matrix
 from fairrank.errors import ValidationError
+from fairrank.rerank import RerankConfig, rerank_online
+from fairrank.synth import SynthSpec, gen_synth
 from fairrank.verify import random_subproblem
+from oracles import lexicographic_refine_oracle
 
 LOG3 = 1.0 / math.log2(3)
 
@@ -182,6 +188,75 @@ class TestLexicographicRefine:
             gain = float(matching_values(np.asarray(rel)[:, None] * disc[None, :],
                                          refined.assignment).sum())
             assert gain >= theta_rho - FEASIBILITY_TOL
+
+    @staticmethod
+    def _tailed_instance(rng):
+        """A K<=12 instance whose columns beyond ``k_att`` repeat one value per
+        row (zero attention), with discounts cut at ``depth`` <= K and, for a
+        third of the instances, values and relevance on a coarse grid."""
+        k = int(rng.integers(1, 13))
+        coarse = rng.random() < 0.35
+
+        def draw(*shape):
+            if coarse:
+                return rng.integers(0, 4, shape) / 4.0
+            return rng.random(shape)
+
+        d = draw(k, k)
+        k_att = int(rng.integers(1, k + 1))
+        d[:, k_att:] = draw(k)[:, None]
+        rel = draw(k) + (0.25 if coarse else 0.0)
+        depth = None if rng.random() < 0.2 else int(rng.integers(1, k + 1))
+        ideal = ideal_dcg(rel, depth)
+        frac = rng.uniform(0.9, 1.0) if rng.random() < 0.6 else rng.random()
+        theta_rho = float(frac * ideal)
+        if rng.random() < 0.03:
+            theta_rho = ideal + 1.0  # infeasible: the base is returned as is
+        return d, rel, theta_rho, depth
+
+    def test_identical_to_per_candidate_oracle(self):
+        rng = np.random.default_rng(2024)
+        fallbacks = 0
+        for _ in range(2000):
+            d, rel, theta_rho, depth = self._tailed_instance(rng)
+            base = bottleneck_with_quality(d, rel, theta_rho, depth)
+            ours = lexicographic_refine(d, rel, theta_rho, base, depth)
+            oracle = lexicographic_refine_oracle(d, rel, theta_rho, base, depth)
+            assert (ours.assignment, ours.feasible) == (oracle.assignment, oracle.feasible)
+            assert ours.objective == oracle.objective or (
+                math.isnan(ours.objective) and math.isnan(oracle.objective)
+            )
+            assert (ours is base) == (oracle is base)
+            fallbacks += base.feasible and oracle is base
+        assert fallbacks > 0
+
+    def test_one_search_per_distinct_subproblem(self, monkeypatch):
+        dataset, stream = gen_synth(SynthSpec(n=200, T=8, seed=3, variant="continuous"))
+        config = RerankConfig(kind="L1", objective="minmax", theta=0.8, k_re=50,
+                              k_att=10, k_eval=10)
+        run = rerank_online(dataset, stream[:4], config)
+        query = stream[4]
+        ideal = ideal_ranking(query)
+        candidates = ideal[: config.k_re]
+        d = divergence_matrix(run.ledger, candidates, query,
+                              AttentionModel(config.k_att), DivergenceKind.L1)
+        rel = np.array([query.relevance[c] for c in candidates])
+        theta_rho = config.theta * dcg_at_k(ideal, query.relevance, config.k_eval)
+        base = bottleneck_with_quality(d, rel, theta_rho, config.k_eval)
+
+        searches = 0
+        search = assign_mod._bottleneck_search
+
+        def counted(*args, **kwargs):
+            nonlocal searches
+            searches += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(assign_mod, "_bottleneck_search", counted)
+        refined = lexicographic_refine(d, rel, theta_rho, base, config.k_eval)
+        assert searches <= len(candidates) + 1
+        oracle = lexicographic_refine_oracle(d, rel, theta_rho, base, config.k_eval)
+        assert refined.assignment == oracle.assignment
 
 
 class TestConstrainedMinSum:

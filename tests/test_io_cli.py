@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fairrank import io as fio
-from fairrank.cli import main, sweep_table
+from fairrank.cli import _bootstrap, main, sweep_table
 from fairrank.errors import (
     CoverageError,
     LengthMismatchError,
@@ -58,6 +58,20 @@ class TestStreamFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(StreamOrderError):
             fio.load_stream(path)
+
+    def test_duplicate_query_id_rejected_with_line_number(self, tmp_path):
+        lines = [
+            '{"query_id": "q1", "t": 1, "polarity": [1.0], "relevance": {"a": 1.0}}',
+            '{"query_id": "q2", "t": 2, "polarity": [1.0], "relevance": {"a": 1.0}}',
+            '',
+            '{"query_id": "q1", "t": 3, "polarity": [1.0], "relevance": {"a": 1.0}}',
+        ]
+        path = tmp_path / "dup.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            fio.load_stream(path)
+        assert err.value.line == 4
+        assert "q1" in str(err.value)
 
     def test_coverage_must_match_across_queries(self, tmp_path):
         lines = [
@@ -260,7 +274,7 @@ class TestCli:
                      "--groups", str(data / "groups.csv"),
                      "--theta-grid", "0.7,1.0", "--kinds", "L1",
                      "--objectives", "minmax", "--repeats", "2",
-                     "--workers", "2", "--out", str(table)]) == 0
+                     "--out", str(table)]) == 0
         lines = table.read_text().strip().splitlines()
         assert lines[0].startswith("theta,kind,objective,repeat,polarity_mode")
         assert len(lines) == 1 + 2 * 1 * 1 * 2 * 2
@@ -331,10 +345,11 @@ class TestSweepTable:
                 if not fell_back:
                     assert ndcg >= row["theta"] - 1e-9
 
-    def test_workers_do_not_change_results(self):
+    def test_bootstrap_repeats_rank_streams_with_repeated_ids(self):
+        # resampled streams repeat query ids by design; only files reject them
         dataset, stream = gen_synth_binary(SynthSpec(n=8, T=4))
-        kw = dict(theta_grid=[0.7, 0.9], kinds=["L1", "W1"], objectives=["minmax"],
-                  repeats=2, seed=5, k_re=6, k_att=3, k_eval=3)
-        serial = sweep_table(dataset, stream, workers=1, **kw)
-        threaded = sweep_table(dataset, stream, workers=4, **kw)
-        assert serial == threaded
+        resampled = _bootstrap(stream, [0, 1])
+        assert len({q.query_id for q in resampled}) < len(resampled)
+        config = RerankConfig(k_re=8, k_att=3, k_eval=3)
+        run = rerank_online(dataset, resampled, config)
+        assert run.query_ids == [q.query_id for q in resampled]
