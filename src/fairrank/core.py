@@ -14,6 +14,7 @@ Conventions used throughout the package:
   the query polarity) and polarity-agnostic (polarity replaced by 1).
 """
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -170,6 +171,18 @@ class QueryEvent:
     def components(self) -> int:
         return len(self.polarity)
 
+    @cached_property
+    def line(self) -> str:
+        """Canonical one-line JSON: fixed key order, relevance keys sorted,
+        shortest round-trip floats. Built once per query."""
+        record = {
+            "query_id": self.query_id,
+            "t": self.t,
+            "polarity": list(self.polarity),
+            "relevance": {k: self.relevance[k] for k in sorted(self.relevance)},
+        }
+        return json.dumps(record, ensure_ascii=False)
+
     def validate_coverage(self, individuals) -> None:
         """Check the relevance map ranks exactly the dataset's individuals."""
         expected = set(individuals)
@@ -183,12 +196,21 @@ class QueryEvent:
             )
 
     def relevance_vector(self, dataset: Dataset) -> np.ndarray:
-        return np.array([self.relevance[i] for i in dataset.individuals])
+        return np.fromiter(
+            map(self.relevance.__getitem__, dataset.individuals),
+            dtype=np.float64,
+            count=dataset.n,
+        )
 
 
 def ideal_ranking(query: QueryEvent) -> tuple[str, ...]:
-    """Relevance-descending ordering; ties broken by ascending identifier."""
-    return tuple(sorted(query.relevance, key=lambda ind: (-query.relevance[ind], ind)))
+    """Relevance-descending ordering; ties broken by ascending identifier.
+
+    Sorts the identifiers, then stably by relevance (``reverse=True`` keeps
+    equal keys in their ascending-identifier order).
+    """
+    rel = query.relevance
+    return tuple(sorted(sorted(rel), key=rel.__getitem__, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -285,14 +307,21 @@ class Ledger:
                 f"query {query.query_id!r} has {query.components} polarity "
                 f"component(s), ledger tracks {self.components}"
             )
-        query.validate_coverage(self.dataset.individuals)
-        if set(assignment.ordering) != set(self.dataset.individuals):
-            raise ValidationError("assignment must rank exactly the dataset individuals")
-        weights = attention.weights(self.dataset.n)
-        attn = np.empty(self.dataset.n)
+        n = self.dataset.n
         index = self.dataset.index
-        for pos0, ind in enumerate(assignment.ordering):
-            attn[index[ind]] = weights[pos0]
+        if query.relevance.keys() != index.keys():
+            query.validate_coverage(self.dataset.individuals)
+        # an Assignment holds no repeats, so n known ids make a permutation
+        ordering = assignment.ordering
+        not_a_permutation = "assignment must rank exactly the dataset individuals"
+        if len(ordering) != n:
+            raise ValidationError(not_a_permutation)
+        try:
+            rows = np.fromiter(map(index.__getitem__, ordering), dtype=np.intp, count=n)
+        except KeyError:
+            raise ValidationError(not_a_permutation) from None
+        attn = np.empty(n)
+        attn[rows] = attention.weights(n)
         rel = query.relevance_vector(self.dataset)
         eta = np.asarray(query.polarity, dtype=np.float64)
         self._aware.update(eta, attn, rel)

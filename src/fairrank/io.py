@@ -12,8 +12,10 @@ floats), so ``generate -> load -> save`` is byte-identical.
 
 Group files are CSV with the header ``individual_id,group_id``.
 
-Run files are self-contained JSON: the config echo, the embedded stream
-lines, and the emitted orderings; evaluation replays them exactly.
+Run files are self-contained single-line JSON: the config echo, the
+embedded stream lines, and the emitted orderings; evaluation replays them
+exactly and checks each query's stored nDCG and fallback flag against the
+replayed ordering. Indented run files load the same way.
 
 Report files are JSON with deterministic key order and every number
 serialized at 12 significant digits; non-finite sentinels use the
@@ -27,7 +29,15 @@ import math
 import warnings
 from pathlib import Path
 
-from .core import Assignment, AttentionModel, Dataset, Ledger, QueryEvent
+from .core import (
+    Assignment,
+    AttentionModel,
+    Dataset,
+    Ledger,
+    QueryEvent,
+    ideal_ranking,
+    ndcg_at_k,
+)
 from .errors import (
     CoverageError,
     LengthMismatchError,
@@ -42,14 +52,8 @@ EXACT_SUM_TOL = 1e-9
 
 
 def stream_line(query: QueryEvent) -> str:
-    """Canonical one-line serialization of a query."""
-    record = {
-        "query_id": query.query_id,
-        "t": query.t,
-        "polarity": list(query.polarity),
-        "relevance": {k: query.relevance[k] for k in sorted(query.relevance)},
-    }
-    return json.dumps(record, ensure_ascii=False)
+    """Canonical one-line serialization of a query (cached on the query)."""
+    return query.line
 
 
 def save_stream(path, stream) -> None:
@@ -228,7 +232,10 @@ def save_report(path, report_dict: dict) -> None:
 
 
 def save_run(path, result: RunResult, stream) -> None:
-    """Self-contained run file: config echo, stream lines, emitted orderings."""
+    """Self-contained run file: config echo, stream lines, emitted orderings.
+
+    Written as one compact line (no indent, so the C encoder serializes it).
+    """
     payload = {
         "config": result.config.to_dict(),
         "stream": [stream_line(q) for q in stream],
@@ -239,9 +246,7 @@ def save_run(path, result: RunResult, stream) -> None:
         "objective_trace": list(result.objective_trace),
         "sweeps": result.sweeps,
     }
-    Path(path).write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json.dumps(payload, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
 def load_run(path) -> dict:
@@ -260,7 +265,10 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
     """Rebuild a RunResult (ledger included) from a saved run file.
 
     Raises LengthMismatchError when a per-query list (orderings, fallback
-    flags, nDCG, objective trace, query ids) is not one entry per query.
+    flags, nDCG, objective trace, query ids) is not one entry per query, and
+    ValidationError when an ordering is not a permutation of the stream's
+    individuals, a stored nDCG differs from the one its ordering gives, or a
+    step flagged as a fallback does not carry the ideal ordering.
     """
     config = RerankConfig(**payload["config"])
     stream = [
@@ -277,11 +285,32 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
     dataset = build_dataset(individuals, group_of)
     attention = AttentionModel(config.k_att)
     ledger = Ledger(dataset, stream[0].components)
+    # map each ordering onto the dataset's own id strings, not fresh copies
+    own_id = {ind: ind for ind in dataset.individuals}
+    stored_ndcg = payload.get("ndcg")
     assignments = []
-    for query, ordering in zip(stream, payload["orderings"]):
-        assignment = Assignment(tuple(ordering))
+    for step0, (query, ordering) in enumerate(zip(stream, payload["orderings"])):
+        try:
+            assignment = Assignment(tuple(map(own_id.__getitem__, ordering)))
+        except (KeyError, TypeError):
+            raise ValidationError(
+                f"run file query {query.query_id!r}: ordering ranks an unknown individual"
+            ) from None
         ledger.update(query, assignment, attention)
         assignments.append(assignment)
+        ideal = ideal_ranking(query)
+        if payload["fallback"][step0] and assignment.ordering != ideal:
+            raise ValidationError(
+                f"run file query {query.query_id!r}: flagged as a fallback "
+                "but not ranked in the ideal order"
+            )
+        if stored_ndcg is not None and stored_ndcg[step0] != ndcg_at_k(
+            assignment.ordering, ideal, query.relevance, config.k_eval
+        ):
+            raise ValidationError(
+                f"run file query {query.query_id!r}: stored nDCG "
+                f"{stored_ndcg[step0]!r} does not match its ordering"
+            )
     return RunResult(
         config=config,
         query_ids=list(payload.get("query_ids", [q.query_id for q in stream])),

@@ -78,7 +78,11 @@ def individual_divergences(
     mode: str = "agnostic",
     scope=None,
 ) -> dict[str, float]:
-    """Component-summed divergence per individual (scope=None means all)."""
+    """Component-summed divergence per individual (scope=None means all).
+
+    One array pass over every individual in scope: L1 and L2var from the
+    moment matrices, W1 from one sort of the (T, n, P) sequence stacks.
+    """
     individuals = ledger.dataset.individuals if scope is None else tuple(scope)
     if not individuals:
         raise EmptyScopeError("no individuals in scope")
@@ -87,29 +91,15 @@ def individual_divergences(
     var_a = ledger.var_matrix("attention", mode)[rows]
     mean_r = ledger.mean_matrix("relevance", mode)[rows]
     var_r = ledger.var_matrix("relevance", mode)[rows]
+    seq_a = seq_r = None
     if kind == DivergenceKind.W1:
+        # the row gather lays each individual's (T, P) block out contiguously,
+        # so the mean over T sums in the order a per-individual mean does
         seq_a = ledger.sequences("attention", mode)[:, rows, :]
         seq_r = ledger.sequences("relevance", mode)[:, rows, :]
-        values = {}
-        for pos, ind in enumerate(individuals):
-            comps = _component_values(
-                kind,
-                mean_a[pos],
-                var_a[pos],
-                seq_a[:, pos, :],
-                mean_r[pos],
-                var_r[pos],
-                seq_r[:, pos, :],
-            )
-            values[ind] = d_multi(comps)
-        return values
-    values = {}
-    for pos, ind in enumerate(individuals):
-        comps = _component_values(
-            kind, mean_a[pos], var_a[pos], None, mean_r[pos], var_r[pos], None
-        )
-        values[ind] = d_multi(comps)
-    return values
+    comps = _component_values(kind, mean_a, var_a, seq_a, mean_r, var_r, seq_r)
+    # components summed left to right from zero, as d_multi's sum does
+    return dict(zip(individuals, sum(comps.T).tolist()))
 
 
 def individual_unfairness(
@@ -124,19 +114,23 @@ def individual_unfairness(
     return max(individual_divergences(ledger, kind, mode, scope).values())
 
 
+def _group_values(summaries: dict[str, GroupSummary], kind: DivergenceKind) -> dict[str, float]:
+    out = {}
+    for group, s in summaries.items():
+        comps = _component_values(
+            kind, s.mean_attn, s.var_attn, s.seq_attn, s.mean_rel, s.var_rel, s.seq_rel
+        )
+        out[group] = d_multi(comps)
+    return out
+
+
 def group_divergences(
     ledger: Ledger,
     kind: DivergenceKind,
     mode: str = "agnostic",
     dataset: Dataset | None = None,
 ) -> dict[str, float]:
-    out = {}
-    for group, s in group_summaries(ledger, mode, dataset).items():
-        comps = _component_values(
-            kind, s.mean_attn, s.var_attn, s.seq_attn, s.mean_rel, s.var_rel, s.seq_rel
-        )
-        out[group] = d_multi(comps)
-    return out
+    return _group_values(group_summaries(ledger, mode, dataset), kind)
 
 
 def group_unfairness(
@@ -162,7 +156,11 @@ def eur(
 ) -> float:
     """Max pairwise gap of group exposure/relevance ratios (UNDEFINED if a
     group's average relevance is zero)."""
-    summaries = list(group_summaries(ledger, mode, dataset).values())
+    return _eur(group_summaries(ledger, mode, dataset))
+
+
+def _eur(summaries: dict[str, GroupSummary]) -> float:
+    summaries = list(summaries.values())
     exposure = np.stack([s.mean_attn for s in summaries])  # (G, P)
     relevance = np.stack([s.mean_rel for s in summaries])
     if np.any(relevance == 0.0):
@@ -175,7 +173,11 @@ def eur(
 
 def dp(ledger: Ledger, mode: str = "agnostic", dataset: Dataset | None = None) -> float:
     """Demographic parity: max pairwise gap of group average exposure."""
-    summaries = list(group_summaries(ledger, mode, dataset).values())
+    return _dp(group_summaries(ledger, mode, dataset))
+
+
+def _dp(summaries: dict[str, GroupSummary]) -> float:
+    summaries = list(summaries.values())
     exposure = np.stack([s.mean_attn for s in summaries])
     return float(
         sum(exposure[:, p].max() - exposure[:, p].min() for p in range(exposure.shape[1]))
@@ -232,16 +234,18 @@ class MetricsPanel:
 def metrics_panel(
     ledger: Ledger, mode: str, dataset: Dataset | None = None
 ) -> MetricsPanel:
+    # one summary build serves the group divergences, EUR and DP
+    summaries = group_summaries(ledger, mode, dataset)
     return MetricsPanel(
         individual={
             kind.value: individual_unfairness(ledger, kind, mode) for kind in KINDS
         },
         group={
-            kind.value: group_unfairness(ledger, kind, mode, dataset) for kind in KINDS
+            kind.value: max(_group_values(summaries, kind).values()) for kind in KINDS
         },
         iaa=iaa(ledger, mode),
-        eur=eur(ledger, mode, dataset),
-        dp=dp(ledger, mode, dataset),
+        eur=_eur(summaries),
+        dp=_dp(summaries),
     )
 
 

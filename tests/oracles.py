@@ -14,7 +14,8 @@ from fairrank.assign import (
     position_discounts,
 )
 from fairrank.core import Assignment, AttentionModel, Ledger, dcg_at_k, ideal_ranking
-from fairrank.divergence import _query_eta
+from fairrank.divergence import DivergenceKind, _component_values, _query_eta, d_multi
+from fairrank.errors import EmptyScopeError
 from fairrank.metrics import iaa, individual_unfairness
 
 
@@ -150,3 +151,44 @@ def lexicographic_refine_oracle(
     if refined_vec > base_vec:
         return base
     return MatchResult(assignment, float(refined_vec[0]), True)
+
+
+def individual_divergences_oracle(
+    ledger: Ledger,
+    kind: DivergenceKind,
+    mode: str = "agnostic",
+    scope=None,
+) -> dict[str, float]:
+    """Per-individual divergences, one ``d_multi`` call each: the reference
+    for ``fairrank.metrics.individual_divergences``."""
+    individuals = ledger.dataset.individuals if scope is None else tuple(scope)
+    if not individuals:
+        raise EmptyScopeError("no individuals in scope")
+    rows = [ledger.dataset.index[i] for i in individuals]
+    mean_a = ledger.mean_matrix("attention", mode)[rows]
+    var_a = ledger.var_matrix("attention", mode)[rows]
+    mean_r = ledger.mean_matrix("relevance", mode)[rows]
+    var_r = ledger.var_matrix("relevance", mode)[rows]
+    if kind == DivergenceKind.W1:
+        seq_a = ledger.sequences("attention", mode)[:, rows, :]
+        seq_r = ledger.sequences("relevance", mode)[:, rows, :]
+        values = {}
+        for pos, ind in enumerate(individuals):
+            comps = _component_values(
+                kind,
+                mean_a[pos],
+                var_a[pos],
+                seq_a[:, pos, :],
+                mean_r[pos],
+                var_r[pos],
+                seq_r[:, pos, :],
+            )
+            values[ind] = d_multi(comps)
+        return values
+    values = {}
+    for pos, ind in enumerate(individuals):
+        comps = _component_values(
+            kind, mean_a[pos], var_a[pos], None, mean_r[pos], var_r[pos], None
+        )
+        values[ind] = d_multi(comps)
+    return values

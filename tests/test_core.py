@@ -129,6 +129,24 @@ class TestIdealRanking:
         q = QueryEvent("q", 1, (1.0,), {"a": 0.2, "b": 0.3, "c": 0.5})
         assert ideal_ranking(q) == ("c", "b", "a")
 
+    def test_matches_negated_relevance_then_identifier_key(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            ids = [f"i{k:02d}" for k in rng.permutation(n)]
+            # a coarse grid makes ties; some individuals get zero, signed or not
+            raw = rng.integers(0, 4, n).astype(float)
+            raw[0] += 1.0
+            values = (raw / raw.sum()).tolist()
+            values = [-0.0 if v == 0.0 and rng.random() < 0.5 else v for v in values]
+            rel = dict(zip(ids, values))
+            q = QueryEvent("q", 1, (1.0,), rel)
+            assert ideal_ranking(q) == tuple(sorted(rel, key=lambda i: (-rel[i], i)))
+
+    def test_zero_and_negative_zero_tie_by_identifier(self):
+        q = QueryEvent("q", 1, (1.0,), {"c": 0.0, "b": 1.0, "a": -0.0, "d": 0.0})
+        assert ideal_ranking(q) == ("b", "a", "c", "d")
+
 
 class TestValidation:
     def test_query_must_be_normalized(self):
@@ -216,6 +234,30 @@ class TestLedgerUpdate:
         q = QueryEvent("q", 1, (1.0,), {"a": 0.2, "b": 0.3, "c": 0.5})
         with pytest.raises(ValidationError):
             ledger.update(q, Assignment(("a", "b")), attention)
+
+    @pytest.mark.parametrize(
+        "relevance",
+        [{"a": 0.5, "b": 0.5}, {"a": 0.2, "b": 0.3, "c": 0.4, "d": 0.1}],
+        ids=["misses-one", "adds-one"],
+    )
+    def test_query_covering_other_individuals_rejected(self, relevance):
+        dataset, ledger, attention = _simple_ledger()
+        q = QueryEvent("q", 1, (1.0,), relevance)
+        with pytest.raises(CoverageError):
+            ledger.update(q, Assignment(("a", "b", "c")), attention)
+        assert ledger.t == 0
+
+    @pytest.mark.parametrize(
+        "ordering",
+        [("a", "b"), ("a", "b", "z"), ("a", "b", "c", "z"), ("a", "b", "b")],
+        ids=["short", "unknown-id", "long", "repeated-id"],
+    )
+    def test_ordering_not_a_permutation_rejected(self, ordering):
+        dataset, ledger, attention = _simple_ledger()
+        q = QueryEvent("q", 1, (1.0,), {"a": 0.2, "b": 0.3, "c": 0.5})
+        with pytest.raises(ValidationError):
+            ledger.update(q, Assignment(ordering), attention)
+        assert ledger.t == 0
 
 
 class TestLedgerAccounting:

@@ -16,7 +16,7 @@ from fairrank.errors import (
     ValidationError,
 )
 from fairrank.rerank import RerankConfig, rerank_online
-from fairrank.synth import SynthSpec, gen_synth_binary
+from fairrank.synth import SynthSpec, gen_synth_binary, gen_synth_cont
 
 
 @pytest.fixture()
@@ -218,6 +218,109 @@ class TestRunFiles:
         path.write_text('{"config": {}}')
         with pytest.raises(ValidationError):
             fio.load_run(path)
+
+
+class TestReplayChecks:
+    """replay_run checks each ordering against what the file claims for it."""
+
+    @pytest.fixture()
+    def payload(self, tmp_path):
+        dataset, stream = gen_synth_cont(SynthSpec(variant="continuous", n=8, T=4, seed=2))
+        config = RerankConfig(k_re=8, k_att=3, k_eval=3, theta=0.8)
+        run_path = tmp_path / "run.json"
+        fio.save_run(run_path, rerank_online(dataset, stream, config), stream)
+        return fio.load_run(run_path), dataset.group_of
+
+    def test_untouched_file_replays(self, payload):
+        payload, group_of = payload
+        fio.replay_run(payload, group_of)
+
+    def test_swapped_head_entries_rejected(self, payload):
+        payload, group_of = payload
+        step = 1
+        relevance = json.loads(payload["stream"][step])["relevance"]
+        ordering = payload["orderings"][step]
+        j = next(j for j in range(1, 3) if relevance[ordering[j]] != relevance[ordering[0]])
+        ordering[0], ordering[j] = ordering[j], ordering[0]
+        payload["fallback"][step] = False
+        with pytest.raises(ValidationError, match="q0002.*nDCG"):
+            fio.replay_run(payload, group_of)
+
+    def test_edited_k_eval_rejected(self, payload):
+        payload, group_of = payload
+        payload["config"]["k_eval"] = 2
+        with pytest.raises(ValidationError, match="nDCG"):
+            fio.replay_run(payload, group_of)
+
+    def test_non_ideal_step_flagged_as_fallback_rejected(self, payload):
+        payload, group_of = payload
+        ideal = [
+            sorted(rel, key=lambda i: (-rel[i], i))
+            for rel in (json.loads(line)["relevance"] for line in payload["stream"])
+        ]
+        step = next(t for t, o in enumerate(payload["orderings"]) if o != ideal[t])
+        payload["fallback"][step] = True
+        with pytest.raises(ValidationError, match="fallback"):
+            fio.replay_run(payload, group_of)
+
+    def test_unknown_id_in_an_ordering_rejected(self, payload):
+        payload, group_of = payload
+        payload["orderings"][2][4] = "nobody"
+        with pytest.raises(ValidationError, match="q0003"):
+            fio.replay_run(payload, group_of)
+
+    def test_replayed_orderings_use_the_dataset_ids(self, payload):
+        payload, group_of = payload
+        result = fio.replay_run(payload, group_of)
+        own = {id(i) for i in result.ledger.dataset.individuals}
+        assert all(id(i) in own for a in result.assignments for i in a.ordering)
+
+
+class TestRunFileLayout:
+    def test_run_file_is_one_compact_line(self, binary_files, tmp_path):
+        dataset, stream, _, _ = binary_files
+        run_path = tmp_path / "run.json"
+        fio.save_run(run_path, rerank_online(dataset, stream, RerankConfig(k_re=8, k_att=3, k_eval=3)), stream)
+        text = run_path.read_text(encoding="utf-8")
+        assert text.endswith("}\n") and text.count("\n") == 1
+        assert text == json.dumps(json.loads(text), ensure_ascii=False) + "\n"
+
+    def test_saving_twice_gives_identical_bytes(self, binary_files, tmp_path):
+        dataset, _, stream_path, _ = binary_files
+        _, stream = fio.load_stream(stream_path)
+        assert all("line" not in vars(q) for q in stream)
+        run = rerank_online(dataset, stream, RerankConfig(k_re=8, k_att=3, k_eval=3, theta=0.9))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        fio.save_run(first, run, stream)
+        assert all("line" in vars(q) for q in stream)  # cached by the first save
+        fio.save_run(second, run, stream)
+        assert first.read_bytes() == second.read_bytes()
+        again = tmp_path / "again.jsonl"
+        fio.save_stream(again, stream)
+        assert again.read_bytes() == stream_path.read_bytes()
+
+    def test_indented_run_files_evaluate_identically(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["generate", "--variant", "continuous", "--n", "12", "--T", "6",
+                     "--seed", "4", "--out", str(data)]) == 0
+        common = ["--stream", str(data / "stream.jsonl"), "--groups", str(data / "groups.csv")]
+        base, run = tmp_path / "base.json", tmp_path / "run.json"
+        assert main(["rank", *common, "--objective", "none", "--out", str(base)]) == 0
+        assert main(["rank", *common, "--kind", "W1", "--theta", "0.8", "--out", str(run)]) == 0
+        old_base, old_run = tmp_path / "old_base.json", tmp_path / "old_run.json"
+        for new, old in ((base, old_base), (run, old_run)):
+            payload = json.loads(new.read_text(encoding="utf-8"))
+            # the layout written before run files became one compact line
+            old.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
+                           encoding="utf-8")
+            assert old.read_bytes() != new.read_bytes()
+        reports = []
+        for r, b in ((run, base), (old_run, old_base)):
+            out = tmp_path / f"report-{r.stem}.json"
+            assert main(["evaluate", "--run", str(r), "--baseline-run", str(b),
+                         "--groups", str(data / "groups.csv"), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestCli:

@@ -24,6 +24,7 @@ from fairrank.metrics import (
 )
 from fairrank.synth import fairwashing_scenario, gen_random_instance
 from fairrank.verify import random_ledger
+from oracles import individual_divergences_oracle
 
 KINDS = (DivergenceKind.L1, DivergenceKind.L2VAR, DivergenceKind.W1)
 
@@ -76,6 +77,38 @@ class TestIndividualUnfairness:
         ) == pytest.approx(0.3)
         with pytest.raises(EmptyScopeError):
             individual_unfairness(ledger, DivergenceKind.L1, scope=())
+
+    @pytest.mark.parametrize("P", [1, 2, 3])
+    @pytest.mark.parametrize("T", [1, 2, 7, 40])
+    def test_divergences_bit_identical_to_per_individual_oracle(self, P, T):
+        # T=40 > 8 makes the per-individual mean a pairwise sum when P == 1
+        rng = np.random.default_rng(100 * P + T)
+        n = 9
+        ids = tuple(f"i{k}" for k in range(n))
+        dataset = Dataset.single_group(ids)
+        ledger = Ledger(dataset, P)
+        attention = AttentionModel(6)
+        for t in range(1, T + 1):
+            raw = rng.random(n) * (rng.random(n) < 0.8)
+            raw[0] += 0.1
+            polarity = rng.normal(size=P)
+            if P > 1:
+                polarity[t % P] = 0.0  # a zero polarity component
+            ledger.update(
+                QueryEvent(f"q{t}", t, tuple(polarity), dict(zip(ids, raw / raw.sum()))),
+                Assignment(tuple(rng.permutation(ids))),
+                attention,
+            )
+        scope = ("i7", "i2", "i5", "i0")  # a subset in non-dataset order
+        for kind in KINDS:
+            for mode in ("aware", "agnostic"):
+                for sc in (None, scope):
+                    got = individual_divergences(ledger, kind, mode, sc)
+                    want = individual_divergences_oracle(ledger, kind, mode, sc)
+                    assert list(got) == list(want)
+                    for ind in want:
+                        assert got[ind] == want[ind], (kind, mode, ind)
+                        assert type(got[ind]) is float
 
     def test_empty_ledger_rejected(self):
         dataset = Dataset.single_group(("a",))
