@@ -14,7 +14,6 @@ Conventions used throughout the package:
   the query polarity) and polarity-agnostic (polarity replaced by 1).
 """
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -170,18 +169,6 @@ class QueryEvent:
     @property
     def components(self) -> int:
         return len(self.polarity)
-
-    @cached_property
-    def line(self) -> str:
-        """Canonical one-line JSON: fixed key order, relevance keys sorted,
-        shortest round-trip floats. Built once per query."""
-        record = {
-            "query_id": self.query_id,
-            "t": self.t,
-            "polarity": list(self.polarity),
-            "relevance": {k: self.relevance[k] for k in sorted(self.relevance)},
-        }
-        return json.dumps(record, ensure_ascii=False)
 
     def validate_coverage(self, individuals) -> None:
         """Check the relevance map ranks exactly the dataset's individuals."""

@@ -52,8 +52,14 @@ EXACT_SUM_TOL = 1e-9
 
 
 def stream_line(query: QueryEvent) -> str:
-    """Canonical one-line serialization of a query (cached on the query)."""
-    return query.line
+    """Canonical one-line serialization of a query."""
+    record = {
+        "query_id": query.query_id,
+        "t": query.t,
+        "polarity": list(query.polarity),
+        "relevance": {k: query.relevance[k] for k in sorted(query.relevance)},
+    }
+    return json.dumps(record, ensure_ascii=False)
 
 
 def save_stream(path, stream) -> None:

@@ -93,8 +93,8 @@ def individual_divergences(
     var_r = ledger.var_matrix("relevance", mode)[rows]
     seq_a = seq_r = None
     if kind == DivergenceKind.W1:
-        # the row gather lays each individual's (T, P) block out contiguously,
-        # so the mean over T sums in the order a per-individual mean does
+        # the mean over T of the stacks equals each individual's own mean bit
+        # for bit (tests/test_metrics.py checks this against the oracle)
         seq_a = ledger.sequences("attention", mode)[:, rows, :]
         seq_r = ledger.sequences("relevance", mode)[:, rows, :]
     comps = _component_values(kind, mean_a, var_a, seq_a, mean_r, var_r, seq_r)
@@ -114,23 +114,19 @@ def individual_unfairness(
     return max(individual_divergences(ledger, kind, mode, scope).values())
 
 
-def _group_values(summaries: dict[str, GroupSummary], kind: DivergenceKind) -> dict[str, float]:
-    out = {}
-    for group, s in summaries.items():
-        comps = _component_values(
-            kind, s.mean_attn, s.var_attn, s.seq_attn, s.mean_rel, s.var_rel, s.seq_rel
-        )
-        out[group] = d_multi(comps)
-    return out
-
-
 def group_divergences(
     ledger: Ledger,
     kind: DivergenceKind,
     mode: str = "agnostic",
     dataset: Dataset | None = None,
 ) -> dict[str, float]:
-    return _group_values(group_summaries(ledger, mode, dataset), kind)
+    out = {}
+    for group, s in group_summaries(ledger, mode, dataset).items():
+        comps = _component_values(
+            kind, s.mean_attn, s.var_attn, s.seq_attn, s.mean_rel, s.var_rel, s.seq_rel
+        )
+        out[group] = d_multi(comps)
+    return out
 
 
 def group_unfairness(
@@ -156,11 +152,7 @@ def eur(
 ) -> float:
     """Max pairwise gap of group exposure/relevance ratios (UNDEFINED if a
     group's average relevance is zero)."""
-    return _eur(group_summaries(ledger, mode, dataset))
-
-
-def _eur(summaries: dict[str, GroupSummary]) -> float:
-    summaries = list(summaries.values())
+    summaries = list(group_summaries(ledger, mode, dataset).values())
     exposure = np.stack([s.mean_attn for s in summaries])  # (G, P)
     relevance = np.stack([s.mean_rel for s in summaries])
     if np.any(relevance == 0.0):
@@ -173,11 +165,7 @@ def _eur(summaries: dict[str, GroupSummary]) -> float:
 
 def dp(ledger: Ledger, mode: str = "agnostic", dataset: Dataset | None = None) -> float:
     """Demographic parity: max pairwise gap of group average exposure."""
-    return _dp(group_summaries(ledger, mode, dataset))
-
-
-def _dp(summaries: dict[str, GroupSummary]) -> float:
-    summaries = list(summaries.values())
+    summaries = list(group_summaries(ledger, mode, dataset).values())
     exposure = np.stack([s.mean_attn for s in summaries])
     return float(
         sum(exposure[:, p].max() - exposure[:, p].min() for p in range(exposure.shape[1]))
@@ -234,18 +222,16 @@ class MetricsPanel:
 def metrics_panel(
     ledger: Ledger, mode: str, dataset: Dataset | None = None
 ) -> MetricsPanel:
-    # one summary build serves the group divergences, EUR and DP
-    summaries = group_summaries(ledger, mode, dataset)
     return MetricsPanel(
         individual={
             kind.value: individual_unfairness(ledger, kind, mode) for kind in KINDS
         },
         group={
-            kind.value: max(_group_values(summaries, kind).values()) for kind in KINDS
+            kind.value: group_unfairness(ledger, kind, mode, dataset) for kind in KINDS
         },
         iaa=iaa(ledger, mode),
-        eur=_eur(summaries),
-        dp=_dp(summaries),
+        eur=eur(ledger, mode, dataset),
+        dp=dp(ledger, mode, dataset),
     )
 
 
