@@ -154,11 +154,14 @@ class QueryEvent:
             raise ValidationError(
                 f"query {self.query_id!r}: non-finite polarity {self.polarity}"
             )
-        for ind, r in self.relevance.items():
-            if r < 0:
-                raise ValidationError(
-                    f"query {self.query_id!r}: negative relevance {r} for {ind!r}"
-                )
+        # one pass in C; the loop only names the offender (a NaN first in
+        # the dict makes min NaN, so the loop runs then as well)
+        if not min(self.relevance.values(), default=0.0) >= 0:
+            for ind, r in self.relevance.items():
+                if r < 0:
+                    raise ValidationError(
+                        f"query {self.query_id!r}: negative relevance {r} for {ind!r}"
+                    )
         total = math.fsum(self.relevance.values())
         # written so a NaN total (any NaN relevance) fails too
         if not abs(total - 1.0) <= RELEVANCE_SUM_TOL:
@@ -266,7 +269,8 @@ class Ledger:
     """Per-individual cumulative attention/relevance state over a stream.
 
     Single-writer: only ``update`` mutates; all accessors are read-only and
-    safe to call concurrently between updates.
+    safe to call concurrently between updates. Values derived from one state
+    can be kept in ``memo``, which each update clears.
     """
 
     def __init__(self, dataset: Dataset, components: int = 1):
@@ -278,6 +282,7 @@ class Ledger:
         self._aware = _Track(dataset.n, components)
         self._agnostic = _Track(dataset.n, components)
         self._ones = np.ones(components)
+        self._memo: dict = {}
 
     def _track(self, mode: str) -> _Track:
         if mode == "aware":
@@ -311,11 +316,18 @@ class Ledger:
         attn[rows] = attention.weights(n)
         rel = query.relevance_vector(self.dataset)
         eta = np.asarray(query.polarity, dtype=np.float64)
+        self._memo.clear()
         self._aware.update(eta, attn, rel)
         self._agnostic.update(self._ones, attn, rel)
         self.t += 1
 
     # -- read-only accessors -------------------------------------------------
+
+    def memo(self, key, build):
+        """``build()`` computed once per ledger state under ``key``."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     def _channel_arrays(self, track: _Track, channel: str):
         if channel == "attention":

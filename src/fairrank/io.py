@@ -13,21 +13,31 @@ floats), so ``generate -> load -> save`` is byte-identical.
 Group files are CSV with the header ``individual_id,group_id``.
 
 Run files are self-contained single-line JSON: the config echo, the
-embedded stream lines, and the emitted orderings; evaluation replays them
-exactly and checks each query's stored nDCG and fallback flag against the
-replayed ordering. Indented run files load the same way.
+stream as one columnar block, and the emitted orderings. The block holds the
+query ids, timesteps and polarity vectors as JSON arrays, the sorted
+individual ids, and the T x n relevance matrix as base64 of its
+little-endian float64 bytes (row-major, columns in individual order), so
+replay reads back every relevance value bit for bit without parsing text
+floats. Evaluation replays a run exactly and checks each query's stored
+nDCG and fallback flag against the replayed ordering. Indented run files
+load the same way; run files whose stream is a list of stream lines (the
+earlier layout) are rejected.
 
 Report files are JSON with deterministic key order and every number
 serialized at 12 significant digits; non-finite sentinels use the
 ``Infinity``/``NaN`` tokens (readable by Python's json module).
 """
 
+import base64
 import csv
 import hashlib
 import json
 import math
+import operator
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 from .core import (
     Assignment,
@@ -45,7 +55,7 @@ from .errors import (
     StreamOrderError,
     ValidationError,
 )
-from .rerank import RerankConfig, RunResult
+from .rerank import RerankConfig, RunResult, validate_stream
 
 STREAM_SUM_TOL = 1e-6
 EXACT_SUM_TOL = 1e-9
@@ -69,21 +79,43 @@ def save_stream(path, stream) -> None:
             fh.write(stream_line(query) + "\n")
 
 
+def _number_types(values, what: str, lineno: int | None) -> set:
+    """The types of ``values``; raises ParseError unless all are JSON numbers.
+
+    JSON strings and booleans are not numbers (``bool`` is its own type, so
+    ``true`` fails here although it is an ``int`` to ``isinstance``).
+    """
+    types = set(map(type, values))
+    if not types <= {float, int}:
+        bad = next(v for v in values if type(v) not in (float, int))
+        raise ParseError(f"{what} value {bad!r} is not a number", lineno)
+    return types
+
+
+def _check_step(t, polarity, lineno: int | None, prefix: str = "") -> None:
+    """Reject a timestep that is not an integer and a polarity that is not a
+    non-empty array of numbers."""
+    if type(t) is not int:
+        raise ParseError(f"{prefix}timestep must be an integer, got {t!r}", lineno)
+    if not isinstance(polarity, list) or not polarity:
+        raise ParseError(f"{prefix}polarity must be a non-empty array", lineno)
+    _number_types(polarity, f"{prefix}polarity", lineno)
+
+
 def _parse_query(record: dict, lineno: int, raw: bool) -> QueryEvent:
     try:
         query_id = str(record["query_id"])
         t = record["t"]
         polarity = record["polarity"]
-        relevance = record["relevance"]
+        values = record["relevance"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed field ({exc})", lineno) from None
-    if not isinstance(t, int):
-        raise ParseError(f"timestep must be an integer, got {t!r}", lineno)
-    if not isinstance(polarity, list) or not polarity:
-        raise ParseError("polarity must be a non-empty array", lineno)
-    if not isinstance(relevance, dict) or not relevance:
+    _check_step(t, polarity, lineno)
+    if not isinstance(values, dict) or not values:
         raise ParseError("relevance must be a non-empty object", lineno)
-    values = {str(k): float(v) for k, v in relevance.items()}
+    # JSON object keys are strings already; only integer values need casting
+    if int in _number_types(values.values(), "relevance", lineno):
+        values = {k: float(v) for k, v in values.items()}
     total = math.fsum(values.values())
     if abs(total - 1.0) > STREAM_SUM_TOL:
         if not raw:
@@ -99,7 +131,7 @@ def _parse_query(record: dict, lineno: int, raw: bool) -> QueryEvent:
     elif abs(total - 1.0) > EXACT_SUM_TOL:
         # inside the file tolerance but outside the in-memory one
         values = {k: v / total for k, v in values.items()}
-    return QueryEvent(query_id, t, tuple(float(p) for p in polarity), values)
+    return QueryEvent(query_id, t, tuple(polarity), values)
 
 
 def load_stream(path, raw: bool = False) -> tuple[tuple[str, ...], list[QueryEvent]]:
@@ -112,7 +144,7 @@ def load_stream(path, raw: bool = False) -> tuple[tuple[str, ...], list[QueryEve
     """
     path = Path(path)
     stream: list[QueryEvent] = []
-    individuals: set[str] | None = None
+    first: dict[str, float] | None = None
     seen_ids: set[str] = set()
     prev_t = 0
     with path.open("r", encoding="utf-8") as fh:
@@ -132,9 +164,9 @@ def load_stream(path, raw: bool = False) -> tuple[tuple[str, ...], list[QueryEve
                     f"line {lineno}: timestep {query.t} not greater than {prev_t}"
                 )
             prev_t = query.t
-            if individuals is None:
-                individuals = set(query.relevance)
-            elif set(query.relevance) != individuals:
+            if first is None:
+                first = query.relevance
+            elif query.relevance.keys() != first.keys():
                 raise CoverageError(
                     f"line {lineno}: query {query.query_id!r} ranks a different "
                     "individual set than earlier queries"
@@ -142,7 +174,7 @@ def load_stream(path, raw: bool = False) -> tuple[tuple[str, ...], list[QueryEve
             stream.append(query)
     if not stream:
         raise ValidationError(f"stream file {path} contains no queries")
-    return tuple(sorted(individuals)), stream
+    return tuple(sorted(first)), stream
 
 
 def save_groups(path, dataset: Dataset) -> None:
@@ -236,15 +268,91 @@ def save_report(path, report_dict: dict) -> None:
 
 # -- run files -------------------------------------------------------------------
 
+_BLOCK_KEYS = ("query_ids", "t", "polarity", "individuals", "relevance")
+
+
+def _encode_stream(stream) -> dict:
+    """The stream as one columnar block.
+
+    Relevance is the T x n matrix (rows in stream order, columns in
+    ``individuals`` order) as base64 of its little-endian float64 bytes, so
+    every value, ``-0.0`` and subnormals included, comes back bit for bit.
+    """
+    if not stream:
+        raise ValidationError("empty query stream")
+    keys = stream[0].relevance.keys()
+    individuals = sorted(keys)
+    gather = operator.itemgetter(*individuals)
+    matrix = np.empty((len(stream), len(individuals)), dtype="<f8")
+    for row, query in enumerate(stream):
+        if query.relevance.keys() != keys:
+            query.validate_coverage(individuals)
+        matrix[row] = gather(query.relevance)
+    return {
+        "query_ids": [q.query_id for q in stream],
+        "t": [q.t for q in stream],
+        "polarity": [list(q.polarity) for q in stream],
+        "individuals": individuals,
+        "relevance": base64.b64encode(matrix.tobytes()).decode("ascii"),
+    }
+
+
+def _decode_stream(block) -> tuple[list[str], list[QueryEvent]]:
+    """Individuals and queries of a block written by ``_encode_stream``.
+
+    Each query goes through ``QueryEvent``'s checks; order, coverage and
+    polarity arity are left to ``rerank.validate_stream``.
+    """
+    if isinstance(block, list):
+        raise ValidationError(
+            "run file was written by an earlier version (stream lines); "
+            "re-run `fairrank rank`"
+        )
+    if not isinstance(block, dict):
+        raise ValidationError("run file stream must be an object")
+    missing = [key for key in _BLOCK_KEYS if key not in block]
+    if missing:
+        raise ValidationError(f"run file stream block is missing {missing[0]!r}")
+    query_ids, ts, polarity, individuals, encoded = map(block.__getitem__, _BLOCK_KEYS)
+    if not all(isinstance(c, list) for c in (query_ids, ts, polarity, individuals)):
+        raise ValidationError("run file stream block columns must be arrays")
+    if not len(query_ids) == len(ts) == len(polarity):
+        raise LengthMismatchError(
+            f"run file stream block has {len(query_ids)} query ids, {len(ts)} "
+            f"timesteps and {len(polarity)} polarity vectors"
+        )
+    if not individuals or not all(type(i) is str for i in individuals):
+        raise ValidationError("run file stream block needs a non-empty list of ids")
+    if len(set(individuals)) != len(individuals):
+        raise ValidationError("run file stream block repeats an individual")
+    try:
+        data = base64.b64decode(encoded, validate=True)
+    except (TypeError, ValueError):
+        raise ParseError("run file relevance block is not valid base64") from None
+    shape = (len(query_ids), len(individuals))
+    if len(data) != 8 * shape[0] * shape[1]:
+        raise ValidationError(
+            f"run file relevance block has {len(data)} bytes, "
+            f"expected 8 x {shape[0]} queries x {shape[1]} individuals"
+        )
+    rows = np.frombuffer(data, dtype="<f8").reshape(shape).tolist()
+    stream = []
+    for query_id, t, eta, row in zip(query_ids, ts, polarity, rows):
+        _check_step(t, eta, None, f"run file query {query_id!r}: ")
+        stream.append(QueryEvent(str(query_id), t, tuple(eta), dict(zip(individuals, row))))
+    return individuals, stream
+
 
 def save_run(path, result: RunResult, stream) -> None:
-    """Self-contained run file: config echo, stream lines, emitted orderings.
+    """Self-contained run file: config echo, the stream as one columnar block
+    (relevance as exact float64 bytes, see ``_encode_stream``), and the
+    emitted orderings with their nDCG, fallback flags and objective trace.
 
     Written as one compact line (no indent, so the C encoder serializes it).
     """
     payload = {
         "config": result.config.to_dict(),
-        "stream": [stream_line(q) for q in stream],
+        "stream": _encode_stream(stream),
         "query_ids": list(result.query_ids),
         "orderings": [list(a.ordering) for a in result.assignments],
         "ndcg": list(result.ndcg),
@@ -270,25 +378,25 @@ def load_run(path) -> dict:
 def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResult:
     """Rebuild a RunResult (ledger included) from a saved run file.
 
-    Raises LengthMismatchError when a per-query list (orderings, fallback
-    flags, nDCG, objective trace, query ids) is not one entry per query, and
-    ValidationError when an ordering is not a permutation of the stream's
-    individuals, a stored nDCG differs from the one its ordering gives, or a
-    step flagged as a fallback does not carry the ideal ordering.
+    The stream block is decoded straight into arrays; a run file whose
+    stream is the older list of stream lines raises ValidationError. Raises
+    LengthMismatchError when a per-query list (orderings, fallback flags,
+    nDCG, objective trace, query ids, or a column of the stream block) is not
+    one entry per query, and ValidationError when the stream block is
+    malformed, an ordering is not a permutation of the stream's individuals,
+    a stored nDCG differs from the one its ordering gives, or a step flagged
+    as a fallback does not carry the ideal ordering.
     """
     config = RerankConfig(**payload["config"])
-    stream = [
-        _parse_query(json.loads(line), lineno, raw=False)
-        for lineno, line in enumerate(payload["stream"], start=1)
-    ]
+    individuals, stream = _decode_stream(payload["stream"])
     for key in ("orderings", "fallback", "ndcg", "objective_trace", "query_ids"):
         if key in payload and len(payload[key]) != len(stream):
             raise LengthMismatchError(
                 f"run file has {len(payload[key])} {key} entries "
                 f"for {len(stream)} queries"
             )
-    individuals = tuple(sorted(stream[0].relevance))
-    dataset = build_dataset(individuals, group_of)
+    dataset = build_dataset(tuple(sorted(individuals)), group_of)
+    validate_stream(dataset, stream)
     attention = AttentionModel(config.k_att)
     ledger = Ledger(dataset, stream[0].components)
     # map each ordering onto the dataset's own id strings, not fresh copies

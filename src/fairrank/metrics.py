@@ -48,7 +48,23 @@ class GroupSummary:
 def group_summaries(
     ledger: Ledger, mode: str = "agnostic", dataset: Dataset | None = None
 ) -> dict[str, GroupSummary]:
+    """Per-group summaries of the ledger's current state.
+
+    Built once per (ledger state, mode, dataset), so the five group metrics
+    of a polarity panel share one build; the arrays are read-only.
+    """
     dataset = dataset or ledger.dataset
+    # the memo entry holds the dataset, so its id stays unique while cached
+    _, summaries = ledger.memo(
+        ("group_summaries", mode, id(dataset)),
+        lambda: (dataset, _build_group_summaries(ledger, mode, dataset)),
+    )
+    return dict(summaries)
+
+
+def _build_group_summaries(
+    ledger: Ledger, mode: str, dataset: Dataset
+) -> dict[str, GroupSummary]:
     mean_a = ledger.mean_matrix("attention", mode)
     var_a = ledger.var_matrix("attention", mode)
     mean_r = ledger.mean_matrix("relevance", mode)
@@ -69,6 +85,9 @@ def group_summaries(
             seq_attn=seq_a[:, rows, :].sum(axis=1) / m,
             seq_rel=seq_r[:, rows, :].sum(axis=1) / m,
         )
+        for value in vars(out[group]).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
     return out
 
 

@@ -145,6 +145,7 @@ def validate_stream(dataset: Dataset, stream) -> int:
     if not stream:
         raise ValidationError("empty query stream")
     components = stream[0].components
+    ids = dataset.index.keys()
     prev_t = 0
     for query in stream:
         if query.t <= prev_t:
@@ -152,7 +153,8 @@ def validate_stream(dataset: Dataset, stream) -> int:
                 f"query {query.query_id!r}: timestep {query.t} not greater than {prev_t}"
             )
         prev_t = query.t
-        query.validate_coverage(dataset.individuals)
+        if query.relevance.keys() != ids:
+            query.validate_coverage(dataset.individuals)
         if query.components != components:
             raise LengthMismatchError(
                 f"query {query.query_id!r} has {query.components} polarity "

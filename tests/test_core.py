@@ -158,6 +158,22 @@ class TestValidation:
             QueryEvent("q", 1, (1.0,), {"a": 1.2, "b": -0.2})
 
     @pytest.mark.parametrize(
+        "relevance",
+        [
+            {"a": 1.3, "b": -0.1, "c": -0.2},
+            {"a": math.nan, "b": -0.1, "c": 1.1},
+            {"a": 1.1, "b": -0.1, "c": math.nan},
+        ],
+    )
+    def test_negative_relevance_names_the_first_offender(self, relevance):
+        with pytest.raises(ValidationError, match=r"negative relevance -0.1 for 'b'"):
+            QueryEvent("q", 1, (1.0,), relevance)
+
+    def test_query_with_no_relevance_fails_the_sum(self):
+        with pytest.raises(ValidationError, match="sums to 0.0"):
+            QueryEvent("q", 1, (1.0,), {})
+
+    @pytest.mark.parametrize(
         "relevance", [{"a": math.nan}, {"a": 1.0, "b": math.nan}, {"a": math.inf}]
     )
     def test_query_rejects_non_finite_relevance(self, relevance):

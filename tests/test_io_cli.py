@@ -1,5 +1,6 @@
 """File formats and the command-line interface."""
 
+import base64
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from fairrank import io as fio
 from fairrank.cli import _bootstrap, main, sweep_table
+from fairrank.core import Dataset, QueryEvent
 from fairrank.errors import (
     CoverageError,
     LengthMismatchError,
@@ -17,6 +19,14 @@ from fairrank.errors import (
 )
 from fairrank.rerank import RerankConfig, rerank_online
 from fairrank.synth import SynthSpec, gen_synth_binary, gen_synth_cont
+
+
+def block_relevance(payload) -> list[dict]:
+    """Per-query relevance of a run file's stream block, decoded independently."""
+    block = payload["stream"]
+    rows = np.frombuffer(base64.b64decode(block["relevance"]), dtype="<f8")
+    rows = rows.reshape(len(block["t"]), len(block["individuals"]))
+    return [dict(zip(block["individuals"], row.tolist())) for row in rows]
 
 
 @pytest.fixture()
@@ -72,6 +82,32 @@ class TestStreamFiles:
             fio.load_stream(path)
         assert err.value.line == 4
         assert "q1" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"query_id": "q2", "t": 2, "polarity": [1.0], "relevance": {"a": "0.5", "b": 0.5}}',
+            '{"query_id": "q2", "t": 2, "polarity": [1.0], "relevance": {"a": true, "b": 0.0}}',
+            '{"query_id": "q2", "t": 2, "polarity": ["1.0"], "relevance": {"a": 0.5, "b": 0.5}}',
+            '{"query_id": "q2", "t": 2, "polarity": [false], "relevance": {"a": 0.5, "b": 0.5}}',
+            '{"query_id": "q2", "t": true, "polarity": [1.0], "relevance": {"a": 0.5, "b": 0.5}}',
+        ],
+    )
+    def test_strings_and_booleans_are_not_numbers(self, tmp_path, line):
+        path = tmp_path / "types.jsonl"
+        first = '{"query_id": "q1", "t": 1, "polarity": [1.0], "relevance": {"a": 0.5, "b": 0.5}}'
+        path.write_text(first + "\n" + line + "\n")
+        with pytest.raises(ParseError) as err:
+            fio.load_stream(path)
+        assert err.value.line == 2
+
+    def test_integer_values_load_as_floats(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        path.write_text('{"query_id": "q1", "t": 1, "polarity": [-1], "relevance": {"a": 1, "b": 0}}\n')
+        _, stream = fio.load_stream(path)
+        assert stream[0].polarity == (-1.0,)
+        assert stream[0].relevance == {"a": 1.0, "b": 0.0}
+        assert all(type(v) is float for v in stream[0].relevance.values())
 
     def test_coverage_must_match_across_queries(self, tmp_path):
         lines = [
@@ -238,7 +274,7 @@ class TestReplayChecks:
     def test_swapped_head_entries_rejected(self, payload):
         payload, group_of = payload
         step = 1
-        relevance = json.loads(payload["stream"][step])["relevance"]
+        relevance = block_relevance(payload)[step]
         ordering = payload["orderings"][step]
         j = next(j for j in range(1, 3) if relevance[ordering[j]] != relevance[ordering[0]])
         ordering[0], ordering[j] = ordering[j], ordering[0]
@@ -256,7 +292,7 @@ class TestReplayChecks:
         payload, group_of = payload
         ideal = [
             sorted(rel, key=lambda i: (-rel[i], i))
-            for rel in (json.loads(line)["relevance"] for line in payload["stream"])
+            for rel in block_relevance(payload)
         ]
         step = next(t for t, o in enumerate(payload["orderings"]) if o != ideal[t])
         payload["fallback"][step] = True
@@ -319,6 +355,118 @@ class TestRunFileLayout:
                          "--groups", str(data / "groups.csv"), "--out", str(out)]) == 0
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+
+def _awkward_stream():
+    """Relevance an encoding must keep bit for bit: -0.0, the smallest
+    subnormal, and rows whose sums sit off 1 by less than 1e-9 (which replay
+    must not renormalize)."""
+    rng = np.random.default_rng(7)
+    ids = [f"i{k}" for k in range(6)]
+    stream = []
+    for t in range(1, 6):
+        raw = rng.random(len(ids))
+        raw[:2] = 0.0
+        values = (raw / raw.sum()).tolist()
+        values[0] = -0.0
+        values[1] = 5e-324 if t % 2 else values[2] * 1e-3
+        values[2] += 6e-10 if t % 2 else -values[1] - 6e-10
+        stream.append(QueryEvent(f"q{t}", t, (1.0 if t % 2 else -0.5,), dict(zip(ids, values))))
+    return Dataset.single_group(ids), stream
+
+
+class TestRunFileBlock:
+    """The run file's stream block: exact float64 relevance, loud failures."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        dataset, stream = _awkward_stream()
+        run = rerank_online(dataset, stream, RerankConfig(k_re=6, k_att=3, k_eval=3, theta=0.9))
+        path = tmp_path / "run.json"
+        fio.save_run(path, run, stream)
+        return dataset, stream, run, path
+
+    def test_round_trip_is_bit_exact(self, saved):
+        dataset, stream, run, path = saved
+        payload = fio.load_run(path)
+        block = payload["stream"]
+        assert (block["query_ids"], block["t"]) == ([q.query_id for q in stream], [q.t for q in stream])
+        for want, got in zip(stream, block_relevance(payload)):
+            assert list(got) == sorted(want.relevance)
+            for ind, value in want.relevance.items():
+                assert np.float64(got[ind]).tobytes() == np.float64(value).tobytes()
+        replayed = fio.replay_run(payload, dataset.group_of)
+        for channel in ("attention", "relevance"):
+            for mode in ("aware", "agnostic"):
+                assert (replayed.ledger.sequences(channel, mode).tobytes()
+                        == run.ledger.sequences(channel, mode).tobytes())
+        assert [a.ordering for a in replayed.assignments] == [a.ordering for a in run.assignments]
+
+    def test_run_file_is_smaller_than_its_stream_file(self, tmp_path):
+        dataset, stream = gen_synth_cont(SynthSpec(variant="continuous", n=60, T=8, seed=1))
+        stream_path, run_path = tmp_path / "stream.jsonl", tmp_path / "run.json"
+        fio.save_stream(stream_path, stream)
+        fio.save_run(run_path, rerank_online(dataset, stream, RerankConfig(k_re=10, k_att=3, k_eval=3)), stream)
+        assert run_path.stat().st_size < stream_path.stat().st_size
+
+    def test_old_list_of_lines_layout_rejected(self, saved):
+        dataset, stream, _, path = saved
+        payload = fio.load_run(path)
+        payload["stream"] = [fio.stream_line(q) for q in stream]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValidationError, match="earlier version"):
+            fio.replay_run(fio.load_run(path), dataset.group_of)
+
+    @staticmethod
+    def _set_row(block, step, scale=1.0, index=None, value=None):
+        rows = np.frombuffer(base64.b64decode(block["relevance"]), dtype="<f8")
+        rows = rows.reshape(len(block["t"]), -1).copy()
+        rows[step] *= scale
+        if index is not None:
+            rows[step, index] = value
+        block["relevance"] = base64.b64encode(rows.tobytes()).decode("ascii")
+
+    @pytest.mark.parametrize(
+        "edit, error, match",
+        [
+            (lambda b: b.pop("query_ids"), ValidationError, "missing 'query_ids'"),
+            (lambda b: b.pop("relevance"), ValidationError, "missing 'relevance'"),
+            (lambda b: b["t"].pop(), LengthMismatchError, "timesteps"),
+            (lambda b: b["polarity"].pop(0), LengthMismatchError, "polarity"),
+            (lambda b: b["individuals"].__setitem__(1, b["individuals"][0]),
+             ValidationError, "repeats"),
+            (lambda b: b.__setitem__("individuals", []), ValidationError, "non-empty"),
+            (lambda b: b.__setitem__("relevance", b["relevance"][:-4] + "*AAA"),
+             ParseError, "base64"),
+            # without validation the stray character would be skipped silently
+            (lambda b: b.__setitem__("relevance", b["relevance"][:8] + "*" + b["relevance"][8:]),
+             ParseError, "base64"),
+            (lambda b: b.__setitem__("relevance", b["relevance"] + "AAAAAAAAAAA="),
+             ValidationError, "bytes"),
+            (lambda b: b.__setitem__("relevance", b["relevance"][:-12]),
+             ValidationError, "bytes"),
+            (lambda b: b["t"].__setitem__(0, True), ParseError, "timestep"),
+            (lambda b: b["polarity"].__setitem__(1, ["1.0"]), ParseError, "polarity"),
+            (lambda b: b["polarity"].__setitem__(1, [False]), ParseError, "polarity"),
+            (lambda b: b["polarity"].__setitem__(1, []), ParseError, "polarity"),
+            (lambda b: b["polarity"].__setitem__(1, [math.inf]), ValidationError, "non-finite"),
+            (lambda b: TestRunFileBlock._set_row(b, 2, index=3, value=-0.25),
+             ValidationError, "negative"),
+            (lambda b: TestRunFileBlock._set_row(b, 2, index=3, value=math.nan),
+             ValidationError, "sums to"),
+            (lambda b: TestRunFileBlock._set_row(b, 2, scale=1.0 + 1e-8),
+             ValidationError, "sums to"),
+            (lambda b: b["t"].__setitem__(1, 1), StreamOrderError, "timestep"),
+            (lambda b: b["polarity"].__setitem__(1, [1.0, 1.0]), LengthMismatchError,
+             "component"),
+        ],
+    )
+    def test_malformed_block_rejected(self, saved, edit, error, match):
+        dataset, _, _, path = saved
+        payload = fio.load_run(path)
+        edit(payload["stream"])
+        with pytest.raises(error, match=match):
+            fio.replay_run(payload, dataset.group_of)
 
 
 class TestCli:

@@ -282,3 +282,40 @@ class TestReport:
         )
         values = group_divergences(ledger, DivergenceKind.L1, "agnostic", dataset)
         assert values == pytest.approx({"g1": 0.5, "g2": 0.5})
+
+    def test_one_group_summary_build_per_panel(self, monkeypatch):
+        import fairrank.metrics as metrics
+
+        dataset, ledger = random_ledger(np.random.default_rng(5))
+        built = []
+        summary = metrics.GroupSummary
+
+        def counting(**fields):
+            built.append(fields["group"])
+            return summary(**fields)
+
+        monkeypatch.setattr(metrics, "GroupSummary", counting)
+        build_report(ledger, dataset)
+        assert len(built) == 2 * len(dataset.groups)  # one build per polarity mode
+        other = Dataset(dataset.individuals, dict.fromkeys(dataset.individuals, "all"))
+        metrics_panel(ledger, "aware", other)
+        assert len(built) == 2 * len(dataset.groups) + 1  # a new dataset rebuilds
+
+    def test_report_after_a_further_update_reflects_the_new_state(self):
+        rng = np.random.default_rng(11)
+        dataset, stream = gen_random_instance(9, 3, 6, "signed", seed=3)
+        attention = AttentionModel(4)
+        orders = [
+            Assignment(tuple(dataset.individuals[i] for i in rng.permutation(9)))
+            for _ in stream
+        ]
+        ledger = Ledger(dataset, 1)
+        reports = []
+        for query, order in zip(stream, orders):
+            ledger.update(query, order, attention)
+            reports.append(build_report(ledger, dataset).to_dict())
+            fresh = Ledger(dataset, 1)
+            for q, o in zip(stream[: ledger.t], orders):
+                fresh.update(q, o, attention)
+            assert repr(reports[-1]) == repr(build_report(fresh, dataset).to_dict())
+        assert len({repr(r["metrics"]["aware"]["group"]) for r in reports}) == len(stream)

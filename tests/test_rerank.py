@@ -14,7 +14,7 @@ from fairrank.core import (
     ideal_ranking,
 )
 from fairrank.divergence import DivergenceKind, divergence_matrix
-from fairrank.errors import StreamOrderError, ValidationError
+from fairrank.errors import CoverageError, StreamOrderError, ValidationError
 from fairrank.metrics import individual_unfairness
 from fairrank.rerank import (
     RerankConfig,
@@ -62,6 +62,22 @@ class TestStreamValidation:
         dataset, stream = gen_random_instance(5, 2, 3, "signed", seed=0)
         bad = [stream[0], stream[2], stream[1]]
         with pytest.raises(StreamOrderError):
+            validate_stream(dataset, bad)
+
+    @pytest.mark.parametrize("edit", ["drop", "add", "rename"])
+    def test_every_query_covers_the_dataset(self, edit):
+        dataset, stream = gen_random_instance(5, 2, 3, "signed", seed=0)
+        relevance = dict(stream[2].relevance)
+        first = dataset.individuals[0]
+        share = relevance.pop(first)
+        if edit == "add":
+            relevance[first], relevance["extra"] = share, 0.0
+        elif edit == "rename":
+            relevance["extra"] = share
+        else:
+            relevance[dataset.individuals[1]] += share
+        bad = [*stream[:2], QueryEvent(stream[2].query_id, stream[2].t, stream[2].polarity, relevance)]
+        with pytest.raises(CoverageError, match=stream[2].query_id):
             validate_stream(dataset, bad)
 
     def test_empty_stream(self):
