@@ -20,9 +20,9 @@ from fairrank import (
     QueryEvent,
     attention_weights,
     ideal_ranking,
-    ledger_divergence,
     normalize_relevance,
 )
+from fairrank.metrics import individual_divergences
 
 rng = np.random.default_rng(0)
 
@@ -48,13 +48,14 @@ for t in range(1, 5):
 # -- reading the ledger ---------------------------------------------------------
 print("after 4 relevance-ranked queries:")
 print(f"{'individual':>10} {'cum attn':>9} {'cum rel':>9} {'L1':>7} {'L2var':>8} {'W1':>7}")
+divergences = [
+    individual_divergences(ledger, kind)
+    for kind in (DivergenceKind.L1, DivergenceKind.L2VAR, DivergenceKind.W1)
+]
 for ind in ids:
     mean_a, _ = ledger.moments(ind, "attention")
     mean_r, _ = ledger.moments(ind, "relevance")
-    values = [
-        ledger_divergence(ledger, ind, kind)
-        for kind in (DivergenceKind.L1, DivergenceKind.L2VAR, DivergenceKind.W1)
-    ]
+    values = [by_individual[ind] for by_individual in divergences]
     print(f"{ind:>10} {mean_a[0]:9.4f} {mean_r[0]:9.4f} "
           f"{values[0]:7.4f} {values[1]:8.4f} {values[2]:7.4f}")
 

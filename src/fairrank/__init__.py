@@ -16,9 +16,7 @@ from .assign import (
     bottleneck_with_quality,
     brute_force,
     constrained_min_sum,
-    hungarian_min_cost,
     lexicographic_refine,
-    max_dcg_matching,
 )
 from .bounds import BernoulliStream, chernoff_bound, hoeffding_bound, monte_carlo_tail
 from .core import (
@@ -30,21 +28,10 @@ from .core import (
     attention_weights,
     dcg_at_k,
     ideal_ranking,
-    ledger_update,
     ndcg_at_k,
     normalize_relevance,
 )
-from .divergence import (
-    DistSummary,
-    DivergenceKind,
-    d_l1,
-    d_l2var,
-    d_multi,
-    d_w1,
-    divergence_matrix,
-    ledger_divergence,
-    prospective_divergence,
-)
+from .divergence import DivergenceKind, d_multi, divergence_matrix
 from .errors import FairRankError
 from .metrics import (
     MetricsReport,
@@ -74,7 +61,6 @@ __all__ = [
     "AttentionModel",
     "BernoulliStream",
     "Dataset",
-    "DistSummary",
     "DivergenceKind",
     "FairRankError",
     "Ledger",
@@ -91,10 +77,7 @@ __all__ = [
     "build_report",
     "chernoff_bound",
     "constrained_min_sum",
-    "d_l1",
-    "d_l2var",
     "d_multi",
-    "d_w1",
     "dcg_at_k",
     "divergence_matrix",
     "dp",
@@ -107,18 +90,13 @@ __all__ = [
     "gen_synth_cont",
     "group_unfairness",
     "hoeffding_bound",
-    "hungarian_min_cost",
     "iaa",
     "ideal_ranking",
     "individual_unfairness",
-    "ledger_divergence",
-    "ledger_update",
     "lexicographic_refine",
-    "max_dcg_matching",
     "monte_carlo_tail",
     "ndcg_at_k",
     "normalize_relevance",
-    "prospective_divergence",
     "relative_improvement",
     "rerank_offline",
     "rerank_online",

@@ -6,10 +6,6 @@ are ranking positions 1..K. Position j carries a gain of
 a matching is quality-feasible when its total gain reaches ``theta_rho``
 within the shared feasibility tolerance.
 
-* ``hungarian_min_cost``     — minimum-total-cost perfect matching
-  (scipy's Jonker-Volgenant implementation; ``inf`` marks forbidden edges);
-* ``max_dcg_matching``       — maximum-gain perfect matching over an
-  allowed-edge mask (min-cost on negated gains);
 * ``bottleneck_with_quality``— minimize the maximum edge value subject to
   the quality constraint, by binary search on the sorted distinct edge
   values with a max-gain feasibility probe at each threshold; ties at the
@@ -76,19 +72,6 @@ def _solve_lsa(costs: np.ndarray):
     return tuple(int(c) for c in cols)
 
 
-def hungarian_min_cost(costs) -> MatchResult:
-    """Minimum-total-cost perfect matching; ``inf`` entries are forbidden."""
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.ndim != 2 or costs.shape[0] != costs.shape[1] or costs.shape[0] < 1:
-        raise ValidationError(f"cost matrix must be square and non-empty, got {costs.shape}")
-    if np.isnan(costs).any():
-        raise ValidationError("cost matrix contains NaN")
-    cols = _solve_lsa(costs)
-    if cols is None:
-        return MatchResult.infeasible()
-    return MatchResult(cols, float(matching_values(costs, cols).sum()), True)
-
-
 def _max_gain_matching(allowed: np.ndarray, gains: np.ndarray):
     """(assignment, total gain) of the max-gain perfect matching, or None."""
     costs = np.where(allowed, -gains, np.inf)
@@ -96,21 +79,6 @@ def _max_gain_matching(allowed: np.ndarray, gains: np.ndarray):
     if cols is None:
         return None
     return cols, float(matching_values(gains, cols).sum())
-
-
-def max_dcg_matching(
-    allowed, relevance, dcg_depth: int | None = None
-) -> MatchResult:
-    """Perfect matching over allowed edges maximizing the DCG gain."""
-    allowed = np.asarray(allowed, dtype=bool)
-    relevance = np.asarray(relevance, dtype=np.float64)
-    k = allowed.shape[0]
-    gains = relevance[:, None] * position_discounts(k, dcg_depth)[None, :]
-    res = _max_gain_matching(allowed, gains)
-    if res is None:
-        return MatchResult.infeasible()
-    cols, gain = res
-    return MatchResult(cols, gain, True)
 
 
 def _bottleneck_search(

@@ -10,8 +10,9 @@ Conventions used throughout the package:
   individuals being ranked (non-negative, sum to 1);
 * each query carries a polarity vector of ``P >= 1`` real components that
   scales the real-world value of attention; scalar polarity is ``P = 1``;
-* the ledger keeps two parallel tracks: polarity-aware (values weighted by
-  the query polarity) and polarity-agnostic (polarity replaced by 1).
+* the ledger stores each query's attention, relevance and polarity once and
+  derives both readings from them: polarity-aware (values weighted by the
+  query polarity) and polarity-agnostic (polarity replaced by 1).
 """
 
 import math
@@ -233,44 +234,21 @@ class Assignment:
         return {ind: j + 1 for j, ind in enumerate(self.ordering)}
 
 
-class _Track:
-    """Running moments plus append-only per-query value sequences.
-
-    Arrays are (n, P); sequences are a list of (n, P) arrays, one per query.
-    Variance accrues the exact Bernoulli-sum form eta^2 * p * (1 - p) per
-    query, i.e. the Poisson-binomial variance of the cumulative total.
-    """
-
-    __slots__ = ("mean_attn", "var_attn", "mean_rel", "var_rel", "seq_attn", "seq_rel")
-
-    def __init__(self, n: int, components: int):
-        shape = (n, components)
-        self.mean_attn = np.zeros(shape)
-        self.var_attn = np.zeros(shape)
-        self.mean_rel = np.zeros(shape)
-        self.var_rel = np.zeros(shape)
-        self.seq_attn: list[np.ndarray] = []
-        self.seq_rel: list[np.ndarray] = []
-
-    def update(self, eta: np.ndarray, attn: np.ndarray, rel: np.ndarray) -> None:
-        a = attn[:, None]
-        r = rel[:, None]
-        e = eta[None, :]
-        e2 = e * e
-        self.mean_attn += e * a
-        self.var_attn += e2 * a * (1.0 - a)
-        self.mean_rel += e * r
-        self.var_rel += e2 * r * (1.0 - r)
-        self.seq_attn.append(e * a)
-        self.seq_rel.append(e * r)
-
-
 class Ledger:
     """Per-individual cumulative attention/relevance state over a stream.
 
-    Single-writer: only ``update`` mutates; all accessors are read-only and
-    safe to call concurrently between updates. Values derived from one state
-    can be kept in ``memo``, which each update clears.
+    One columnar store: per processed query, the attention and relevance
+    each individual received, two (t, n) arrays in arrival order, and the
+    query's polarity vector, (t, P). Both polarity modes are read from it
+    (``aware`` weights query values by eta, ``agnostic`` by 1), as are the
+    per-query values eta * x and the cumulative moments: the mean sums
+    eta * x, and the variance sums eta^2 * x * (1 - x), the
+    Poisson-binomial variance of the cumulative total.
+
+    Single-writer: only ``update`` and ``replace_attention`` mutate; all
+    accessors are read-only and safe to call concurrently between writes.
+    Values derived from one state can be kept in ``memo``, which each write
+    clears.
     """
 
     def __init__(self, dataset: Dataset, components: int = 1):
@@ -279,30 +257,20 @@ class Ledger:
         self.dataset = dataset
         self.components = components
         self.t = 0
-        self._aware = _Track(dataset.n, components)
-        self._agnostic = _Track(dataset.n, components)
-        self._ones = np.ones(components)
+        # rows past ``t`` are spare capacity, doubled whenever it runs out
+        self._attention = np.empty((0, dataset.n))
+        self._relevance = np.empty((0, dataset.n))
+        self._eta = np.empty((0, components))
         self._memo: dict = {}
 
-    def _track(self, mode: str) -> _Track:
-        if mode == "aware":
-            return self._aware
-        if mode == "agnostic":
-            return self._agnostic
-        raise ValidationError(f"unknown polarity mode {mode!r}")
-
-    def update(
-        self, query: QueryEvent, assignment: Assignment, attention: AttentionModel
-    ) -> None:
-        if query.components != self.components:
-            raise LengthMismatchError(
-                f"query {query.query_id!r} has {query.components} polarity "
-                f"component(s), ledger tracks {self.components}"
-            )
+    def attention_values(
+        self, assignment: Assignment, attention: AttentionModel
+    ) -> np.ndarray:
+        """Attention each individual receives from ``assignment``, in
+        dataset order; raises ValidationError unless it ranks exactly the
+        dataset's individuals."""
         n = self.dataset.n
         index = self.dataset.index
-        if query.relevance.keys() != index.keys():
-            query.validate_coverage(self.dataset.individuals)
         # an Assignment holds no repeats, so n known ids make a permutation
         ordering = assignment.ordering
         not_a_permutation = "assignment must rank exactly the dataset individuals"
@@ -314,12 +282,42 @@ class Ledger:
             raise ValidationError(not_a_permutation) from None
         attn = np.empty(n)
         attn[rows] = attention.weights(n)
+        return attn
+
+    def update(
+        self, query: QueryEvent, assignment: Assignment, attention: AttentionModel
+    ) -> None:
+        if query.components != self.components:
+            raise LengthMismatchError(
+                f"query {query.query_id!r} has {query.components} polarity "
+                f"component(s), ledger tracks {self.components}"
+            )
+        if query.relevance.keys() != self.dataset.index.keys():
+            query.validate_coverage(self.dataset.individuals)
+        attn = self.attention_values(assignment, attention)
         rel = query.relevance_vector(self.dataset)
-        eta = np.asarray(query.polarity, dtype=np.float64)
+        if self.t == len(self._eta):
+            spare = max(self.t, 8)
+            self._attention, self._relevance, self._eta = (
+                np.concatenate([store, np.empty((spare, store.shape[1]))])
+                for store in (self._attention, self._relevance, self._eta)
+            )
+        self._attention[self.t] = attn
+        self._relevance[self.t] = rel
+        self._eta[self.t] = query.polarity
         self._memo.clear()
-        self._aware.update(eta, attn, rel)
-        self._agnostic.update(self._ones, attn, rel)
         self.t += 1
+
+    def replace_attention(self, step0: int, values: np.ndarray) -> np.ndarray:
+        """Store ``values`` as the attention of the 0-based step ``step0``,
+        as if that query had been ranked differently; returns the row it
+        replaces."""
+        if not 0 <= step0 < self.t:
+            raise ValidationError(f"step {step0} outside 0..{self.t - 1}")
+        previous = self._attention[step0].copy()
+        self._attention[step0] = values
+        self._memo.clear()
+        return previous
 
     # -- read-only accessors -------------------------------------------------
 
@@ -329,58 +327,70 @@ class Ledger:
             self._memo[key] = build()
         return self._memo[key]
 
-    def _channel_arrays(self, track: _Track, channel: str):
+    def stored(self, channel: str) -> np.ndarray:
+        """The stored per-query attention or relevance, (t, n), read-only."""
         if channel == "attention":
-            return track.mean_attn, track.var_attn, track.seq_attn
-        if channel == "relevance":
-            return track.mean_rel, track.var_rel, track.seq_rel
-        raise ValidationError(f"unknown channel {channel!r}")
+            view = self._attention[: self.t]
+        elif channel == "relevance":
+            view = self._relevance[: self.t]
+        else:
+            raise ValidationError(f"unknown channel {channel!r}")
+        view.flags.writeable = False
+        return view
+
+    def _polarity(self, mode: str) -> np.ndarray:
+        if mode == "aware":
+            return self._eta[: self.t]
+        if mode == "agnostic":
+            return np.ones((self.t, self.components))
+        raise ValidationError(f"unknown polarity mode {mode!r}")
+
+    def values_at(self, rows, channel: str, mode: str = "agnostic") -> np.ndarray:
+        """Per-query values eta * x of the individuals at dataset positions
+        ``rows``, shape (t, k, P), in arrival order."""
+        x = self.stored(channel)[:, rows, None]
+        return self._polarity(mode)[:, None, :] * x
+
+    def moments_at(self, rows, channel: str, mode: str = "agnostic"):
+        """Cumulative (mean, variance) arrays, (k, P), of the individuals at
+        dataset positions ``rows``."""
+        x = self.stored(channel)[:, rows, None]
+        eta = self._polarity(mode)[:, None, :]
+        return _accrued(eta * x), _accrued(eta * eta * x * (1.0 - x))
+
+    def _moment_matrices(self, channel: str, mode: str):
+        return self.memo(
+            ("moments", channel, mode),
+            lambda: self.moments_at(slice(None), channel, mode),
+        )
 
     def moments(self, individual: str, channel: str, mode: str = "agnostic"):
         """(mean, variance) arrays of shape (P,) for one individual."""
-        mean, var, _ = self._channel_arrays(self._track(mode), channel)
-        row = self.dataset.index[individual]
-        return mean[row].copy(), var[row].copy()
+        mean, var = self.moments_at([self.dataset.index[individual]], channel, mode)
+        return mean[0], var[0]
 
     def sequence(self, individual: str, channel: str, mode: str = "agnostic") -> np.ndarray:
         """Per-query value sequence, shape (t, P), in arrival order."""
-        _, _, seq = self._channel_arrays(self._track(mode), channel)
-        row = self.dataset.index[individual]
-        if not seq:
-            return np.zeros((0, self.components))
-        return np.stack([s[row] for s in seq])
-
-    def sequence_std(self, individual: str, channel: str, mode: str = "agnostic") -> np.ndarray:
-        """Population standard deviation of the per-query value sequence.
-
-        This is the alternate reading of the spread statistic: dispersion of
-        the per-query expected values rather than the Poisson-binomial
-        deviation of the cumulative sum kept in ``moments``.
-        """
-        return self.sequence(individual, channel, mode).std(axis=0, ddof=0)
+        return self.values_at([self.dataset.index[individual]], channel, mode)[:, 0]
 
     def mean_matrix(self, channel: str, mode: str = "agnostic") -> np.ndarray:
-        mean, _, _ = self._channel_arrays(self._track(mode), channel)
-        return mean.copy()
+        return self._moment_matrices(channel, mode)[0].copy()
 
     def var_matrix(self, channel: str, mode: str = "agnostic") -> np.ndarray:
-        _, var, _ = self._channel_arrays(self._track(mode), channel)
-        return var.copy()
+        return self._moment_matrices(channel, mode)[1].copy()
 
     def sequences(self, channel: str, mode: str = "agnostic") -> np.ndarray:
         """All per-query values, shape (t, n, P)."""
-        _, _, seq = self._channel_arrays(self._track(mode), channel)
-        if not seq:
-            return np.zeros((0, self.dataset.n, self.components))
-        return np.stack(seq)
+        return self.values_at(slice(None), channel, mode)
 
 
-def ledger_update(
-    ledger: Ledger,
-    query: QueryEvent,
-    assignment: Assignment,
-    attention: AttentionModel,
-) -> Ledger:
-    """Accrue one query into the ledger (both tracks); returns the ledger."""
-    ledger.update(query, assignment, attention)
-    return ledger
+def _accrued(steps: np.ndarray) -> np.ndarray:
+    """Sum over arrival order (axis 0) as a running total from 0.0 gives it.
+
+    ``cumsum`` adds step by step whatever the shape (``sum`` may add in
+    pairs), and ``+ 0.0`` turns the -0.0 of an all-(-0.0) column into the
+    0.0 a running total ends on.
+    """
+    if not len(steps):
+        return np.zeros(steps.shape[1:])
+    return steps.cumsum(axis=0)[-1] + 0.0

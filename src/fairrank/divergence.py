@@ -27,71 +27,18 @@ O(T log T) each. This is the sort-based W1 <=> 1-D optimal-transport
 identity (Villani 2009; Peyre & Cuturi 2019, sec. 2.6) applied to a merge.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .core import AttentionModel, Ledger, QueryEvent
-from .errors import LengthMismatchError, ValidationError
+from .errors import ValidationError
 
 
 class DivergenceKind(str, Enum):
     L1 = "L1"
     L2VAR = "L2var"
     W1 = "W1"
-
-
-@dataclass(frozen=True)
-class DistSummary:
-    """Summary of one cumulative distribution: mean, std, sorted sequence."""
-
-    mean: float
-    std: float
-    seq: np.ndarray
-
-    def __post_init__(self):
-        if self.std < 0:
-            raise ValidationError(f"standard deviation must be >= 0, got {self.std}")
-        object.__setattr__(self, "seq", np.sort(np.asarray(self.seq, dtype=np.float64)))
-
-    @classmethod
-    def from_ledger(
-        cls,
-        ledger: Ledger,
-        individual: str,
-        channel: str,
-        mode: str = "agnostic",
-        component: int = 0,
-    ) -> "DistSummary":
-        mean, var = ledger.moments(individual, channel, mode)
-        seq = ledger.sequence(individual, channel, mode)[:, component]
-        return cls(float(mean[component]), float(np.sqrt(var[component])), seq)
-
-
-def d_l1(attn: DistSummary, rel: DistSummary) -> float:
-    return abs(attn.mean - rel.mean)
-
-
-def d_l2var(attn: DistSummary, rel: DistSummary) -> float:
-    return (attn.mean - rel.mean) ** 2 + (attn.std - rel.std) ** 2
-
-
-def d_w1(attn_seq, rel_seq) -> float:
-    """Mean absolute difference of aligned order statistics.
-
-    Equals the optimal-transport cost between the two equal-weight empirical
-    measures (sequences are sorted before alignment).
-    """
-    a = np.sort(np.asarray(attn_seq, dtype=np.float64))
-    r = np.sort(np.asarray(rel_seq, dtype=np.float64))
-    if a.shape != r.shape:
-        raise LengthMismatchError(
-            f"sequence lengths differ: {a.shape[0]} vs {r.shape[0]}"
-        )
-    if a.size == 0:
-        raise LengthMismatchError("W1 needs at least one observation per sequence")
-    return float(np.mean(np.abs(a - r)))
 
 
 def d_multi(per_component) -> float:
@@ -111,29 +58,21 @@ def _component_values(
     var_r: np.ndarray,
     seq_r: np.ndarray | None,
 ) -> np.ndarray:
-    """Per-component divergence values; moment arrays are (P,), seqs (T, P)."""
+    """Per-component divergence values, broadcast over any leading shape.
+
+    The moment arrays broadcast to one shape (..., P). W1 reads only the
+    sequences, (T, ..., P), and compares them along axis 0; it is zero when
+    T == 0.
+    """
     if kind == DivergenceKind.L1:
         return np.abs(mean_a - mean_r)
     if kind == DivergenceKind.L2VAR:
         return (mean_a - mean_r) ** 2 + (np.sqrt(var_a) - np.sqrt(var_r)) ** 2
     if kind == DivergenceKind.W1:
-        if seq_a is None or seq_r is None or seq_a.shape[0] == 0:
-            return np.zeros(mean_a.shape)
+        if seq_a.shape[0] == 0:
+            return np.zeros(seq_a.shape[1:])
         return np.mean(np.abs(np.sort(seq_a, axis=0) - np.sort(seq_r, axis=0)), axis=0)
     raise ValidationError(f"unknown divergence kind {kind!r}")
-
-
-def ledger_divergence(
-    ledger: Ledger, individual: str, kind: DivergenceKind, mode: str = "agnostic"
-) -> float:
-    """Current-horizon divergence D(A_i, R_i), summed over polarity components."""
-    mean_a, var_a = ledger.moments(individual, "attention", mode)
-    mean_r, var_r = ledger.moments(individual, "relevance", mode)
-    seq_a = seq_r = None
-    if kind == DivergenceKind.W1:
-        seq_a = ledger.sequence(individual, "attention", mode)
-        seq_r = ledger.sequence(individual, "relevance", mode)
-    return d_multi(_component_values(kind, mean_a, var_a, seq_a, mean_r, var_r, seq_r))
 
 
 def _query_eta(query: QueryEvent, components: int, mode: str) -> np.ndarray:
@@ -142,48 +81,6 @@ def _query_eta(query: QueryEvent, components: int, mode: str) -> np.ndarray:
     if mode == "agnostic":
         return np.ones(components)
     raise ValidationError(f"unknown polarity mode {mode!r}")
-
-
-def prospective_divergence(
-    ledger: Ledger,
-    individual: str,
-    query: QueryEvent,
-    position: int,
-    attention: AttentionModel,
-    kind: DivergenceKind,
-    mode: str = "aware",
-) -> float:
-    """Divergence the individual would hold after taking ``position`` now.
-
-    Evaluates D(A_i, R_i) on a hypothetical ledger extended by this query,
-    with the individual's attention taken from the given position and its
-    (assignment-independent) relevance accrued as well. The ledger itself is
-    not modified.
-    """
-    n = ledger.dataset.n
-    if not 1 <= position <= n:
-        raise ValidationError(f"position {position} outside 1..{n}")
-    if query.components != ledger.components:
-        raise LengthMismatchError(
-            f"query has {query.components} polarity component(s), "
-            f"ledger tracks {ledger.components}"
-        )
-    eta = _query_eta(query, ledger.components, mode)
-    w = attention.weights(n)[position - 1]
-    r = query.relevance[individual]
-
-    mean_a, var_a = ledger.moments(individual, "attention", mode)
-    mean_r, var_r = ledger.moments(individual, "relevance", mode)
-    mean_a = mean_a + eta * w
-    var_a = var_a + eta * eta * w * (1.0 - w)
-    mean_r = mean_r + eta * r
-    var_r = var_r + eta * eta * r * (1.0 - r)
-
-    seq_a = seq_r = None
-    if kind == DivergenceKind.W1:
-        seq_a = np.vstack([ledger.sequence(individual, "attention", mode), eta * w])
-        seq_r = np.vstack([ledger.sequence(individual, "relevance", mode), eta * r])
-    return d_multi(_component_values(kind, mean_a, var_a, seq_a, mean_r, var_r, seq_r))
 
 
 def w1_insert_matrix(base, rel_sorted, values) -> np.ndarray:
@@ -223,10 +120,11 @@ def divergence_matrix(
 ) -> np.ndarray:
     """Prospective divergences for ``candidates`` x positions ``1..K``.
 
-    Entry [i, j] equals ``prospective_divergence(candidates[i], position=j+1)``;
-    batched so the re-ranking engine avoids per-cell ledger gathers. L1 and
-    L2var cost O(K^2*P) from the running moments. W1 sorts each candidate's
-    T-long sequences once and inserts ``eta*w_j`` in closed form
+    Entry [i, j] is the divergence candidate ``i`` would hold after taking
+    position ``j+1`` now (the query's relevance accrued as well), summed over
+    components. L1 and L2var cost O(T*K*P) for the candidates' moments plus
+    O(K^2*P) for the matrix. W1 sorts each candidate's T-long sequences once
+    and inserts ``eta*w_j`` in closed form
     (``w1_insert_matrix``: prefix sum of ``|a_k - r_k|`` below the insertion
     rank, ``|v - r_s|`` at it, suffix sum of ``|a_k - r_{k+1}|`` above it),
     O(T*K*P + K^2*P*log T) in all.
@@ -240,29 +138,23 @@ def divergence_matrix(
     w = attention.weights(n)[:K]
     rows = [ledger.dataset.index[c] for c in candidates]
     r = np.array([query.relevance[c] for c in candidates])
-
-    mean_a = ledger.mean_matrix("attention", mode)[rows]
-    var_a = ledger.var_matrix("attention", mode)[rows]
-    mean_r = ledger.mean_matrix("relevance", mode)[rows] + eta[None, :] * r[:, None]
-    var_r = (
-        ledger.var_matrix("relevance", mode)[rows]
-        + (eta * eta)[None, :] * (r * (1.0 - r))[:, None]
-    )
-
-    # (K cand, K pos, P) broadcasts
-    attn_mean = mean_a[:, None, :] + eta[None, None, :] * w[None, :, None]
-    if kind == DivergenceKind.L1:
-        return np.abs(attn_mean - mean_r[:, None, :]).sum(axis=2)
-    if kind == DivergenceKind.L2VAR:
-        attn_var = var_a[:, None, :] + (eta * eta)[None, None, :] * (w * (1.0 - w))[
-            None, :, None
-        ]
-        delta_std = np.sqrt(attn_var) - np.sqrt(var_r)[:, None, :]
-        return ((attn_mean - mean_r[:, None, :]) ** 2 + delta_std**2).sum(axis=2)
     if kind == DivergenceKind.W1:
-        base = np.sort(ledger.sequences("attention", mode)[:, rows, :], axis=0)
-        seq_r = ledger.sequences("relevance", mode)[:, rows, :]
+        base = np.sort(ledger.values_at(rows, "attention", mode), axis=0)
+        seq_r = ledger.values_at(rows, "relevance", mode)
         rel_now = (eta[None, :] * r[:, None])[None]  # (1, K, P)
         rel_sorted = np.sort(np.concatenate([seq_r, rel_now]), axis=0)
         return w1_insert_matrix(base, rel_sorted, eta[None, :] * w[:, None])
-    raise ValidationError(f"unknown divergence kind {kind!r}")
+
+    mean_a, var_a = ledger.moments_at(rows, "attention", mode)
+    mean_r, var_r = ledger.moments_at(rows, "relevance", mode)
+    mean_r = mean_r + eta[None, :] * r[:, None]
+    var_r = var_r + (eta * eta)[None, :] * (r * (1.0 - r))[:, None]
+    # (K cand, K pos, P) broadcasts
+    attn_mean = mean_a[:, None, :] + eta[None, None, :] * w[None, :, None]
+    attn_var = (
+        var_a[:, None, :] + (eta * eta)[None, None, :] * (w * (1.0 - w))[None, :, None]
+    )
+    values = _component_values(
+        kind, attn_mean, attn_var, None, mean_r[:, None, :], var_r[:, None, :], None
+    )
+    return values.sum(axis=2)

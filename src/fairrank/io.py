@@ -31,6 +31,7 @@ serialized at 12 significant digits; non-finite sentinels use the
 import base64
 import csv
 import hashlib
+import heapq
 import json
 import math
 import operator
@@ -412,14 +413,19 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
             ) from None
         ledger.update(query, assignment, attention)
         assignments.append(assignment)
-        ideal = ideal_ranking(query)
-        if payload["fallback"][step0] and assignment.ordering != ideal:
+        if payload["fallback"][step0] and assignment.ordering != ideal_ranking(query):
             raise ValidationError(
                 f"run file query {query.query_id!r}: flagged as a fallback "
                 "but not ranked in the ideal order"
             )
+        # the ideal DCG needs only the k_eval largest relevance values; the
+        # order of ties among them cannot change the sum
+        rel = query.relevance
         if stored_ndcg is not None and stored_ndcg[step0] != ndcg_at_k(
-            assignment.ordering, ideal, query.relevance, config.k_eval
+            assignment.ordering,
+            heapq.nlargest(config.k_eval, rel, key=rel.__getitem__),
+            rel,
+            config.k_eval,
         ):
             raise ValidationError(
                 f"run file query {query.query_id!r}: stored nDCG "

@@ -17,13 +17,15 @@ assignment subproblem per the configured objective:
 
 Every emitted ranking keeps DCG at the evaluation depth within ``theta``
 of the ideal; if a step's subproblem is infeasible the ideal ranking is
-emitted and flagged as a fallback. The ledger accrues both polarity tracks
-regardless of which one the optimizer uses.
+emitted and flagged as a fallback. The ledger records each query once and
+reads either polarity mode from it, whichever one the optimizer uses.
 
 The offline engine starts from the online solution and runs coordinate
-descent: revisit queries in order, re-solving each step against the
-end-of-stream objective with all other assignments held fixed, accepting
-only strict improvements, until a sweep makes no progress.
+descent on that run's ledger: revisit queries in order, re-solving each
+step against the end-of-stream objective with all other assignments held
+fixed, and score a proposal by replacing the step's attention row in the
+ledger, accepting only strict improvements, until a sweep makes no
+progress.
 """
 
 import itertools
@@ -49,6 +51,7 @@ from .core import (
 )
 from .divergence import (
     DivergenceKind,
+    _component_values,
     _query_eta,
     divergence_matrix,
     w1_insert_matrix,
@@ -57,9 +60,8 @@ from .errors import LengthMismatchError, StreamOrderError, ValidationError
 from .metrics import (
     MetricsReport,
     build_report,
-    iaa,
     improvement_panel,
-    individual_unfairness,
+    individual_divergences,
 )
 
 OBJECTIVES = ("minmax", "minmax-lex", "minsum", "none")
@@ -177,6 +179,17 @@ def _cost_kind(config: RerankConfig) -> DivergenceKind:
     return DivergenceKind.L1 if config.objective == "minsum" else config.kind
 
 
+def _step_setup(query, config: RerankConfig):
+    """One step's assignment-independent constants: the ideal ordering, its
+    head candidates and frozen tail, the quality floor theta*rho and the
+    head's relevance."""
+    ideal = ideal_ranking(query)
+    candidates = ideal[: config.k_re]
+    theta_rho = config.theta * dcg_at_k(ideal, query.relevance, config.k_eval)
+    rel_head = np.array([query.relevance[c] for c in candidates])
+    return ideal, candidates, ideal[config.k_re :], theta_rho, rel_head
+
+
 def rerank_online(dataset: Dataset, stream, config: RerankConfig) -> RunResult:
     validate_stream(dataset, stream)
     components = stream[0].components
@@ -190,10 +203,7 @@ def rerank_online(dataset: Dataset, stream, config: RerankConfig) -> RunResult:
 
     query_ids, assignments, ndcg, fallback, trace = [], [], [], [], []
     for query in stream:
-        ideal = ideal_ranking(query)
-        rho = dcg_at_k(ideal, query.relevance, config.k_eval)
-        candidates = ideal[: config.k_re]
-        tail = ideal[config.k_re :]
+        ideal, candidates, tail, theta_rho, rel_head = _step_setup(query, config)
         if config.objective == "none":
             ordering = ideal
             fell_back = False
@@ -202,8 +212,7 @@ def rerank_online(dataset: Dataset, stream, config: RerankConfig) -> RunResult:
             d = divergence_matrix(
                 ledger, candidates, query, attention, cost_kind, config.polarity_mode
             )
-            rel_head = np.array([query.relevance[c] for c in candidates])
-            res = _solve_step(d, rel_head, config.theta * rho, config)
+            res = _solve_step(d, rel_head, theta_rho, config)
             if res.feasible:
                 head = tuple(candidates[row] for row in np.argsort(res.assignment))
                 ordering = head + tail
@@ -225,43 +234,40 @@ def rerank_online(dataset: Dataset, stream, config: RerankConfig) -> RunResult:
 
 # -- offline coordinate descent ----------------------------------------------
 
+# joint moves enumerate a block of steps only while the product of their
+# feasible-ordering counts stays within BLOCK_BUDGET, and a step's orderings
+# only while its head has at most PER_STEP_CAP permutations (k_re <= 6)
+BLOCK_BUDGET = 20_000
+PER_STEP_CAP = 720
 
-def _final_moment_matrix(ledger, step_query, step_ordering, candidates, config, attention):
+
+def _final_moment_matrix(ledger, step0, step_query, candidates, config, attention):
     """Final-horizon L1/L2var divergence per candidate x head position.
 
     Entry [i, j]: the end-of-stream divergence candidate ``i`` would hold if
-    its attention at this step came from position ``j+1`` instead of its
-    current one, everything else unchanged.
+    its attention at step ``step0`` came from position ``j+1`` instead of
+    the one stored in the ledger, everything else unchanged.
     """
-    dataset = ledger.dataset
     mode = config.polarity_mode
-    kind = _cost_kind(config)
-    if kind == DivergenceKind.W1:
-        raise ValidationError("W1 final-horizon matrices are built by _final_w1_matrix")
     K = len(candidates)
-    w_full = attention.weights(dataset.n)
-    eta = _query_eta(step_query, ledger.components, mode)
-    rows = [dataset.index[c] for c in candidates]
-    pos_now = {ind: j for j, ind in enumerate(step_ordering)}
-    w_cur = np.array([w_full[pos_now[c]] for c in candidates])
-    w_new = w_full[:K]
-
-    mean_a = ledger.mean_matrix("attention", mode)[rows]
-    var_a = ledger.var_matrix("attention", mode)[rows]
-    mean_r = ledger.mean_matrix("relevance", mode)[rows]
-    var_r = ledger.var_matrix("relevance", mode)[rows]
-
-    # (K cand, K pos, P)
-    d_mean = eta[None, None, :] * (w_new[None, :, None] - w_cur[:, None, None])
-    attn_mean = mean_a[:, None, :] + d_mean
-    if kind == DivergenceKind.L1:
-        return np.abs(attn_mean - mean_r[:, None, :]).sum(axis=2)
-    e2 = (eta * eta)[None, None, :]
-    d_var = e2 * (
-        (w_new * (1.0 - w_new))[None, :, None] - (w_cur * (1.0 - w_cur))[:, None, None]
+    e = _query_eta(step_query, ledger.components, mode)[None, None, :]
+    rows = [ledger.dataset.index[c] for c in candidates]
+    w_cur = ledger.stored("attention")[step0, rows][:, None, None]
+    w_new = attention.weights(ledger.dataset.n)[:K][None, :, None]
+    mean_a, var_a = ledger.moments_at(rows, "attention", mode)
+    mean_r, var_r = ledger.moments_at(rows, "relevance", mode)
+    # (K cand, K pos, P); the step's variance terms are written as the
+    # ledger accrues them, so the current one cancels from var_a exactly and
+    # the replaced variance cannot go below zero
+    attn_mean = mean_a[:, None, :] + e * (w_new - w_cur)
+    attn_var = var_a[:, None, :] + (
+        e * e * w_new * (1.0 - w_new) - e * e * w_cur * (1.0 - w_cur)
     )
-    delta_std = np.sqrt(var_a[:, None, :] + d_var) - np.sqrt(var_r)[:, None, :]
-    return ((attn_mean - mean_r[:, None, :]) ** 2 + delta_std**2).sum(axis=2)
+    values = _component_values(
+        _cost_kind(config), attn_mean, attn_var, None,
+        mean_r[:, None, :], var_r[:, None, :], None,
+    )
+    return values.sum(axis=2)
 
 
 def _final_w1_matrix(ledger, step0, step_query, candidates, config, attention):
@@ -275,17 +281,26 @@ def _final_w1_matrix(ledger, step0, step_query, candidates, config, attention):
     K = len(candidates)
     eta = _query_eta(step_query, ledger.components, mode)
     rows = [ledger.dataset.index[c] for c in candidates]
-    seq_a = ledger.sequences("attention", mode)[:, rows, :]  # (T, K, P)
+    seq_a = ledger.values_at(rows, "attention", mode)  # (T, K, P)
     base = np.sort(np.delete(seq_a, step0, axis=0), axis=0)
-    rel_sorted = np.sort(ledger.sequences("relevance", mode)[:, rows, :], axis=0)
+    rel_sorted = np.sort(ledger.values_at(rows, "relevance", mode), axis=0)
     w_new = attention.weights(ledger.dataset.n)[:K]
     return w1_insert_matrix(base, rel_sorted, eta[None, :] * w_new[:, None])
 
 
-def _global_objective(ledger, config) -> float:
+def _profile(ledger, config) -> tuple[float, ...]:
+    """The end-of-stream objective profile descent minimizes.
+
+    For min-max objectives it is every individual's divergence sorted
+    descending (lexicographic acceptance keeps descent moving across
+    plateaus of the maximum); for min-sum it is the summed L1 divergence.
+    """
+    values = individual_divergences(
+        ledger, _cost_kind(config), config.polarity_mode
+    ).values()
     if config.objective == "minsum":
-        return iaa(ledger, config.polarity_mode)
-    return individual_unfairness(ledger, config.kind, config.polarity_mode)
+        return (float(np.sum(list(values))),)
+    return tuple(sorted(values, reverse=True))
 
 
 def _lex_less(a, b, tol: float) -> bool:
@@ -296,72 +311,10 @@ def _lex_less(a, b, tol: float) -> bool:
     return False
 
 
-class _DescentState:
-    """Array-level evaluation of the end-of-stream objective profile.
-
-    Holds the assignment-independent relevance constants and recomputes the
-    attention side for any candidate set of orderings, so coordinate and
-    block moves can be scored without rebuilding a Ledger per trial. For
-    min-max objectives the profile is the full divergence vector sorted
-    descending (lexicographic acceptance keeps descent moving across
-    plateaus of the maximum); for min-sum it is the scalar total.
-    """
-
-    def __init__(self, dataset: Dataset, stream, config: RerankConfig, attention):
-        self.dataset = dataset
-        self.stream = stream
-        self.config = config
-        self.kind = _cost_kind(config)
-        self.minsum = config.objective == "minsum"
-        mode = config.polarity_mode
-        P = stream[0].components
-        self.eta = np.stack([_query_eta(q, P, mode) for q in stream])  # (T, P)
-        self.w_full = attention.weights(dataset.n)
-        rel_vals = np.stack([q.relevance_vector(dataset) for q in stream])  # (T, n)
-        self.rel_seq = self.eta[:, None, :] * rel_vals[:, :, None]
-        self.rel_mean = self.rel_seq.sum(axis=0)
-        self.rel_var = (
-            (self.eta**2)[:, None, :] * (rel_vals * (1.0 - rel_vals))[:, :, None]
-        ).sum(axis=0)
-        self.rel_seq_sorted = np.sort(self.rel_seq, axis=0)
-
-    def attention_weights_of(self, ordering) -> np.ndarray:
-        attn = np.empty(self.dataset.n)
-        index = self.dataset.index
-        for pos0, ind in enumerate(ordering):
-            attn[index[ind]] = self.w_full[pos0]
-        return attn
-
-    def profile(self, orderings) -> tuple[float, ...]:
-        attn = np.stack([self.attention_weights_of(o) for o in orderings])  # (T, n)
-        attn_seq = self.eta[:, None, :] * attn[:, :, None]
-        mean_a = attn_seq.sum(axis=0)
-        if self.kind == DivergenceKind.L1:
-            values = np.abs(mean_a - self.rel_mean).sum(axis=1)
-        elif self.kind == DivergenceKind.L2VAR:
-            var_a = (
-                (self.eta**2)[:, None, :] * (attn * (1.0 - attn))[:, :, None]
-            ).sum(axis=0)
-            values = (
-                (mean_a - self.rel_mean) ** 2
-                + (np.sqrt(var_a) - np.sqrt(self.rel_var)) ** 2
-            ).sum(axis=1)
-        else:
-            diffs = np.abs(np.sort(attn_seq, axis=0) - self.rel_seq_sorted)
-            values = diffs.mean(axis=0).sum(axis=1)
-        if self.minsum:
-            return (float(values.sum()),)
-        return tuple(np.sort(values)[::-1])
-
-
-def _step_options(query, config: RerankConfig, per_step_cap: int = 720):
-    """All quality-feasible head orderings of one step, or None if too many."""
-    ideal = ideal_ranking(query)
-    candidates = ideal[: config.k_re]
-    if math.factorial(len(candidates)) > per_step_cap:
+def _step_options(query, candidates, tail, theta_rho, config: RerankConfig):
+    """All quality-feasible orderings of one step, or None if too many."""
+    if math.factorial(len(candidates)) > PER_STEP_CAP:
         return None
-    tail = ideal[config.k_re :]
-    theta_rho = config.theta * dcg_at_k(ideal, query.relevance, config.k_eval)
     options = []
     for perm in itertools.permutations(candidates):
         ordering = perm + tail
@@ -378,80 +331,82 @@ def rerank_offline(
     stream,
     config: RerankConfig,
     max_sweeps: int = 10,
-    block_budget: int = 20_000,
 ) -> RunResult:
     """Block-coordinate-descent refinement of the online solution.
 
+    Descent works on one ledger holding the current orderings' attention.
     Each round first sweeps the queries in order, re-solving one step's
     assignment against the end-of-stream objective with every other step
-    held fixed (quality constraint re-checked per step). When a sweep
+    held fixed (quality constraint re-checked per step). A proposal is
+    scored by writing its attention row into the ledger and evaluating the
+    individual divergences there; a rejected row is put back. When a sweep
     stalls, descent escalates to joint moves over blocks of 1, 2, ... steps,
     enumerating the block's feasible orderings whenever the option sets are
-    small enough (product of option counts within ``block_budget``); on
+    small enough (product of option counts within ``BLOCK_BUDGET``); on
     desk-scale prefilter depths the blocks are not enumerable and descent
     reduces to plain sweeps. Only strict (lexicographic) improvements are
     accepted, so the final objective never exceeds the online one. Stops
-    after ``max_sweeps`` rounds or when no move of any size improves.
+    after ``max_sweeps`` rounds or when no move of any size improves. The
+    final orderings are then replayed once for the per-step nDCG and
+    objective trace.
     """
     online = rerank_online(dataset, stream, config)
     if max_sweeps <= 0 or len(stream) <= 1 or config.objective == "none":
         return online
     attention = AttentionModel(config.k_att)
-    components = stream[0].components
+    steps = [_step_setup(query, config) for query in stream]
     orderings: list[tuple[str, ...]] = [a.ordering for a in online.assignments]
-
-    def rebuild(orders) -> Ledger:
-        led = Ledger(dataset, components)
-        for query, ordering in zip(stream, orders):
-            led.update(query, Assignment(ordering), attention)
-        return led
-
-    state = _DescentState(dataset, stream, config, attention)
-    best = state.profile(orderings)
+    ledger = online.ledger
+    best = _profile(ledger, config)
     step_config = config
     if config.objective == "minmax":
         # lex-refined step proposals explore the plateau of the step optimum
         step_config = RerankConfig(**{**config.to_dict(), "objective": "minmax-lex"})
+    final_matrix = _final_moment_matrix
+    if _cost_kind(config) == DivergenceKind.W1:
+        final_matrix = _final_w1_matrix
     options_cache: list | None = None
 
-    def sweep(ledger) -> tuple[bool, Ledger]:
-        nonlocal orderings, best
+    def sweep() -> bool:
+        nonlocal best
         improved = False
-        for step0, query in enumerate(stream):
+        for step0, (query, (_, candidates, tail, theta_rho, rel_head)) in enumerate(
+            zip(stream, steps)
+        ):
             if online.fallback[step0]:
                 continue
-            ideal = ideal_ranking(query)
-            candidates = ideal[: config.k_re]
-            tail = ideal[config.k_re :]
-            rho = dcg_at_k(ideal, query.relevance, config.k_eval)
-            if _cost_kind(config) == DivergenceKind.W1:
-                d = _final_w1_matrix(ledger, step0, query, candidates, config, attention)
-            else:
-                d = _final_moment_matrix(
-                    ledger, query, orderings[step0], candidates, config, attention
-                )
-            rel_head = np.array([query.relevance[c] for c in candidates])
-            res = _solve_step(d, rel_head, config.theta * rho, step_config)
+            d = final_matrix(ledger, step0, query, candidates, config, attention)
+            res = _solve_step(d, rel_head, theta_rho, step_config)
             if not res.feasible:
                 continue
             head = tuple(candidates[row] for row in np.argsort(res.assignment))
             proposal = head + tail
             if proposal == orderings[step0]:
                 continue
-            trial = orderings.copy()
-            trial[step0] = proposal
-            trial_profile = state.profile(trial)
+            kept = ledger.replace_attention(
+                step0, ledger.attention_values(Assignment(proposal), attention)
+            )
+            trial_profile = _profile(ledger, config)
             if _lex_less(trial_profile, best, IMPROVEMENT_TOL):
-                orderings = trial
+                orderings[step0] = proposal
                 best = trial_profile
                 improved = True
-                ledger = rebuild(orderings)
-        return improved, ledger
+            else:
+                ledger.replace_attention(step0, kept)
+        return improved
 
     def escalate() -> bool:
-        nonlocal orderings, best, options_cache
+        nonlocal best, options_cache
         if options_cache is None:
-            options_cache = [_step_options(q, config) for q in stream]
+            options_cache = []
+            for query, (_, candidates, tail, theta_rho, _) in zip(stream, steps):
+                options = _step_options(query, candidates, tail, theta_rho, config)
+                options_cache.append(
+                    None if options is None else [
+                        (o, ledger.attention_values(Assignment(o), attention))
+                        for o in options
+                    ]
+                )
         T = len(stream)
         for size in range(1, T + 1):
             for block in itertools.combinations(range(T), size):
@@ -461,40 +416,37 @@ def rerank_offline(
                         counts = None
                         break
                     counts.append(len(options_cache[s]))
-                if counts is None or math.prod(counts) > block_budget:
+                if counts is None or math.prod(counts) > BLOCK_BUDGET:
                     continue
                 block_best = None
                 for combo in itertools.product(*(options_cache[s] for s in block)):
-                    trial = orderings.copy()
-                    for s, ordering in zip(block, combo):
-                        trial[s] = ordering
-                    profile = state.profile(trial)
+                    kept = [
+                        ledger.replace_attention(s, row) for s, (_, row) in zip(block, combo)
+                    ]
+                    profile = _profile(ledger, config)
+                    for s, row in zip(block, kept):
+                        ledger.replace_attention(s, row)
                     if block_best is None or _lex_less(profile, block_best[0], 0.0):
-                        block_best = (profile, trial)
+                        block_best = (profile, combo)
                 if block_best and _lex_less(block_best[0], best, IMPROVEMENT_TOL):
                     best = block_best[0]
-                    orderings = block_best[1]
+                    for s, (ordering, row) in zip(block, block_best[1]):
+                        orderings[s] = ordering
+                        ledger.replace_attention(s, row)
                     return True
         return False
 
     sweeps = 0
-    ledger = rebuild(orderings)
     for _ in range(max_sweeps):
         sweeps += 1
-        improved, ledger = sweep(ledger)
-        if improved:
-            continue
-        if escalate():
-            ledger = rebuild(orderings)
+        if sweep() or escalate():
             continue
         break
 
     # replay final orderings for per-step statistics
-    final_ledger = Ledger(dataset, components)
+    final_ledger = Ledger(dataset, stream[0].components)
     ndcg, trace = [], []
-    for step0, query in enumerate(stream):
-        ideal = ideal_ranking(query)
-        candidates = ideal[: config.k_re]
+    for step0, (query, (ideal, candidates, *_)) in enumerate(zip(stream, steps)):
         ordering = orderings[step0]
         if online.fallback[step0]:
             trace.append(math.nan)

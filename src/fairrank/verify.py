@@ -9,9 +9,9 @@ or analytic bound and reports structured per-check diagnostics:
   concentration bounds beyond sampling error;
 * ``solver``   — the bottleneck and constrained min-sum solvers match the
   K!-enumeration oracle on objective value and feasibility verdict;
-* ``w1``       — the sort-based W1 and the closed-form insertion kernel
-  behind prospective W1 matrices equal a min-cost-matching transport oracle
-  on random sequences.
+* ``w1``       — the full-sequence W1 the metrics use and the closed-form
+  insertion kernel behind prospective W1 matrices equal a
+  min-cost-matching transport oracle on random sequences.
 """
 
 import itertools
@@ -31,7 +31,7 @@ from .assign import (
 )
 from .bounds import BernoulliStream, chernoff_bound, hoeffding_bound, monte_carlo_tail
 from .core import Assignment, AttentionModel, Ledger
-from .divergence import DivergenceKind, d_w1, w1_insert_matrix
+from .divergence import DivergenceKind, _component_values, w1_insert_matrix
 from .metrics import group_unfairness, individual_unfairness
 from .synth import gen_random_instance
 
@@ -221,7 +221,12 @@ def run_w1(instances: int = 200, seed: int = 0) -> VerifyReport:
         a = rng.normal(size=T)
         r = rng.normal(size=T)
         report.checks += 1
-        ours = d_w1(a, r)
+        # the metrics' full-sequence W1, on (T, 1, P=1) sequences
+        ours = float(
+            _component_values(
+                DivergenceKind.W1, None, None, a[:, None, None], None, None, r[:, None, None]
+            )[0, 0]
+        )
         oracle = w1_transport_oracle(a, r)
         if abs(ours - oracle) > 1e-9:
             report.failures.append(

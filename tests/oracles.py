@@ -1,7 +1,10 @@
-"""Shared enumeration oracles for engine-level tests."""
+"""Shared oracles for tests: enumeration references for the engines and
+per-cell (one individual, one position) references for the ledger, the
+divergence kernel and the assignment solvers."""
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -9,14 +12,203 @@ from fairrank.assign import (
     FEASIBILITY_TOL,
     MatchResult,
     _bottleneck_search,
+    _max_gain_matching,
+    _solve_lsa,
     _sorted_desc,
     matching_values,
     position_discounts,
 )
-from fairrank.core import Assignment, AttentionModel, Ledger, dcg_at_k, ideal_ranking
+from fairrank.core import (
+    Assignment,
+    AttentionModel,
+    Ledger,
+    QueryEvent,
+    dcg_at_k,
+    ideal_ranking,
+)
 from fairrank.divergence import DivergenceKind, _component_values, _query_eta, d_multi
-from fairrank.errors import EmptyScopeError
+from fairrank.errors import EmptyScopeError, LengthMismatchError, ValidationError
 from fairrank.metrics import iaa, individual_unfairness
+
+
+class Track:
+    """Running moments plus append-only per-query value sequences: the
+    running-sum reference for ``fairrank.core.Ledger``'s columnar store.
+
+    Arrays are (n, P); sequences are a list of (n, P) arrays, one per query.
+    Variance accrues the exact Bernoulli-sum form eta^2 * p * (1 - p) per
+    query, i.e. the Poisson-binomial variance of the cumulative total.
+    """
+
+    __slots__ = ("mean_attn", "var_attn", "mean_rel", "var_rel", "seq_attn", "seq_rel")
+
+    def __init__(self, n: int, components: int):
+        shape = (n, components)
+        self.mean_attn = np.zeros(shape)
+        self.var_attn = np.zeros(shape)
+        self.mean_rel = np.zeros(shape)
+        self.var_rel = np.zeros(shape)
+        self.seq_attn: list[np.ndarray] = []
+        self.seq_rel: list[np.ndarray] = []
+
+    def update(self, eta: np.ndarray, attn: np.ndarray, rel: np.ndarray) -> None:
+        a = attn[:, None]
+        r = rel[:, None]
+        e = eta[None, :]
+        e2 = e * e
+        self.mean_attn += e * a
+        self.var_attn += e2 * a * (1.0 - a)
+        self.mean_rel += e * r
+        self.var_rel += e2 * r * (1.0 - r)
+        self.seq_attn.append(e * a)
+        self.seq_rel.append(e * r)
+
+
+def sequence_std(
+    ledger: Ledger, individual: str, channel: str, mode: str = "agnostic"
+) -> np.ndarray:
+    """Population standard deviation of the per-query value sequence.
+
+    This is the alternate reading of the spread statistic: dispersion of
+    the per-query expected values rather than the Poisson-binomial
+    deviation of the cumulative sum kept in ``moments``.
+    """
+    return ledger.sequence(individual, channel, mode).std(axis=0, ddof=0)
+
+
+@dataclass(frozen=True)
+class DistSummary:
+    """Summary of one cumulative distribution: mean, std, sorted sequence."""
+
+    mean: float
+    std: float
+    seq: np.ndarray
+
+    def __post_init__(self):
+        if self.std < 0:
+            raise ValidationError(f"standard deviation must be >= 0, got {self.std}")
+        object.__setattr__(self, "seq", np.sort(np.asarray(self.seq, dtype=np.float64)))
+
+    @classmethod
+    def from_ledger(
+        cls,
+        ledger: Ledger,
+        individual: str,
+        channel: str,
+        mode: str = "agnostic",
+        component: int = 0,
+    ) -> "DistSummary":
+        mean, var = ledger.moments(individual, channel, mode)
+        seq = ledger.sequence(individual, channel, mode)[:, component]
+        return cls(float(mean[component]), float(np.sqrt(var[component])), seq)
+
+
+def d_l1(attn: DistSummary, rel: DistSummary) -> float:
+    return abs(attn.mean - rel.mean)
+
+
+def d_l2var(attn: DistSummary, rel: DistSummary) -> float:
+    return (attn.mean - rel.mean) ** 2 + (attn.std - rel.std) ** 2
+
+
+def d_w1(attn_seq, rel_seq) -> float:
+    """Mean absolute difference of aligned order statistics.
+
+    Equals the optimal-transport cost between the two equal-weight empirical
+    measures (sequences are sorted before alignment).
+    """
+    a = np.sort(np.asarray(attn_seq, dtype=np.float64))
+    r = np.sort(np.asarray(rel_seq, dtype=np.float64))
+    if a.shape != r.shape:
+        raise LengthMismatchError(
+            f"sequence lengths differ: {a.shape[0]} vs {r.shape[0]}"
+        )
+    if a.size == 0:
+        raise LengthMismatchError("W1 needs at least one observation per sequence")
+    return float(np.mean(np.abs(a - r)))
+
+
+def ledger_divergence(
+    ledger: Ledger, individual: str, kind: DivergenceKind, mode: str = "agnostic"
+) -> float:
+    """Current-horizon divergence D(A_i, R_i), summed over polarity components."""
+    mean_a, var_a = ledger.moments(individual, "attention", mode)
+    mean_r, var_r = ledger.moments(individual, "relevance", mode)
+    seq_a = seq_r = None
+    if kind == DivergenceKind.W1:
+        seq_a = ledger.sequence(individual, "attention", mode)
+        seq_r = ledger.sequence(individual, "relevance", mode)
+    return d_multi(_component_values(kind, mean_a, var_a, seq_a, mean_r, var_r, seq_r))
+
+
+def prospective_divergence(
+    ledger: Ledger,
+    individual: str,
+    query: QueryEvent,
+    position: int,
+    attention: AttentionModel,
+    kind: DivergenceKind,
+    mode: str = "aware",
+) -> float:
+    """Divergence the individual would hold after taking ``position`` now.
+
+    Evaluates D(A_i, R_i) on a hypothetical ledger extended by this query,
+    with the individual's attention taken from the given position and its
+    (assignment-independent) relevance accrued as well. The ledger itself is
+    not modified.
+    """
+    n = ledger.dataset.n
+    if not 1 <= position <= n:
+        raise ValidationError(f"position {position} outside 1..{n}")
+    if query.components != ledger.components:
+        raise LengthMismatchError(
+            f"query has {query.components} polarity component(s), "
+            f"ledger tracks {ledger.components}"
+        )
+    eta = _query_eta(query, ledger.components, mode)
+    w = attention.weights(n)[position - 1]
+    r = query.relevance[individual]
+
+    mean_a, var_a = ledger.moments(individual, "attention", mode)
+    mean_r, var_r = ledger.moments(individual, "relevance", mode)
+    mean_a = mean_a + eta * w
+    var_a = var_a + eta * eta * w * (1.0 - w)
+    mean_r = mean_r + eta * r
+    var_r = var_r + eta * eta * r * (1.0 - r)
+
+    seq_a = seq_r = None
+    if kind == DivergenceKind.W1:
+        seq_a = np.vstack([ledger.sequence(individual, "attention", mode), eta * w])
+        seq_r = np.vstack([ledger.sequence(individual, "relevance", mode), eta * r])
+    return d_multi(_component_values(kind, mean_a, var_a, seq_a, mean_r, var_r, seq_r))
+
+
+def hungarian_min_cost(costs) -> MatchResult:
+    """Minimum-total-cost perfect matching; ``inf`` entries are forbidden."""
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 2 or costs.shape[0] != costs.shape[1] or costs.shape[0] < 1:
+        raise ValidationError(f"cost matrix must be square and non-empty, got {costs.shape}")
+    if np.isnan(costs).any():
+        raise ValidationError("cost matrix contains NaN")
+    cols = _solve_lsa(costs)
+    if cols is None:
+        return MatchResult.infeasible()
+    return MatchResult(cols, float(matching_values(costs, cols).sum()), True)
+
+
+def max_dcg_matching(
+    allowed, relevance, dcg_depth: int | None = None
+) -> MatchResult:
+    """Perfect matching over allowed edges maximizing the DCG gain."""
+    allowed = np.asarray(allowed, dtype=bool)
+    relevance = np.asarray(relevance, dtype=np.float64)
+    k = allowed.shape[0]
+    gains = relevance[:, None] * position_discounts(k, dcg_depth)[None, :]
+    res = _max_gain_matching(allowed, gains)
+    if res is None:
+        return MatchResult.infeasible()
+    cols, gain = res
+    return MatchResult(cols, gain, True)
 
 
 def final_objective(ledger, config) -> float:

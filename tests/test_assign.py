@@ -11,10 +11,8 @@ from fairrank.assign import (
     bottleneck_with_quality,
     brute_force,
     constrained_min_sum,
-    hungarian_min_cost,
     lexicographic_refine,
     matching_values,
-    max_dcg_matching,
     position_discounts,
 )
 from fairrank.core import AttentionModel, dcg_at_k, ideal_ranking
@@ -23,7 +21,7 @@ from fairrank.errors import ValidationError
 from fairrank.rerank import RerankConfig, rerank_online
 from fairrank.synth import SynthSpec, gen_synth
 from fairrank.verify import random_subproblem
-from oracles import lexicographic_refine_oracle
+from oracles import hungarian_min_cost, lexicographic_refine_oracle, max_dcg_matching
 
 LOG3 = 1.0 / math.log2(3)
 

@@ -15,7 +15,6 @@ from fairrank.core import (
     attention_weights,
     dcg_at_k,
     ideal_ranking,
-    ledger_update,
     ndcg_at_k,
     normalize_relevance,
 )
@@ -26,6 +25,7 @@ from fairrank.errors import (
     NegativeScoreError,
     ValidationError,
 )
+from oracles import Track, sequence_std
 
 
 class TestNormalizeRelevance:
@@ -215,7 +215,7 @@ class TestLedgerUpdate:
     def test_positive_polarity_top_slot(self):
         dataset, ledger, attention = _simple_ledger()
         q = QueryEvent("q", 1, (1.0,), {"a": 0.2, "b": 0.3, "c": 0.5})
-        ledger_update(ledger, q, Assignment(("a", "b", "c")), attention)
+        ledger.update(q, Assignment(("a", "b", "c")), attention)
         mean, var = ledger.moments("a", "attention", "aware")
         assert mean[0] == pytest.approx(W1, abs=1e-12)
         assert mean[0] == pytest.approx(0.46928, abs=1e-5)
@@ -375,5 +375,60 @@ class TestLedgerAccounting:
             )
             ledger.update(q, Assignment(("a", "b", "c")), attention)
         # a's attention values are [1, 1] -> std 0; relevance [0.5, 0.3] -> std 0.1
-        assert ledger.sequence_std("a", "attention")[0] == 0.0
-        assert ledger.sequence_std("a", "relevance")[0] == pytest.approx(0.1, abs=1e-12)
+        assert sequence_std(ledger, "a", "attention")[0] == 0.0
+        assert sequence_std(ledger, "a", "relevance")[0] == pytest.approx(0.1, abs=1e-12)
+
+
+class TestColumnarStore:
+    @pytest.mark.parametrize("P", [1, 2, 3])
+    @pytest.mark.parametrize("T", [0, 1, 7, 40])
+    def test_reads_equal_the_running_sum_reference(self, P, T):
+        """Moments and sequences derived from the store equal running sums
+        bit for bit, in both modes, with |eta| != 1 and a zero component."""
+        rng = np.random.default_rng(10 * P + T)
+        n = 9
+        ids = tuple(f"i{k}" for k in range(n))
+        dataset = Dataset.single_group(ids)
+        attention = AttentionModel(4)
+        ledger = Ledger(dataset, P)
+        tracks = {"aware": Track(n, P), "agnostic": Track(n, P)}
+        for t in range(1, T + 1):
+            raw = rng.random(n) * (rng.random(n) < 0.8)
+            raw[0] += 0.1
+            eta = rng.normal(size=P)
+            if P > 1:
+                eta[t % P] = 0.0
+            query = QueryEvent(f"q{t}", t, tuple(eta), dict(zip(ids, raw / raw.sum())))
+            assignment = Assignment(tuple(rng.permutation(ids)))
+            ledger.update(query, assignment, attention)
+            attn = np.array([attention.weights(n)[assignment.ordering.index(i)] for i in ids])
+            rel = query.relevance_vector(dataset)
+            tracks["aware"].update(eta, attn, rel)
+            tracks["agnostic"].update(np.ones(P), attn, rel)
+        for mode, track in tracks.items():
+            for channel, mean, var, seq in (
+                ("attention", track.mean_attn, track.var_attn, track.seq_attn),
+                ("relevance", track.mean_rel, track.var_rel, track.seq_rel),
+            ):
+                assert np.array_equal(ledger.mean_matrix(channel, mode), mean)
+                assert np.array_equal(ledger.var_matrix(channel, mode), var)
+                want = np.stack(seq) if seq else np.zeros((0, n, P))
+                assert np.array_equal(ledger.sequences(channel, mode), want)
+
+    def test_replaced_attention_row_is_read_back_and_restorable(self):
+        dataset, ledger, attention = _simple_ledger()
+        q = QueryEvent("q", 1, (-0.5,), {"a": 0.2, "b": 0.3, "c": 0.5})
+        ledger.update(q, Assignment(("a", "b", "c")), attention)
+        before = ledger.mean_matrix("attention", "aware")
+        swapped = ledger.attention_values(Assignment(("c", "b", "a")), attention)
+        kept = ledger.replace_attention(0, swapped)
+        np.testing.assert_array_equal(ledger.stored("attention")[0], swapped)
+        fresh = Ledger(dataset, 1)
+        fresh.update(q, Assignment(("c", "b", "a")), attention)
+        assert np.array_equal(
+            ledger.var_matrix("attention", "aware"), fresh.var_matrix("attention", "aware")
+        )
+        ledger.replace_attention(0, kept)
+        assert np.array_equal(ledger.mean_matrix("attention", "aware"), before)
+        with pytest.raises(ValidationError):
+            ledger.replace_attention(1, swapped)

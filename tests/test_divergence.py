@@ -7,20 +7,23 @@ import pytest
 
 from fairrank.core import Assignment, AttentionModel, Dataset, Ledger, QueryEvent
 from fairrank.divergence import (
-    DistSummary,
     DivergenceKind,
-    d_l1,
-    d_l2var,
+    _component_values,
     d_multi,
-    d_w1,
     divergence_matrix,
-    ledger_divergence,
-    prospective_divergence,
 )
 from fairrank.errors import LengthMismatchError, ValidationError
 from fairrank.rerank import RerankConfig, _final_w1_matrix
 from fairrank.verify import w1_transport_oracle
-from oracles import final_w1_matrix_oracle
+from oracles import (
+    DistSummary,
+    d_l1,
+    d_l2var,
+    d_w1,
+    final_w1_matrix_oracle,
+    ledger_divergence,
+    prospective_divergence,
+)
 
 KINDS = (DivergenceKind.L1, DivergenceKind.L2VAR, DivergenceKind.W1)
 
@@ -67,13 +70,18 @@ class TestW1:
             d_w1([0.1, 0.2], [0.1])
 
     def test_matches_transport_oracle(self):
-        """Sort formula equals min-cost matching between empirical measures."""
+        """The metrics' full-sequence W1 (the kernel on (T, 1, P) sequences)
+        equals min-cost matching between empirical measures."""
         rng = np.random.default_rng(5)
         for _ in range(200):
             T = int(rng.integers(1, 9))
-            a = rng.normal(size=T)
-            r = rng.normal(size=T)
-            assert d_w1(a, r) == pytest.approx(w1_transport_oracle(a, r), abs=1e-9)
+            P = int(rng.integers(1, 3))
+            a = rng.normal(size=(T, 1, P))
+            r = rng.normal(size=(T, 1, P))
+            ours = _component_values(DivergenceKind.W1, None, None, a, None, None, r)
+            for p in range(P):
+                oracle = w1_transport_oracle(a[:, 0, p], r[:, 0, p])
+                assert ours[0, p] == pytest.approx(oracle, abs=1e-9)
 
 
 class TestMulti:

@@ -305,6 +305,23 @@ class TestReplayChecks:
         with pytest.raises(ValidationError, match="q0003"):
             fio.replay_run(payload, group_of)
 
+    def test_ties_across_the_k_eval_cut_replay_exactly(self, tmp_path):
+        """Replay takes the ideal DCG from the k_eval largest relevance
+        values; ties straddling the cut leave the stored nDCG exact."""
+        ids = tuple(f"d{k}" for k in range(8))
+        values = [0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05]
+        stream = [
+            QueryEvent(f"q{t}", t, (1.0 if t % 2 else -1.0,), dict(zip(ids, values[t:] + values[:t])))
+            for t in range(1, 6)
+        ]
+        dataset = Dataset.single_group(ids)
+        run = rerank_online(dataset, stream, RerankConfig(k_re=8, k_att=3, k_eval=3, theta=0.8))
+        assert any(x < 1.0 for x in run.ndcg)
+        run_path = tmp_path / "run.json"
+        fio.save_run(run_path, run, stream)
+        replayed = fio.replay_run(fio.load_run(run_path))
+        assert replayed.ndcg == run.ndcg
+
     def test_replayed_orderings_use_the_dataset_ids(self, payload):
         payload, group_of = payload
         result = fio.replay_run(payload, group_of)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from fairrank import rerank as rr
 from fairrank.assign import brute_force
 from fairrank.core import (
+    Assignment,
     AttentionModel,
     Ledger,
     QueryEvent,
@@ -15,7 +17,7 @@ from fairrank.core import (
 )
 from fairrank.divergence import DivergenceKind, divergence_matrix
 from fairrank.errors import CoverageError, StreamOrderError, ValidationError
-from fairrank.metrics import individual_unfairness
+from fairrank.metrics import individual_divergences, individual_unfairness
 from fairrank.rerank import (
     RerankConfig,
     evaluate_run,
@@ -285,6 +287,43 @@ class TestOffline:
             assert off_obj == pytest.approx(
                 joint_offline_oracle(dataset, stream, config), abs=1e-9
             )
+
+    def test_l2var_descent_with_non_unit_polarity(self):
+        """The replaced step's variance term cancels exactly from the
+        final-horizon L2var matrix, so it stays finite when |eta| != 1."""
+        dataset, stream = gen_random_instance(8, 2, 4, "continuous", seed=0)
+        config = small_config(kind="L2var", theta=0.7, k_re=4, k_att=2, k_eval=3)
+        on = rerank_online(dataset, stream, config)
+        off = rerank_offline(dataset, stream, config, max_sweeps=1)
+        assert final_objective(off.ledger, config) <= final_objective(on.ledger, config) + 1e-12
+
+    @pytest.mark.parametrize("kind", ["L1", "L2var", "W1"])
+    @pytest.mark.parametrize("mode", ["aware", "agnostic"])
+    def test_trial_score_equals_metrics_of_a_fresh_ledger(self, kind, mode):
+        """Descent scores a proposal on the run's ledger with one attention
+        row replaced; that score is the individual metric of a ledger built
+        from scratch on the same orderings, bit for bit."""
+        dataset, stream = gen_random_instance(7, 2, 5, "continuous", seed=59, components=2)
+        config = small_config(kind=kind, k_re=4, k_att=2, k_eval=3, polarity_mode=mode)
+        attention = AttentionModel(config.k_att)
+        ledger = rerank_online(dataset, stream, config).ledger
+        orderings = [ideal_ranking(q) for q in stream]
+        for step0, query in enumerate(stream):
+            ledger.replace_attention(
+                step0, ledger.attention_values(Assignment(orderings[step0]), attention)
+            )
+        rng = np.random.default_rng(61)
+        for step0 in rng.integers(0, len(stream), 6):
+            proposal = tuple(rng.permutation(dataset.individuals))
+            orderings[step0] = proposal
+            ledger.replace_attention(
+                step0, ledger.attention_values(Assignment(proposal), attention)
+            )
+            fresh = Ledger(dataset, 2)
+            for query, ordering in zip(stream, orderings):
+                fresh.update(query, Assignment(ordering), attention)
+            want = individual_divergences(fresh, config.kind, mode)
+            assert rr._profile(ledger, config) == tuple(sorted(want.values(), reverse=True))
 
     def test_quality_holds_after_descent(self):
         dataset, stream = gen_random_instance(6, 2, 4, "signed", seed=43)
