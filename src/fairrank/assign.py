@@ -7,11 +7,14 @@ a matching is quality-feasible when its total gain reaches ``theta_rho``
 within the shared feasibility tolerance.
 
 * ``bottleneck_with_quality``— minimize the maximum edge value subject to
-  the quality constraint, by binary search on the sorted distinct edge
-  values with a max-gain feasibility probe at each threshold; ties at the
-  optimal bottleneck break toward maximal gain;
+  the quality constraint with a max-gain feasibility probe per threshold:
+  first at the largest row or column minimum (no threshold below it leaves
+  every row and column an edge), then, if that probe finds no
+  quality-feasible matching, by binary search on the distinct edge values
+  above it; ties at the optimal bottleneck break toward maximal gain;
 * ``lexicographic_refine``   — greedily shrink the next-largest edge values
-  while preserving the bottleneck and the quality constraint;
+  while preserving the bottleneck and the quality constraint, deleting one
+  row and one column of the current sub-problem per level;
 * ``constrained_min_sum``    — minimize total cost subject to the quality
   constraint via Lagrangian bisection on the constraint multiplier, with a
   depth-first branch-and-bound fallback when the dual gap does not certify
@@ -69,7 +72,7 @@ def _solve_lsa(costs: np.ndarray):
         return None
     if not np.isfinite(costs[rows, cols]).all():
         return None
-    return tuple(int(c) for c in cols)
+    return tuple(cols.tolist())
 
 
 def _max_gain_matching(allowed: np.ndarray, gains: np.ndarray):
@@ -88,10 +91,15 @@ def _bottleneck_search(
     cap: float = math.inf,
 ):
     """Minimal threshold z (<= cap) admitting a quality-feasible matching
-    over edges d <= z. Returns (z, assignment, gain) or None."""
-    values = np.unique(d)
-    values = values[values <= cap]
-    if values.size == 0:
+    over edges d <= z. Returns (z, assignment, gain) or None.
+
+    Below the largest row or column minimum some row or column has no edge,
+    so no threshold there is feasible: that bound is probed first, and only
+    when it admits no quality-feasible matching is the threshold
+    binary-searched over the distinct values in (bound, cap].
+    """
+    bound = max(d.min(axis=1).max(), d.min(axis=0).max())
+    if bound > cap:
         return None
 
     def probe(z):
@@ -103,19 +111,25 @@ def _bottleneck_search(
             return None
         return cols, gain
 
-    hi = values.size - 1
-    best = probe(values[hi])
+    best = probe(bound)
     if best is None:
-        return None
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        probed = probe(values[mid])
-        if probed is None:
-            lo = mid + 1
-        else:
-            hi = mid
-            best = probed
+        values = np.unique(d)
+        values = values[(values > bound) & (values <= cap)]
+        if values.size == 0:
+            return None
+        hi = values.size - 1
+        best = probe(values[hi])
+        if best is None:
+            return None
+        lo = 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            probed = probe(values[mid])
+            if probed is None:
+                lo = mid + 1
+            else:
+                hi = mid
+                best = probed
     cols, gain = best
     z = float(matching_values(d, cols).max())
     return z, cols, gain
@@ -153,13 +167,16 @@ def lexicographic_refine(
 
     Repeatedly fixes an edge realizing the current level's bottleneck value
     (choosing the one whose remaining subproblem has the smallest next
-    bottleneck) and re-solves the reduced problem, re-checking the quality
-    constraint on the full matching each step. The bottleneck value is
-    preserved exactly; falls back to ``base`` whenever refinement cannot
-    strictly (lexicographically) match it. Each distinct reduced problem is
-    searched once: interchangeable columns (e.g. the zero-attention,
-    zero-gain tail) are tried once per level, and the chosen edge's
-    sub-search becomes the next level.
+    bottleneck, the first in row-major order among equals) and re-solves the
+    reduced problem, re-checking the quality constraint on the full matching
+    each step. The bottleneck value is preserved exactly; falls back to
+    ``base`` whenever refinement cannot strictly (lexicographically) match
+    it. Each distinct reduced problem is searched once: interchangeable
+    columns (e.g. the zero-attention, zero-gain tail) are tried once per
+    level, and the chosen edge's sub-search becomes the next level. The
+    sub-problem is carried from level to level: the value and gain matrices
+    are built once, and each candidate's reduced pair is the current pair
+    with one row and one column taken out.
     """
     if not base.feasible:
         return base
@@ -168,60 +185,59 @@ def lexicographic_refine(
     relevance = np.asarray(relevance, dtype=np.float64)
     disc = position_discounts(k, dcg_depth)
 
+    # the current level: original row and column indices, and its value and
+    # gain matrices stacked as (2, m, m)
     rows = list(range(k))
     cols = list(range(k))
-    fixed: dict[int, int] = {}
-    fixed_gain = 0.0
-
-    def reduced(rs, cs, gain_so_far, level_cap):
-        sub_d = d[np.ix_(rs, cs)]
-        sub_gains = relevance[rs][:, None] * disc[cs][None, :]
-        return _bottleneck_search(sub_d, sub_gains, theta_rho - gain_so_far, level_cap)
-
-    level = reduced(rows, cols, fixed_gain, math.inf)
+    sub = np.stack([d, relevance[:, None] * disc[None, :]])
+    level = _bottleneck_search(sub[0], sub[1], theta_rho)
     if level is None:
         return base
     z = level[0]
+    fixed_gain = 0.0
+    assignment = [0] * k
     while rows:
-        sub_d = d[np.ix_(rows, cols)]
-        # a column equal to its left neighbour (values and discount) leaves
-        # the same reduced problem as that neighbour, whose edge comes first
-        # in row-major order and so wins every tie: try only the first of a run
-        twin = np.zeros(len(cols), dtype=bool)
-        twin[1:] = (sub_d[:, 1:] == sub_d[:, :-1]).all(axis=0) & (
-            disc[cols[1:]] == disc[cols[:-1]]
-        )
-        best_edge = None
+        m = len(rows)
+        sub_d, sub_gains = sub
+        edge_rows, edge_cols = np.nonzero(sub_d == z)  # row-major
+        edges = list(zip(edge_rows.tolist(), edge_cols.tolist()))
+        if len(edges) > 1:
+            # a column equal to its left neighbour (values and gains) leaves
+            # the same reduced problem as that neighbour, whose edge comes
+            # first in row-major order and so wins every tie: try only the
+            # first of a run (a lone edge never sits in such a column)
+            twin = np.zeros(m, dtype=bool)
+            twin[1:] = (sub[:, :, 1:] == sub[:, :, :-1]).all(axis=(0, 1))
+            edges = [(il, jl) for il, jl in edges if not twin[jl]]
+        # without[i]: the indices 0..m-1 other than i
+        idx = np.arange(m - 1)
+        without = idx + (idx[None, :] >= np.arange(m)[:, None])
+        best = None
         best_next = math.inf
-        for il, jl in np.argwhere(sub_d == z).tolist():  # row-major
-            if twin[jl]:
-                continue
-            gain2 = fixed_gain + relevance[rows[il]] * disc[cols[jl]]
-            rows2 = rows[:il] + rows[il + 1 :]
-            cols2 = cols[:jl] + cols[jl + 1 :]
-            if not rows2:
-                if gain2 >= theta_rho - FEASIBILITY_TOL:
-                    z_next = -math.inf
-                else:
+        for il, jl in edges:
+            gain2 = fixed_gain + sub_gains[il, jl]
+            if m == 1:
+                if gain2 < theta_rho - FEASIBILITY_TOL:
                     continue
+                z_next, reduced = -math.inf, None
             else:
-                sub = reduced(rows2, cols2, gain2, z)
-                if sub is None:
+                reduced = sub.take(without[il], axis=1).take(without[jl], axis=2)
+                found = _bottleneck_search(reduced[0], reduced[1], theta_rho - gain2, z)
+                if found is None:
                     continue
-                z_next = sub[0]
+                z_next = found[0]
             if z_next < best_next:
                 best_next = z_next
-                best_edge = (il, jl)
-        if best_edge is None:
+                best = (il, jl, gain2, reduced)
+        if best is None:
             return base
-        il, jl = best_edge
-        fixed[rows[il]] = cols[jl]
-        fixed_gain += relevance[rows[il]] * disc[cols[jl]]
+        il, jl, fixed_gain, sub = best
+        assignment[rows[il]] = cols[jl]
         del rows[il], cols[jl]
         # the winner's sub-search is the next level's search
         z = best_next
 
-    assignment = tuple(fixed[i] for i in range(k))
+    assignment = tuple(assignment)
     refined_vec = _sorted_desc(matching_values(d, assignment))
     base_vec = _sorted_desc(matching_values(d, base.assignment))
     if refined_vec > base_vec:

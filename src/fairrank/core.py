@@ -248,7 +248,8 @@ class Ledger:
     Single-writer: only ``update`` and ``replace_attention`` mutate; all
     accessors are read-only and safe to call concurrently between writes.
     Values derived from one state can be kept in ``memo``, which each write
-    clears.
+    clears, except that ``replace_attention`` keeps the relevance moments
+    (relevance and eta are left as they were).
     """
 
     def __init__(self, dataset: Dataset, components: int = 1):
@@ -316,7 +317,11 @@ class Ledger:
             raise ValidationError(f"step {step0} outside 0..{self.t - 1}")
         previous = self._attention[step0].copy()
         self._attention[step0] = values
-        self._memo.clear()
+        self._memo = {
+            key: value
+            for key, value in self._memo.items()
+            if key[:2] == ("moments", "relevance")
+        }
         return previous
 
     # -- read-only accessors -------------------------------------------------

@@ -31,7 +31,6 @@ serialized at 12 significant digits; non-finite sentinels use the
 import base64
 import csv
 import hashlib
-import heapq
 import json
 import math
 import operator
@@ -298,8 +297,9 @@ def _encode_stream(stream) -> dict:
     }
 
 
-def _decode_stream(block) -> tuple[list[str], list[QueryEvent]]:
-    """Individuals and queries of a block written by ``_encode_stream``.
+def _decode_stream(block) -> tuple[list[str], list[QueryEvent], np.ndarray]:
+    """Individuals, queries and the (T, n) relevance matrix of a block
+    written by ``_encode_stream``.
 
     Each query goes through ``QueryEvent``'s checks; order, coverage and
     polarity arity are left to ``rerank.validate_stream``.
@@ -336,12 +336,12 @@ def _decode_stream(block) -> tuple[list[str], list[QueryEvent]]:
             f"run file relevance block has {len(data)} bytes, "
             f"expected 8 x {shape[0]} queries x {shape[1]} individuals"
         )
-    rows = np.frombuffer(data, dtype="<f8").reshape(shape).tolist()
+    relevance = np.frombuffer(data, dtype="<f8").reshape(shape)
     stream = []
-    for query_id, t, eta, row in zip(query_ids, ts, polarity, rows):
+    for query_id, t, eta, row in zip(query_ids, ts, polarity, relevance.tolist()):
         _check_step(t, eta, None, f"run file query {query_id!r}: ")
         stream.append(QueryEvent(str(query_id), t, tuple(eta), dict(zip(individuals, row))))
-    return individuals, stream
+    return individuals, stream, relevance
 
 
 def save_run(path, result: RunResult, stream) -> None:
@@ -389,7 +389,7 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
     as a fallback does not carry the ideal ordering.
     """
     config = RerankConfig(**payload["config"])
-    individuals, stream = _decode_stream(payload["stream"])
+    individuals, stream, relevance = _decode_stream(payload["stream"])
     for key in ("orderings", "fallback", "ndcg", "objective_trace", "query_ids"):
         if key in payload and len(payload[key]) != len(stream):
             raise LengthMismatchError(
@@ -403,6 +403,16 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
     # map each ordering onto the dataset's own id strings, not fresh copies
     own_id = {ind: ind for ind in dataset.individuals}
     stored_ndcg = payload.get("ndcg")
+    # the ideal DCG needs only each query's k_eval largest relevance values,
+    # in descending order; which of equal values comes first cannot change it
+    n = len(individuals)
+    k = min(config.k_eval, n)
+    top = np.argpartition(relevance, n - k, axis=1)[:, n - k :]
+    top = np.take_along_axis(
+        top, np.argsort(-np.take_along_axis(relevance, top, axis=1), axis=1), axis=1
+    )
+    ideal_heads = [[individuals[i] for i in row] for row in top.tolist()]
+    del relevance, top  # the decoded block is not kept while the ledger grows
     assignments = []
     for step0, (query, ordering) in enumerate(zip(stream, payload["orderings"])):
         try:
@@ -418,14 +428,8 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
                 f"run file query {query.query_id!r}: flagged as a fallback "
                 "but not ranked in the ideal order"
             )
-        # the ideal DCG needs only the k_eval largest relevance values; the
-        # order of ties among them cannot change the sum
-        rel = query.relevance
         if stored_ndcg is not None and stored_ndcg[step0] != ndcg_at_k(
-            assignment.ordering,
-            heapq.nlargest(config.k_eval, rel, key=rel.__getitem__),
-            rel,
-            config.k_eval,
+            assignment.ordering, ideal_heads[step0], query.relevance, config.k_eval
         ):
             raise ValidationError(
                 f"run file query {query.query_id!r}: stored nDCG "

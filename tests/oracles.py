@@ -11,7 +11,6 @@ import numpy as np
 from fairrank.assign import (
     FEASIBILITY_TOL,
     MatchResult,
-    _bottleneck_search,
     _max_gain_matching,
     _solve_lsa,
     _sorted_desc,
@@ -269,6 +268,50 @@ def final_w1_matrix_oracle(ledger, step0, step_query, candidates, mode, attentio
     return d
 
 
+def bottleneck_search_oracle(
+    d: np.ndarray,
+    gains: np.ndarray,
+    theta_rho: float,
+    cap: float = math.inf,
+):
+    """Minimal threshold z (<= cap) admitting a quality-feasible matching
+    over edges d <= z. Returns (z, assignment, gain) or None.
+
+    Binary search over every distinct edge value up to ``cap``: the
+    reference for ``fairrank.assign._bottleneck_search``.
+    """
+    values = np.unique(d)
+    values = values[values <= cap]
+    if values.size == 0:
+        return None
+
+    def probe(z):
+        res = _max_gain_matching(d <= z, gains)
+        if res is None:
+            return None
+        cols, gain = res
+        if gain < theta_rho - FEASIBILITY_TOL:
+            return None
+        return cols, gain
+
+    hi = values.size - 1
+    best = probe(values[hi])
+    if best is None:
+        return None
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probed = probe(values[mid])
+        if probed is None:
+            lo = mid + 1
+        else:
+            hi = mid
+            best = probed
+    cols, gain = best
+    z = float(matching_values(d, cols).max())
+    return z, cols, gain
+
+
 def lexicographic_refine_oracle(
     d, relevance, theta_rho: float, base: MatchResult, dcg_depth: int | None = None
 ) -> MatchResult:
@@ -296,7 +339,9 @@ def lexicographic_refine_oracle(
     def reduced(rs, cs, gain_so_far, level_cap):
         sub_d = d[np.ix_(rs, cs)]
         sub_gains = relevance[rs][:, None] * disc[cs][None, :]
-        return _bottleneck_search(sub_d, sub_gains, theta_rho - gain_so_far, level_cap)
+        return bottleneck_search_oracle(
+            sub_d, sub_gains, theta_rho - gain_so_far, level_cap
+        )
 
     while rows:
         level = reduced(rows, cols, fixed_gain, cap)

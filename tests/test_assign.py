@@ -21,7 +21,12 @@ from fairrank.errors import ValidationError
 from fairrank.rerank import RerankConfig, rerank_online
 from fairrank.synth import SynthSpec, gen_synth
 from fairrank.verify import random_subproblem
-from oracles import hungarian_min_cost, lexicographic_refine_oracle, max_dcg_matching
+from oracles import (
+    bottleneck_search_oracle,
+    hungarian_min_cost,
+    lexicographic_refine_oracle,
+    max_dcg_matching,
+)
 
 LOG3 = 1.0 / math.log2(3)
 
@@ -29,6 +34,35 @@ LOG3 = 1.0 / math.log2(3)
 def ideal_dcg(rel, depth=None):
     disc = position_discounts(len(rel), depth)
     return float(np.sort(np.asarray(rel))[::-1] @ np.sort(disc)[::-1])
+
+
+def tailed_instance(rng):
+    """A K<=12 instance whose columns beyond ``k_att`` repeat one value per
+    row (zero attention), with discounts cut at ``depth`` <= K, for a
+    third of the instances values and relevance on a coarse grid, and
+    for a quarter some rows of zero relevance (columns of equal values
+    then have equal gains whatever their discounts)."""
+    k = int(rng.integers(1, 13))
+    coarse = rng.random() < 0.35
+
+    def draw(*shape):
+        if coarse:
+            return rng.integers(0, 4, shape) / 4.0
+        return rng.random(shape)
+
+    d = draw(k, k)
+    k_att = int(rng.integers(1, k + 1))
+    d[:, k_att:] = draw(k)[:, None]
+    rel = draw(k) + (0.25 if coarse else 0.0)
+    if rng.random() < 0.25:
+        rel[rng.random(k) < 0.5] = 0.0
+    depth = None if rng.random() < 0.2 else int(rng.integers(1, k + 1))
+    ideal = ideal_dcg(rel, depth)
+    frac = rng.uniform(0.9, 1.0) if rng.random() < 0.6 else rng.random()
+    theta_rho = float(frac * ideal)
+    if rng.random() < 0.03:
+        theta_rho = ideal + 1.0  # infeasible: the base is returned as is
+    return d, rel, theta_rho, depth
 
 
 class TestHungarian:
@@ -143,6 +177,33 @@ class TestBottleneck:
                 last = res.objective
 
 
+class TestBottleneckSearch:
+    def test_identical_to_binary_search_oracle(self):
+        """The bound-first search returns what the binary search over every
+        distinct value returns, with a cap below, at or above the row/column
+        bound and quality floors the bound often misses."""
+        rng = np.random.default_rng(808)
+        caps = {"below": 0, "at": 0, "above": 0}
+        quality_misses = past_bound = 0
+        for _ in range(2500):
+            d, rel, theta_rho, depth = tailed_instance(rng)
+            gains = rel[:, None] * position_discounts(len(rel), depth)[None, :]
+            bound = max(d.min(axis=1).max(), d.min(axis=0).max())
+            cap = (math.inf, bound, bound - 0.125, bound + 0.125, rng.choice(d.ravel()))[
+                int(rng.integers(0, 5))
+            ]
+            ours = assign_mod._bottleneck_search(d, gains, theta_rho, cap)
+            oracle = bottleneck_search_oracle(d, gains, theta_rho, cap)
+            assert ours == oracle
+            caps["below" if cap < bound else "at" if cap == bound else "above"] += 1
+            at_bound = assign_mod._max_gain_matching(d <= bound, gains)
+            if at_bound is not None and at_bound[1] < theta_rho - FEASIBILITY_TOL:
+                quality_misses += cap >= bound
+                past_bound += ours is not None
+        assert min(caps.values()) > 100
+        assert quality_misses > 100 and past_bound > 100
+
+
 class TestLexicographicRefine:
     def test_prefers_smaller_second_largest(self):
         d = np.array([[0.5, 0.5], [0.1, 0.4]])
@@ -187,36 +248,11 @@ class TestLexicographicRefine:
                                          refined.assignment).sum())
             assert gain >= theta_rho - FEASIBILITY_TOL
 
-    @staticmethod
-    def _tailed_instance(rng):
-        """A K<=12 instance whose columns beyond ``k_att`` repeat one value per
-        row (zero attention), with discounts cut at ``depth`` <= K and, for a
-        third of the instances, values and relevance on a coarse grid."""
-        k = int(rng.integers(1, 13))
-        coarse = rng.random() < 0.35
-
-        def draw(*shape):
-            if coarse:
-                return rng.integers(0, 4, shape) / 4.0
-            return rng.random(shape)
-
-        d = draw(k, k)
-        k_att = int(rng.integers(1, k + 1))
-        d[:, k_att:] = draw(k)[:, None]
-        rel = draw(k) + (0.25 if coarse else 0.0)
-        depth = None if rng.random() < 0.2 else int(rng.integers(1, k + 1))
-        ideal = ideal_dcg(rel, depth)
-        frac = rng.uniform(0.9, 1.0) if rng.random() < 0.6 else rng.random()
-        theta_rho = float(frac * ideal)
-        if rng.random() < 0.03:
-            theta_rho = ideal + 1.0  # infeasible: the base is returned as is
-        return d, rel, theta_rho, depth
-
     def test_identical_to_per_candidate_oracle(self):
         rng = np.random.default_rng(2024)
         fallbacks = 0
         for _ in range(2000):
-            d, rel, theta_rho, depth = self._tailed_instance(rng)
+            d, rel, theta_rho, depth = tailed_instance(rng)
             base = bottleneck_with_quality(d, rel, theta_rho, depth)
             ours = lexicographic_refine(d, rel, theta_rho, base, depth)
             oracle = lexicographic_refine_oracle(d, rel, theta_rho, base, depth)
@@ -228,7 +264,9 @@ class TestLexicographicRefine:
             fallbacks += base.feasible and oracle is base
         assert fallbacks > 0
 
-    def test_one_search_per_distinct_subproblem(self, monkeypatch):
+    @staticmethod
+    def _k50_instance():
+        """Step 5 of a K=50 L1 online run (synth continuous, n=200, seed 3)."""
         dataset, stream = gen_synth(SynthSpec(n=200, T=8, seed=3, variant="continuous"))
         config = RerankConfig(kind="L1", objective="minmax", theta=0.8, k_re=50,
                               k_att=10, k_eval=10)
@@ -240,7 +278,11 @@ class TestLexicographicRefine:
                               AttentionModel(config.k_att), DivergenceKind.L1)
         rel = np.array([query.relevance[c] for c in candidates])
         theta_rho = config.theta * dcg_at_k(ideal, query.relevance, config.k_eval)
-        base = bottleneck_with_quality(d, rel, theta_rho, config.k_eval)
+        return d, rel, theta_rho, config.k_eval
+
+    def test_one_search_per_distinct_subproblem(self, monkeypatch):
+        d, rel, theta_rho, k_eval = self._k50_instance()
+        base = bottleneck_with_quality(d, rel, theta_rho, k_eval)
 
         searches = 0
         search = assign_mod._bottleneck_search
@@ -251,10 +293,30 @@ class TestLexicographicRefine:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(assign_mod, "_bottleneck_search", counted)
-        refined = lexicographic_refine(d, rel, theta_rho, base, config.k_eval)
-        assert searches <= len(candidates) + 1
-        oracle = lexicographic_refine_oracle(d, rel, theta_rho, base, config.k_eval)
+        refined = lexicographic_refine(d, rel, theta_rho, base, k_eval)
+        assert searches <= len(rel) + 1
+        oracle = lexicographic_refine_oracle(d, rel, theta_rho, base, k_eval)
         assert refined.assignment == oracle.assignment
+
+    def test_assignment_solves_on_a_k50_instance(self, monkeypatch):
+        # scipy assignment solves on this instance: the binary search over
+        # every distinct value made 10 (bottleneck) and 281 (refinement);
+        # probing the row/column bound first makes 1 and 94
+        d, rel, theta_rho, k_eval = self._k50_instance()
+        solves = 0
+        lsa = assign_mod.linear_sum_assignment
+
+        def counted(*args, **kwargs):
+            nonlocal solves
+            solves += 1
+            return lsa(*args, **kwargs)
+
+        monkeypatch.setattr(assign_mod, "linear_sum_assignment", counted)
+        base = bottleneck_with_quality(d, rel, theta_rho, k_eval)
+        assert solves <= 2
+        solves = 0
+        lexicographic_refine(d, rel, theta_rho, base, k_eval)
+        assert solves <= 120
 
 
 class TestConstrainedMinSum:

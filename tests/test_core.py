@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fairrank.core import (
+    CHANNELS,
     Assignment,
     AttentionModel,
     Dataset,
@@ -432,3 +433,31 @@ class TestColumnarStore:
         assert np.array_equal(ledger.mean_matrix("attention", "aware"), before)
         with pytest.raises(ValidationError):
             ledger.replace_attention(1, swapped)
+
+    def test_replacing_attention_keeps_relevance_moments_and_updates_attention(self):
+        rng = np.random.default_rng(5)
+        ids = tuple(f"i{k}" for k in range(6))
+        dataset = Dataset.single_group(ids)
+        attention = AttentionModel(3)
+        ledger = Ledger(dataset, 2)
+        stream, orderings = [], []
+        for t in range(1, 5):
+            query = QueryEvent(f"q{t}", t, tuple(rng.normal(size=2)),
+                               dict(zip(ids, rng.dirichlet(np.ones(6)).tolist())))
+            ordering = tuple(rng.permutation(ids))
+            ledger.update(query, Assignment(ordering), attention)
+            stream.append(query)
+            orderings.append(ordering)
+        modes = ("aware", "agnostic")
+        for channel, mode in itertools.product(CHANNELS, modes):
+            ledger.mean_matrix(channel, mode)  # memoise every matrix
+        orderings[1] = tuple(reversed(orderings[1]))
+        ledger.replace_attention(1, ledger.attention_values(Assignment(orderings[1]), attention))
+        fresh = Ledger(dataset, 2)
+        for query, ordering in zip(stream, orderings):
+            fresh.update(query, Assignment(ordering), attention)
+        for channel, mode in itertools.product(CHANNELS, modes):
+            assert np.array_equal(ledger.mean_matrix(channel, mode),
+                                  fresh.mean_matrix(channel, mode))
+            assert np.array_equal(ledger.var_matrix(channel, mode),
+                                  fresh.var_matrix(channel, mode))

@@ -305,9 +305,11 @@ class TestReplayChecks:
         with pytest.raises(ValidationError, match="q0003"):
             fio.replay_run(payload, group_of)
 
-    def test_ties_across_the_k_eval_cut_replay_exactly(self, tmp_path):
+    @pytest.mark.parametrize("k_eval", [3, 4, 5, 7])
+    def test_ties_across_the_k_eval_cut_replay_exactly(self, tmp_path, k_eval):
         """Replay takes the ideal DCG from the k_eval largest relevance
-        values; ties straddling the cut leave the stored nDCG exact."""
+        values; ties straddling the cut (0.1 four times, 0.05 twice) leave
+        the stored nDCG exact."""
         ids = tuple(f"d{k}" for k in range(8))
         values = [0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05]
         stream = [
@@ -315,7 +317,8 @@ class TestReplayChecks:
             for t in range(1, 6)
         ]
         dataset = Dataset.single_group(ids)
-        run = rerank_online(dataset, stream, RerankConfig(k_re=8, k_att=3, k_eval=3, theta=0.8))
+        config = RerankConfig(k_re=8, k_att=3, k_eval=k_eval, theta=0.8)
+        run = rerank_online(dataset, stream, config)
         assert any(x < 1.0 for x in run.ndcg)
         run_path = tmp_path / "run.json"
         fio.save_run(run_path, run, stream)
