@@ -16,9 +16,9 @@ within the shared feasibility tolerance.
   while preserving the bottleneck and the quality constraint, deleting one
   row and one column of the current sub-problem per level;
 * ``constrained_min_sum``    — minimize total cost subject to the quality
-  constraint via Lagrangian bisection on the constraint multiplier, with a
-  depth-first branch-and-bound fallback when the dual gap does not certify
-  optimality;
+  constraint via Lagrangian bisection on the constraint multiplier; when the
+  dual gap stays open, the K x K binary assignment MILP (HiGHS) proves the
+  optimum;
 * ``brute_force``            — K! enumeration oracle (K <= 8).
 """
 
@@ -28,9 +28,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, milp
 
-from .errors import ValidationError
+from .errors import FairRankError, ValidationError
 
 FEASIBILITY_TOL = 1e-9
 
@@ -39,12 +40,11 @@ OBJECTIVES = ("minmax", "minsum", "lexmax")
 
 @dataclass(frozen=True)
 class MatchResult:
-    """A solved matching: row -> column map, objective value, verdicts."""
+    """A solved matching: row -> column map, objective value, feasibility."""
 
     assignment: tuple[int, ...]
     objective: float
     feasible: bool
-    optimal: bool = True
 
     @classmethod
     def infeasible(cls) -> "MatchResult":
@@ -250,24 +250,21 @@ def constrained_min_sum(
     relevance,
     theta_rho: float,
     dcg_depth: int | None = None,
-    node_budget: int | None = None,
 ) -> MatchResult:
     """Minimum-total-cost matching subject to DCG >= theta_rho.
 
     Lagrangian bisection on the quality multiplier solves a sequence of
     plain assignment problems; if the dual bound does not certify the best
-    feasible solution, an exact depth-first branch-and-bound (assignment
-    lower bound per node, rearrangement upper bound on remaining gain)
-    finishes the job. Exact for K <= 20 by default; beyond that a node
-    budget applies and exhaustion is reported via ``optimal=False``.
+    feasible solution, the binary assignment MILP with the DCG row is solved
+    to a proven optimum (``_min_sum_milp``). Every feasible answer is
+    optimal; a solver that cannot prove it raises FairRankError.
     """
     costs = np.asarray(costs, dtype=np.float64)
     if not np.isfinite(costs).all():
         raise ValidationError("cost matrix must be finite everywhere")
     k = costs.shape[0]
     relevance = np.asarray(relevance, dtype=np.float64)
-    disc = position_discounts(k, dcg_depth)
-    gains = relevance[:, None] * disc[None, :]
+    gains = relevance[:, None] * position_discounts(k, dcg_depth)[None, :]
 
     def gain_of(cols):
         return float(matching_values(gains, cols).sum())
@@ -311,52 +308,36 @@ def constrained_min_sum(
 
     if best_cost <= lower_bound + FEASIBILITY_TOL:
         return MatchResult(best_cols, best_cost, True)
+    cols = _min_sum_milp(costs, gains, theta_rho)
+    if gain_of(cols) < theta_rho - FEASIBILITY_TOL:
+        raise FairRankError("min-sum MILP returned a matching below the quality floor")
+    return MatchResult(cols, cost_of(cols), True)
 
-    # exact finish: DFS over positions, strongest-first rows
-    if node_budget is None and k > 20:
-        node_budget = 200_000
-    nodes = 0
-    exhausted = False
-    used = np.zeros(k, dtype=bool)
-    chosen = [-1] * k
 
-    def remaining_gain_ub(col, free_rows_rel_sorted):
-        # rearrangement bound: best remaining rel against best remaining discounts
-        rest_disc = np.sort(disc[col:])[::-1][: len(free_rows_rel_sorted)]
-        return float(free_rows_rel_sorted[: len(rest_disc)] @ rest_disc)
+def _min_sum_milp(costs: np.ndarray, gains: np.ndarray, theta_rho: float):
+    """Min-cost permutation with total gain >= theta_rho, proven by HiGHS.
 
-    # chosen[] maps column -> row during DFS; converted to row -> col at leaves
-    def dfs(col, cost_so_far, gain_so_far):
-        nonlocal nodes, exhausted, best_cols, best_cost
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            exhausted = True
-            return
-        if col == k:
-            if gain_so_far >= theta_rho - FEASIBILITY_TOL and cost_so_far < best_cost:
-                row_to_col = [0] * k
-                for c in range(k):
-                    row_to_col[chosen[c]] = c
-                best_cols = tuple(row_to_col)
-                best_cost = cost_so_far
-            return
-        free = [r for r in range(k) if not used[r]]
-        free_rel_sorted = np.sort(relevance[free])[::-1]
-        if gain_so_far + remaining_gain_ub(col, free_rel_sorted) < theta_rho - FEASIBILITY_TOL:
-            return
-        sub = costs[np.ix_(free, range(col, k))]
-        sub_cols = _solve_lsa(sub)
-        if cost_so_far + float(matching_values(sub, sub_cols).sum()) >= best_cost:
-            return
-        for r in sorted(free, key=lambda rr: costs[rr, col]):
-            used[r] = True
-            chosen[col] = r
-            dfs(col + 1, cost_so_far + costs[r, col], gain_so_far + gains[r, col])
-            used[r] = False
-        chosen[col] = -1
-
-    dfs(0, 0.0, 0.0)
-    return MatchResult(best_cols, best_cost, True, optimal=not exhausted)
+    Binary x[i, j] (row-major) with one equality row per candidate and per
+    position and the DCG row; costs are divided by their largest magnitude
+    so HiGHS's absolute gap tolerance is relative to the instance. Raises
+    FairRankError unless HiGHS reports a proven optimum.
+    """
+    k = costs.shape[0]
+    ones, eye = np.ones((1, k)), sparse.identity(k)
+    assign_rows = sparse.vstack([sparse.kron(eye, ones), sparse.kron(ones, eye)])
+    res = milp(
+        costs.ravel() / (np.abs(costs).max() or 1.0),
+        integrality=np.ones(k * k),
+        bounds=Bounds(0.0, 1.0),
+        constraints=[
+            LinearConstraint(assign_rows, 1.0, 1.0),
+            LinearConstraint(gains.reshape(1, -1), theta_rho - FEASIBILITY_TOL, np.inf),
+        ],
+        options={"mip_rel_gap": 0.0},
+    )
+    if res.status != 0:
+        raise FairRankError(f"min-sum MILP did not prove an optimum: {res.message}")
+    return tuple(res.x.reshape(k, k).argmax(axis=1).tolist())
 
 
 @lru_cache(maxsize=8)

@@ -7,7 +7,7 @@ and ``verify`` (randomized oracle suites).
 
 Exit codes: 0 success, 1 validation failure, 2 run fell back on every query,
 3 verify-suite failure. The FAIRRANK_SEED environment variable supplies the
-default seed.
+default seed of ``generate``, ``sweep`` (bootstrap resampling) and ``verify``.
 """
 
 import argparse
@@ -65,7 +65,6 @@ def _build_config(args, n: int) -> RerankConfig:
         k_att=min(args.k_att, k_re),
         k_eval=min(args.k_eval, k_re),
         polarity_mode=args.polarity_mode,
-        seed=_resolved_seed(args),
     )
 
 
@@ -156,7 +155,6 @@ def sweep_table(
             k_att=k_att,
             k_eval=k_eval,
             polarity_mode=mode,
-            seed=seed,
         )
         run_stream = stream if repeat == 0 else _bootstrap(stream, [seed, repeat])
         result = rerank_online(dataset, run_stream, config)
@@ -257,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-att", dest="k_att", type=int, default=10)
     p.add_argument("--k-eval", dest="k_eval", type=int, default=10)
     p.add_argument("--polarity-mode", choices=("aware", "agnostic"), default="agnostic")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--offline", action="store_true", help="coordinate-descent mode")
     p.add_argument("--max-sweeps", type=int, default=10)
     p.add_argument("--out", required=True, help="run file path")

@@ -344,6 +344,11 @@ def _decode_stream(block) -> tuple[list[str], list[QueryEvent], np.ndarray]:
     return individuals, stream, relevance
 
 
+_RUN_KEYS = (
+    "config", "stream", "query_ids", "orderings", "ndcg", "fallback", "objective_trace", "sweeps"
+)
+
+
 def save_run(path, result: RunResult, stream) -> None:
     """Self-contained run file: config echo, the stream as one columnar block
     (relevance as exact float64 bytes, see ``_encode_stream``), and the
@@ -365,12 +370,14 @@ def save_run(path, result: RunResult, stream) -> None:
 
 
 def load_run(path) -> dict:
+    """A run file's payload; raises ValidationError unless it carries every
+    key ``save_run`` writes."""
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"run file is not valid JSON ({exc.msg})") from None
-    for key in ("config", "stream", "orderings", "fallback"):
+    for key in _RUN_KEYS:
         if key not in payload:
             raise ValidationError(f"run file {path} is missing {key!r}")
     return payload
@@ -385,13 +392,20 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
     nDCG, objective trace, query ids, or a column of the stream block) is not
     one entry per query, and ValidationError when the stream block is
     malformed, an ordering is not a permutation of the stream's individuals,
-    a stored nDCG differs from the one its ordering gives, or a step flagged
-    as a fallback does not carry the ideal ordering.
+    a stored nDCG differs from the one its ordering gives, a step flagged
+    as a fallback does not carry the ideal ordering, or the config echo does
+    not have exactly the keys ``RerankConfig.to_dict`` writes.
     """
+    fields = RerankConfig().to_dict().keys()
+    if not isinstance(payload["config"], dict) or payload["config"].keys() != fields:
+        raise ValidationError(
+            f"run file config echo must have exactly the keys {sorted(fields)}; "
+            "re-run `fairrank rank` to rewrite it"
+        )
     config = RerankConfig(**payload["config"])
     individuals, stream, relevance = _decode_stream(payload["stream"])
     for key in ("orderings", "fallback", "ndcg", "objective_trace", "query_ids"):
-        if key in payload and len(payload[key]) != len(stream):
+        if len(payload[key]) != len(stream):
             raise LengthMismatchError(
                 f"run file has {len(payload[key])} {key} entries "
                 f"for {len(stream)} queries"
@@ -402,7 +416,7 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
     ledger = Ledger(dataset, stream[0].components)
     # map each ordering onto the dataset's own id strings, not fresh copies
     own_id = {ind: ind for ind in dataset.individuals}
-    stored_ndcg = payload.get("ndcg")
+    stored_ndcg = payload["ndcg"]
     # the ideal DCG needs only each query's k_eval largest relevance values,
     # in descending order; which of equal values comes first cannot change it
     n = len(individuals)
@@ -428,7 +442,7 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
                 f"run file query {query.query_id!r}: flagged as a fallback "
                 "but not ranked in the ideal order"
             )
-        if stored_ndcg is not None and stored_ndcg[step0] != ndcg_at_k(
+        if stored_ndcg[step0] != ndcg_at_k(
             assignment.ordering, ideal_heads[step0], query.relevance, config.k_eval
         ):
             raise ValidationError(
@@ -437,14 +451,13 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
             )
     return RunResult(
         config=config,
-        query_ids=list(payload.get("query_ids", [q.query_id for q in stream])),
+        query_ids=list(payload["query_ids"]),
         assignments=assignments,
-        ndcg=[float(x) for x in payload.get("ndcg", [])],
+        ndcg=[float(x) for x in stored_ndcg],
         fallback=[bool(f) for f in payload["fallback"]],
         objective_trace=[
-            math.nan if x is None else float(x)
-            for x in payload.get("objective_trace", [])
+            math.nan if x is None else float(x) for x in payload["objective_trace"]
         ],
         ledger=ledger,
-        sweeps=int(payload.get("sweeps", 0)),
+        sweeps=int(payload["sweeps"]),
     )

@@ -84,7 +84,6 @@ class RerankConfig:
     k_att: int = 10
     k_eval: int = 10
     polarity_mode: str = "agnostic"
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "kind", DivergenceKind(self.kind))
@@ -116,7 +115,6 @@ class RerankConfig:
             "k_att": self.k_att,
             "k_eval": self.k_eval,
             "polarity_mode": self.polarity_mode,
-            "seed": self.seed,
         }
 
 

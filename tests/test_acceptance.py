@@ -87,13 +87,11 @@ def test_c04_polarity_flip_scenario_exact_fairwashing():
 @pytest.fixture(scope="module")
 def synth_binary_runs():
     dataset, stream = gen_synth_binary(SynthSpec(n=200, T=16, seed=0))
-    passthrough = rerank_online(
-        dataset, stream, RerankConfig(objective="none", seed=0)
-    )
+    passthrough = rerank_online(dataset, stream, RerankConfig(objective="none"))
     reranked = rerank_online(
         dataset, stream,
         RerankConfig(kind="L1", objective="minmax", theta=0.8, k_re=50,
-                     k_att=10, k_eval=10, polarity_mode="agnostic", seed=0),
+                     k_att=10, k_eval=10, polarity_mode="agnostic"),
     )
     return dataset, stream, passthrough, reranked
 
@@ -155,7 +153,7 @@ def test_c08_offline_matches_joint_enumeration():
         config = RerankConfig(
             kind="L1", objective="minmax", theta=float(rng.uniform(0.5, 1.0)),
             k_re=K, k_att=int(rng.integers(1, K + 1)), k_eval=K,
-            polarity_mode="aware" if case % 2 else "agnostic", seed=0,
+            polarity_mode="aware" if case % 2 else "agnostic",
         )
         online = rerank_online(dataset, stream, config)
         offline = rerank_offline(dataset, stream, config, max_sweeps=50)
@@ -227,7 +225,7 @@ def test_c10_determinism_and_round_trip(tmp_path):
         assert main(["rank", "--stream", str(stream_path),
                      "--groups", str(data / "groups.csv"),
                      "--kind", "W1", "--objective", "minmax-lex",
-                     "--theta", "0.9", "--seed", "7",
+                     "--theta", "0.9",
                      "--out", str(run_path)]) == 0
         assert main(["evaluate", "--run", str(run_path),
                      "--groups", str(data / "groups.csv"),

@@ -255,6 +255,63 @@ class TestRunFiles:
         with pytest.raises(ValidationError):
             fio.load_run(path)
 
+    @pytest.mark.parametrize(
+        "key",
+        ["config", "stream", "query_ids", "orderings", "ndcg", "fallback",
+         "objective_trace", "sweeps"],
+    )
+    def test_every_saved_key_is_required(self, binary_files, tmp_path, key):
+        dataset, stream, _, _ = binary_files
+        config = RerankConfig(k_re=8, k_att=3, k_eval=3, theta=0.9)
+        run_path = tmp_path / "run.json"
+        fio.save_run(run_path, rerank_online(dataset, stream, config), stream)
+        payload = json.loads(run_path.read_text())
+        assert key in payload
+        del payload[key]
+        run_path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=repr(key)):
+            fio.load_run(run_path)
+
+
+class TestConfigEcho:
+    """replay_run takes the config echo only with exactly the keys
+    ``RerankConfig.to_dict`` writes."""
+
+    @pytest.fixture()
+    def payload(self, binary_files, tmp_path):
+        dataset, stream, _, _ = binary_files
+        config = RerankConfig(k_re=8, k_att=3, k_eval=3, theta=0.9)
+        run_path = tmp_path / "run.json"
+        fio.save_run(run_path, rerank_online(dataset, stream, config), stream)
+        return fio.load_run(run_path), dataset.group_of
+
+    @pytest.mark.parametrize("key", sorted(RerankConfig().to_dict()))
+    def test_missing_key_rejected(self, payload, key):
+        payload, group_of = payload
+        del payload["config"][key]
+        with pytest.raises(ValidationError, match="config"):
+            fio.replay_run(payload, group_of)
+
+    @pytest.mark.parametrize("extra", [("seed", 0), ("note", "x")])
+    def test_extra_key_rejected(self, payload, extra):
+        payload, group_of = payload
+        payload["config"][extra[0]] = extra[1]
+        with pytest.raises(ValidationError, match="re-run `fairrank rank`"):
+            fio.replay_run(payload, group_of)
+
+    def test_extra_key_exits_1_from_evaluate(self, binary_files, tmp_path, capsys):
+        dataset, stream, _, groups_path = binary_files
+        run_path = tmp_path / "run.json"
+        config = RerankConfig(k_re=8, k_att=3, k_eval=3)
+        fio.save_run(run_path, rerank_online(dataset, stream, config), stream)
+        payload = json.loads(run_path.read_text())
+        payload["config"]["seed"] = 0
+        run_path.write_text(json.dumps(payload))
+        code = main(["evaluate", "--run", str(run_path), "--groups", str(groups_path),
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 1
+        assert "re-run `fairrank rank`" in capsys.readouterr().err
+
 
 class TestReplayChecks:
     """replay_run checks each ordering against what the file claims for it."""
@@ -521,7 +578,7 @@ class TestCli:
               "--seed", "3", "--out", str(data)])
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = ["rank", "--stream", str(data / "stream.jsonl"), "--kind", "W1",
-                "--seed", "3", "--theta", "0.9"]
+                "--theta", "0.9"]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -593,12 +650,24 @@ class TestCli:
         assert main(["verify", "--suite", "w1"]) == 3
 
     def test_seed_env_default(self, tmp_path, monkeypatch):
+        def generate(name, *flags):
+            out = tmp_path / name
+            assert main(["generate", "--variant", "continuous", "--n", "6", "--T", "2",
+                         *flags, "--out", str(out)]) == 0
+            return (out / "stream.jsonl").read_bytes()
+
+        monkeypatch.delenv("FAIRRANK_SEED", raising=False)
+        default = generate("default")
+        flagged = generate("flagged", "--seed", "99")
         monkeypatch.setenv("FAIRRANK_SEED", "99")
+        assert generate("env") == flagged != default
+
+    def test_rank_has_no_seed_option(self, tmp_path):
         data = tmp_path / "data"
         main(["generate", "--n", "6", "--T", "2", "--out", str(data)])
-        out = tmp_path / "run.json"
-        main(["rank", "--stream", str(data / "stream.jsonl"), "--out", str(out)])
-        assert json.loads(out.read_text())["config"]["seed"] == 99
+        with pytest.raises(SystemExit):
+            main(["rank", "--stream", str(data / "stream.jsonl"), "--seed", "1",
+                  "--out", str(tmp_path / "run.json")])
 
 
 class TestSweepTable:
