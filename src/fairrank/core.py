@@ -129,6 +129,11 @@ class Dataset:
         return {ind: i for i, ind in enumerate(self.individuals)}
 
     @cached_property
+    def id_order(self) -> np.ndarray:
+        """Dataset positions sorted by ascending identifier, read-only."""
+        return _id_order(self.individuals)
+
+    @cached_property
     def groups(self) -> dict[str, tuple[str, ...]]:
         out: dict[str, list[str]] = {}
         for ind in self.individuals:
@@ -194,14 +199,28 @@ class QueryEvent:
         )
 
 
-def ideal_ranking(query: QueryEvent) -> tuple[str, ...]:
-    """Relevance-descending ordering; ties broken by ascending identifier.
+def _id_order(ids) -> np.ndarray:
+    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    order.setflags(write=False)
+    return order
 
-    Sorts the identifiers, then stably by relevance (``reverse=True`` keeps
-    equal keys in their ascending-identifier order).
+
+def ideal_order(id_order: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """Positions of ``rel`` in relevance-descending order, ties broken by
+    ascending identifier; ``id_order`` lists the positions by ascending
+    identifier (``Dataset.id_order``).
+
+    A stable sort of the negated values taken in identifier order keeps equal
+    values (0.0 and -0.0 included) in that order.
     """
-    rel = query.relevance
-    return tuple(sorted(sorted(rel), key=rel.__getitem__, reverse=True))
+    return id_order[np.argsort(-rel[id_order], kind="stable")]
+
+
+def ideal_ranking(query: QueryEvent) -> tuple[str, ...]:
+    """Relevance-descending ordering; ties broken by ascending identifier."""
+    ids = tuple(query.relevance)
+    rel = np.fromiter(query.relevance.values(), dtype=np.float64, count=len(ids))
+    return tuple(map(ids.__getitem__, ideal_order(_id_order(ids), rel).tolist()))
 
 
 @dataclass(frozen=True)
@@ -216,6 +235,14 @@ class AttentionModel:
 
     def weights(self, n: int) -> np.ndarray:
         return _attention_weights_cached(n, self.cutoff)
+
+    def scatter(self, rows: np.ndarray) -> np.ndarray:
+        """Attention per dataset position when the individual at position
+        ``rows[j]`` takes rank ``j+1``; ``rows`` is a permutation."""
+        n = len(rows)
+        attn = np.empty(n)
+        attn[rows] = self.weights(n)
+        return attn
 
 
 @dataclass(frozen=True)
@@ -245,11 +272,13 @@ class Ledger:
     eta * x, and the variance sums eta^2 * x * (1 - x), the
     Poisson-binomial variance of the cumulative total.
 
-    Single-writer: only ``update`` and ``replace_attention`` mutate; all
-    accessors are read-only and safe to call concurrently between writes.
-    Values derived from one state can be kept in ``memo``, which each write
-    clears, except that ``replace_attention`` keeps the relevance moments
-    (relevance and eta are left as they were).
+    Single-writer: only ``update`` (and the engines' unchecked ``_record``)
+    and ``replace_attention`` mutate; all accessors are read-only and safe to
+    call concurrently between writes. Values derived from one state can be
+    kept in ``memo``, which each write clears, except for the full moment
+    matrices: a new query advances them by its own terms, and
+    ``replace_attention`` keeps the relevance ones (relevance and eta are
+    left as they were).
     """
 
     def __init__(self, dataset: Dataset, components: int = 1):
@@ -264,12 +293,9 @@ class Ledger:
         self._eta = np.empty((0, components))
         self._memo: dict = {}
 
-    def attention_values(
-        self, assignment: Assignment, attention: AttentionModel
-    ) -> np.ndarray:
-        """Attention each individual receives from ``assignment``, in
-        dataset order; raises ValidationError unless it ranks exactly the
-        dataset's individuals."""
+    def _ordering_rows(self, assignment: Assignment) -> np.ndarray:
+        """Dataset positions of ``assignment``'s ordering; raises
+        ValidationError unless it ranks exactly the dataset's individuals."""
         n = self.dataset.n
         index = self.dataset.index
         # an Assignment holds no repeats, so n known ids make a permutation
@@ -278,12 +304,17 @@ class Ledger:
         if len(ordering) != n:
             raise ValidationError(not_a_permutation)
         try:
-            rows = np.fromiter(map(index.__getitem__, ordering), dtype=np.intp, count=n)
+            return np.fromiter(map(index.__getitem__, ordering), dtype=np.intp, count=n)
         except KeyError:
             raise ValidationError(not_a_permutation) from None
-        attn = np.empty(n)
-        attn[rows] = attention.weights(n)
-        return attn
+
+    def attention_values(
+        self, assignment: Assignment, attention: AttentionModel
+    ) -> np.ndarray:
+        """Attention each individual receives from ``assignment``, in
+        dataset order; raises ValidationError unless it ranks exactly the
+        dataset's individuals."""
+        return attention.scatter(self._ordering_rows(assignment))
 
     def update(
         self, query: QueryEvent, assignment: Assignment, attention: AttentionModel
@@ -295,8 +326,23 @@ class Ledger:
             )
         if query.relevance.keys() != self.dataset.index.keys():
             query.validate_coverage(self.dataset.individuals)
-        attn = self.attention_values(assignment, attention)
-        rel = query.relevance_vector(self.dataset)
+        self._record(
+            self._ordering_rows(assignment),
+            attention,
+            query.relevance_vector(self.dataset),
+            query.polarity,
+        )
+
+    def _record(self, rows, attention: AttentionModel, rel, polarity) -> None:
+        """Append one query unchecked: the individual at dataset position
+        ``rows[j]`` took rank ``j+1``, ``rel`` is the relevance in dataset
+        order and ``polarity`` has ``components`` entries.
+
+        Memoised moment matrices advance by the query's terms, written as
+        the ``cumsum`` build adds them, so they stay bit-identical to a
+        rebuild; every other memo entry is dropped.
+        """
+        attn = attention.scatter(rows)
         if self.t == len(self._eta):
             spare = max(self.t, 8)
             self._attention, self._relevance, self._eta = (
@@ -305,8 +351,13 @@ class Ledger:
             )
         self._attention[self.t] = attn
         self._relevance[self.t] = rel
-        self._eta[self.t] = query.polarity
-        self._memo.clear()
+        self._eta[self.t] = polarity
+        self._memo = {key: value for key, value in self._memo.items() if key[0] == "moments"}
+        for (_, channel, mode), (mean, var) in self._memo.items():
+            x = (attn if channel == "attention" else self._relevance[self.t])[:, None]
+            eta = self._eta[self.t] if mode == "aware" else np.ones(self.components)
+            mean += eta * x
+            var += eta * eta * x * (1.0 - x)
         self.t += 1
 
     def replace_attention(self, step0: int, values: np.ndarray) -> np.ndarray:
@@ -358,16 +409,20 @@ class Ledger:
 
     def moments_at(self, rows, channel: str, mode: str = "agnostic"):
         """Cumulative (mean, variance) arrays, (k, P), of the individuals at
-        dataset positions ``rows``."""
-        x = self.stored(channel)[:, rows, None]
-        eta = self._polarity(mode)[:, None, :]
-        return _accrued(eta * x), _accrued(eta * eta * x * (1.0 - x))
+        dataset positions ``rows`` (a sequence of ints)."""
+        mean, var = self._moment_matrices(channel, mode)
+        return mean.take(rows, axis=0), var.take(rows, axis=0)
 
     def _moment_matrices(self, channel: str, mode: str):
-        return self.memo(
-            ("moments", channel, mode),
-            lambda: self.moments_at(slice(None), channel, mode),
-        )
+        """The memoised (n, P) moment matrices, built by ``cumsum`` and then
+        advanced by ``_record``."""
+
+        def build():
+            x = self.stored(channel)[:, :, None]
+            eta = self._polarity(mode)[:, None, :]
+            return _accrued(eta * x), _accrued(eta * eta * x * (1.0 - x))
+
+        return self.memo(("moments", channel, mode), build)
 
     def moments(self, individual: str, channel: str, mode: str = "agnostic"):
         """(mean, variance) arrays of shape (P,) for one individual."""

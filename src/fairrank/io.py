@@ -377,10 +377,36 @@ def load_run(path) -> dict:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"run file is not valid JSON ({exc.msg})") from None
+    if not isinstance(payload, dict):
+        raise ValidationError(f"run file {path} must hold a JSON object")
     for key in _RUN_KEYS:
         if key not in payload:
             raise ValidationError(f"run file {path} is missing {key!r}")
     return payload
+
+
+def _replay_config(echo) -> RerankConfig:
+    """The config of a run file's echo; raises ValidationError unless it has
+    exactly the keys ``RerankConfig.to_dict`` writes, each of the JSON type of
+    its default (a float may be written as an integer, and ``bool`` is not
+    an integer here), and valid values."""
+    defaults = RerankConfig().to_dict()
+    if not isinstance(echo, dict) or echo.keys() != defaults.keys():
+        raise ValidationError(
+            f"run file config echo must have exactly the keys {sorted(defaults)}; "
+            "re-run `fairrank rank` to rewrite it"
+        )
+    for key, default in defaults.items():
+        types = (float, int) if type(default) is float else (type(default),)
+        if type(echo[key]) not in types:
+            raise ValidationError(
+                f"run file config echo: {key} is {echo[key]!r}, "
+                f"expected {' or '.join(t.__name__ for t in types)}"
+            )
+    try:
+        return RerankConfig(**echo)
+    except ValueError as exc:  # an unknown divergence kind
+        raise ValidationError(f"run file config echo: {exc}") from None
 
 
 def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResult:
@@ -391,25 +417,33 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
     LengthMismatchError when a per-query list (orderings, fallback flags,
     nDCG, objective trace, query ids, or a column of the stream block) is not
     one entry per query, and ValidationError when the stream block is
-    malformed, an ordering is not a permutation of the stream's individuals,
-    a stored nDCG differs from the one its ordering gives, a step flagged
-    as a fallback does not carry the ideal ordering, or the config echo does
-    not have exactly the keys ``RerankConfig.to_dict`` writes.
+    malformed, the query ids differ from the stream block's, a value has
+    the wrong JSON type (see ``_replay_config`` for the config echo), an
+    ordering is not a permutation of the stream's individuals, a stored
+    nDCG differs from the one its ordering gives, or a step flagged as a
+    fallback does not carry the ideal ordering.
     """
-    fields = RerankConfig().to_dict().keys()
-    if not isinstance(payload["config"], dict) or payload["config"].keys() != fields:
-        raise ValidationError(
-            f"run file config echo must have exactly the keys {sorted(fields)}; "
-            "re-run `fairrank rank` to rewrite it"
-        )
-    config = RerankConfig(**payload["config"])
+    config = _replay_config(payload["config"])
     individuals, stream, relevance = _decode_stream(payload["stream"])
     for key in ("orderings", "fallback", "ndcg", "objective_trace", "query_ids"):
+        if not isinstance(payload[key], list):
+            raise ValidationError(f"run file {key} must be an array")
         if len(payload[key]) != len(stream):
             raise LengthMismatchError(
                 f"run file has {len(payload[key])} {key} entries "
                 f"for {len(stream)} queries"
             )
+    if payload["query_ids"] != [query.query_id for query in stream]:
+        raise ValidationError("run file query_ids differ from its stream block's")
+    if not all(type(f) is bool for f in payload["fallback"]):
+        raise ValidationError("run file fallback flags must be true or false")
+    _number_types(payload["ndcg"], "run file ndcg", None)
+    trace = [x for x in payload["objective_trace"] if x is not None]
+    _number_types(trace, "run file objective_trace", None)
+    if type(payload["sweeps"]) is not int or payload["sweeps"] < 0:
+        raise ValidationError(
+            f"run file sweeps must be a non-negative integer, got {payload['sweeps']!r}"
+        )
     dataset = build_dataset(tuple(sorted(individuals)), group_of)
     validate_stream(dataset, stream)
     attention = AttentionModel(config.k_att)
@@ -454,10 +488,10 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
         query_ids=list(payload["query_ids"]),
         assignments=assignments,
         ndcg=[float(x) for x in stored_ndcg],
-        fallback=[bool(f) for f in payload["fallback"]],
+        fallback=list(payload["fallback"]),
         objective_trace=[
             math.nan if x is None else float(x) for x in payload["objective_trace"]
         ],
         ledger=ledger,
-        sweeps=int(payload["sweeps"]),
+        sweeps=payload["sweeps"],
     )

@@ -46,7 +46,7 @@ from .core import (
     Dataset,
     Ledger,
     dcg_at_k,
-    ideal_ranking,
+    ideal_order,
     ndcg_at_k,
 )
 from .divergence import (
@@ -177,15 +177,25 @@ def _cost_kind(config: RerankConfig) -> DivergenceKind:
     return DivergenceKind.L1 if config.objective == "minsum" else config.kind
 
 
-def _step_setup(query, config: RerankConfig):
-    """One step's assignment-independent constants: the ideal ordering, its
-    head candidates and frozen tail, the quality floor theta*rho and the
-    head's relevance."""
-    ideal = ideal_ranking(query)
-    candidates = ideal[: config.k_re]
-    theta_rho = config.theta * dcg_at_k(ideal, query.relevance, config.k_eval)
-    rel_head = np.array([query.relevance[c] for c in candidates])
-    return ideal, candidates, ideal[config.k_re :], theta_rho, rel_head
+def _step_setup(dataset: Dataset, ids: np.ndarray, query, config: RerankConfig):
+    """One step's assignment-independent constants: the relevance vector in
+    dataset order, the ideal ordering as dataset positions, the ids of its
+    head candidates (``ids`` holds the dataset's ids as an object array), the
+    quality floor theta*rho and the head's relevance."""
+    rel = query.relevance_vector(dataset)
+    ideal = ideal_order(dataset.id_order, rel)
+    head = ideal[: config.k_re]
+    candidates = tuple(ids[head].tolist())
+    theta_rho = config.theta * dcg_at_k(candidates, query.relevance, config.k_eval)
+    return rel, ideal, candidates, theta_rho, rel[head]
+
+
+def _with_head(ideal: np.ndarray, order) -> np.ndarray:
+    """The ideal ordering with its head re-ordered: rank ``j+1`` goes to head
+    candidate ``order[j]``."""
+    rows = ideal.copy()
+    rows[: len(order)] = ideal[order]
+    return rows
 
 
 def rerank_online(dataset: Dataset, stream, config: RerankConfig) -> RunResult:
@@ -198,33 +208,31 @@ def rerank_online(dataset: Dataset, stream, config: RerankConfig) -> RunResult:
     attention = AttentionModel(config.k_att)
     ledger = Ledger(dataset, components)
     cost_kind = _cost_kind(config)
+    ids = np.array(dataset.individuals, dtype=object)
 
     query_ids, assignments, ndcg, fallback, trace = [], [], [], [], []
     for query in stream:
-        ideal, candidates, tail, theta_rho, rel_head = _step_setup(query, config)
-        if config.objective == "none":
-            ordering = ideal
-            fell_back = False
-            objective_value = math.nan
-        else:
+        rel, rows, candidates, theta_rho, rel_head = _step_setup(dataset, ids, query, config)
+        fell_back = False
+        objective_value = math.nan
+        if config.objective != "none":
             d = divergence_matrix(
                 ledger, candidates, query, attention, cost_kind, config.polarity_mode
             )
             res = _solve_step(d, rel_head, theta_rho, config)
             if res.feasible:
-                head = tuple(candidates[row] for row in np.argsort(res.assignment))
-                ordering = head + tail
-                fell_back = False
+                rows = _with_head(rows, np.argsort(res.assignment))
                 objective_value = res.objective
             else:
-                ordering = ideal
                 fell_back = True
-                objective_value = math.nan
-        assignment = Assignment(ordering)
-        ledger.update(query, assignment, attention)
+        # validate_stream checked coverage and arity, and rows is a permutation
+        ledger._record(rows, attention, rel, query.polarity)
+        assignment = Assignment(ids[rows].tolist())
         query_ids.append(query.query_id)
         assignments.append(assignment)
-        ndcg.append(ndcg_at_k(ordering, ideal, query.relevance, config.k_eval))
+        ndcg.append(
+            ndcg_at_k(assignment.ordering, candidates, query.relevance, config.k_eval)
+        )
         fallback.append(fell_back)
         trace.append(objective_value)
     return RunResult(config, query_ids, assignments, ndcg, fallback, trace, ledger)
@@ -309,18 +317,18 @@ def _lex_less(a, b, tol: float) -> bool:
     return False
 
 
-def _step_options(query, candidates, tail, theta_rho, config: RerankConfig):
-    """All quality-feasible orderings of one step, or None if too many."""
-    if math.factorial(len(candidates)) > PER_STEP_CAP:
+def _step_options(query, candidates, ideal, theta_rho, config: RerankConfig):
+    """All quality-feasible orderings of one step as dataset positions, or
+    None if too many."""
+    K = len(candidates)
+    if math.factorial(K) > PER_STEP_CAP:
         return None
     options = []
-    for perm in itertools.permutations(candidates):
-        ordering = perm + tail
-        if (
-            dcg_at_k(ordering, query.relevance, config.k_eval)
-            >= theta_rho - FEASIBILITY_TOL
-        ):
-            options.append(ordering)
+    for order in itertools.permutations(range(K)):
+        # k_eval <= k_re, so the head alone decides the DCG
+        head = [candidates[i] for i in order]
+        if dcg_at_k(head, query.relevance, config.k_eval) >= theta_rho - FEASIBILITY_TOL:
+            options.append(_with_head(ideal, list(order)))
     return options
 
 
@@ -352,9 +360,11 @@ def rerank_offline(
     if max_sweeps <= 0 or len(stream) <= 1 or config.objective == "none":
         return online
     attention = AttentionModel(config.k_att)
-    steps = [_step_setup(query, config) for query in stream]
-    orderings: list[tuple[str, ...]] = [a.ordering for a in online.assignments]
+    ids = np.array(dataset.individuals, dtype=object)
+    steps = [_step_setup(dataset, ids, query, config) for query in stream]
     ledger = online.ledger
+    # each step's ordering as dataset positions
+    orderings: list[np.ndarray] = [ledger._ordering_rows(a) for a in online.assignments]
     best = _profile(ledger, config)
     step_config = config
     if config.objective == "minmax":
@@ -368,7 +378,7 @@ def rerank_offline(
     def sweep() -> bool:
         nonlocal best
         improved = False
-        for step0, (query, (_, candidates, tail, theta_rho, rel_head)) in enumerate(
+        for step0, (query, (_, ideal, candidates, theta_rho, rel_head)) in enumerate(
             zip(stream, steps)
         ):
             if online.fallback[step0]:
@@ -377,13 +387,10 @@ def rerank_offline(
             res = _solve_step(d, rel_head, theta_rho, step_config)
             if not res.feasible:
                 continue
-            head = tuple(candidates[row] for row in np.argsort(res.assignment))
-            proposal = head + tail
-            if proposal == orderings[step0]:
+            proposal = _with_head(ideal, np.argsort(res.assignment))
+            if np.array_equal(proposal, orderings[step0]):
                 continue
-            kept = ledger.replace_attention(
-                step0, ledger.attention_values(Assignment(proposal), attention)
-            )
+            kept = ledger.replace_attention(step0, attention.scatter(proposal))
             trial_profile = _profile(ledger, config)
             if _lex_less(trial_profile, best, IMPROVEMENT_TOL):
                 orderings[step0] = proposal
@@ -397,13 +404,11 @@ def rerank_offline(
         nonlocal best, options_cache
         if options_cache is None:
             options_cache = []
-            for query, (_, candidates, tail, theta_rho, _) in zip(stream, steps):
-                options = _step_options(query, candidates, tail, theta_rho, config)
+            for query, (_, ideal, candidates, theta_rho, _) in zip(stream, steps):
+                options = _step_options(query, candidates, ideal, theta_rho, config)
                 options_cache.append(
-                    None if options is None else [
-                        (o, ledger.attention_values(Assignment(o), attention))
-                        for o in options
-                    ]
+                    None if options is None
+                    else [(o, attention.scatter(o)) for o in options]
                 )
         T = len(stream)
         for size in range(1, T + 1):
@@ -443,9 +448,9 @@ def rerank_offline(
 
     # replay final orderings for per-step statistics
     final_ledger = Ledger(dataset, stream[0].components)
-    ndcg, trace = [], []
-    for step0, (query, (ideal, candidates, *_)) in enumerate(zip(stream, steps)):
-        ordering = orderings[step0]
+    assignments, ndcg, trace = [], [], []
+    for step0, (query, (rel, ideal, candidates, *_)) in enumerate(zip(stream, steps)):
+        rows = orderings[step0]
         if online.fallback[step0]:
             trace.append(math.nan)
         else:
@@ -457,17 +462,21 @@ def rerank_offline(
                 _cost_kind(config),
                 config.polarity_mode,
             )
-            chosen = [ordering.index(c) for c in candidates]
+            # the rank of each head candidate, 0-based
+            chosen = np.argsort(rows)[ideal[: len(candidates)]]
             values = d[np.arange(len(candidates)), chosen]
             trace.append(
                 float(values.sum() if config.objective == "minsum" else values.max())
             )
-        final_ledger.update(query, Assignment(ordering), attention)
-        ndcg.append(ndcg_at_k(ordering, ideal, query.relevance, config.k_eval))
+        final_ledger._record(rows, attention, rel, query.polarity)
+        assignments.append(Assignment(ids[rows].tolist()))
+        ndcg.append(
+            ndcg_at_k(assignments[-1].ordering, candidates, query.relevance, config.k_eval)
+        )
     return RunResult(
         config,
         list(online.query_ids),
-        [Assignment(o) for o in orderings],
+        assignments,
         ndcg,
         list(online.fallback),
         trace,

@@ -22,8 +22,8 @@ from fairrank.core import (
     AttentionModel,
     Ledger,
     QueryEvent,
+    _accrued,
     dcg_at_k,
-    ideal_ranking,
 )
 from fairrank.divergence import DivergenceKind, _component_values, _query_eta, d_multi
 from fairrank.errors import EmptyScopeError, LengthMismatchError, ValidationError
@@ -61,6 +61,24 @@ class Track:
         self.var_rel += e2 * r * (1.0 - r)
         self.seq_attn.append(e * a)
         self.seq_rel.append(e * r)
+
+
+def ideal_ranking_oracle(query: QueryEvent) -> tuple[str, ...]:
+    """Relevance-descending ordering; ties broken by ascending identifier.
+
+    Sorts the identifiers, then stably by relevance (``reverse=True`` keeps
+    equal keys in their ascending-identifier order).
+    """
+    rel = query.relevance
+    return tuple(sorted(sorted(rel), key=rel.__getitem__, reverse=True))
+
+
+def moments_at_oracle(ledger: Ledger, rows, channel: str, mode: str = "agnostic"):
+    """Cumulative (mean, variance), (k, P), of the individuals at dataset
+    positions ``rows``, summed afresh from the ledger's store by ``cumsum``."""
+    x = ledger.stored(channel)[:, rows, None]
+    eta = ledger._polarity(mode)[:, None, :]
+    return _accrued(eta * x), _accrued(eta * eta * x * (1.0 - x))
 
 
 def sequence_std(
@@ -226,7 +244,7 @@ def joint_offline_oracle(dataset, stream, config) -> float:
     attention = AttentionModel(config.k_att)
     per_step = []
     for query in stream:
-        ideal = ideal_ranking(query)
+        ideal = ideal_ranking_oracle(query)
         candidates, tail = ideal[: config.k_re], ideal[config.k_re :]
         theta_rho = config.theta * dcg_at_k(ideal, query.relevance, config.k_eval)
         options = [

@@ -15,6 +15,7 @@ from fairrank.core import (
     QueryEvent,
     attention_weights,
     dcg_at_k,
+    ideal_order,
     ideal_ranking,
     ndcg_at_k,
     normalize_relevance,
@@ -26,7 +27,13 @@ from fairrank.errors import (
     NegativeScoreError,
     ValidationError,
 )
-from oracles import Track, sequence_std
+from oracles import Track, ideal_ranking_oracle, moments_at_oracle, sequence_std
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape and bytes: unlike ``==``, tells 0.0 from -0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestNormalizeRelevance:
@@ -147,6 +154,75 @@ class TestIdealRanking:
     def test_zero_and_negative_zero_tie_by_identifier(self):
         q = QueryEvent("q", 1, (1.0,), {"c": 0.0, "b": 1.0, "a": -0.0, "d": 0.0})
         assert ideal_ranking(q) == ("b", "a", "c", "d")
+
+
+# ids whose code-point order differs from ASCII or byte-wise intuition
+ID_POOL = (
+    "a", "A", "b", "B", "Z", "ab", "a b", "a\u0301", "\u00e1", "\u00e4", "\u00df",
+    "\u0130", "\u03a9", "\u03c9", "\u65e5", "\u65e5\u672c", "\U0001f600", "10", "9",
+    "\ufb01", "\uff21",
+)
+
+
+class TestIdealOrderKernel:
+    """``ideal_order`` against the two-sort reference ordering."""
+
+    @staticmethod
+    def _query(rng, ids):
+        n = len(ids)
+        # a coarse grid makes ties; zeros come signed or not, and subnormals
+        # (some equal, some next to zero) sit between them and the rest
+        raw = rng.integers(0, 4, n).astype(float)
+        raw[rng.integers(n)] += 1.0
+        values = (raw / raw.sum()).tolist()
+        for j in range(n):
+            if values[j] == 0.0:
+                values[j] = [0.0, -0.0, 5e-324, 1e-310, 2.5e-320][rng.integers(5)]
+        return QueryEvent("q", 1, (1.0,), dict(zip(ids, values)))
+
+    def test_matches_the_two_sort_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(400):
+            n = int(rng.integers(1, len(ID_POOL) + 1))
+            # dataset order is a random permutation, not sorted
+            ids = tuple(ID_POOL[i] for i in rng.permutation(len(ID_POOL))[:n])
+            dataset = Dataset.single_group(ids)
+            query = self._query(rng, ids)
+            want = ideal_ranking_oracle(query)
+            rows = ideal_order(dataset.id_order, query.relevance_vector(dataset))
+            assert tuple(dataset.individuals[i] for i in rows) == want
+            assert ideal_ranking(query) == want
+
+    def test_relevance_dict_order_does_not_matter(self):
+        rng = np.random.default_rng(29)
+        ids = ID_POOL
+        query = self._query(rng, ids)
+        shuffled = dict(reversed(list(query.relevance.items())))
+        again = QueryEvent("q", 1, (1.0,), shuffled)
+        assert ideal_ranking(again) == ideal_ranking(query) == ideal_ranking_oracle(query)
+
+    def test_single_individual(self):
+        dataset = Dataset.single_group(("\u00e9",))
+        query = QueryEvent("q", 1, (1.0,), {"\u00e9": 1.0})
+        rows = ideal_order(dataset.id_order, query.relevance_vector(dataset))
+        assert rows.tolist() == [0]
+        assert ideal_ranking(query) == ideal_ranking_oracle(query) == ("\u00e9",)
+
+    def test_zero_signs_and_subnormals(self):
+        ids = ("d", "c", "b", "a", "e")
+        dataset = Dataset.single_group(ids)
+        rel = {"d": 0.0, "c": 5e-324, "b": -0.0, "a": 5e-324, "e": 1.0 - 1e-300}
+        query = QueryEvent("q", 1, (1.0,), rel)
+        rows = ideal_order(dataset.id_order, query.relevance_vector(dataset))
+        assert tuple(ids[i] for i in rows) == ("e", "a", "c", "b", "d")
+        assert ideal_ranking(query) == ideal_ranking_oracle(query)
+
+    def test_id_order_is_sorted_and_read_only(self):
+        dataset = Dataset.single_group(("b", "\u00e4", "a", "B"))
+        assert [dataset.individuals[i] for i in dataset.id_order] == ["B", "a", "b", "\u00e4"]
+        assert dataset.id_order is dataset.id_order
+        with pytest.raises(ValueError):
+            dataset.id_order[0] = 1
 
 
 class TestValidation:
@@ -461,3 +537,75 @@ class TestColumnarStore:
                                   fresh.mean_matrix(channel, mode))
             assert np.array_equal(ledger.var_matrix(channel, mode),
                                   fresh.var_matrix(channel, mode))
+
+
+class TestAdvancedMoments:
+    """Moment matrices advanced by each update equal a ``cumsum`` rebuild from
+    the store, bit for bit, whenever and however they are read."""
+
+    @staticmethod
+    def _stream(rng, ids, P, T):
+        n = len(ids)
+        for t in range(1, T + 1):
+            raw = rng.random(n) * (rng.random(n) < 0.7)
+            raw[0] += 0.1
+            values = [-0.0 if v == 0.0 and rng.random() < 0.5 else v
+                      for v in (raw / raw.sum()).tolist()]
+            eta = rng.choice([1.0, -1.0, 0.5, 0.0, -0.0, -2.0], P)
+            yield QueryEvent(f"q{t}", t, tuple(eta.tolist()), dict(zip(ids, values)))
+
+    def _assert_matches_rebuild(self, ledger, rows):
+        for channel, mode in itertools.product(CHANNELS, ("aware", "agnostic")):
+            got = ledger.moments_at(rows, channel, mode)
+            want = moments_at_oracle(ledger, rows, channel, mode)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+            everyone = list(range(ledger.dataset.n))
+            mean, var = moments_at_oracle(ledger, everyone, channel, mode)
+            assert same_bits(ledger.mean_matrix(channel, mode), mean)
+            assert same_bits(ledger.var_matrix(channel, mode), var)
+
+    @pytest.mark.parametrize("P", [1, 3])
+    def test_reads_interleaved_with_updates(self, P):
+        rng = np.random.default_rng(31 + P)
+        ids = tuple(f"i{k}" for k in range(11))
+        ledger = Ledger(Dataset.single_group(ids), P)
+        attention = AttentionModel(4)
+        for query in self._stream(rng, ids, P, 30):
+            # memoise a random subset of the four matrices before the update,
+            # so entries are built at different steps and then advanced
+            for channel, mode in itertools.product(CHANNELS, ("aware", "agnostic")):
+                if rng.random() < 0.3:
+                    ledger.moments_at([int(rng.integers(len(ids)))], channel, mode)
+            ledger.update(query, Assignment(tuple(rng.permutation(ids))), attention)
+            if rng.random() < 0.5:
+                self._assert_matches_rebuild(ledger, rng.permutation(len(ids))[:4].tolist())
+        self._assert_matches_rebuild(ledger, list(range(len(ids))))
+
+    @pytest.mark.parametrize("P", [1, 3])
+    def test_updates_after_replace_attention(self, P):
+        rng = np.random.default_rng(41 + P)
+        ids = tuple(f"i{k}" for k in range(7))
+        ledger = Ledger(Dataset.single_group(ids), P)
+        attention = AttentionModel(3)
+        stream = list(self._stream(rng, ids, P, 12))
+        for step, query in enumerate(stream):
+            ledger.update(query, Assignment(tuple(rng.permutation(ids))), attention)
+            self._assert_matches_rebuild(ledger, [0, 3, 6])
+            if step in (3, 4, 8):
+                step0 = int(rng.integers(ledger.t))
+                proposal = Assignment(tuple(rng.permutation(ids)))
+                ledger.replace_attention(step0, ledger.attention_values(proposal, attention))
+                self._assert_matches_rebuild(ledger, [1, 2])
+
+    def test_negative_zero_store_reads_back_positive_zero(self):
+        """A column of -0.0 terms sums to 0.0, as a running total from 0.0 does."""
+        dataset = Dataset.single_group(("a", "b"))
+        ledger = Ledger(dataset, 1)
+        attention = AttentionModel(1)
+        ledger.moments_at([0, 1], "relevance", "aware")
+        for t in (1, 2):
+            query = QueryEvent(f"q{t}", t, (-1.0,), {"a": 1.0, "b": 0.0})
+            ledger.update(query, Assignment(("a", "b")), attention)
+        mean, _ = ledger.moments_at([1], "relevance", "aware")
+        assert same_bits(mean, np.zeros((1, 1)))
+        assert same_bits(mean, moments_at_oracle(ledger, [1], "relevance", "aware")[0])

@@ -1,0 +1,146 @@
+"""Golden outputs: fixed seeded runs must reproduce their pinned digests.
+
+Each run's orderings, ``repr``'d objective trace, nDCG and saved run file
+are hashed with sha256. A change that claims to leave the engines' output
+alone (a refactor, a faster kernel) must keep every digest; one that means
+to change an output updates the digest it moves and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from fairrank.io import save_run
+from fairrank.rerank import RerankConfig, rerank_offline, rerank_online
+from fairrank.synth import SynthSpec, gen_random_instance, gen_synth
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _continuous():
+    return gen_synth(SynthSpec(n=60, T=12, seed=5, variant="continuous"))
+
+
+def _binary():
+    # two relevance levels: ties broken by ascending id throughout
+    return gen_synth(SynthSpec(n=40, T=8, seed=0, variant="binary"))
+
+
+def _three_components():
+    return gen_random_instance(30, 3, 10, "continuous", seed=11, components=3)
+
+
+def _config(kind, objective, mode, k_re=20):
+    return RerankConfig(
+        kind=kind, objective=objective, theta=0.8, k_re=k_re, k_att=5, k_eval=6,
+        polarity_mode=mode,
+    )
+
+
+RUNS = {
+    **{
+        f"online-minmax-{kind}-{mode}": (
+            rerank_online, _continuous, _config(kind, "minmax", mode)
+        )
+        for kind in ("L1", "L2var", "W1")
+        for mode in ("aware", "agnostic")
+    },
+    "online-minmax-lex-binary-aware": (
+        rerank_online, _binary, _config("L1", "minmax-lex", "aware")
+    ),
+    "online-minmax-lex-P3-aware": (
+        rerank_online, _three_components, _config("L2var", "minmax-lex", "aware", 12)
+    ),
+    "offline-minmax-lex-L1-aware": (
+        rerank_offline, _continuous, _config("L1", "minmax-lex", "aware", 12)
+    ),
+}
+
+GOLDEN = {
+    "offline-minmax-lex-L1-aware": {
+        "orderings": "9a72a325398a1d61473f2df81acd1e12fb5323396443340b68f372e0ee28fa1d",
+        "objective_trace": "a9e10ee8bac1f4134bb5e056a035b92408662947bff8ea44db2866a0f197a9e4",
+        "ndcg": "d49cdc1a4c3215efe12370f097fc731f4fbf59c0040e6ef2a8d2b716eafa7510",
+        "run_file": "361cedba3d6b72eeb7b3cace0c524840bb5b89ea2489d3205bbf756e602483a4",
+    },
+    "online-minmax-L1-agnostic": {
+        "orderings": "6a1c1d47f4d006a595e423a650e912ca5d9fb21a3bcec8613b81f39dc5782796",
+        "objective_trace": "ed1fe3ea780902bfbe08d70f9236405ce1f4f97277543e00eb016cc263b3dba5",
+        "ndcg": "81a34d7cff9c8d2c1fa5d006d1b2e3029a04ae07bea4efc2ca7d139403e62bf2",
+        "run_file": "b817ebe5b19e7759bfa0102b8719632f5bc2a9c5b829e0160eb5c0015e4eccca",
+    },
+    "online-minmax-L1-aware": {
+        "orderings": "6c4f1abf5d146b2b9b233a4a6f6bfb7d583d0cb6b6ef8c0aedf02b5a3344d4e6",
+        "objective_trace": "bb130bb895edc5a216a69226a818077fd543b7f94039d33e6a590aba76c391c5",
+        "ndcg": "06cd2ad6f23b160db69c2d0f88a034534482ed32550c0ee139646f2ad56a475b",
+        "run_file": "c592228bcea332d3f02504fad0d02e37f1b0d98c31064160189d4dcbed0f179c",
+    },
+    "online-minmax-L2var-agnostic": {
+        "orderings": "3908c9cdde68e4253bb873315ae300bc4b079537936bd140790720b25e0fbcfa",
+        "objective_trace": "cbdc36ee64835fdb04fe7b03118e7a1a7459e2e1213c5687922dfaf8ddf0578d",
+        "ndcg": "8dcb18bf75fc34f94516001569f9bbbe7e76afefe070e5f0bed8638ef06e97d2",
+        "run_file": "2c76874c3158f69cfba233a0ba487c968b5e08e7ba9e5d67c6fd0e48e779b951",
+    },
+    "online-minmax-L2var-aware": {
+        "orderings": "f1c3b101e37721bb8ed347762547815e290e0e92f36fc1367d462362bd13a297",
+        "objective_trace": "db8f2bbb577586bd0295c317b016f564ab34a74b0dda869ab2b3c157aee3f48b",
+        "ndcg": "28c28ff412d8930b80ca2707af3714e515c61be2fd34d06edc830dd8e36b8878",
+        "run_file": "0af098a717aeb1e93d6d1dcc720ea3a17a497ea76b0b0ae7dab6e1ef6160a3cb",
+    },
+    "online-minmax-W1-agnostic": {
+        "orderings": "a8a876cfb1efd710feade93cc394928020fecdaa1aca0823297eb4bb134ad71a",
+        "objective_trace": "23adebaba60c97a7affff0a1a082d22eaeff967f6901cb8bbcae9126bf5264a8",
+        "ndcg": "68c463e5a2210402bcd07d936e057e5d6ec01fa2b12a6f6b2d05e71d2b6d2890",
+        "run_file": "8232f59cc431d4832672d9a82d95f5353356286ded5a18a1fec84bd71d888c43",
+    },
+    "online-minmax-W1-aware": {
+        "orderings": "a8a876cfb1efd710feade93cc394928020fecdaa1aca0823297eb4bb134ad71a",
+        "objective_trace": "f545872c870836da7079cad648d453e70841644545257c0a2664456cca439739",
+        "ndcg": "68c463e5a2210402bcd07d936e057e5d6ec01fa2b12a6f6b2d05e71d2b6d2890",
+        "run_file": "c6e6814fd9557a619b07d06463690a31456ed8973d967cbc6b99732233d6961f",
+    },
+    "online-minmax-lex-P3-aware": {
+        "orderings": "cd2948a11369b97631b3f34a5a10e82013491dbd834e41bf2019e0a2c810fa64",
+        "objective_trace": "af31d4b7d89c82444e159b2726f432e6751da51b7f19556fb729705b56219a8c",
+        "ndcg": "394ed0d728b83086dbe1a3a56ebed53ab4a8f42f8baa684ba0e3533ceacd36b7",
+        "run_file": "1d25c99300de7bd224133a9ad593b26afea0689c193f2dcba697353f8e5a1a14",
+    },
+    "online-minmax-lex-binary-aware": {
+        "orderings": "d835570f0aece1ecb3212e98033b8ca5dc29c01198f8c38a768107f1cf789e03",
+        "objective_trace": "81f3b8084247031a481be6dd7f13208e96655b6e66d75e9bf4e9d7e836f64fdc",
+        "ndcg": "e76b4b3fe81c596b8e58f41307abab6fb8c82203401a63b45917ba892036f49a",
+        "run_file": "bc81286c3ee812fd0ee87903c0ff516823db1253cbee7c0bf8d83a0e137d39e6",
+    },
+}
+
+
+def _digests(engine, make, config, tmp_path) -> dict:
+    dataset, stream = make()
+    result = engine(dataset, stream, config)
+    path = tmp_path / "run.json"
+    save_run(path, result, stream)
+    return {
+        "orderings": _sha("\n".join(" ".join(a.ordering) for a in result.assignments)),
+        "objective_trace": _sha(repr(result.objective_trace)),
+        "ndcg": _sha(repr(result.ndcg)),
+        "run_file": hashlib.sha256(path.read_bytes()).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_run_matches_golden_digests(name, tmp_path):
+    assert _digests(*RUNS[name], tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    # prints the GOLDEN table for the current code; paste it above only when
+    # an output is meant to change
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {name: _digests(*RUNS[name], Path(tmp)) for name in sorted(RUNS)}
+    print(json.dumps(table, indent=4))

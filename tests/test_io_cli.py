@@ -388,6 +388,75 @@ class TestReplayChecks:
         own = {id(i) for i in result.ledger.dataset.individuals}
         assert all(id(i) in own for a in result.assignments for i in a.ordering)
 
+    @pytest.mark.parametrize("edit", [
+        lambda ids: ids.__setitem__(slice(None), ["x"] * len(ids)),
+        lambda ids: ids.__setitem__(2, "q9999"),
+        lambda ids: ids.reverse(),
+    ], ids=["all-x", "one-renamed", "reversed"])
+    def test_query_ids_must_match_the_stream_block(self, payload, edit):
+        payload, group_of = payload
+        edit(payload["query_ids"])
+        with pytest.raises(ValidationError, match="query_ids"):
+            fio.replay_run(payload, group_of)
+
+
+class TestMistypedRunValues:
+    """A run-file value of the wrong JSON type raises ValidationError, never a
+    TypeError or ValueError from deep inside the replay."""
+
+    @pytest.fixture()
+    def saved(self, binary_files, tmp_path):
+        dataset, stream, _, groups_path = binary_files
+        run_path = tmp_path / "run.json"
+        config = RerankConfig(k_re=8, k_att=3, k_eval=3)
+        fio.save_run(run_path, rerank_online(dataset, stream, config), stream)
+        return run_path, groups_path, dataset.group_of
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["config"].__setitem__("k_att", "3"),
+        lambda p: p["config"].__setitem__("k_re", 8.0),
+        lambda p: p["config"].__setitem__("k_eval", True),
+        lambda p: p["config"].__setitem__("theta", "0.8"),
+        lambda p: p["config"].__setitem__("kind", "L3"),
+        lambda p: p["config"].__setitem__("polarity_mode", None),
+        lambda p: p.__setitem__("sweeps", "abc"),
+        lambda p: p.__setitem__("sweeps", "3"),
+        lambda p: p.__setitem__("sweeps", -1),
+        lambda p: p["objective_trace"].__setitem__(1, "zz"),
+        lambda p: p["objective_trace"].__setitem__(1, "0.5"),
+        lambda p: p["fallback"].__setitem__(0, "false"),
+        lambda p: p["ndcg"].__setitem__(0, "1.0"),
+        lambda p: p.__setitem__("ndcg", 1.0),
+        lambda p: p.__setitem__("orderings", "abc"),
+    ], ids=[
+        "k_att-string", "k_re-float", "k_eval-bool", "theta-string", "kind-unknown",
+        "mode-null", "sweeps-abc", "sweeps-string", "sweeps-negative", "trace-zz",
+        "trace-string", "fallback-string", "ndcg-string", "ndcg-not-a-list",
+        "orderings-string",
+    ])
+    def test_mistyped_value_raises_validation_error(self, saved, edit):
+        run_path, _, group_of = saved
+        payload = fio.load_run(run_path)
+        edit(payload)
+        with pytest.raises(ValidationError):
+            fio.replay_run(payload, group_of)
+
+    def test_mistyped_config_echo_exits_1_from_evaluate(self, saved, tmp_path, capsys):
+        run_path, groups_path, _ = saved
+        payload = json.loads(run_path.read_text())
+        payload["config"]["k_att"] = "3"
+        run_path.write_text(json.dumps(payload))
+        code = main(["evaluate", "--run", str(run_path), "--groups", str(groups_path),
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 1
+        assert "k_att" in capsys.readouterr().err
+
+    def test_run_file_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text("5\n")
+        with pytest.raises(ValidationError, match="object"):
+            fio.load_run(path)
+
 
 class TestRunFileLayout:
     def test_run_file_is_one_compact_line(self, binary_files, tmp_path):
