@@ -7,14 +7,16 @@ a matching is quality-feasible when its total gain reaches ``theta_rho``
 within the shared feasibility tolerance.
 
 * ``bottleneck_with_quality``— minimize the maximum edge value subject to
-  the quality constraint with a max-gain feasibility probe per threshold:
-  first at the largest row or column minimum (no threshold below it leaves
-  every row and column an edge), then, if that probe finds no
-  quality-feasible matching, by binary search on the distinct edge values
-  above it; ties at the optimal bottleneck break toward maximal gain;
+  the quality constraint with a max-gain feasibility probe (one assignment
+  solve) per threshold: first at the largest row or column minimum (no
+  threshold below it leaves every row and column an edge), then, if that
+  probe finds no quality-feasible matching, by binary search on the
+  distinct edge values above it; ties at the optimal bottleneck break
+  toward maximal gain;
 * ``lexicographic_refine``   — greedily shrink the next-largest edge values
   while preserving the bottleneck and the quality constraint, deleting one
-  row and one column of the current sub-problem per level;
+  row and one column of the current sub-problem per level, and closing a
+  tail of interchangeable zero-gain columns with one sort;
 * ``constrained_min_sum``    — minimize total cost subject to the quality
   constraint via Lagrangian bisection on the constraint multiplier; when the
   dual gap stays open, the K x K binary assignment MILP (HiGHS) proves the
@@ -75,15 +77,6 @@ def _solve_lsa(costs: np.ndarray):
     return tuple(cols.tolist())
 
 
-def _max_gain_matching(allowed: np.ndarray, gains: np.ndarray):
-    """(assignment, total gain) of the max-gain perfect matching, or None."""
-    costs = np.where(allowed, -gains, np.inf)
-    cols = _solve_lsa(costs)
-    if cols is None:
-        return None
-    return cols, float(matching_values(gains, cols).sum())
-
-
 def _bottleneck_search(
     d: np.ndarray,
     gains: np.ndarray,
@@ -96,25 +89,31 @@ def _bottleneck_search(
     Below the largest row or column minimum some row or column has no edge,
     so no threshold there is feasible: that bound is probed first, and only
     when it admits no quality-feasible matching is the threshold
-    binary-searched over the distinct values in (bound, cap].
+    binary-searched over the distinct values in (bound, cap]. Each probe is
+    one max-gain assignment solve over the edges d <= z.
     """
     bound = max(d.min(axis=1).max(), d.min(axis=0).max())
     if bound > cap:
         return None
+    neg_gains = -gains
+    rows = np.arange(d.shape[0])
 
     def probe(z):
-        res = _max_gain_matching(d <= z, gains)
-        if res is None:
+        costs = np.where(d <= z, neg_gains, np.inf)
+        try:
+            _, cols = linear_sum_assignment(costs)
+        except ValueError:
             return None
-        cols, gain = res
+        if not np.isfinite(costs[rows, cols]).all():
+            return None
+        gain = float(gains[rows, cols].sum())
         if gain < theta_rho - FEASIBILITY_TOL:
             return None
         return cols, gain
 
     best = probe(bound)
     if best is None:
-        values = np.unique(d)
-        values = values[(values > bound) & (values <= cap)]
+        values = np.unique(d[(d > bound) & (d <= cap)])
         if values.size == 0:
             return None
         hi = values.size - 1
@@ -131,8 +130,7 @@ def _bottleneck_search(
                 hi = mid
                 best = probed
     cols, gain = best
-    z = float(matching_values(d, cols).max())
-    return z, cols, gain
+    return float(d[rows, cols].max()), tuple(cols.tolist()), gain
 
 
 def bottleneck_with_quality(
@@ -160,6 +158,21 @@ def _sorted_desc(values: np.ndarray) -> tuple[float, ...]:
     return tuple(np.sort(values)[::-1])
 
 
+def _closes_by_sort(sub_d, sub_gains, theta_rho: float, fixed_gain: float) -> bool:
+    """Whether every remaining refinement level follows from one sort of the
+    rows: all gains are 0, every column equals the first in values, and the
+    quality tests the skipped levels would run all pass, written as the same
+    float expressions (a sub-search's zero-gain probe while two or more rows
+    remain, then the last level's own check). The search that produced this
+    level has already passed the first of them."""
+    return (
+        not sub_gains.any()
+        and (sub_d == sub_d[:, :1]).all()
+        and not (len(sub_d) > 1 and 0.0 < (theta_rho - fixed_gain) - FEASIBILITY_TOL)
+        and not (fixed_gain + 0.0 < theta_rho - FEASIBILITY_TOL)
+    )
+
+
 def lexicographic_refine(
     d, relevance, theta_rho: float, base: MatchResult, dcg_depth: int | None = None
 ) -> MatchResult:
@@ -176,7 +189,11 @@ def lexicographic_refine(
     level, and the chosen edge's sub-search becomes the next level. The
     sub-problem is carried from level to level: the value and gain matrices
     are built once, and each candidate's reduced pair is the current pair
-    with one row and one column taken out.
+    with one row and one column taken out. Once every remaining column
+    equals the first in values with zero gain (the zero-attention, zero-gain
+    tail), each remaining level would fix the first row, in row order, of
+    the largest remaining value in the first remaining column: those levels
+    are one stable sort of the rows by value, largest first.
     """
     if not base.feasible:
         return base
@@ -196,9 +213,18 @@ def lexicographic_refine(
     z = level[0]
     fixed_gain = 0.0
     assignment = [0] * k
+    # without[i, :m - 1]: the indices 0..m-1 other than i, for every m <= k
+    idx = np.arange(k - 1)
+    without = idx + (idx[None, :] >= np.arange(k)[:, None])
     while rows:
         m = len(rows)
         sub_d, sub_gains = sub
+        if _closes_by_sort(sub_d, sub_gains, theta_rho, fixed_gain):
+            # each remaining level fixes the first row (in row order) of the
+            # largest remaining value in the first remaining column
+            for il, col in zip(np.argsort(-sub_d[:, 0], kind="stable").tolist(), cols):
+                assignment[rows[il]] = col
+            break
         edge_rows, edge_cols = np.nonzero(sub_d == z)  # row-major
         edges = list(zip(edge_rows.tolist(), edge_cols.tolist()))
         if len(edges) > 1:
@@ -209,9 +235,6 @@ def lexicographic_refine(
             twin = np.zeros(m, dtype=bool)
             twin[1:] = (sub[:, :, 1:] == sub[:, :, :-1]).all(axis=(0, 1))
             edges = [(il, jl) for il, jl in edges if not twin[jl]]
-        # without[i]: the indices 0..m-1 other than i
-        idx = np.arange(m - 1)
-        without = idx + (idx[None, :] >= np.arange(m)[:, None])
         best = None
         best_next = math.inf
         for il, jl in edges:
@@ -221,7 +244,9 @@ def lexicographic_refine(
                     continue
                 z_next, reduced = -math.inf, None
             else:
-                reduced = sub.take(without[il], axis=1).take(without[jl], axis=2)
+                reduced = sub.take(without[il, : m - 1], axis=1).take(
+                    without[jl, : m - 1], axis=2
+                )
                 found = _bottleneck_search(reduced[0], reduced[1], theta_rho - gain2, z)
                 if found is None:
                     continue

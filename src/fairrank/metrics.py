@@ -170,16 +170,33 @@ def eur(
     ledger: Ledger, mode: str = "agnostic", dataset: Dataset | None = None
 ) -> float:
     """Max pairwise gap of group exposure/relevance ratios (UNDEFINED if a
-    group's average relevance is zero)."""
+    group's average relevance is zero).
+
+    A component's gap is 0 when it is within the rounding error of its
+    ratios, so a gap that is 0 in exact arithmetic (e.g. aware, two equal
+    groups whose polarity cancels over the stream) reads 0, not a residue.
+    A group's exposure (or relevance) sums t products eta * x per member,
+    then its m members, and divides by m; its ratio divides once more. That
+    is at most t + m + 1 roundings of relative size eps/2 on the sum of the
+    terms' magnitudes. The floor counts t + m + 2 roundings of size eps
+    (the margin covers second-order terms) for each of the two ratios a gap
+    subtracts.
+    """
     summaries = list(group_summaries(ledger, mode, dataset).values())
     exposure = np.stack([s.mean_attn for s in summaries])  # (G, P)
     relevance = np.stack([s.mean_rel for s in summaries])
     if np.any(relevance == 0.0):
         return UNDEFINED
     ratios = exposure / relevance
-    return float(
-        sum(ratios[:, p].max() - ratios[:, p].min() for p in range(ratios.shape[1]))
-    )
+    # per query the terms of one component share eta's sign, so |group
+    # average| summed over queries is the terms' magnitude over m
+    abs_attn = np.stack([np.abs(s.seq_attn).sum(axis=0) for s in summaries])
+    abs_rel = np.stack([np.abs(s.seq_rel).sum(axis=0) for s in summaries])
+    steps = ledger.t + np.array([s.size for s in summaries])[:, None] + 2
+    error = steps * np.finfo(np.float64).eps * (abs_attn + np.abs(ratios) * abs_rel)
+    floor = 2.0 * (error / np.abs(relevance)).max(axis=0)
+    gaps = ratios.max(axis=0) - ratios.min(axis=0)
+    return float(sum(g if g > f else 0.0 for g, f in zip(gaps, floor)))
 
 
 def dp(ledger: Ledger, mode: str = "agnostic", dataset: Dataset | None = None) -> float:

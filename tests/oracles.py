@@ -11,7 +11,6 @@ import numpy as np
 from fairrank.assign import (
     FEASIBILITY_TOL,
     MatchResult,
-    _max_gain_matching,
     _solve_lsa,
     _sorted_desc,
     matching_values,
@@ -213,6 +212,15 @@ def hungarian_min_cost(costs) -> MatchResult:
     return MatchResult(cols, float(matching_values(costs, cols).sum()), True)
 
 
+def max_gain_matching(allowed: np.ndarray, gains: np.ndarray):
+    """(assignment, total gain) of the max-gain perfect matching, or None."""
+    costs = np.where(allowed, -gains, np.inf)
+    cols = _solve_lsa(costs)
+    if cols is None:
+        return None
+    return cols, float(matching_values(gains, cols).sum())
+
+
 def max_dcg_matching(
     allowed, relevance, dcg_depth: int | None = None
 ) -> MatchResult:
@@ -221,7 +229,7 @@ def max_dcg_matching(
     relevance = np.asarray(relevance, dtype=np.float64)
     k = allowed.shape[0]
     gains = relevance[:, None] * position_discounts(k, dcg_depth)[None, :]
-    res = _max_gain_matching(allowed, gains)
+    res = max_gain_matching(allowed, gains)
     if res is None:
         return MatchResult.infeasible()
     cols, gain = res
@@ -304,7 +312,7 @@ def bottleneck_search_oracle(
         return None
 
     def probe(z):
-        res = _max_gain_matching(d <= z, gains)
+        res = max_gain_matching(d <= z, gains)
         if res is None:
             return None
         cols, gain = res

@@ -27,6 +27,7 @@ from oracles import (
     hungarian_min_cost,
     lexicographic_refine_oracle,
     max_dcg_matching,
+    max_gain_matching,
 )
 
 LOG3 = 1.0 / math.log2(3)
@@ -197,7 +198,7 @@ class TestBottleneckSearch:
             oracle = bottleneck_search_oracle(d, gains, theta_rho, cap)
             assert ours == oracle
             caps["below" if cap < bound else "at" if cap == bound else "above"] += 1
-            at_bound = assign_mod._max_gain_matching(d <= bound, gains)
+            at_bound = max_gain_matching(d <= bound, gains)
             if at_bound is not None and at_bound[1] < theta_rho - FEASIBILITY_TOL:
                 quality_misses += cap >= bound
                 past_bound += ours is not None
@@ -249,13 +250,32 @@ class TestLexicographicRefine:
                                          refined.assignment).sum())
             assert gain >= theta_rho - FEASIBILITY_TOL
 
-    def test_identical_to_per_candidate_oracle(self):
+    @staticmethod
+    def _count_closures(monkeypatch):
+        """Record the first column of every sub-problem closed by one sort."""
+        closed = []
+        closes = assign_mod._closes_by_sort
+
+        def counted(sub_d, *args):
+            result = closes(sub_d, *args)
+            if result:
+                closed.append(sub_d[:, 0].copy())
+            return result
+
+        monkeypatch.setattr(assign_mod, "_closes_by_sort", counted)
+        return closed
+
+    def test_identical_to_per_candidate_oracle(self, monkeypatch):
+        closed = self._count_closures(monkeypatch)
         rng = np.random.default_rng(2024)
-        fallbacks = 0
+        fallbacks = closures = tied = 0
         for _ in range(2000):
             d, rel, theta_rho, depth = tailed_instance(rng)
             base = bottleneck_with_quality(d, rel, theta_rho, depth)
+            closed.clear()
             ours = lexicographic_refine(d, rel, theta_rho, base, depth)
+            closures += len(closed)
+            tied += any(np.unique(rows).size < rows.size for rows in closed)
             oracle = lexicographic_refine_oracle(d, rel, theta_rho, base, depth)
             assert (ours.assignment, ours.feasible) == (oracle.assignment, oracle.feasible)
             assert ours.objective == oracle.objective or (
@@ -264,6 +284,9 @@ class TestLexicographicRefine:
             assert (ours is base) == (oracle is base)
             fallbacks += base.feasible and oracle is base
         assert fallbacks > 0
+        # the closing sort runs (781 of the 2,000 instances), also on rows of
+        # tied values from the coarse grids (59)
+        assert closures > 500 and tied > 30
 
     @staticmethod
     def _k50_instance():
@@ -281,6 +304,19 @@ class TestLexicographicRefine:
         theta_rho = config.theta * dcg_at_k(ideal, query.relevance, config.k_eval)
         return d, rel, theta_rho, config.k_eval
 
+    def test_k50_tied_tail_matches_the_oracle(self, monkeypatch):
+        # the tail values rounded to 3 decimals: the sub-problem closed by
+        # one sort has 32 rows of 4 distinct values, so the stable sort's
+        # row order decides the ties
+        closed = self._count_closures(monkeypatch)
+        d, rel, theta_rho, k_eval = self._k50_instance()
+        d[:, k_eval:] = np.round(d[:, k_eval:], 3)
+        base = bottleneck_with_quality(d, rel, theta_rho, k_eval)
+        refined = lexicographic_refine(d, rel, theta_rho, base, k_eval)
+        assert len(closed) == 1 and np.unique(closed[0]).size < closed[0].size
+        oracle = lexicographic_refine_oracle(d, rel, theta_rho, base, k_eval)
+        assert refined == oracle and refined is not base
+
     def test_one_search_per_distinct_subproblem(self, monkeypatch):
         d, rel, theta_rho, k_eval = self._k50_instance()
         base = bottleneck_with_quality(d, rel, theta_rho, k_eval)
@@ -295,14 +331,17 @@ class TestLexicographicRefine:
 
         monkeypatch.setattr(assign_mod, "_bottleneck_search", counted)
         refined = lexicographic_refine(d, rel, theta_rho, base, k_eval)
-        assert searches <= len(rel) + 1
+        # 19: one search per level down to the zero-gain tail, which one sort
+        # closes (50, one per level, before)
+        assert searches <= 21
         oracle = lexicographic_refine_oracle(d, rel, theta_rho, base, k_eval)
         assert refined.assignment == oracle.assignment
 
     def test_assignment_solves_on_a_k50_instance(self, monkeypatch):
         # scipy assignment solves on this instance: the binary search over
         # every distinct value made 10 (bottleneck) and 281 (refinement);
-        # probing the row/column bound first makes 1 and 94
+        # probing the row/column bound first makes 1 and 94, and closing the
+        # zero-gain tail by one sort 1 and 63
         d, rel, theta_rho, k_eval = self._k50_instance()
         solves = 0
         lsa = assign_mod.linear_sum_assignment
@@ -317,7 +356,7 @@ class TestLexicographicRefine:
         assert solves <= 2
         solves = 0
         lexicographic_refine(d, rel, theta_rho, base, k_eval)
-        assert solves <= 120
+        assert solves <= 66
 
 
 class TestConstrainedMinSum:

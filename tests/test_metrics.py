@@ -1,6 +1,7 @@
 """Unfairness metrics: worst-case, sum-based, group-level, and sentinels."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from fairrank.metrics import (
     metrics_panel,
     relative_improvement,
 )
+from fairrank.rerank import RerankConfig, evaluate_run, rerank_online
 from fairrank.synth import fairwashing_scenario, gen_random_instance
 from fairrank.verify import random_ledger
 from oracles import individual_divergences_oracle
@@ -204,6 +206,47 @@ class TestBaselineMetrics:
             [{"a": 1.0, "b": 0.0}], [("a", "b")], groups
         )
         assert math.isnan(eur(ledger, "agnostic", dataset))
+
+    @staticmethod
+    def _alternating_runs(scale=None):
+        """A fair and a pass-through run of two equal groups on a stream whose
+        polarity alternates +1, -1 over an even number of queries: aware,
+        each group's signed exposure and relevance are minus the other's, so
+        the exact aware eur is 0. ``scale`` multiplies the last query's
+        polarity (then the exact aware eur is not 0)."""
+        rng = np.random.default_rng(5)
+        ids = tuple(f"m{i:02d}" for i in range(10)) + tuple(f"f{i:02d}" for i in range(10))
+        dataset = Dataset(ids, {i: i[0] for i in ids})
+        stream = []
+        for t in range(6):
+            raw = rng.random(len(ids)) + 0.5
+            rel = dict(zip(ids, (raw / raw.sum()).tolist()))
+            polarity = 1.0 if t % 2 == 0 else -1.0
+            if scale is not None and t == 5:
+                polarity *= scale
+            stream.append(QueryEvent(f"q{t}", t + 1, (polarity,), rel))
+        config = RerankConfig(kind="W1", objective="minmax", theta=0.95, k_re=8,
+                              k_att=5, k_eval=5)
+        fair = rerank_online(dataset, stream, config)
+        baseline = rerank_online(dataset, stream, replace(config, objective="none"))
+        return fair, baseline
+
+    def test_exact_zero_eur_reads_zero_and_its_improvement_undefined(self):
+        fair, baseline = self._alternating_runs()
+        report = evaluate_run(fair, baseline=baseline)
+        assert eur(fair.ledger, "aware") == 0.0
+        assert eur(baseline.ledger, "aware") == 0.0
+        assert report.panels["aware"].eur == 0.0
+        assert math.isnan(report.improvement["aware"]["eur"])
+        assert report.fairwashing["eur"] == -1.0
+        # agnostic, the groups' ratios differ
+        assert report.panels["agnostic"].eur > 1e-3
+
+    def test_small_nonzero_eur_is_kept(self):
+        # the last polarity moved by 1e-9: the aware eur is about 1e-7, far
+        # above its summation-error bound, and stays as computed
+        fair, _ = self._alternating_runs(scale=1.0 + 1e-9)
+        assert 1e-8 < eur(fair.ledger, "aware") < 1e-6
 
     def test_dp_single_group_is_zero(self):
         ledger, dataset = winner_takes_all_ledger([{"a": 1.0}], [("a",)])
