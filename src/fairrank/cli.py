@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as fio
-from .core import QueryEvent
+from .core import Stream, as_stream
 from .errors import FairRankError
 from .metrics import group_unfairness, individual_unfairness
 from .rerank import RerankConfig, evaluate_run, rerank_offline, rerank_online
@@ -105,13 +105,18 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _bootstrap(stream, seed_parts) -> list[QueryEvent]:
+def _bootstrap(stream, seed_parts) -> Stream:
+    """Queries drawn with replacement, renumbered t = 1..T; ids repeat."""
+    stream = as_stream(stream)
     rng = np.random.default_rng(seed_parts)
     idx = rng.integers(0, len(stream), len(stream))
-    return [
-        QueryEvent(stream[i].query_id, t, stream[i].polarity, stream[i].relevance)
-        for t, i in enumerate(idx, start=1)
-    ]
+    return Stream(
+        [stream.query_ids[i] for i in idx],
+        np.arange(1, len(stream) + 1),
+        stream.polarity[idx],
+        stream.individuals,
+        stream.relevance[idx],
+    )
 
 
 def sweep_table(
@@ -133,6 +138,7 @@ def sweep_table(
     replacement (bootstrap). Rows carry the per-query nDCG and fallback
     vectors alongside the summary columns.
     """
+    stream = as_stream(stream)
     k_re = min(k_re, dataset.n)
     k_att = min(k_att, k_re)
     k_eval = min(k_eval, k_re)

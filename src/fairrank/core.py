@@ -1,5 +1,6 @@
-"""Domain model: datasets, query streams, position-bias attention, rankings,
-and the running ledger of cumulative attention and relevance.
+"""Domain model: datasets, queries and query streams (``Stream`` holds a whole
+stream in columns), position-bias attention, rankings, and the running ledger
+of cumulative attention and relevance.
 
 Conventions used throughout the package:
 
@@ -16,6 +17,7 @@ Conventions used throughout the package:
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -26,6 +28,7 @@ from .errors import (
     CoverageError,
     LengthMismatchError,
     NegativeScoreError,
+    StreamOrderError,
     ValidationError,
 )
 
@@ -75,12 +78,21 @@ def attention_weights(n: int, cutoff: int = DEFAULT_ATTENTION_CUTOFF) -> np.ndar
     return _attention_weights_cached(n, cutoff).copy()
 
 
+def _dcg(values) -> float:
+    """Position-discounted sum of ``values`` (Python floats, rank order),
+    added one at a time as ``dcg_at_k`` adds them."""
+    return float(sum(v / math.log2(j + 2) for j, v in enumerate(values)))
+
+
+def _ndcg(values, ideal_dcg: float) -> float:
+    """nDCG of a ranking whose top relevance values are ``values``, given the
+    ideal DCG; ``values`` is not read when the ideal DCG is zero."""
+    return 1.0 if ideal_dcg == 0.0 else _dcg(values) / ideal_dcg
+
+
 def dcg_at_k(ordering, relevance: dict[str, float], k: int) -> float:
     """Position-discounted relevance sum over the top ``k`` of ``ordering``."""
-    depth = min(k, len(ordering))
-    return float(
-        sum(relevance[ordering[j - 1]] / math.log2(j + 1) for j in range(1, depth + 1))
-    )
+    return _dcg(map(relevance.__getitem__, ordering[:k]))
 
 
 def ndcg_at_k(ordering, ideal_ordering, relevance: dict[str, float], k: int) -> float:
@@ -89,9 +101,7 @@ def ndcg_at_k(ordering, ideal_ordering, relevance: dict[str, float], k: int) -> 
     A query whose ideal DCG is zero is vacuously perfect and scores 1.
     """
     ideal = dcg_at_k(ideal_ordering, relevance, k)
-    if ideal == 0.0:
-        return 1.0
-    return dcg_at_k(ordering, relevance, k) / ideal
+    return _ndcg(map(relevance.__getitem__, ordering[:k]), ideal)
 
 
 @dataclass(frozen=True)
@@ -199,6 +209,217 @@ class QueryEvent:
         )
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+def _fsum(values) -> float:
+    """``math.fsum``, with a total past the float range read as infinity."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
+@dataclass(frozen=True, eq=False)
+class Stream:
+    """A query stream held in columns, in arrival order.
+
+    ``query_ids`` and ``t`` hold one entry per query, ``polarity`` is
+    (T, P), ``individuals`` lists the ranked ids in ascending order and
+    ``relevance`` is the (T, n) float64 matrix with columns in that order.
+    It is checked once, when built, by the rules a ``QueryEvent`` and the
+    engines apply: timesteps are integers, at least 1 and strictly
+    increasing; polarity is finite; relevance is non-negative and each row
+    sums to 1 within ``RELEVANCE_SUM_TOL`` (by ``math.fsum``). Query ids may
+    repeat (bootstrap resamples do). The arrays are read-only views.
+
+    ``len`` counts the queries, a slice is a Stream (so it must keep at
+    least one query), and an integer index or iteration builds the
+    ``QueryEvent`` of a row.
+    """
+
+    query_ids: tuple[str, ...]
+    t: np.ndarray
+    polarity: np.ndarray
+    individuals: tuple[str, ...]
+    relevance: np.ndarray
+
+    def __post_init__(self):
+        query_ids = tuple(self.query_ids)
+        individuals = tuple(self.individuals)
+        t = _read_only(np.asarray(self.t))
+        polarity = _read_only(np.asarray(self.polarity, dtype=np.float64))
+        relevance = _read_only(np.asarray(self.relevance, dtype=np.float64))
+        for name, value in (
+            ("query_ids", query_ids),
+            ("individuals", individuals),
+            ("t", t),
+            ("polarity", polarity),
+            ("relevance", relevance),
+        ):
+            object.__setattr__(self, name, value)
+        T = len(query_ids)
+        if not T:
+            raise ValidationError("empty query stream")
+        if not individuals:
+            raise ValidationError("stream ranks no individuals")
+        if not all(map(operator.lt, individuals, individuals[1:])):
+            raise ValidationError("stream individuals must be distinct and in ascending order")
+        if (
+            t.shape != (T,)
+            or polarity.ndim != 2
+            or len(polarity) != T
+            or relevance.shape != (T, len(individuals))
+        ):
+            raise LengthMismatchError(
+                f"stream columns disagree: {T} query ids, timesteps {t.shape}, "
+                f"polarity {polarity.shape}, relevance {relevance.shape} "
+                f"for {len(individuals)} individuals"
+            )
+        if t.dtype.kind not in "iu":
+            raise ValidationError(f"timesteps must be integers, got {t.dtype}")
+        if polarity.shape[1] < 1:
+            raise ValidationError("polarity vector must have at least one component")
+        self._check_rows()
+
+    def _check_rows(self) -> None:
+        """Per-query checks in ``QueryEvent``'s order, first failing query
+        first; then the timestep order.
+
+        On a non-negative row the numpy sum is off the exact one by less
+        than n * 2**-53 times the sum, whatever order it adds in, so
+        ``math.fsum`` runs only on rows whose numpy sum lies within twice
+        that of the tolerance edge.
+        """
+        relevance = self.relevance
+        slack = relevance.shape[1] * 2.0**-52
+        with np.errstate(over="ignore"):  # a sum past the float range is inf
+            totals = relevance.sum(axis=1)
+        rows = zip(
+            self.query_ids,
+            self.t.tolist(),
+            self.polarity.tolist(),
+            relevance.min(axis=1).tolist(),
+            totals.tolist(),
+        )
+        for i, (query_id, t, eta, lowest, total) in enumerate(rows):
+            if t < 1:
+                raise ValidationError(f"query {query_id!r}: timestep must be >= 1, got {t}")
+            if not all(map(math.isfinite, eta)):
+                raise ValidationError(f"query {query_id!r}: non-finite polarity {tuple(eta)}")
+            if lowest < 0:
+                j = int(np.argmax(relevance[i] < 0))
+                raise ValidationError(
+                    f"query {query_id!r}: negative relevance {float(relevance[i, j])!r} "
+                    f"for {self.individuals[j]!r}"
+                )
+            gap = abs(total - 1.0)
+            if gap <= RELEVANCE_SUM_TOL - slack * total:
+                continue
+            # NaN relevance makes the sum NaN, so such rows are summed exactly too
+            if not gap > RELEVANCE_SUM_TOL + slack * total:
+                total = _fsum(relevance[i].tolist())
+                if abs(total - 1.0) <= RELEVANCE_SUM_TOL:
+                    continue
+            raise ValidationError(f"query {query_id!r}: relevance sums to {total!r}, not 1")
+        t = self.t.tolist()
+        for i in range(1, len(t)):
+            if t[i] <= t[i - 1]:
+                raise StreamOrderError(
+                    f"query {self.query_ids[i]!r}: timestep {t[i]} not greater than {t[i - 1]}"
+                )
+
+    def __len__(self) -> int:
+        return len(self.query_ids)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Stream(
+                self.query_ids[key],
+                self.t[key],
+                self.polarity[key],
+                self.individuals,
+                self.relevance[key],
+            )
+        return QueryEvent(
+            self.query_ids[key],
+            int(self.t[key]),
+            tuple(self.polarity[key].tolist()),
+            dict(zip(self.individuals, self.relevance[key].tolist())),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def components(self) -> int:
+        return self.polarity.shape[1]
+
+    def columns(self, dataset: Dataset) -> np.ndarray:
+        """The relevance column of each of ``dataset``'s individuals, in
+        dataset order; raises CoverageError unless the stream ranks exactly
+        the dataset's individuals."""
+        ids, id_order = dataset.individuals, dataset.id_order
+        if tuple(map(ids.__getitem__, id_order.tolist())) != self.individuals:
+            missing = sorted(set(ids) - set(self.individuals))
+            extra = sorted(set(self.individuals) - set(ids))
+            raise CoverageError(
+                f"query {self.query_ids[0]!r} covers a different individual set "
+                f"(missing={missing[:5]}, extra={extra[:5]})"
+            )
+        columns = np.empty(len(ids), dtype=np.intp)
+        columns[id_order] = np.arange(len(ids))
+        return columns
+
+    def relevance_in(self, dataset: Dataset) -> np.ndarray:
+        """The relevance matrix with its columns in ``dataset`` order,
+        read-only (the stored matrix itself when the dataset lists its ids
+        sorted); raises CoverageError as ``columns`` does."""
+        columns = self.columns(dataset)
+        if dataset.individuals == self.individuals:
+            return self.relevance
+        return _read_only(self.relevance[:, columns])
+
+
+def as_stream(queries) -> Stream:
+    """``queries`` as a ``Stream``: a Stream passes through unchanged, and a
+    sequence of ``QueryEvent``s is gathered into columns once.
+
+    Raises ValidationError for an empty sequence, CoverageError when a query
+    ranks another individual set than the first and LengthMismatchError when
+    its polarity has another number of components.
+    """
+    if isinstance(queries, Stream):
+        return queries
+    queries = list(queries)
+    if not queries:
+        raise ValidationError("empty query stream")
+    first = queries[0]
+    keys = first.relevance.keys()
+    individuals = tuple(sorted(keys))
+    gather = operator.itemgetter(*individuals)
+    relevance = np.empty((len(queries), len(individuals)))
+    for row, query in enumerate(queries):
+        if query.relevance.keys() != keys:
+            query.validate_coverage(individuals)
+        if query.components != first.components:
+            raise LengthMismatchError(
+                f"query {query.query_id!r} has {query.components} polarity "
+                f"component(s), expected {first.components}"
+            )
+        relevance[row] = gather(query.relevance)
+    return Stream(
+        tuple(q.query_id for q in queries),
+        [q.t for q in queries],
+        [q.polarity for q in queries],
+        individuals,
+        relevance,
+    )
+
+
 def _id_order(ids) -> np.ndarray:
     order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
     order.setflags(write=False)
@@ -272,8 +493,8 @@ class Ledger:
     eta * x, and the variance sums eta^2 * x * (1 - x), the
     Poisson-binomial variance of the cumulative total.
 
-    Single-writer: only ``update`` (and the engines' unchecked ``_record``)
-    and ``replace_attention`` mutate; all accessors are read-only and safe to
+    Single-writer: only ``update`` (and the engines' unchecked ``_record``
+    and replay's bulk ``_fill``) and ``replace_attention`` mutate; all accessors are read-only and safe to
     call concurrently between writes. Values derived from one state can be
     kept in ``memo``, which each write clears, except for the full moment
     matrices: a new query advances them by its own terms, and
@@ -359,6 +580,22 @@ class Ledger:
             mean += eta * x
             var += eta * eta * x * (1.0 - x)
         self.t += 1
+
+    def _fill(self, orderings, attention: AttentionModel, relevance, polarity) -> None:
+        """Store a whole stream in one write, unchecked: row ``s`` of the
+        (T, n) ``orderings`` lists step ``s``'s dataset positions by rank,
+        ``relevance`` is (T, n) in dataset order and ``polarity`` (T, P).
+
+        The ledger must be empty. The memo stays empty, so every moment comes
+        from the ``cumsum`` build, as it would after the same queries were
+        recorded one by one.
+        """
+        T, n = orderings.shape
+        attn = np.empty((T, n))
+        attn[np.arange(T)[:, None], orderings] = attention.weights(n)
+        self._attention, self._relevance, self._eta = attn, relevance, polarity
+        self.t = T
+        self._memo = {}
 
     def replace_attention(self, step0: int, values: np.ndarray) -> np.ndarray:
         """Store ``values`` as the attention of the 0-based step ``step0``,

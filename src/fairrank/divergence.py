@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import AttentionModel, Ledger, QueryEvent
+from .core import AttentionModel, Ledger
 from .errors import ValidationError
 
 
@@ -75,9 +75,10 @@ def _component_values(
     raise ValidationError(f"unknown divergence kind {kind!r}")
 
 
-def _query_eta(query: QueryEvent, components: int, mode: str) -> np.ndarray:
+def _query_eta(polarity, components: int, mode: str) -> np.ndarray:
+    """The weights of one query's values: its polarity vector (aware) or ones."""
     if mode == "aware":
-        return np.asarray(query.polarity, dtype=np.float64)
+        return np.asarray(polarity, dtype=np.float64)
     if mode == "agnostic":
         return np.ones(components)
     raise ValidationError(f"unknown polarity mode {mode!r}")
@@ -112,32 +113,34 @@ def w1_insert_matrix(base, rel_sorted, values) -> np.ndarray:
 
 def divergence_matrix(
     ledger: Ledger,
-    candidates,
-    query: QueryEvent,
+    rows,
+    relevance,
+    polarity,
     attention: AttentionModel,
     kind: DivergenceKind,
     mode: str = "aware",
 ) -> np.ndarray:
-    """Prospective divergences for ``candidates`` x positions ``1..K``.
+    """Prospective divergences for candidates x positions ``1..K``.
 
-    Entry [i, j] is the divergence candidate ``i`` would hold after taking
-    position ``j+1`` now (the query's relevance accrued as well), summed over
-    components. L1 and L2var cost O(T*K*P) for the candidates' moments plus
-    O(K^2*P) for the matrix. W1 sorts each candidate's T-long sequences once
-    and inserts ``eta*w_j`` in closed form
+    The K candidates are the individuals at dataset positions ``rows``;
+    ``relevance`` holds their relevance in the query being ranked and
+    ``polarity`` is that query's polarity vector. Entry [i, j] is the
+    divergence candidate ``i`` would hold after taking position ``j+1`` now
+    (the query's relevance accrued as well), summed over components. L1 and
+    L2var cost O(T*K*P) for the candidates' moments plus O(K^2*P) for the
+    matrix. W1 sorts each candidate's T-long sequences once and inserts
+    ``eta*w_j`` in closed form
     (``w1_insert_matrix``: prefix sum of ``|a_k - r_k|`` below the insertion
     rank, ``|v - r_s|`` at it, suffix sum of ``|a_k - r_{k+1}|`` above it),
     O(T*K*P + K^2*P*log T) in all.
     """
-    candidates = list(candidates)
-    K = len(candidates)
+    K = len(rows)
     n = ledger.dataset.n
     if K > n:
         raise ValidationError("more candidates than individuals")
-    eta = _query_eta(query, ledger.components, mode)
+    eta = _query_eta(polarity, ledger.components, mode)
     w = attention.weights(n)[:K]
-    rows = [ledger.dataset.index[c] for c in candidates]
-    r = np.array([query.relevance[c] for c in candidates])
+    r = np.asarray(relevance, dtype=np.float64)
     if kind == DivergenceKind.W1:
         base = np.sort(ledger.values_at(rows, "attention", mode), axis=0)
         seq_r = ledger.values_at(rows, "relevance", mode)

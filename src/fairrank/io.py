@@ -12,16 +12,22 @@ floats), so ``generate -> load -> save`` is byte-identical.
 
 Group files are CSV with the header ``individual_id,group_id``.
 
+Streams load into a ``core.Stream``: every line's relevance values go into
+one (T, n) matrix, with no per-query dict.
+
 Run files are self-contained single-line JSON: the config echo, the
 stream as one columnar block, and the emitted orderings. The block holds the
 query ids, timesteps and polarity vectors as JSON arrays, the sorted
 individual ids, and the T x n relevance matrix as base64 of its
 little-endian float64 bytes (row-major, columns in individual order), so
 replay reads back every relevance value bit for bit without parsing text
-floats. Evaluation replays a run exactly and checks each query's stored
-nDCG and fallback flag against the replayed ordering. Indented run files
-load the same way; run files whose stream is a list of stream lines (the
-earlier layout) are rejected.
+floats. The orderings are one base64 string too: the T x n little-endian
+int32 positions into the block's individuals, row ``s`` ranking step ``s``
+best first. Evaluation replays a run exactly: it checks each row is a
+permutation and each query's stored nDCG and fallback flag against it, and
+fills the ledger in one write. Indented run files load the same way; run
+files whose stream is a list of stream lines, or whose orderings are lists
+of ids (earlier layouts), are rejected.
 
 Report files are JSON with deterministic key order and every number
 serialized at 12 significant digits; non-finite sentinels use the
@@ -33,20 +39,21 @@ import csv
 import hashlib
 import json
 import math
-import operator
 import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
-    Assignment,
     AttentionModel,
     Dataset,
     Ledger,
     QueryEvent,
-    ideal_ranking,
-    ndcg_at_k,
+    Stream,
+    _dcg,
+    _fsum,
+    _ndcg,
+    as_stream,
 )
 from .errors import (
     CoverageError,
@@ -55,28 +62,33 @@ from .errors import (
     StreamOrderError,
     ValidationError,
 )
-from .rerank import RerankConfig, RunResult, validate_stream
+from .rerank import RerankConfig, RunResult
 
 STREAM_SUM_TOL = 1e-6
 EXACT_SUM_TOL = 1e-9
 
 
-def stream_line(query: QueryEvent) -> str:
-    """Canonical one-line serialization of a query."""
-    record = {
-        "query_id": query.query_id,
-        "t": query.t,
-        "polarity": list(query.polarity),
-        "relevance": {k: query.relevance[k] for k in sorted(query.relevance)},
-    }
+def _line(query_id, t, polarity, relevance: dict) -> str:
+    record = {"query_id": query_id, "t": t, "polarity": polarity, "relevance": relevance}
     return json.dumps(record, ensure_ascii=False)
 
 
+def stream_line(query: QueryEvent) -> str:
+    """Canonical one-line serialization of a query."""
+    relevance = {k: query.relevance[k] for k in sorted(query.relevance)}
+    return _line(query.query_id, query.t, list(query.polarity), relevance)
+
+
 def save_stream(path, stream) -> None:
+    """Write a ``Stream`` (or a sequence of queries) one canonical line per
+    query."""
+    stream = as_stream(stream)
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for query in stream:
-            fh.write(stream_line(query) + "\n")
+        for query_id, t, polarity, row in zip(
+            stream.query_ids, stream.t.tolist(), stream.polarity.tolist(), stream.relevance.tolist()
+        ):
+            fh.write(_line(query_id, t, polarity, dict(zip(stream.individuals, row))) + "\n")
 
 
 def _number_types(values, what: str, lineno: int | None) -> set:
@@ -102,7 +114,9 @@ def _check_step(t, polarity, lineno: int | None, prefix: str = "") -> None:
     _number_types(polarity, f"{prefix}polarity", lineno)
 
 
-def _parse_query(record: dict, lineno: int, raw: bool) -> QueryEvent:
+def _parse_line(record, lineno: int):
+    """The query id, timestep, polarity and relevance object of one line,
+    with the timestep and polarity type-checked."""
     try:
         query_id = str(record["query_id"])
         t = record["t"]
@@ -113,38 +127,39 @@ def _parse_query(record: dict, lineno: int, raw: bool) -> QueryEvent:
     _check_step(t, polarity, lineno)
     if not isinstance(values, dict) or not values:
         raise ParseError("relevance must be a non-empty object", lineno)
-    # JSON object keys are strings already; only integer values need casting
-    if int in _number_types(values.values(), "relevance", lineno):
-        values = {k: float(v) for k, v in values.items()}
-    total = math.fsum(values.values())
-    if abs(total - 1.0) > STREAM_SUM_TOL:
-        if not raw:
-            raise ValidationError(
-                f"line {lineno}: relevance sums to {total!r}; "
-                "not normalized within 1e-6 (use raw mode to renormalize)"
-            )
-        warnings.warn(
-            f"stream line {lineno}: renormalizing raw relevance (sum {total!r})",
-            stacklevel=3,
-        )
-        values = {k: v / total for k, v in values.items()}
-    elif abs(total - 1.0) > EXACT_SUM_TOL:
-        # inside the file tolerance but outside the in-memory one
-        values = {k: v / total for k, v in values.items()}
-    return QueryEvent(query_id, t, tuple(polarity), values)
+    return query_id, t, polarity, values
 
 
-def load_stream(path, raw: bool = False) -> tuple[tuple[str, ...], list[QueryEvent]]:
+def _check_raw(values: dict, total: float, lineno: int) -> None:
+    """Raw scores must be non-negative with a positive, finite sum."""
+    if not min(values.values()) >= 0:
+        for ind, score in values.items():
+            if score < 0:
+                raise ParseError(f"negative relevance score {score!r} for {ind!r}", lineno)
+    if total == 0.0:
+        raise ParseError("all relevance scores are zero; nothing to renormalize", lineno)
+    if not math.isfinite(total):
+        raise ParseError(f"relevance scores sum to {total!r}; cannot renormalize", lineno)
+
+
+def load_stream(path, raw: bool = False) -> tuple[tuple[str, ...], Stream]:
     """Parse and validate a stream file.
 
-    Returns the inferred individual set (sorted) and the query list. Raises
-    ParseError (with line number, also for a repeated query id),
-    StreamOrderError, ValidationError, or CoverageError when queries rank
-    different individual sets.
+    Returns the inferred individual set (sorted) and the ``Stream``: every
+    line's values are gathered into one list, in the first line's key order,
+    and converted to the relevance matrix once, with no per-query dict or
+    ``QueryEvent``. Raises
+    ParseError (with line number, also for a repeated query id and, in raw
+    mode, for a negative score or a sum that is zero or not finite),
+    StreamOrderError, ValidationError, CoverageError when queries rank
+    different individual sets, or LengthMismatchError when their polarity
+    vectors differ in length.
     """
     path = Path(path)
-    stream: list[QueryEvent] = []
-    first: dict[str, float] | None = None
+    query_ids, ts, polarity = [], [], []
+    values_flat: list = []  # every line's values, one row after another
+    rescale: list[tuple[int, float]] = []  # (row, sum) of rows to renormalize
+    order = keys = components = None
     seen_ids: set[str] = set()
     prev_t = 0
     with path.open("r", encoding="utf-8") as fh:
@@ -155,26 +170,63 @@ def load_stream(path, raw: bool = False) -> tuple[tuple[str, ...], list[QueryEve
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
-            query = _parse_query(record, lineno, raw)
-            if query.query_id in seen_ids:
-                raise ParseError(f"duplicate query_id {query.query_id!r}", lineno)
-            seen_ids.add(query.query_id)
-            if query.t <= prev_t:
-                raise StreamOrderError(
-                    f"line {lineno}: timestep {query.t} not greater than {prev_t}"
-                )
-            prev_t = query.t
-            if first is None:
-                first = query.relevance
-            elif query.relevance.keys() != first.keys():
+            query_id, t, eta, values = _parse_line(record, lineno)
+            if t < 1:
+                raise ValidationError(f"line {lineno}: timestep must be >= 1, got {t}")
+            if query_id in seen_ids:
+                raise ParseError(f"duplicate query_id {query_id!r}", lineno)
+            seen_ids.add(query_id)
+            if t <= prev_t:
+                raise StreamOrderError(f"line {lineno}: timestep {t} not greater than {prev_t}")
+            prev_t = t
+            # rows hold the first line's key order; the columns are sorted once
+            # at the end, and a line listing its keys in that order is read as is
+            line_order = tuple(values)
+            if order is None:
+                order, keys, components = line_order, values.keys(), len(eta)
+            same_order = line_order == order
+            if not same_order and values.keys() != keys:
                 raise CoverageError(
-                    f"line {lineno}: query {query.query_id!r} ranks a different "
+                    f"line {lineno}: query {query_id!r} ranks a different "
                     "individual set than earlier queries"
                 )
-            stream.append(query)
-    if not stream:
+            if len(eta) != components:
+                raise LengthMismatchError(
+                    f"line {lineno}: query {query_id!r} has {len(eta)} polarity "
+                    f"component(s), expected {components}"
+                )
+            _number_types(values.values(), "relevance", lineno)
+            values_flat.extend(values.values() if same_order else map(values.__getitem__, order))
+            total = _fsum(values.values())
+            if raw:
+                _check_raw(values, total, lineno)
+            if abs(total - 1.0) > STREAM_SUM_TOL:
+                if not raw:
+                    raise ValidationError(
+                        f"line {lineno}: relevance sums to {total!r}; "
+                        "not normalized within 1e-6 (use raw mode to renormalize)"
+                    )
+                warnings.warn(
+                    f"stream line {lineno}: renormalizing raw relevance (sum {total!r})",
+                    stacklevel=2,
+                )
+                rescale.append((len(query_ids), total))
+            elif abs(total - 1.0) > EXACT_SUM_TOL:
+                # inside the file tolerance but outside the in-memory one
+                rescale.append((len(query_ids), total))
+            query_ids.append(query_id)
+            ts.append(t)
+            polarity.append(eta)
+    if not query_ids:
         raise ValidationError(f"stream file {path} contains no queries")
-    return tuple(sorted(first)), stream
+    individuals = tuple(sorted(order))
+    # a value past the float range has already failed its line's sum check
+    relevance = np.array(values_flat, dtype=np.float64).reshape(len(query_ids), -1)
+    for row, total in rescale:
+        relevance[row] /= total
+    if individuals != order:
+        relevance = relevance[:, sorted(range(len(order)), key=order.__getitem__)]
+    return individuals, Stream(query_ids, ts, polarity, individuals, relevance)
 
 
 def save_groups(path, dataset: Dataset) -> None:
@@ -271,39 +323,45 @@ def save_report(path, report_dict: dict) -> None:
 _BLOCK_KEYS = ("query_ids", "t", "polarity", "individuals", "relevance")
 
 
-def _encode_stream(stream) -> dict:
+def _b64(array: np.ndarray, dtype: str) -> str:
+    return base64.b64encode(np.ascontiguousarray(array, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _b64_block(encoded, what: str, itemsize: int, shape: tuple[int, int]) -> bytes:
+    """The bytes of a base64 block holding ``shape`` items of ``itemsize``
+    bytes; raises ParseError unless it is valid base64 and ValidationError
+    unless its length fits."""
+    try:
+        data = base64.b64decode(encoded, validate=True)
+    except (TypeError, ValueError):
+        raise ParseError(f"run file {what} block is not valid base64") from None
+    if len(data) != itemsize * shape[0] * shape[1]:
+        raise ValidationError(
+            f"run file {what} block has {len(data)} bytes, "
+            f"expected {itemsize} x {shape[0]} queries x {shape[1]} individuals"
+        )
+    return data
+
+
+def _encode_stream(stream: Stream) -> dict:
     """The stream as one columnar block.
 
     Relevance is the T x n matrix (rows in stream order, columns in
     ``individuals`` order) as base64 of its little-endian float64 bytes, so
     every value, ``-0.0`` and subnormals included, comes back bit for bit.
     """
-    if not stream:
-        raise ValidationError("empty query stream")
-    keys = stream[0].relevance.keys()
-    individuals = sorted(keys)
-    gather = operator.itemgetter(*individuals)
-    matrix = np.empty((len(stream), len(individuals)), dtype="<f8")
-    for row, query in enumerate(stream):
-        if query.relevance.keys() != keys:
-            query.validate_coverage(individuals)
-        matrix[row] = gather(query.relevance)
     return {
-        "query_ids": [q.query_id for q in stream],
-        "t": [q.t for q in stream],
-        "polarity": [list(q.polarity) for q in stream],
-        "individuals": individuals,
-        "relevance": base64.b64encode(matrix.tobytes()).decode("ascii"),
+        "query_ids": list(stream.query_ids),
+        "t": stream.t.tolist(),
+        "polarity": stream.polarity.tolist(),
+        "individuals": list(stream.individuals),
+        "relevance": _b64(stream.relevance, "<f8"),
     }
 
 
-def _decode_stream(block) -> tuple[list[str], list[QueryEvent], np.ndarray]:
-    """Individuals, queries and the (T, n) relevance matrix of a block
-    written by ``_encode_stream``.
-
-    Each query goes through ``QueryEvent``'s checks; order, coverage and
-    polarity arity are left to ``rerank.validate_stream``.
-    """
+def _decode_stream(block) -> Stream:
+    """The ``Stream`` of a block written by ``_encode_stream``; the Stream
+    checks values, order and coverage."""
     if isinstance(block, list):
         raise ValidationError(
             "run file was written by an earlier version (stream lines); "
@@ -326,22 +384,49 @@ def _decode_stream(block) -> tuple[list[str], list[QueryEvent], np.ndarray]:
         raise ValidationError("run file stream block needs a non-empty list of ids")
     if len(set(individuals)) != len(individuals):
         raise ValidationError("run file stream block repeats an individual")
-    try:
-        data = base64.b64decode(encoded, validate=True)
-    except (TypeError, ValueError):
-        raise ParseError("run file relevance block is not valid base64") from None
     shape = (len(query_ids), len(individuals))
-    if len(data) != 8 * shape[0] * shape[1]:
-        raise ValidationError(
-            f"run file relevance block has {len(data)} bytes, "
-            f"expected 8 x {shape[0]} queries x {shape[1]} individuals"
-        )
-    relevance = np.frombuffer(data, dtype="<f8").reshape(shape)
-    stream = []
-    for query_id, t, eta, row in zip(query_ids, ts, polarity, relevance.tolist()):
+    data = _b64_block(encoded, "relevance", 8, shape)
+    for query_id, t, eta in zip(query_ids, ts, polarity):
         _check_step(t, eta, None, f"run file query {query_id!r}: ")
-        stream.append(QueryEvent(str(query_id), t, tuple(eta), dict(zip(individuals, row))))
-    return individuals, stream, relevance
+        if len(eta) != len(polarity[0]):
+            raise LengthMismatchError(
+                f"run file query {query_id!r} has {len(eta)} polarity "
+                f"component(s), expected {len(polarity[0])}"
+            )
+    relevance = np.frombuffer(data, dtype="<f8").reshape(shape)
+    return Stream([str(q) for q in query_ids], ts, polarity, individuals, relevance)
+
+
+def _decode_orderings(encoded, stream: Stream) -> np.ndarray:
+    """The (T, n) orderings of a run file as positions into the stream's
+    individuals; raises ValidationError, naming the query, unless each row
+    is a permutation."""
+    if isinstance(encoded, list):
+        raise ValidationError(
+            "run file orderings were written by an earlier version (lists of ids); "
+            "re-run `fairrank rank`"
+        )
+    if not isinstance(encoded, str):
+        raise ValidationError("run file orderings must be a base64 string")
+    T, n = stream.relevance.shape
+    positions = np.frombuffer(_b64_block(encoded, "orderings", 4, (T, n)), dtype="<i4")
+    positions = positions.reshape(T, n)
+    outside = ((positions < 0) | (positions >= n)).any(axis=1)
+    if outside.any():
+        raise ValidationError(
+            f"run file query {stream.query_ids[np.argmax(outside)]!r}: ordering "
+            f"holds a position outside 0..{n - 1}"
+        )
+    seen = np.zeros((T, n), dtype=bool)
+    seen[np.arange(T)[:, None], positions] = True
+    # n positions in range miss one exactly when they repeat one
+    repeated = ~seen.all(axis=1)
+    if repeated.any():
+        raise ValidationError(
+            f"run file query {stream.query_ids[np.argmax(repeated)]!r}: ordering "
+            "repeats a position"
+        )
+    return positions
 
 
 _RUN_KEYS = (
@@ -354,13 +439,18 @@ def save_run(path, result: RunResult, stream) -> None:
     (relevance as exact float64 bytes, see ``_encode_stream``), and the
     emitted orderings with their nDCG, fallback flags and objective trace.
 
-    Written as one compact line (no indent, so the C encoder serializes it).
+    The orderings are one base64 block of little-endian int32: row ``s``
+    lists step ``s``'s ranking as positions into the block's
+    ``individuals``. Written as one compact line (no indent, so the C
+    encoder serializes it).
     """
+    stream = as_stream(stream)
+    positions = stream.columns(result.ledger.dataset)[result.orderings]
     payload = {
         "config": result.config.to_dict(),
         "stream": _encode_stream(stream),
         "query_ids": list(result.query_ids),
-        "orderings": [list(a.ordering) for a in result.assignments],
+        "orderings": _b64(positions, "<i4"),
         "ndcg": list(result.ndcg),
         "fallback": [bool(f) for f in result.fallback],
         "objective_trace": list(result.objective_trace),
@@ -412,28 +502,29 @@ def _replay_config(echo) -> RerankConfig:
 def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResult:
     """Rebuild a RunResult (ledger included) from a saved run file.
 
-    The stream block is decoded straight into arrays; a run file whose
-    stream is the older list of stream lines raises ValidationError. Raises
-    LengthMismatchError when a per-query list (orderings, fallback flags,
-    nDCG, objective trace, query ids, or a column of the stream block) is not
-    one entry per query, and ValidationError when the stream block is
-    malformed, the query ids differ from the stream block's, a value has
-    the wrong JSON type (see ``_replay_config`` for the config echo), an
-    ordering is not a permutation of the stream's individuals, a stored
-    nDCG differs from the one its ordering gives, or a step flagged as a
-    fallback does not carry the ideal ordering.
+    Both blocks are decoded straight into arrays, and the ledger is filled
+    in one write. A run file whose stream is the older list of stream lines,
+    or whose orderings are lists of ids, raises ValidationError. Raises
+    LengthMismatchError when a per-query list (fallback flags, nDCG,
+    objective trace, query ids, or a column of the stream block) is not one
+    entry per query, and ValidationError when a block is malformed (the
+    orderings block must hold 4 bytes per query and individual), the query
+    ids differ from the stream block's, a value has the wrong JSON type (see
+    ``_replay_config`` for the config echo), an ordering is not a
+    permutation, a stored nDCG differs from the one its ordering gives, or a
+    step flagged as a fallback does not carry the ideal ordering.
     """
     config = _replay_config(payload["config"])
-    individuals, stream, relevance = _decode_stream(payload["stream"])
-    for key in ("orderings", "fallback", "ndcg", "objective_trace", "query_ids"):
+    stream = _decode_stream(payload["stream"])
+    T = len(stream)
+    for key in ("fallback", "ndcg", "objective_trace", "query_ids"):
         if not isinstance(payload[key], list):
             raise ValidationError(f"run file {key} must be an array")
-        if len(payload[key]) != len(stream):
+        if len(payload[key]) != T:
             raise LengthMismatchError(
-                f"run file has {len(payload[key])} {key} entries "
-                f"for {len(stream)} queries"
+                f"run file has {len(payload[key])} {key} entries for {T} queries"
             )
-    if payload["query_ids"] != [query.query_id for query in stream]:
+    if payload["query_ids"] != list(stream.query_ids):
         raise ValidationError("run file query_ids differ from its stream block's")
     if not all(type(f) is bool for f in payload["fallback"]):
         raise ValidationError("run file fallback flags must be true or false")
@@ -444,50 +535,42 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
         raise ValidationError(
             f"run file sweeps must be a non-negative integer, got {payload['sweeps']!r}"
         )
-    dataset = build_dataset(tuple(sorted(individuals)), group_of)
-    validate_stream(dataset, stream)
-    attention = AttentionModel(config.k_att)
-    ledger = Ledger(dataset, stream[0].components)
-    # map each ordering onto the dataset's own id strings, not fresh copies
-    own_id = {ind: ind for ind in dataset.individuals}
-    stored_ndcg = payload["ndcg"]
+    # the dataset lists the block's (sorted) individuals in order, so the
+    # stored positions are dataset rows and the ideal order is a stable sort
+    orderings = _decode_orderings(payload["orderings"], stream)
+    dataset = build_dataset(stream.individuals, group_of)
+    relevance = stream.relevance
+    flagged = np.flatnonzero(payload["fallback"])
+    not_ideal = (
+        orderings[flagged] != np.argsort(-relevance[flagged], axis=1, kind="stable")
+    ).any(axis=1)
+    if not_ideal.any():
+        raise ValidationError(
+            f"run file query {stream.query_ids[flagged[np.argmax(not_ideal)]]!r}: "
+            "flagged as a fallback but not ranked in the ideal order"
+        )
     # the ideal DCG needs only each query's k_eval largest relevance values,
     # in descending order; which of equal values comes first cannot change it
-    n = len(individuals)
+    n = len(stream.individuals)
     k = min(config.k_eval, n)
-    top = np.argpartition(relevance, n - k, axis=1)[:, n - k :]
-    top = np.take_along_axis(
-        top, np.argsort(-np.take_along_axis(relevance, top, axis=1), axis=1), axis=1
-    )
-    ideal_heads = [[individuals[i] for i in row] for row in top.tolist()]
-    del relevance, top  # the decoded block is not kept while the ledger grows
-    assignments = []
-    for step0, (query, ordering) in enumerate(zip(stream, payload["orderings"])):
-        try:
-            assignment = Assignment(tuple(map(own_id.__getitem__, ordering)))
-        except (KeyError, TypeError):
+    ideal_heads = np.sort(np.partition(relevance, n - k, axis=1)[:, n - k :], axis=1)[:, ::-1]
+    heads = np.take_along_axis(relevance, orderings[:, :k], axis=1)
+    for query_id, stored, head, ideal in zip(
+        stream.query_ids, payload["ndcg"], heads.tolist(), ideal_heads.tolist()
+    ):
+        if stored != _ndcg(head, _dcg(ideal)):
             raise ValidationError(
-                f"run file query {query.query_id!r}: ordering ranks an unknown individual"
-            ) from None
-        ledger.update(query, assignment, attention)
-        assignments.append(assignment)
-        if payload["fallback"][step0] and assignment.ordering != ideal_ranking(query):
-            raise ValidationError(
-                f"run file query {query.query_id!r}: flagged as a fallback "
-                "but not ranked in the ideal order"
+                f"run file query {query_id!r}: stored nDCG {stored!r} "
+                "does not match its ordering"
             )
-        if stored_ndcg[step0] != ndcg_at_k(
-            assignment.ordering, ideal_heads[step0], query.relevance, config.k_eval
-        ):
-            raise ValidationError(
-                f"run file query {query.query_id!r}: stored nDCG "
-                f"{stored_ndcg[step0]!r} does not match its ordering"
-            )
+    attention = AttentionModel(config.k_att)
+    ledger = Ledger(dataset, stream.components)
+    ledger._fill(orderings, attention, relevance, stream.polarity)
     return RunResult(
         config=config,
         query_ids=list(payload["query_ids"]),
-        assignments=assignments,
-        ndcg=[float(x) for x in stored_ndcg],
+        orderings=orderings,
+        ndcg=[float(x) for x in payload["ndcg"]],
         fallback=list(payload["fallback"]),
         objective_trace=[
             math.nan if x is None else float(x) for x in payload["objective_trace"]

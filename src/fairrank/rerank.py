@@ -31,6 +31,7 @@ progress.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,9 +46,10 @@ from .core import (
     AttentionModel,
     Dataset,
     Ledger,
-    dcg_at_k,
+    _dcg,
+    _ndcg,
+    as_stream,
     ideal_order,
-    ndcg_at_k,
 )
 from .divergence import (
     DivergenceKind,
@@ -56,7 +58,7 @@ from .divergence import (
     divergence_matrix,
     w1_insert_matrix,
 )
-from .errors import LengthMismatchError, StreamOrderError, ValidationError
+from .errors import ValidationError
 from .metrics import (
     MetricsReport,
     build_report,
@@ -118,18 +120,29 @@ class RerankConfig:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
-    """One completed run: per-query rankings, quality, and the final ledger."""
+    """One completed run: per-query rankings, quality, and the final ledger.
+
+    ``orderings`` is a (T, n) integer array: row ``s`` lists the dataset
+    positions of step ``s``'s ranking, best first.
+    """
 
     config: RerankConfig
     query_ids: list[str]
-    assignments: list[Assignment]
+    orderings: np.ndarray
     ndcg: list[float]
     fallback: list[bool]
     objective_trace: list[float]
     ledger: Ledger
     sweeps: int = 0
+
+    @cached_property
+    def assignments(self) -> list[Assignment]:
+        """The orderings as ``Assignment``s of the dataset's ids, built on
+        first use."""
+        ids = self.ledger.dataset.individuals
+        return [Assignment(tuple(map(ids.__getitem__, row))) for row in self.orderings.tolist()]
 
     @property
     def fallback_count(self) -> int:
@@ -142,25 +155,9 @@ class RunResult:
 
 def validate_stream(dataset: Dataset, stream) -> int:
     """Check ordering/coverage/polarity-arity invariants; returns P."""
-    if not stream:
-        raise ValidationError("empty query stream")
-    components = stream[0].components
-    ids = dataset.index.keys()
-    prev_t = 0
-    for query in stream:
-        if query.t <= prev_t:
-            raise StreamOrderError(
-                f"query {query.query_id!r}: timestep {query.t} not greater than {prev_t}"
-            )
-        prev_t = query.t
-        if query.relevance.keys() != ids:
-            query.validate_coverage(dataset.individuals)
-        if query.components != components:
-            raise LengthMismatchError(
-                f"query {query.query_id!r} has {query.components} polarity "
-                f"component(s), expected {components}"
-            )
-    return components
+    stream = as_stream(stream)
+    stream.relevance_in(dataset)
+    return stream.components
 
 
 def _solve_step(d, relevance_head, theta_rho, config):
@@ -177,17 +174,14 @@ def _cost_kind(config: RerankConfig) -> DivergenceKind:
     return DivergenceKind.L1 if config.objective == "minsum" else config.kind
 
 
-def _step_setup(dataset: Dataset, ids: np.ndarray, query, config: RerankConfig):
-    """One step's assignment-independent constants: the relevance vector in
-    dataset order, the ideal ordering as dataset positions, the ids of its
-    head candidates (``ids`` holds the dataset's ids as an object array), the
-    quality floor theta*rho and the head's relevance."""
-    rel = query.relevance_vector(dataset)
+def _step_setup(dataset: Dataset, rel: np.ndarray, config: RerankConfig):
+    """One step's assignment-independent constants from its relevance row
+    ``rel`` (dataset order): the ideal ordering as dataset positions, its
+    DCG at the evaluation depth and the relevance of its ``k_re`` head
+    candidates."""
     ideal = ideal_order(dataset.id_order, rel)
-    head = ideal[: config.k_re]
-    candidates = tuple(ids[head].tolist())
-    theta_rho = config.theta * dcg_at_k(candidates, query.relevance, config.k_eval)
-    return rel, ideal, candidates, theta_rho, rel[head]
+    rel_head = rel[ideal[: config.k_re]]
+    return ideal, _dcg(rel_head[: config.k_eval].tolist()), rel_head
 
 
 def _with_head(ideal: np.ndarray, order) -> np.ndarray:
@@ -199,43 +193,42 @@ def _with_head(ideal: np.ndarray, order) -> np.ndarray:
 
 
 def rerank_online(dataset: Dataset, stream, config: RerankConfig) -> RunResult:
-    validate_stream(dataset, stream)
-    components = stream[0].components
+    stream = as_stream(stream)
+    relevance = stream.relevance_in(dataset)
     if config.k_re > dataset.n:
         raise ValidationError(
             f"prefilter depth k_re={config.k_re} exceeds dataset size {dataset.n}"
         )
     attention = AttentionModel(config.k_att)
-    ledger = Ledger(dataset, components)
+    ledger = Ledger(dataset, stream.components)
     cost_kind = _cost_kind(config)
-    ids = np.array(dataset.individuals, dtype=object)
 
-    query_ids, assignments, ndcg, fallback, trace = [], [], [], [], []
-    for query in stream:
-        rel, rows, candidates, theta_rho, rel_head = _step_setup(dataset, ids, query, config)
+    orderings = np.empty(relevance.shape, dtype=np.intp)
+    ndcg, fallback, trace = [], [], []
+    for step, (rel, polarity) in enumerate(zip(relevance, stream.polarity)):
+        rows, ideal_dcg, rel_head = _step_setup(dataset, rel, config)
         fell_back = False
         objective_value = math.nan
         if config.objective != "none":
             d = divergence_matrix(
-                ledger, candidates, query, attention, cost_kind, config.polarity_mode
+                ledger, rows[: config.k_re], rel_head, polarity, attention, cost_kind,
+                config.polarity_mode,
             )
-            res = _solve_step(d, rel_head, theta_rho, config)
+            res = _solve_step(d, rel_head, config.theta * ideal_dcg, config)
             if res.feasible:
                 rows = _with_head(rows, np.argsort(res.assignment))
                 objective_value = res.objective
             else:
                 fell_back = True
-        # validate_stream checked coverage and arity, and rows is a permutation
-        ledger._record(rows, attention, rel, query.polarity)
-        assignment = Assignment(ids[rows].tolist())
-        query_ids.append(query.query_id)
-        assignments.append(assignment)
-        ndcg.append(
-            ndcg_at_k(assignment.ordering, candidates, query.relevance, config.k_eval)
-        )
+        # the Stream is checked and rows is a permutation
+        ledger._record(rows, attention, rel, polarity)
+        orderings[step] = rows
+        ndcg.append(_ndcg(rel[rows[: config.k_eval]].tolist(), ideal_dcg))
         fallback.append(fell_back)
         trace.append(objective_value)
-    return RunResult(config, query_ids, assignments, ndcg, fallback, trace, ledger)
+    return RunResult(
+        config, list(stream.query_ids), orderings, ndcg, fallback, trace, ledger
+    )
 
 
 # -- offline coordinate descent ----------------------------------------------
@@ -247,17 +240,17 @@ BLOCK_BUDGET = 20_000
 PER_STEP_CAP = 720
 
 
-def _final_moment_matrix(ledger, step0, step_query, candidates, config, attention):
+def _final_moment_matrix(ledger, step0, polarity, rows, config, attention):
     """Final-horizon L1/L2var divergence per candidate x head position.
 
-    Entry [i, j]: the end-of-stream divergence candidate ``i`` would hold if
-    its attention at step ``step0`` came from position ``j+1`` instead of
-    the one stored in the ledger, everything else unchanged.
+    Entry [i, j]: the end-of-stream divergence the candidate at dataset
+    position ``rows[i]`` would hold if its attention at step ``step0``
+    (whose polarity vector is ``polarity``) came from position ``j+1``
+    instead of the one stored in the ledger, everything else unchanged.
     """
     mode = config.polarity_mode
-    K = len(candidates)
-    e = _query_eta(step_query, ledger.components, mode)[None, None, :]
-    rows = [ledger.dataset.index[c] for c in candidates]
+    K = len(rows)
+    e = _query_eta(polarity, ledger.components, mode)[None, None, :]
     w_cur = ledger.stored("attention")[step0, rows][:, None, None]
     w_new = attention.weights(ledger.dataset.n)[:K][None, :, None]
     mean_a, var_a = ledger.moments_at(rows, "attention", mode)
@@ -276,17 +269,17 @@ def _final_moment_matrix(ledger, step0, step_query, candidates, config, attentio
     return values.sum(axis=2)
 
 
-def _final_w1_matrix(ledger, step0, step_query, candidates, config, attention):
+def _final_w1_matrix(ledger, step0, polarity, rows, config, attention):
     """Final-horizon W1 divergence: this step's sequence entry is replaced.
 
-    Entry [i, j]: the end-of-stream W1 candidate ``i`` would hold if its
-    attention at step ``step0`` came from position ``j+1``; the step's entry
-    is deleted and the new value inserted in closed form.
+    Entry [i, j]: the end-of-stream W1 the candidate at dataset position
+    ``rows[i]`` would hold if its attention at step ``step0`` came from
+    position ``j+1``; the step's entry is deleted and the new value inserted
+    in closed form.
     """
     mode = config.polarity_mode
-    K = len(candidates)
-    eta = _query_eta(step_query, ledger.components, mode)
-    rows = [ledger.dataset.index[c] for c in candidates]
+    K = len(rows)
+    eta = _query_eta(polarity, ledger.components, mode)
     seq_a = ledger.values_at(rows, "attention", mode)  # (T, K, P)
     base = np.sort(np.delete(seq_a, step0, axis=0), axis=0)
     rel_sorted = np.sort(ledger.values_at(rows, "relevance", mode), axis=0)
@@ -317,17 +310,18 @@ def _lex_less(a, b, tol: float) -> bool:
     return False
 
 
-def _step_options(query, candidates, ideal, theta_rho, config: RerankConfig):
+def _step_options(rel_head, ideal, theta_rho, config: RerankConfig):
     """All quality-feasible orderings of one step as dataset positions, or
     None if too many."""
-    K = len(candidates)
+    K = len(rel_head)
     if math.factorial(K) > PER_STEP_CAP:
         return None
     options = []
+    values = rel_head.tolist()
     for order in itertools.permutations(range(K)):
         # k_eval <= k_re, so the head alone decides the DCG
-        head = [candidates[i] for i in order]
-        if dcg_at_k(head, query.relevance, config.k_eval) >= theta_rho - FEASIBILITY_TOL:
+        head = [values[i] for i in order[: config.k_eval]]
+        if _dcg(head) >= theta_rho - FEASIBILITY_TOL:
             options.append(_with_head(ideal, list(order)))
     return options
 
@@ -356,15 +350,15 @@ def rerank_offline(
     final orderings are then replayed once for the per-step nDCG and
     objective trace.
     """
+    stream = as_stream(stream)
     online = rerank_online(dataset, stream, config)
     if max_sweeps <= 0 or len(stream) <= 1 or config.objective == "none":
         return online
     attention = AttentionModel(config.k_att)
-    ids = np.array(dataset.individuals, dtype=object)
-    steps = [_step_setup(dataset, ids, query, config) for query in stream]
+    relevance = stream.relevance_in(dataset)
+    steps = [_step_setup(dataset, rel, config) for rel in relevance]
     ledger = online.ledger
-    # each step's ordering as dataset positions
-    orderings: list[np.ndarray] = [ledger._ordering_rows(a) for a in online.assignments]
+    orderings = online.orderings.copy()
     best = _profile(ledger, config)
     step_config = config
     if config.objective == "minmax":
@@ -378,13 +372,14 @@ def rerank_offline(
     def sweep() -> bool:
         nonlocal best
         improved = False
-        for step0, (query, (_, ideal, candidates, theta_rho, rel_head)) in enumerate(
-            zip(stream, steps)
+        for step0, (polarity, (ideal, ideal_dcg, rel_head)) in enumerate(
+            zip(stream.polarity, steps)
         ):
             if online.fallback[step0]:
                 continue
-            d = final_matrix(ledger, step0, query, candidates, config, attention)
-            res = _solve_step(d, rel_head, theta_rho, step_config)
+            head = ideal[: len(rel_head)]
+            d = final_matrix(ledger, step0, polarity, head, config, attention)
+            res = _solve_step(d, rel_head, config.theta * ideal_dcg, step_config)
             if not res.feasible:
                 continue
             proposal = _with_head(ideal, np.argsort(res.assignment))
@@ -404,8 +399,8 @@ def rerank_offline(
         nonlocal best, options_cache
         if options_cache is None:
             options_cache = []
-            for query, (_, ideal, candidates, theta_rho, _) in zip(stream, steps):
-                options = _step_options(query, candidates, ideal, theta_rho, config)
+            for ideal, ideal_dcg, rel_head in steps:
+                options = _step_options(rel_head, ideal, config.theta * ideal_dcg, config)
                 options_cache.append(
                     None if options is None
                     else [(o, attention.scatter(o)) for o in options]
@@ -447,36 +442,36 @@ def rerank_offline(
         break
 
     # replay final orderings for per-step statistics
-    final_ledger = Ledger(dataset, stream[0].components)
-    assignments, ndcg, trace = [], [], []
-    for step0, (query, (rel, ideal, candidates, *_)) in enumerate(zip(stream, steps)):
-        rows = orderings[step0]
+    final_ledger = Ledger(dataset, stream.components)
+    ndcg, trace = [], []
+    for step0, (rel, polarity, rows, (ideal, ideal_dcg, rel_head)) in enumerate(
+        zip(relevance, stream.polarity, orderings, steps)
+    ):
+        K = len(rel_head)
         if online.fallback[step0]:
             trace.append(math.nan)
         else:
             d = divergence_matrix(
                 final_ledger,
-                candidates,
-                query,
+                ideal[:K],
+                rel_head,
+                polarity,
                 attention,
                 _cost_kind(config),
                 config.polarity_mode,
             )
             # the rank of each head candidate, 0-based
-            chosen = np.argsort(rows)[ideal[: len(candidates)]]
-            values = d[np.arange(len(candidates)), chosen]
+            chosen = np.argsort(rows)[ideal[:K]]
+            values = d[np.arange(K), chosen]
             trace.append(
                 float(values.sum() if config.objective == "minsum" else values.max())
             )
-        final_ledger._record(rows, attention, rel, query.polarity)
-        assignments.append(Assignment(ids[rows].tolist()))
-        ndcg.append(
-            ndcg_at_k(assignments[-1].ordering, candidates, query.relevance, config.k_eval)
-        )
+        final_ledger._record(rows, attention, rel, polarity)
+        ndcg.append(_ndcg(rel[rows[: config.k_eval]].tolist(), ideal_dcg))
     return RunResult(
         config,
         list(online.query_ids),
-        assignments,
+        orderings,
         ndcg,
         list(online.fallback),
         trace,

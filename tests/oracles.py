@@ -62,6 +62,13 @@ class Track:
         self.seq_rel.append(e * r)
 
 
+def query_columns(ledger: Ledger, candidates, query: QueryEvent):
+    """``divergence_matrix``'s rows, relevance and polarity arguments for
+    candidate ids of one query."""
+    rows = [ledger.dataset.index[c] for c in candidates]
+    return rows, [query.relevance[c] for c in candidates], query.polarity
+
+
 def ideal_ranking_oracle(query: QueryEvent) -> tuple[str, ...]:
     """Relevance-descending ordering; ties broken by ascending identifier.
 
@@ -181,7 +188,7 @@ def prospective_divergence(
             f"query has {query.components} polarity component(s), "
             f"ledger tracks {ledger.components}"
         )
-    eta = _query_eta(query, ledger.components, mode)
+    eta = _query_eta(query.polarity, ledger.components, mode)
     w = attention.weights(n)[position - 1]
     r = query.relevance[individual]
 
@@ -280,7 +287,7 @@ def final_w1_matrix_oracle(ledger, step0, step_query, candidates, mode, attentio
     """
     K = len(candidates)
     w_new = attention.weights(ledger.dataset.n)[:K]
-    eta = _query_eta(step_query, ledger.components, mode)
+    eta = _query_eta(step_query.polarity, ledger.components, mode)
     rows = [ledger.dataset.index[c] for c in candidates]
     seq_a = ledger.sequences("attention", mode)[:, rows, :]
     seq_r = ledger.sequences("relevance", mode)[:, rows, :]

@@ -30,7 +30,7 @@ from fairrank.verify import (
     run_w1,
 )
 
-from oracles import final_objective, joint_offline_oracle
+from oracles import final_objective, joint_offline_oracle, query_columns
 
 
 def _verdict(num: int, name: str, ok: bool, extra: str = "") -> None:
@@ -187,7 +187,7 @@ def test_c09_theta_monotonicity_per_step():
         attention = AttentionModel(int(rng.integers(1, K + 1)))
         ideal = ideal_ranking(query)
         candidates = ideal[:K]
-        d = divergence_matrix(ledger, candidates, query, attention,
+        d = divergence_matrix(ledger, *query_columns(ledger, candidates, query), attention,
                               DivergenceKind.L1, "aware")
         rel_head = np.array([query.relevance[c] for c in candidates])
         rho = dcg_at_k(ideal, query.relevance, K)

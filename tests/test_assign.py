@@ -28,6 +28,7 @@ from oracles import (
     lexicographic_refine_oracle,
     max_dcg_matching,
     max_gain_matching,
+    query_columns,
 )
 
 LOG3 = 1.0 / math.log2(3)
@@ -298,7 +299,7 @@ class TestLexicographicRefine:
         query = stream[4]
         ideal = ideal_ranking(query)
         candidates = ideal[: config.k_re]
-        d = divergence_matrix(run.ledger, candidates, query,
+        d = divergence_matrix(run.ledger, *query_columns(run.ledger, candidates, query),
                               AttentionModel(config.k_att), DivergenceKind.L1)
         rel = np.array([query.relevance[c] for c in candidates])
         theta_rho = config.theta * dcg_at_k(ideal, query.relevance, config.k_eval)
@@ -437,7 +438,7 @@ class TestMinSumMilp:
         query = stream[6]
         ideal = ideal_ranking(query)
         candidates = ideal[: config.k_re]
-        d = divergence_matrix(run.ledger, candidates, query,
+        d = divergence_matrix(run.ledger, *query_columns(run.ledger, candidates, query),
                               AttentionModel(config.k_att), DivergenceKind.L1, "agnostic")
         rel = np.array([query.relevance[c] for c in candidates])
         theta_rho = config.theta * dcg_at_k(ideal, query.relevance, config.k_eval)

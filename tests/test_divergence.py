@@ -23,6 +23,7 @@ from oracles import (
     final_w1_matrix_oracle,
     ledger_divergence,
     prospective_divergence,
+    query_columns,
 )
 
 KINDS = (DivergenceKind.L1, DivergenceKind.L2VAR, DivergenceKind.W1)
@@ -261,7 +262,7 @@ class TestProspective:
         rel = rng.dirichlet(np.ones(3))
         q = QueryEvent("next", 4, (0.7, -1.0), dict(zip(ids, rel.tolist())))
         for mode in ("aware", "agnostic"):
-            d = divergence_matrix(ledger, ids, q, attention, kind, mode)
+            d = divergence_matrix(ledger, *query_columns(ledger, ids, q), attention, kind, mode)
             for i, ind in enumerate(ids):
                 for j in range(3):
                     expected = prospective_divergence(
@@ -310,7 +311,8 @@ class TestW1InsertKernel:
             candidates = ("c", "a", "f", "d")  # K=4 < n=6
             for mode in ("aware", "agnostic"):
                 d = divergence_matrix(
-                    ledger, candidates, q, attention, DivergenceKind.W1, mode
+                    ledger, *query_columns(ledger, candidates, q), attention,
+                    DivergenceKind.W1, mode,
                 )
                 for i, ind in enumerate(candidates):
                     for j in range(len(candidates)):
@@ -331,8 +333,9 @@ class TestW1InsertKernel:
                     kind="W1", k_re=4, k_att=2, k_eval=4, polarity_mode=mode
                 )
                 for step0 in range(T):
+                    rows = [ledger.dataset.index[c] for c in candidates]
                     d = _final_w1_matrix(
-                        ledger, step0, stream[step0], candidates, config, attention
+                        ledger, step0, stream[step0].polarity, rows, config, attention
                     )
                     expected = final_w1_matrix_oracle(
                         ledger, step0, stream[step0], candidates, mode, attention

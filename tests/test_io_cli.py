@@ -21,12 +21,30 @@ from fairrank.rerank import RerankConfig, rerank_online
 from fairrank.synth import SynthSpec, gen_synth_binary, gen_synth_cont
 
 
-def block_relevance(payload) -> list[dict]:
-    """Per-query relevance of a run file's stream block, decoded independently."""
+def block_matrix(payload) -> np.ndarray:
+    """The (T, n) relevance of a run file's stream block, decoded independently."""
     block = payload["stream"]
     rows = np.frombuffer(base64.b64decode(block["relevance"]), dtype="<f8")
-    rows = rows.reshape(len(block["t"]), len(block["individuals"]))
-    return [dict(zip(block["individuals"], row.tolist())) for row in rows]
+    return rows.reshape(len(block["t"]), len(block["individuals"]))
+
+
+def block_relevance(payload) -> list[dict]:
+    """Per-query relevance of a run file's stream block, decoded independently."""
+    individuals = payload["stream"]["individuals"]
+    return [dict(zip(individuals, row)) for row in block_matrix(payload).tolist()]
+
+
+def block_orderings(payload) -> np.ndarray:
+    """A run file's orderings block as a writable (T, n) array of positions
+    into the stream block's individuals."""
+    positions = np.frombuffer(base64.b64decode(payload["orderings"]), dtype="<i4")
+    return positions.reshape(len(payload["query_ids"]), -1).copy()
+
+
+def set_orderings(payload, positions) -> None:
+    """Write ``positions`` as the run file's orderings block."""
+    data = np.asarray(positions, dtype="<i4").tobytes()
+    payload["orderings"] = base64.b64encode(data).decode("ascii")
 
 
 @pytest.fixture()
@@ -109,6 +127,25 @@ class TestStreamFiles:
         assert stream[0].relevance == {"a": 1.0, "b": 0.0}
         assert all(type(v) is float for v in stream[0].relevance.values())
 
+    def test_key_order_within_a_line_does_not_matter(self, tmp_path):
+        lines = [
+            '{"query_id": "q1", "t": 1, "polarity": [1.0], "relevance": {"c": 0.5, "a": 0.25, "b": 0.25}}',
+            '{"query_id": "q2", "t": 2, "polarity": [1.0], "relevance": {"b": 0.5, "c": 0.125, "a": 0.375}}',
+            '{"query_id": "q3", "t": 3, "polarity": [1.0], "relevance": {"c": 0.75, "a": 0.0, "b": 0.25}}',
+        ]
+        path = tmp_path / "order.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        individuals, stream = fio.load_stream(path)
+        assert individuals == ("a", "b", "c")
+        assert [q.relevance for q in stream] == [json.loads(line)["relevance"] for line in lines]
+        again = tmp_path / "again.jsonl"
+        fio.save_stream(again, stream)
+        assert [json.loads(line) for line in again.read_text().splitlines()] == [
+            json.loads(line) for line in lines
+        ]
+        assert all(list(json.loads(line)["relevance"]) == ["a", "b", "c"]
+                   for line in again.read_text().splitlines())
+
     def test_coverage_must_match_across_queries(self, tmp_path):
         lines = [
             '{"query_id": "q1", "t": 1, "polarity": [1.0], "relevance": {"a": 0.5, "b": 0.5}}',
@@ -141,6 +178,29 @@ class TestStreamFiles:
         )
         _, stream = fio.load_stream(path)
         assert abs(math.fsum(stream[0].relevance.values()) - 1.0) <= 1e-12
+
+
+    @pytest.mark.parametrize(
+        "relevance, match",
+        [
+            ('{"a": 0.0, "b": 0.0}', "all relevance scores are zero"),
+            # the raw score, not the -0.5 it would normalize to
+            ('{"a": -1.0, "b": 3.0}', r"negative relevance score -1\.0 for 'a'"),
+            ('{"a": 1e308, "b": 1e308}', "sum to inf"),
+        ],
+        ids=["all-zero", "negative", "overflowing-sum"],
+    )
+    def test_raw_mode_rejects_unusable_scores_by_line(self, tmp_path, relevance, match):
+        path = tmp_path / "raw.jsonl"
+        path.write_text(
+            '{"query_id": "q1", "t": 1, "polarity": [1.0], "relevance": {"a": 0.75, "b": 0.25}}\n'
+            f'{{"query_id": "q2", "t": 2, "polarity": [1.0], "relevance": {relevance}}}\n'
+        )
+        with pytest.raises(ParseError, match=match) as err:
+            fio.load_stream(path, raw=True)
+        assert err.value.line == 2
+        code = main(["rank", "--stream", str(path), "--raw", "--out", str(tmp_path / "run.json")])
+        assert code == 1
 
 
 class TestGroupsFiles:
@@ -237,16 +297,28 @@ class TestRunFiles:
         assert replayed.fallback == run.fallback
 
     @pytest.mark.parametrize(
-        "key", ["orderings", "fallback", "ndcg", "objective_trace", "query_ids"]
+        "key, error",
+        [
+            # a block one row short has the wrong byte length
+            ("orderings", ValidationError),
+            ("fallback", LengthMismatchError),
+            ("ndcg", LengthMismatchError),
+            ("objective_trace", LengthMismatchError),
+            ("query_ids", LengthMismatchError),
+        ],
+        ids=["orderings", "fallback", "ndcg", "objective_trace", "query_ids"],
     )
-    def test_per_query_list_of_wrong_length_rejected(self, binary_files, tmp_path, key):
+    def test_per_query_list_of_wrong_length_rejected(self, binary_files, tmp_path, key, error):
         dataset, stream, _, _ = binary_files
         config = RerankConfig(k_re=8, k_att=3, k_eval=3, theta=0.9)
         run_path = tmp_path / "run.json"
         fio.save_run(run_path, rerank_online(dataset, stream, config), stream)
         payload = fio.load_run(run_path)
-        del payload[key][2]
-        with pytest.raises(LengthMismatchError):
+        if key == "orderings":
+            set_orderings(payload, np.delete(block_orderings(payload), 2, axis=0))
+        else:
+            del payload[key][2]
+        with pytest.raises(error):
             fio.replay_run(payload, dataset.group_of)
 
     def test_missing_fields_rejected(self, tmp_path):
@@ -331,10 +403,12 @@ class TestReplayChecks:
     def test_swapped_head_entries_rejected(self, payload):
         payload, group_of = payload
         step = 1
-        relevance = block_relevance(payload)[step]
-        ordering = payload["orderings"][step]
-        j = next(j for j in range(1, 3) if relevance[ordering[j]] != relevance[ordering[0]])
-        ordering[0], ordering[j] = ordering[j], ordering[0]
+        relevance = block_matrix(payload)[step]
+        positions = block_orderings(payload)
+        row = positions[step]
+        j = next(j for j in range(1, 3) if relevance[row[j]] != relevance[row[0]])
+        row[[0, j]] = row[[j, 0]]
+        set_orderings(payload, positions)
         payload["fallback"][step] = False
         with pytest.raises(ValidationError, match="q0002.*nDCG"):
             fio.replay_run(payload, group_of)
@@ -347,18 +421,22 @@ class TestReplayChecks:
 
     def test_non_ideal_step_flagged_as_fallback_rejected(self, payload):
         payload, group_of = payload
+        # positions index the sorted ids, so ties break by ascending position
         ideal = [
-            sorted(rel, key=lambda i: (-rel[i], i))
-            for rel in block_relevance(payload)
+            sorted(range(len(rel)), key=lambda i: (-rel[i], i))
+            for rel in block_matrix(payload).tolist()
         ]
-        step = next(t for t, o in enumerate(payload["orderings"]) if o != ideal[t])
+        positions = block_orderings(payload).tolist()
+        step = next(t for t, row in enumerate(positions) if row != ideal[t])
         payload["fallback"][step] = True
         with pytest.raises(ValidationError, match="fallback"):
             fio.replay_run(payload, group_of)
 
     def test_unknown_id_in_an_ordering_rejected(self, payload):
         payload, group_of = payload
-        payload["orderings"][2][4] = "nobody"
+        positions = block_orderings(payload)
+        positions[2][4] = positions.shape[1]  # one past the last individual
+        set_orderings(payload, positions)
         with pytest.raises(ValidationError, match="q0003"):
             fio.replay_run(payload, group_of)
 
@@ -615,6 +693,91 @@ class TestRunFileBlock:
             fio.replay_run(payload, dataset.group_of)
 
 
+class TestOrderingBlock:
+    """The run file's orderings: one base64 block of little-endian int32
+    positions into the stream block's individuals."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        # the dataset lists its ids unsorted (m* before f*), the block sorted
+        dataset, stream = gen_synth_cont(SynthSpec(variant="continuous", n=8, T=4, seed=2))
+        run = rerank_online(dataset, stream, RerankConfig(k_re=8, k_att=3, k_eval=3))
+        path = tmp_path / "run.json"
+        fio.save_run(path, run, stream)
+        return dataset, stream, run, path
+
+    def test_positions_name_the_emitted_orderings(self, saved):
+        dataset, _, run, path = saved
+        payload = fio.load_run(path)
+        individuals = payload["stream"]["individuals"]
+        assert list(dataset.individuals) != individuals == sorted(individuals)
+        decoded = [tuple(individuals[p] for p in row) for row in block_orderings(payload).tolist()]
+        assert decoded == [a.ordering for a in run.assignments]
+
+    def test_save_load_save_is_byte_identical(self, saved, tmp_path):
+        dataset, stream, _, path = saved
+        replayed = fio.replay_run(fio.load_run(path), dataset.group_of)
+        again = tmp_path / "again.json"
+        fio.save_run(again, replayed, stream)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda p: p.__setitem__(1, p[1][[1, 1, 2, 3, 4, 5, 6, 7]]), "q0002.*repeats"),
+            (lambda p: p[2].__setitem__(0, -1), "q0003.*outside"),
+            (lambda p: p[3].__setitem__(5, 8), "q0004.*outside"),
+            (lambda p: p[0].__setitem__(7, 2**31 - 1), "q0001.*outside"),
+        ],
+        ids=["repeated", "negative", "one-past-the-end", "int32-max"],
+    )
+    def test_position_defects_rejected_by_query(self, saved, edit, match):
+        dataset, _, _, path = saved
+        payload = fio.load_run(path)
+        positions = block_orderings(payload)
+        edit(positions)
+        set_orderings(payload, positions)
+        with pytest.raises(ValidationError, match=match):
+            fio.replay_run(payload, dataset.group_of)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda b: b[:-4],
+            lambda b: b + b"\0\0\0\0",
+            lambda b: b[:-32],
+            lambda b: b[:-1],
+        ],
+        ids=["one-position-short", "one-position-long", "one-row-short", "ragged"],
+    )
+    def test_block_of_the_wrong_byte_length_rejected(self, saved, edit):
+        dataset, _, _, path = saved
+        payload = fio.load_run(path)
+        data = edit(base64.b64decode(payload["orderings"]))
+        payload["orderings"] = base64.b64encode(data).decode("ascii")
+        with pytest.raises(ValidationError, match="orderings block has"):
+            fio.replay_run(payload, dataset.group_of)
+
+    @pytest.mark.parametrize("value", [None, 7, 1.5, True, {"q0001": "AAAA"}],
+                             ids=["null", "int", "float", "bool", "object"])
+    def test_non_string_block_rejected(self, saved, value):
+        dataset, _, _, path = saved
+        payload = fio.load_run(path)
+        payload["orderings"] = value
+        with pytest.raises(ValidationError, match="base64 string"):
+            fio.replay_run(payload, dataset.group_of)
+
+    def test_old_list_of_ids_layout_rejected(self, saved, capsys, tmp_path):
+        dataset, _, run, path = saved
+        payload = fio.load_run(path)
+        payload["orderings"] = [list(a.ordering) for a in run.assignments]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValidationError, match="re-run `fairrank rank`"):
+            fio.replay_run(fio.load_run(path), dataset.group_of)
+        code = main(["evaluate", "--run", str(path), "--out", str(tmp_path / "report.json")])
+        assert code == 1 and "lists of ids" in capsys.readouterr().err
+
+
 class TestCli:
     def test_generate_rank_evaluate_pipeline(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -695,7 +858,7 @@ class TestCli:
             run = rerank_online(dataset, stream, RerankConfig(
                 objective="none", k_re=config.k_re, k_att=config.k_att,
                 k_eval=config.k_eval))
-            return RunResult(config, run.query_ids, run.assignments, run.ndcg,
+            return RunResult(config, run.query_ids, run.orderings, run.ndcg,
                              [True] * len(stream), run.objective_trace, run.ledger)
 
         monkeypatch.setattr(cli, "rerank_online", fake_online)

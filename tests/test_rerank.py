@@ -27,7 +27,7 @@ from fairrank.rerank import (
 )
 from fairrank.synth import gen_random_instance
 
-from oracles import final_objective, joint_offline_oracle
+from oracles import final_objective, joint_offline_oracle, query_columns
 
 
 def small_config(**kw):
@@ -150,8 +150,8 @@ class TestPerStepOptimality:
             for step, query in enumerate(stream):
                 ideal = ideal_ranking(query)
                 candidates = ideal[: config.k_re]
-                d = divergence_matrix(mirror, candidates, query, attention,
-                                      DivergenceKind.L1, config.polarity_mode)
+                d = divergence_matrix(mirror, *query_columns(mirror, candidates, query),
+                                      attention, DivergenceKind.L1, config.polarity_mode)
                 rel_head = np.array([query.relevance[c] for c in candidates])
                 theta_rho = config.theta * dcg_at_k(ideal, query.relevance, config.k_eval)
                 expected = brute_force(oracle, d, rel_head, theta_rho, config.k_eval)
