@@ -9,18 +9,18 @@ cumulative attention distribution against their cumulative relevance
 distribution.
 """
 
+import math
+
 import numpy as np
 
 from fairrank import (
-    Assignment,
     AttentionModel,
     Dataset,
     DivergenceKind,
     Ledger,
-    QueryEvent,
+    Stream,
     attention_weights,
-    ideal_ranking,
-    normalize_relevance,
+    ideal_order,
 )
 from fairrank.metrics import individual_divergences
 
@@ -37,13 +37,15 @@ print(f"  (sums to {w.sum():.12f}; positions past the cutoff get exactly 0)\n")
 ids = tuple(f"doc{k}" for k in range(6))
 dataset = Dataset.single_group(ids)
 attention = AttentionModel(cutoff=4)
-ledger = Ledger(dataset, components=1)
 
-for t in range(1, 5):
-    raw = dict(zip(ids, rng.random(6).tolist()))
-    query = QueryEvent(f"q{t}", t, (1.0,), normalize_relevance(raw))
-    # rank by relevance: the "system" ranking
-    ledger.update(query, Assignment(ideal_ranking(query)), attention)
+# raw scores normalized per query; one row per query, columns in id order
+raw = rng.random((4, 6))
+relevance = raw / np.array([math.fsum(row) for row in raw.tolist()])[:, None]
+stream = Stream(["q1", "q2", "q3", "q4"], [1, 2, 3, 4], [[1.0]] * 4, ids, relevance)
+ledger = Ledger(dataset, stream)
+for rel in ledger.relevance:
+    # rank by relevance: the "system" ranking, as dataset rows
+    ledger.update(ideal_order(dataset.id_order, rel), attention)
 
 # -- reading the ledger ---------------------------------------------------------
 print("after 4 relevance-ranked queries:")

@@ -15,13 +15,13 @@ import math
 from fairrank import DivergenceKind, Ledger, fairwashing_delta, iaa, individual_unfairness
 from fairrank.synth import fairwashing_scenario
 
-dataset, stream, assignments, attention = fairwashing_scenario()
+dataset, stream, orderings, attention = fairwashing_scenario()
 
-ledger = Ledger(dataset, components=1)
-for query, assignment in zip(stream, assignments):
-    print(f"query {query.query_id!r} (polarity {query.polarity[0]:+.0f}): "
-          f"ranked {assignment.ordering}")
-    ledger.update(query, assignment, attention)
+ledger = Ledger(dataset, stream)
+for query_id, polarity, rows in zip(stream.query_ids, stream.polarity, orderings):
+    ranked = tuple(dataset.individuals[i] for i in rows)
+    print(f"query {query_id!r} (polarity {polarity[0]:+.0f}): ranked {ranked}")
+    ledger.update(rows, attention)
 
 print()
 for ind in dataset.individuals:

@@ -24,12 +24,9 @@ from .core import (
     AttentionModel,
     Dataset,
     Ledger,
-    QueryEvent,
+    Stream,
     attention_weights,
-    dcg_at_k,
-    ideal_ranking,
-    ndcg_at_k,
-    normalize_relevance,
+    ideal_order,
 )
 from .divergence import DivergenceKind, d_multi, divergence_matrix
 from .errors import FairRankError
@@ -66,9 +63,9 @@ __all__ = [
     "Ledger",
     "MatchResult",
     "MetricsReport",
-    "QueryEvent",
     "RerankConfig",
     "RunResult",
+    "Stream",
     "SynthSpec",
     "UNDEFINED",
     "attention_weights",
@@ -78,7 +75,6 @@ __all__ = [
     "chernoff_bound",
     "constrained_min_sum",
     "d_multi",
-    "dcg_at_k",
     "divergence_matrix",
     "dp",
     "eur",
@@ -91,12 +87,10 @@ __all__ = [
     "group_unfairness",
     "hoeffding_bound",
     "iaa",
-    "ideal_ranking",
+    "ideal_order",
     "individual_unfairness",
     "lexicographic_refine",
     "monte_carlo_tail",
-    "ndcg_at_k",
-    "normalize_relevance",
     "relative_improvement",
     "rerank_offline",
     "rerank_online",

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as fio
-from .core import Stream, as_stream
+from .core import Stream
 from .errors import FairRankError
 from .metrics import group_unfairness, individual_unfairness
 from .rerank import RerankConfig, evaluate_run, rerank_offline, rerank_online
@@ -105,9 +105,8 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _bootstrap(stream, seed_parts) -> Stream:
+def _bootstrap(stream: Stream, seed_parts) -> Stream:
     """Queries drawn with replacement, renumbered t = 1..T; ids repeat."""
-    stream = as_stream(stream)
     rng = np.random.default_rng(seed_parts)
     idx = rng.integers(0, len(stream), len(stream))
     return Stream(
@@ -121,7 +120,7 @@ def _bootstrap(stream, seed_parts) -> Stream:
 
 def sweep_table(
     dataset,
-    stream,
+    stream: Stream,
     theta_grid,
     kinds,
     objectives,
@@ -138,7 +137,6 @@ def sweep_table(
     replacement (bootstrap). Rows carry the per-query nDCG and fallback
     vectors alongside the summary columns.
     """
-    stream = as_stream(stream)
     k_re = min(k_re, dataset.n)
     k_att = min(k_att, k_re)
     k_eval = min(k_eval, k_re)

@@ -1,6 +1,7 @@
-"""Domain model: datasets, queries and query streams (``Stream`` holds a whole
-stream in columns), position-bias attention, rankings, and the running ledger
-of cumulative attention and relevance.
+"""Domain model: datasets, query streams (``Stream`` holds a whole stream in
+columns and is the package's only in-memory stream), position-bias
+attention, DCG, rankings as dataset rows, and the ledger of cumulative
+attention and relevance bound to its stream.
 
 Conventions used throughout the package:
 
@@ -11,9 +12,11 @@ Conventions used throughout the package:
   individuals being ranked (non-negative, sum to 1);
 * each query carries a polarity vector of ``P >= 1`` real components that
   scales the real-world value of attention; scalar polarity is ``P = 1``;
-* the ledger stores each query's attention, relevance and polarity once and
-  derives both readings from them: polarity-aware (values weighted by the
-  query polarity) and polarity-agnostic (polarity replaced by 1).
+* a ranking is a permutation of dataset rows, best first;
+* the ledger reads relevance and polarity from its stream, stores each
+  query's attention once and derives both readings from them:
+  polarity-aware (values weighted by the query polarity) and
+  polarity-agnostic (polarity replaced by 1).
 """
 
 import math
@@ -23,35 +26,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import (
-    AllZeroError,
-    CoverageError,
-    LengthMismatchError,
-    NegativeScoreError,
-    StreamOrderError,
-    ValidationError,
-)
+from .errors import CoverageError, LengthMismatchError, StreamOrderError, ValidationError
 
 DEFAULT_ATTENTION_CUTOFF = 10
 RELEVANCE_SUM_TOL = 1e-9
 
 CHANNELS = ("attention", "relevance")
 MODES = ("aware", "agnostic")
-
-
-def normalize_relevance(raw_scores: dict[str, float]) -> dict[str, float]:
-    """Scale non-negative raw scores to a probability distribution.
-
-    Raises NegativeScoreError if any score is negative and AllZeroError if
-    every score is zero.
-    """
-    for ind, score in raw_scores.items():
-        if score < 0:
-            raise NegativeScoreError(f"negative relevance score {score} for {ind!r}")
-    total = math.fsum(raw_scores.values())
-    if total == 0.0:
-        raise AllZeroError("all relevance scores are zero")
-    return {ind: score / total for ind, score in raw_scores.items()}
 
 
 @lru_cache(maxsize=128)
@@ -80,28 +61,15 @@ def attention_weights(n: int, cutoff: int = DEFAULT_ATTENTION_CUTOFF) -> np.ndar
 
 def _dcg(values) -> float:
     """Position-discounted sum of ``values`` (Python floats, rank order),
-    added one at a time as ``dcg_at_k`` adds them."""
+    added one at a time."""
     return float(sum(v / math.log2(j + 2) for j, v in enumerate(values)))
 
 
 def _ndcg(values, ideal_dcg: float) -> float:
     """nDCG of a ranking whose top relevance values are ``values``, given the
-    ideal DCG; ``values`` is not read when the ideal DCG is zero."""
+    ideal DCG; a query whose ideal DCG is zero is vacuously perfect and
+    scores 1 (``values`` is not read then)."""
     return 1.0 if ideal_dcg == 0.0 else _dcg(values) / ideal_dcg
-
-
-def dcg_at_k(ordering, relevance: dict[str, float], k: int) -> float:
-    """Position-discounted relevance sum over the top ``k`` of ``ordering``."""
-    return _dcg(map(relevance.__getitem__, ordering[:k]))
-
-
-def ndcg_at_k(ordering, ideal_ordering, relevance: dict[str, float], k: int) -> float:
-    """DCG@k of ``ordering`` normalized by the ideal ordering's DCG@k.
-
-    A query whose ideal DCG is zero is vacuously perfect and scores 1.
-    """
-    ideal = dcg_at_k(ideal_ordering, relevance, k)
-    return _ndcg(map(relevance.__getitem__, ordering[:k]), ideal)
 
 
 @dataclass(frozen=True)
@@ -141,7 +109,10 @@ class Dataset:
     @cached_property
     def id_order(self) -> np.ndarray:
         """Dataset positions sorted by ascending identifier, read-only."""
-        return _id_order(self.individuals)
+        ids = self.individuals
+        order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+        order.setflags(write=False)
+        return order
 
     @cached_property
     def groups(self) -> dict[str, tuple[str, ...]]:
@@ -149,64 +120,6 @@ class Dataset:
         for ind in self.individuals:
             out.setdefault(self.group_of[ind], []).append(ind)
         return {g: tuple(members) for g, members in sorted(out.items())}
-
-
-@dataclass(frozen=True)
-class QueryEvent:
-    """One timestep's query: polarity vector and normalized relevance."""
-
-    query_id: str
-    t: int
-    polarity: tuple[float, ...]
-    relevance: dict[str, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "polarity", tuple(float(p) for p in self.polarity))
-        if self.t < 1:
-            raise ValidationError(f"timestep must be >= 1, got {self.t}")
-        if len(self.polarity) < 1:
-            raise ValidationError("polarity vector must have at least one component")
-        if not all(math.isfinite(p) for p in self.polarity):
-            raise ValidationError(
-                f"query {self.query_id!r}: non-finite polarity {self.polarity}"
-            )
-        # one pass in C; the loop only names the offender (a NaN first in
-        # the dict makes min NaN, so the loop runs then as well)
-        if not min(self.relevance.values(), default=0.0) >= 0:
-            for ind, r in self.relevance.items():
-                if r < 0:
-                    raise ValidationError(
-                        f"query {self.query_id!r}: negative relevance {r} for {ind!r}"
-                    )
-        total = math.fsum(self.relevance.values())
-        # written so a NaN total (any NaN relevance) fails too
-        if not abs(total - 1.0) <= RELEVANCE_SUM_TOL:
-            raise ValidationError(
-                f"query {self.query_id!r}: relevance sums to {total!r}, not 1"
-            )
-
-    @property
-    def components(self) -> int:
-        return len(self.polarity)
-
-    def validate_coverage(self, individuals) -> None:
-        """Check the relevance map ranks exactly the dataset's individuals."""
-        expected = set(individuals)
-        got = set(self.relevance)
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise CoverageError(
-                f"query {self.query_id!r} covers a different individual set "
-                f"(missing={missing[:5]}, extra={extra[:5]})"
-            )
-
-    def relevance_vector(self, dataset: Dataset) -> np.ndarray:
-        return np.fromiter(
-            map(self.relevance.__getitem__, dataset.individuals),
-            dtype=np.float64,
-            count=dataset.n,
-        )
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -225,20 +138,20 @@ def _fsum(values) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Stream:
-    """A query stream held in columns, in arrival order.
+    """A query stream held in columns, in arrival order: the only in-memory
+    stream of the package.
 
     ``query_ids`` and ``t`` hold one entry per query, ``polarity`` is
     (T, P), ``individuals`` lists the ranked ids in ascending order and
     ``relevance`` is the (T, n) float64 matrix with columns in that order.
-    It is checked once, when built, by the rules a ``QueryEvent`` and the
-    engines apply: timesteps are integers, at least 1 and strictly
-    increasing; polarity is finite; relevance is non-negative and each row
-    sums to 1 within ``RELEVANCE_SUM_TOL`` (by ``math.fsum``). Query ids may
-    repeat (bootstrap resamples do). The arrays are read-only views.
+    It is checked once, when built: timesteps are integers, at least 1 and
+    strictly increasing; polarity is finite; relevance is non-negative and
+    each row sums to 1 within ``RELEVANCE_SUM_TOL`` (by ``math.fsum``).
+    Query ids may repeat (bootstrap resamples do). The arrays are read-only
+    views.
 
-    ``len`` counts the queries, a slice is a Stream (so it must keep at
-    least one query), and an integer index or iteration builds the
-    ``QueryEvent`` of a row.
+    ``len`` counts the queries and a slice is a Stream (so it must keep at
+    least one query); a query's values are read from the columns.
     """
 
     query_ids: tuple[str, ...]
@@ -286,8 +199,8 @@ class Stream:
         self._check_rows()
 
     def _check_rows(self) -> None:
-        """Per-query checks in ``QueryEvent``'s order, first failing query
-        first; then the timestep order.
+        """Per-query checks (timestep, polarity, negative relevance, row
+        sum), first failing query first; then the timestep order.
 
         On a non-negative row the numpy sum is off the exact one by less
         than n * 2**-53 times the sum, whatever order it adds in, so
@@ -302,7 +215,9 @@ class Stream:
             self.query_ids,
             self.t.tolist(),
             self.polarity.tolist(),
-            relevance.min(axis=1).tolist(),
+            # fmin passes over NaN, so a negative value is named before the
+            # NaN sum fails
+            np.fmin.reduce(relevance, axis=1).tolist(),
             totals.tolist(),
         )
         for i, (query_id, t, eta, lowest, total) in enumerate(rows):
@@ -335,24 +250,16 @@ class Stream:
     def __len__(self) -> int:
         return len(self.query_ids)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return Stream(
-                self.query_ids[key],
-                self.t[key],
-                self.polarity[key],
-                self.individuals,
-                self.relevance[key],
-            )
-        return QueryEvent(
+    def __getitem__(self, key: slice) -> "Stream":
+        if not isinstance(key, slice):
+            raise TypeError("a Stream is indexed by slices; read one query from its columns")
+        return Stream(
             self.query_ids[key],
-            int(self.t[key]),
-            tuple(self.polarity[key].tolist()),
-            dict(zip(self.individuals, self.relevance[key].tolist())),
+            self.t[key],
+            self.polarity[key],
+            self.individuals,
+            self.relevance[key],
         )
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
 
     @property
     def components(self) -> int:
@@ -378,52 +285,9 @@ class Stream:
         """The relevance matrix with its columns in ``dataset`` order,
         read-only (the stored matrix itself when the dataset lists its ids
         sorted); raises CoverageError as ``columns`` does."""
-        columns = self.columns(dataset)
         if dataset.individuals == self.individuals:
             return self.relevance
-        return _read_only(self.relevance[:, columns])
-
-
-def as_stream(queries) -> Stream:
-    """``queries`` as a ``Stream``: a Stream passes through unchanged, and a
-    sequence of ``QueryEvent``s is gathered into columns once.
-
-    Raises ValidationError for an empty sequence, CoverageError when a query
-    ranks another individual set than the first and LengthMismatchError when
-    its polarity has another number of components.
-    """
-    if isinstance(queries, Stream):
-        return queries
-    queries = list(queries)
-    if not queries:
-        raise ValidationError("empty query stream")
-    first = queries[0]
-    keys = first.relevance.keys()
-    individuals = tuple(sorted(keys))
-    gather = operator.itemgetter(*individuals)
-    relevance = np.empty((len(queries), len(individuals)))
-    for row, query in enumerate(queries):
-        if query.relevance.keys() != keys:
-            query.validate_coverage(individuals)
-        if query.components != first.components:
-            raise LengthMismatchError(
-                f"query {query.query_id!r} has {query.components} polarity "
-                f"component(s), expected {first.components}"
-            )
-        relevance[row] = gather(query.relevance)
-    return Stream(
-        tuple(q.query_id for q in queries),
-        [q.t for q in queries],
-        [q.polarity for q in queries],
-        individuals,
-        relevance,
-    )
-
-
-def _id_order(ids) -> np.ndarray:
-    order = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
-    order.setflags(write=False)
-    return order
+        return _read_only(self.relevance[:, self.columns(dataset)])
 
 
 def ideal_order(id_order: np.ndarray, rel: np.ndarray) -> np.ndarray:
@@ -435,13 +299,6 @@ def ideal_order(id_order: np.ndarray, rel: np.ndarray) -> np.ndarray:
     values (0.0 and -0.0 included) in that order.
     """
     return id_order[np.argsort(-rel[id_order], kind="stable")]
-
-
-def ideal_ranking(query: QueryEvent) -> tuple[str, ...]:
-    """Relevance-descending ordering; ties broken by ascending identifier."""
-    ids = tuple(query.relevance)
-    rel = np.fromiter(query.relevance.values(), dtype=np.float64, count=len(ids))
-    return tuple(map(ids.__getitem__, ideal_order(_id_order(ids), rel).tolist()))
 
 
 @dataclass(frozen=True)
@@ -477,127 +334,88 @@ class Assignment:
         if len(set(self.ordering)) != len(self.ordering):
             raise ValidationError("assignment ranks an individual more than once")
 
-    @cached_property
-    def position_of(self) -> dict[str, int]:
-        return {ind: j + 1 for j, ind in enumerate(self.ordering)}
-
 
 class Ledger:
-    """Per-individual cumulative attention/relevance state over a stream.
+    """Per-individual cumulative attention/relevance state over one stream.
 
-    One columnar store: per processed query, the attention and relevance
-    each individual received, two (t, n) arrays in arrival order, and the
-    query's polarity vector, (t, P). Both polarity modes are read from it
-    (``aware`` weights query values by eta, ``agnostic`` by 1), as are the
-    per-query values eta * x and the cumulative moments: the mean sums
-    eta * x, and the variance sums eta^2 * x * (1 - x), the
-    Poisson-binomial variance of the cumulative total.
+    A ledger is bound to its ``Stream``: ``relevance`` is the stream's (T, n)
+    relevance in dataset order and ``polarity`` its (T, P) polarity, both
+    read-only and taken once. The ledger stores the attention each
+    individual received, one (n,) row per processed query, and ``t``
+    counts the processed queries; every reading covers the first ``t``
+    queries. Both polarity modes are read from it (``aware`` weights query
+    values by eta, ``agnostic`` by 1), as are the per-query values eta * x
+    and the cumulative moments: the mean sums eta * x, and the variance
+    sums eta^2 * x * (1 - x), the Poisson-binomial variance of the
+    cumulative total.
 
-    Single-writer: only ``update`` (and the engines' unchecked ``_record``
-    and replay's bulk ``_fill``) and ``replace_attention`` mutate; all accessors are read-only and safe to
-    call concurrently between writes. Values derived from one state can be
-    kept in ``memo``, which each write clears, except for the full moment
+    Single-writer: ``update`` appends the next query's attention. The
+    package's unchecked writes are replay's bulk ``_fill`` and descent's
+    ``_replace_attention``. All accessors are read-only and safe to call
+    concurrently between writes. Values derived from one state can be kept
+    in ``memo``, which each write clears, except for the full moment
     matrices: a new query advances them by its own terms, and
-    ``replace_attention`` keeps the relevance ones (relevance and eta are
-    left as they were).
+    ``_replace_attention`` keeps the relevance ones.
     """
 
-    def __init__(self, dataset: Dataset, components: int = 1):
-        if components < 1:
-            raise ValidationError("ledger needs at least one polarity component")
+    def __init__(self, dataset: Dataset, stream: Stream):
         self.dataset = dataset
-        self.components = components
+        self.relevance = stream.relevance_in(dataset)
+        self.polarity = stream.polarity
+        self.components = stream.components
         self.t = 0
-        # rows past ``t`` are spare capacity, doubled whenever it runs out
-        self._attention = np.empty((0, dataset.n))
-        self._relevance = np.empty((0, dataset.n))
-        self._eta = np.empty((0, components))
+        self._attention = np.empty(self.relevance.shape)
         self._memo: dict = {}
 
-    def _ordering_rows(self, assignment: Assignment) -> np.ndarray:
-        """Dataset positions of ``assignment``'s ordering; raises
-        ValidationError unless it ranks exactly the dataset's individuals."""
-        n = self.dataset.n
-        index = self.dataset.index
-        # an Assignment holds no repeats, so n known ids make a permutation
-        ordering = assignment.ordering
-        not_a_permutation = "assignment must rank exactly the dataset individuals"
-        if len(ordering) != n:
-            raise ValidationError(not_a_permutation)
-        try:
-            return np.fromiter(map(index.__getitem__, ordering), dtype=np.intp, count=n)
-        except KeyError:
-            raise ValidationError(not_a_permutation) from None
+    def update(self, rows, attention: AttentionModel) -> None:
+        """Record the next query's ranking: the individual at dataset
+        position ``rows[j]`` took rank ``j+1``.
 
-    def attention_values(
-        self, assignment: Assignment, attention: AttentionModel
-    ) -> np.ndarray:
-        """Attention each individual receives from ``assignment``, in
-        dataset order; raises ValidationError unless it ranks exactly the
-        dataset's individuals."""
-        return attention.scatter(self._ordering_rows(assignment))
-
-    def update(
-        self, query: QueryEvent, assignment: Assignment, attention: AttentionModel
-    ) -> None:
-        if query.components != self.components:
-            raise LengthMismatchError(
-                f"query {query.query_id!r} has {query.components} polarity "
-                f"component(s), ledger tracks {self.components}"
-            )
-        if query.relevance.keys() != self.dataset.index.keys():
-            query.validate_coverage(self.dataset.individuals)
-        self._record(
-            self._ordering_rows(assignment),
-            attention,
-            query.relevance_vector(self.dataset),
-            query.polarity,
-        )
-
-    def _record(self, rows, attention: AttentionModel, rel, polarity) -> None:
-        """Append one query unchecked: the individual at dataset position
-        ``rows[j]`` took rank ``j+1``, ``rel`` is the relevance in dataset
-        order and ``polarity`` has ``components`` entries.
-
+        Raises ValidationError, leaving ``t`` unchanged, unless ``rows`` is a
+        permutation of the dataset positions and a query is left to record.
         Memoised moment matrices advance by the query's terms, written as
         the ``cumsum`` build adds them, so they stay bit-identical to a
         rebuild; every other memo entry is dropped.
         """
-        attn = attention.scatter(rows)
-        if self.t == len(self._eta):
-            spare = max(self.t, 8)
-            self._attention, self._relevance, self._eta = (
-                np.concatenate([store, np.empty((spare, store.shape[1]))])
-                for store in (self._attention, self._relevance, self._eta)
+        n = self.dataset.n
+        if self.t == len(self._attention):
+            raise ValidationError(f"ledger already holds all {self.t} queries of its stream")
+        rows = np.asarray(rows)
+        # n entries cover 0..n-1 unless one repeats or lies past n - 1
+        if (
+            rows.shape != (n,)
+            or rows.dtype.kind not in "iu"
+            or rows.min() < 0
+            or not np.bincount(rows, minlength=n)[:n].all()
+        ):
+            raise ValidationError(
+                f"query {self.t + 1}: ranking must list each of the {n} dataset positions once"
             )
+        attn = attention.scatter(rows)
         self._attention[self.t] = attn
-        self._relevance[self.t] = rel
-        self._eta[self.t] = polarity
         self._memo = {key: value for key, value in self._memo.items() if key[0] == "moments"}
         for (_, channel, mode), (mean, var) in self._memo.items():
-            x = (attn if channel == "attention" else self._relevance[self.t])[:, None]
-            eta = self._eta[self.t] if mode == "aware" else np.ones(self.components)
+            x = (attn if channel == "attention" else self.relevance[self.t])[:, None]
+            eta = self.polarity[self.t] if mode == "aware" else np.ones(self.components)
             mean += eta * x
             var += eta * eta * x * (1.0 - x)
         self.t += 1
 
-    def _fill(self, orderings, attention: AttentionModel, relevance, polarity) -> None:
-        """Store a whole stream in one write, unchecked: row ``s`` of the
-        (T, n) ``orderings`` lists step ``s``'s dataset positions by rank,
-        ``relevance`` is (T, n) in dataset order and ``polarity`` (T, P).
+    def _fill(self, orderings, attention: AttentionModel) -> None:
+        """Store the attention of every query of the stream in one write,
+        unchecked: row ``s`` of the (T, n) ``orderings`` lists step ``s``'s
+        dataset positions by rank.
 
         The ledger must be empty. The memo stays empty, so every moment comes
         from the ``cumsum`` build, as it would after the same queries were
         recorded one by one.
         """
         T, n = orderings.shape
-        attn = np.empty((T, n))
-        attn[np.arange(T)[:, None], orderings] = attention.weights(n)
-        self._attention, self._relevance, self._eta = attn, relevance, polarity
+        self._attention[np.arange(T)[:, None], orderings] = attention.weights(n)
         self.t = T
         self._memo = {}
 
-    def replace_attention(self, step0: int, values: np.ndarray) -> np.ndarray:
+    def _replace_attention(self, step0: int, values: np.ndarray) -> np.ndarray:
         """Store ``values`` as the attention of the 0-based step ``step0``,
         as if that query had been ranked differently; returns the row it
         replaces."""
@@ -625,7 +443,7 @@ class Ledger:
         if channel == "attention":
             view = self._attention[: self.t]
         elif channel == "relevance":
-            view = self._relevance[: self.t]
+            view = self.relevance[: self.t]
         else:
             raise ValidationError(f"unknown channel {channel!r}")
         view.flags.writeable = False
@@ -633,7 +451,7 @@ class Ledger:
 
     def _polarity(self, mode: str) -> np.ndarray:
         if mode == "aware":
-            return self._eta[: self.t]
+            return self.polarity[: self.t]
         if mode == "agnostic":
             return np.ones((self.t, self.components))
         raise ValidationError(f"unknown polarity mode {mode!r}")
@@ -652,7 +470,7 @@ class Ledger:
 
     def _moment_matrices(self, channel: str, mode: str):
         """The memoised (n, P) moment matrices, built by ``cumsum`` and then
-        advanced by ``_record``."""
+        advanced by ``update``."""
 
         def build():
             x = self.stored(channel)[:, :, None]

@@ -9,14 +9,6 @@ class FairRankError(Exception):
     """Base class for all fairrank errors."""
 
 
-class NegativeScoreError(FairRankError):
-    """A raw relevance score was negative."""
-
-
-class AllZeroError(FairRankError):
-    """Every raw relevance score was zero; no distribution can be formed."""
-
-
 class LengthMismatchError(FairRankError):
     """Sequence lengths disagree (polarity components, W1 sequences, ...)."""
 

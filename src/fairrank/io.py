@@ -12,8 +12,9 @@ floats), so ``generate -> load -> save`` is byte-identical.
 
 Group files are CSV with the header ``individual_id,group_id``.
 
-Streams load into a ``core.Stream``: every line's relevance values go into
-one (T, n) matrix, with no per-query dict.
+Streams load into and save from a ``core.Stream``, the package's only
+in-memory stream: every line's relevance values go into one (T, n) matrix,
+with no per-query object. Query ids must be JSON strings.
 
 Run files are self-contained single-line JSON: the config echo, the
 stream as one columnar block, and the emitted orderings. The block holds the
@@ -44,17 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    AttentionModel,
-    Dataset,
-    Ledger,
-    QueryEvent,
-    Stream,
-    _dcg,
-    _fsum,
-    _ndcg,
-    as_stream,
-)
+from .core import AttentionModel, Dataset, Ledger, Stream, _dcg, _fsum, _ndcg
 from .errors import (
     CoverageError,
     LengthMismatchError,
@@ -68,27 +59,16 @@ STREAM_SUM_TOL = 1e-6
 EXACT_SUM_TOL = 1e-9
 
 
-def _line(query_id, t, polarity, relevance: dict) -> str:
-    record = {"query_id": query_id, "t": t, "polarity": polarity, "relevance": relevance}
-    return json.dumps(record, ensure_ascii=False)
-
-
-def stream_line(query: QueryEvent) -> str:
-    """Canonical one-line serialization of a query."""
-    relevance = {k: query.relevance[k] for k in sorted(query.relevance)}
-    return _line(query.query_id, query.t, list(query.polarity), relevance)
-
-
-def save_stream(path, stream) -> None:
-    """Write a ``Stream`` (or a sequence of queries) one canonical line per
-    query."""
-    stream = as_stream(stream)
+def save_stream(path, stream: Stream) -> None:
+    """Write a ``Stream`` one canonical line per query."""
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         for query_id, t, polarity, row in zip(
             stream.query_ids, stream.t.tolist(), stream.polarity.tolist(), stream.relevance.tolist()
         ):
-            fh.write(_line(query_id, t, polarity, dict(zip(stream.individuals, row))) + "\n")
+            relevance = dict(zip(stream.individuals, row))
+            record = {"query_id": query_id, "t": t, "polarity": polarity, "relevance": relevance}
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def _number_types(values, what: str, lineno: int | None) -> set:
@@ -116,14 +96,16 @@ def _check_step(t, polarity, lineno: int | None, prefix: str = "") -> None:
 
 def _parse_line(record, lineno: int):
     """The query id, timestep, polarity and relevance object of one line,
-    with the timestep and polarity type-checked."""
+    with the query id, timestep and polarity type-checked."""
     try:
-        query_id = str(record["query_id"])
+        query_id = record["query_id"]
         t = record["t"]
         polarity = record["polarity"]
         values = record["relevance"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing or malformed field ({exc})", lineno) from None
+    if type(query_id) is not str:
+        raise ParseError(f"query_id must be a string, got {query_id!r}", lineno)
     _check_step(t, polarity, lineno)
     if not isinstance(values, dict) or not values:
         raise ParseError("relevance must be a non-empty object", lineno)
@@ -147,9 +129,8 @@ def load_stream(path, raw: bool = False) -> tuple[tuple[str, ...], Stream]:
 
     Returns the inferred individual set (sorted) and the ``Stream``: every
     line's values are gathered into one list, in the first line's key order,
-    and converted to the relevance matrix once, with no per-query dict or
-    ``QueryEvent``. Raises
-    ParseError (with line number, also for a repeated query id and, in raw
+    and converted to the relevance matrix once. Raises ParseError (with line
+    number, also for a query id that is not a string or repeats and, in raw
     mode, for a negative score or a sum that is zero or not finite),
     StreamOrderError, ValidationError, CoverageError when queries rank
     different individual sets, or LengthMismatchError when their polarity
@@ -275,23 +256,35 @@ def build_dataset(individuals, group_of: dict[str, str] | None) -> Dataset:
     return Dataset(tuple(individuals), {i: group_of[i] for i in individuals})
 
 
-def split_by_query_id(stream, fraction: float = 0.5, salt: str = ""):
+def split_by_query_id(stream: Stream, fraction: float = 0.5, salt: str = ""):
     """Deterministic tuning/test split by hashing query identifiers.
 
     A query lands in the first (tuning) part when the leading 8 bytes of
-    sha256(salt + ":" + query_id) fall below ``fraction`` of the hash range;
-    both parts keep their original timesteps (still strictly increasing).
-    No tuning protocol is prescribed on top of this.
+    sha256(salt + ":" + query_id) fall below ``fraction`` of the hash range.
+    Returns the two parts as ``Stream``s, ``None`` for an empty one; both
+    keep their original timesteps (still strictly increasing). No tuning
+    protocol is prescribed on top of this.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValidationError(f"split fraction must be in [0, 1], got {fraction}")
     threshold = int(fraction * 2**64)
-    tuning, test = [], []
-    for query in stream:
-        digest = hashlib.sha256(f"{salt}:{query.query_id}".encode()).digest()
-        bucket = int.from_bytes(digest[:8], "big")
-        (tuning if bucket < threshold else test).append(query)
-    return tuning, test
+    tuning = np.array([
+        int.from_bytes(hashlib.sha256(f"{salt}:{q}".encode()).digest()[:8], "big") < threshold
+        for q in stream.query_ids
+    ])
+
+    def part(keep: np.ndarray) -> Stream | None:
+        if not keep.any():
+            return None
+        return Stream(
+            [q for q, k in zip(stream.query_ids, keep.tolist()) if k],
+            stream.t[keep],
+            stream.polarity[keep],
+            stream.individuals,
+            stream.relevance[keep],
+        )
+
+    return part(tuning), part(~tuning)
 
 
 # -- reports -------------------------------------------------------------------
@@ -375,6 +368,8 @@ def _decode_stream(block) -> Stream:
     query_ids, ts, polarity, individuals, encoded = map(block.__getitem__, _BLOCK_KEYS)
     if not all(isinstance(c, list) for c in (query_ids, ts, polarity, individuals)):
         raise ValidationError("run file stream block columns must be arrays")
+    if not all(type(q) is str for q in query_ids):
+        raise ValidationError("run file stream block query ids must be strings")
     if not len(query_ids) == len(ts) == len(polarity):
         raise LengthMismatchError(
             f"run file stream block has {len(query_ids)} query ids, {len(ts)} "
@@ -394,7 +389,7 @@ def _decode_stream(block) -> Stream:
                 f"component(s), expected {len(polarity[0])}"
             )
     relevance = np.frombuffer(data, dtype="<f8").reshape(shape)
-    return Stream([str(q) for q in query_ids], ts, polarity, individuals, relevance)
+    return Stream(query_ids, ts, polarity, individuals, relevance)
 
 
 def _decode_orderings(encoded, stream: Stream) -> np.ndarray:
@@ -434,7 +429,7 @@ _RUN_KEYS = (
 )
 
 
-def save_run(path, result: RunResult, stream) -> None:
+def save_run(path, result: RunResult, stream: Stream) -> None:
     """Self-contained run file: config echo, the stream as one columnar block
     (relevance as exact float64 bytes, see ``_encode_stream``), and the
     emitted orderings with their nDCG, fallback flags and objective trace.
@@ -444,7 +439,6 @@ def save_run(path, result: RunResult, stream) -> None:
     ``individuals``. Written as one compact line (no indent, so the C
     encoder serializes it).
     """
-    stream = as_stream(stream)
     positions = stream.columns(result.ledger.dataset)[result.orderings]
     payload = {
         "config": result.config.to_dict(),
@@ -493,10 +487,7 @@ def _replay_config(echo) -> RerankConfig:
                 f"run file config echo: {key} is {echo[key]!r}, "
                 f"expected {' or '.join(t.__name__ for t in types)}"
             )
-    try:
-        return RerankConfig(**echo)
-    except ValueError as exc:  # an unknown divergence kind
-        raise ValidationError(f"run file config echo: {exc}") from None
+    return RerankConfig(**echo)
 
 
 def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResult:
@@ -564,8 +555,8 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
                 "does not match its ordering"
             )
     attention = AttentionModel(config.k_att)
-    ledger = Ledger(dataset, stream.components)
-    ledger._fill(orderings, attention, relevance, stream.polarity)
+    ledger = Ledger(dataset, stream)
+    ledger._fill(orderings, attention)
     return RunResult(
         config=config,
         query_ids=list(payload["query_ids"]),

@@ -41,16 +41,7 @@ from .assign import (
     constrained_min_sum,
     lexicographic_refine,
 )
-from .core import (
-    Assignment,
-    AttentionModel,
-    Dataset,
-    Ledger,
-    _dcg,
-    _ndcg,
-    as_stream,
-    ideal_order,
-)
+from .core import Assignment, AttentionModel, Dataset, Ledger, Stream, _dcg, _ndcg, ideal_order
 from .divergence import (
     DivergenceKind,
     _component_values,
@@ -88,7 +79,11 @@ class RerankConfig:
     polarity_mode: str = "agnostic"
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", DivergenceKind(self.kind))
+        try:
+            object.__setattr__(self, "kind", DivergenceKind(self.kind))
+        except ValueError:
+            kinds = tuple(k.value for k in DivergenceKind)
+            raise ValidationError(f"kind must be one of {kinds}, got {self.kind!r}") from None
         if self.objective not in OBJECTIVES:
             raise ValidationError(
                 f"objective must be one of {OBJECTIVES}, got {self.objective!r}"
@@ -153,13 +148,6 @@ class RunResult:
         return float(np.mean(self.ndcg))
 
 
-def validate_stream(dataset: Dataset, stream) -> int:
-    """Check ordering/coverage/polarity-arity invariants; returns P."""
-    stream = as_stream(stream)
-    stream.relevance_in(dataset)
-    return stream.components
-
-
 def _solve_step(d, relevance_head, theta_rho, config):
     """Dispatch one per-query subproblem to the configured solver."""
     if config.objective in ("minmax", "minmax-lex"):
@@ -192,20 +180,18 @@ def _with_head(ideal: np.ndarray, order) -> np.ndarray:
     return rows
 
 
-def rerank_online(dataset: Dataset, stream, config: RerankConfig) -> RunResult:
-    stream = as_stream(stream)
-    relevance = stream.relevance_in(dataset)
+def rerank_online(dataset: Dataset, stream: Stream, config: RerankConfig) -> RunResult:
+    ledger = Ledger(dataset, stream)
     if config.k_re > dataset.n:
         raise ValidationError(
             f"prefilter depth k_re={config.k_re} exceeds dataset size {dataset.n}"
         )
     attention = AttentionModel(config.k_att)
-    ledger = Ledger(dataset, stream.components)
     cost_kind = _cost_kind(config)
 
-    orderings = np.empty(relevance.shape, dtype=np.intp)
+    orderings = np.empty(ledger.relevance.shape, dtype=np.intp)
     ndcg, fallback, trace = [], [], []
-    for step, (rel, polarity) in enumerate(zip(relevance, stream.polarity)):
+    for step, (rel, polarity) in enumerate(zip(ledger.relevance, stream.polarity)):
         rows, ideal_dcg, rel_head = _step_setup(dataset, rel, config)
         fell_back = False
         objective_value = math.nan
@@ -220,8 +206,7 @@ def rerank_online(dataset: Dataset, stream, config: RerankConfig) -> RunResult:
                 objective_value = res.objective
             else:
                 fell_back = True
-        # the Stream is checked and rows is a permutation
-        ledger._record(rows, attention, rel, polarity)
+        ledger.update(rows, attention)
         orderings[step] = rows
         ndcg.append(_ndcg(rel[rows[: config.k_eval]].tolist(), ideal_dcg))
         fallback.append(fell_back)
@@ -328,7 +313,7 @@ def _step_options(rel_head, ideal, theta_rho, config: RerankConfig):
 
 def rerank_offline(
     dataset: Dataset,
-    stream,
+    stream: Stream,
     config: RerankConfig,
     max_sweeps: int = 10,
 ) -> RunResult:
@@ -350,14 +335,12 @@ def rerank_offline(
     final orderings are then replayed once for the per-step nDCG and
     objective trace.
     """
-    stream = as_stream(stream)
     online = rerank_online(dataset, stream, config)
     if max_sweeps <= 0 or len(stream) <= 1 or config.objective == "none":
         return online
     attention = AttentionModel(config.k_att)
-    relevance = stream.relevance_in(dataset)
-    steps = [_step_setup(dataset, rel, config) for rel in relevance]
     ledger = online.ledger
+    steps = [_step_setup(dataset, rel, config) for rel in ledger.relevance]
     orderings = online.orderings.copy()
     best = _profile(ledger, config)
     step_config = config
@@ -385,14 +368,14 @@ def rerank_offline(
             proposal = _with_head(ideal, np.argsort(res.assignment))
             if np.array_equal(proposal, orderings[step0]):
                 continue
-            kept = ledger.replace_attention(step0, attention.scatter(proposal))
+            kept = ledger._replace_attention(step0, attention.scatter(proposal))
             trial_profile = _profile(ledger, config)
             if _lex_less(trial_profile, best, IMPROVEMENT_TOL):
                 orderings[step0] = proposal
                 best = trial_profile
                 improved = True
             else:
-                ledger.replace_attention(step0, kept)
+                ledger._replace_attention(step0, kept)
         return improved
 
     def escalate() -> bool:
@@ -419,18 +402,18 @@ def rerank_offline(
                 block_best = None
                 for combo in itertools.product(*(options_cache[s] for s in block)):
                     kept = [
-                        ledger.replace_attention(s, row) for s, (_, row) in zip(block, combo)
+                        ledger._replace_attention(s, row) for s, (_, row) in zip(block, combo)
                     ]
                     profile = _profile(ledger, config)
                     for s, row in zip(block, kept):
-                        ledger.replace_attention(s, row)
+                        ledger._replace_attention(s, row)
                     if block_best is None or _lex_less(profile, block_best[0], 0.0):
                         block_best = (profile, combo)
                 if block_best and _lex_less(block_best[0], best, IMPROVEMENT_TOL):
                     best = block_best[0]
                     for s, (ordering, row) in zip(block, block_best[1]):
                         orderings[s] = ordering
-                        ledger.replace_attention(s, row)
+                        ledger._replace_attention(s, row)
                     return True
         return False
 
@@ -442,10 +425,10 @@ def rerank_offline(
         break
 
     # replay final orderings for per-step statistics
-    final_ledger = Ledger(dataset, stream.components)
+    final_ledger = Ledger(dataset, stream)
     ndcg, trace = [], []
     for step0, (rel, polarity, rows, (ideal, ideal_dcg, rel_head)) in enumerate(
-        zip(relevance, stream.polarity, orderings, steps)
+        zip(ledger.relevance, stream.polarity, orderings, steps)
     ):
         K = len(rel_head)
         if online.fallback[step0]:
@@ -466,7 +449,7 @@ def rerank_offline(
             trace.append(
                 float(values.sum() if config.objective == "minsum" else values.max())
             )
-        final_ledger._record(rows, attention, rel, polarity)
+        final_ledger.update(rows, attention)
         ndcg.append(_ndcg(rel[rows[: config.k_eval]].tolist(), ideal_dcg))
     return RunResult(
         config,
@@ -480,12 +463,35 @@ def rerank_offline(
     )
 
 
+def _check_same_stream(result: RunResult, baseline: RunResult) -> None:
+    a, b = result.ledger, baseline.ledger
+    differs = [
+        what
+        for what, same in (
+            ("individuals", a.dataset.individuals == b.dataset.individuals),
+            ("query ids", result.query_ids == baseline.query_ids),
+            ("relevance", np.array_equal(a.relevance, b.relevance)),
+            ("polarity", np.array_equal(a.polarity, b.polarity)),
+        )
+        if not same
+    ]
+    if differs:
+        raise ValidationError(
+            f"baseline run ranks another stream (its {', '.join(differs)} differ)"
+        )
+
+
 def evaluate_run(
     result: RunResult,
     dataset: Dataset | None = None,
     baseline: "RunResult | MetricsReport | None" = None,
 ) -> MetricsReport:
-    """Assemble the full metric report for a completed run."""
+    """Assemble the full metric report for a completed run.
+
+    A baseline ``RunResult`` must rank the same stream: it raises
+    ValidationError unless its individuals, query ids, relevance and
+    polarity equal the run's.
+    """
     dataset = dataset or result.ledger.dataset
     report = build_report(result.ledger, dataset)
     report.mean_ndcg = result.mean_ndcg
@@ -494,6 +500,7 @@ def evaluate_run(
     report.objective_trace = list(result.objective_trace)
     if baseline is not None:
         if isinstance(baseline, RunResult):
+            _check_same_stream(result, baseline)
             baseline = evaluate_run(baseline, dataset)
         report.improvement = improvement_panel(baseline, report)
     return report

@@ -4,15 +4,18 @@ Two desk-scale benchmark generators (a two-group binary-relevance stream and
 a continuous-relevance variant with disparate group uncertainty), a
 constructed polarity-flip scenario in which a ranking looks perfectly fair
 until query polarity is accounted for, and a generic random-instance
-factory for property harnesses. All generation is a pure function of its
-spec/seed.
+factory for property harnesses. Each returns its ``Dataset`` and a
+``core.Stream`` built directly from arrays (queries ``q0001``, ``q0002``, ...
+at t = 1, 2, ...; columns in id order). All generation is a pure function
+of its spec/seed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Assignment, AttentionModel, Dataset, QueryEvent, normalize_relevance
+from .core import AttentionModel, Dataset, Stream
 from .errors import SpecError
 
 POLARITY_LAWS = ("unit", "signed", "continuous")
@@ -42,11 +45,30 @@ def _two_group_dataset(n: int) -> Dataset:
     return Dataset(males + females, group_of)
 
 
-def _alternating_polarity(T: int) -> list[float]:
-    return [1.0 if t % 2 else -1.0 for t in range(1, T + 1)]
+def _alternating_polarity(T: int) -> np.ndarray:
+    return np.array([[1.0 if t % 2 else -1.0] for t in range(1, T + 1)])
 
 
-def gen_synth_binary(spec: SynthSpec) -> tuple[Dataset, list[QueryEvent]]:
+def _stream(dataset: Dataset, relevance: np.ndarray, polarity) -> Stream:
+    """Queries ``q0001``, ``q0002``, ... at t = 1, 2, ... with (T, n)
+    ``relevance`` in dataset order, its columns put in id order."""
+    order = dataset.id_order
+    T = len(relevance)
+    return Stream(
+        [f"q{t:04d}" for t in range(1, T + 1)],
+        np.arange(1, T + 1),
+        polarity,
+        tuple(map(dataset.individuals.__getitem__, order.tolist())),
+        relevance[:, order],
+    )
+
+
+def _normalized(raw: np.ndarray) -> np.ndarray:
+    """Each row of non-negative ``raw`` divided by its ``math.fsum``."""
+    return raw / np.array([math.fsum(row) for row in raw.tolist()])[:, None]
+
+
+def gen_synth_binary(spec: SynthSpec) -> tuple[Dataset, Stream]:
     """Two equal groups; raw relevance 1.01 vs 0.99 flipping with polarity.
 
     On positive-polarity queries the ``male`` group scores 1.01 and the
@@ -56,22 +78,15 @@ def gen_synth_binary(spec: SynthSpec) -> tuple[Dataset, list[QueryEvent]]:
     if spec.variant != "binary":
         raise SpecError(f"binary generator got variant {spec.variant!r}")
     dataset = _two_group_dataset(spec.n)
-    stream = []
-    for t, pol in enumerate(_alternating_polarity(spec.T), start=1):
-        hi, lo = (1.01, 0.99) if pol > 0 else (0.99, 1.01)
-        raw = {
-            ind: hi if dataset.group_of[ind] == "male" else lo
-            for ind in dataset.individuals
-        }
-        stream.append(
-            QueryEvent(f"q{t:04d}", t, (pol,), normalize_relevance(raw))
-        )
-    return dataset, stream
+    polarity = _alternating_polarity(spec.T)
+    male = np.array([dataset.group_of[ind] == "male" for ind in dataset.individuals])
+    raw = np.where(male == (polarity > 0), 1.01, 0.99)
+    return dataset, _stream(dataset, _normalized(raw), polarity)
 
 
 def gen_synth_cont(
     spec: SynthSpec, std_a: float = 0.2, std_b: float = 0.1
-) -> tuple[Dataset, list[QueryEvent]]:
+) -> tuple[Dataset, Stream]:
     """Two equal groups with normal raw relevance of disparate spread.
 
     Group ``male`` draws from Normal(1, std_a), group ``female`` from
@@ -82,19 +97,15 @@ def gen_synth_cont(
     dataset = _two_group_dataset(spec.n)
     rng = np.random.default_rng(spec.seed)
     half = spec.n // 2
-    stream = []
-    for t, pol in enumerate(_alternating_polarity(spec.T), start=1):
+    raw = np.empty((spec.T, spec.n))
+    for row in raw:
         draws_a = rng.normal(1.0, std_a, half) if std_a > 0 else np.ones(half)
         draws_b = rng.normal(1.0, std_b, half) if std_b > 0 else np.ones(half)
-        raw_values = np.maximum(np.concatenate([draws_a, draws_b]), 1e-6)
-        raw = dict(zip(dataset.individuals, raw_values.tolist()))
-        stream.append(
-            QueryEvent(f"q{t:04d}", t, (pol,), normalize_relevance(raw))
-        )
-    return dataset, stream
+        row[:] = np.maximum(np.concatenate([draws_a, draws_b]), 1e-6)
+    return dataset, _stream(dataset, _normalized(raw), _alternating_polarity(spec.T))
 
 
-def gen_synth(spec: SynthSpec) -> tuple[Dataset, list[QueryEvent]]:
+def gen_synth(spec: SynthSpec) -> tuple[Dataset, Stream]:
     if spec.variant == "binary":
         return gen_synth_binary(spec)
     return gen_synth_cont(spec)
@@ -107,7 +118,7 @@ def gen_random_instance(
     polarity_law: str = "signed",
     seed: int = 0,
     components: int = 1,
-) -> tuple[Dataset, list[QueryEvent]]:
+) -> tuple[Dataset, Stream]:
     """Random grouped dataset and stream for property harnesses.
 
     Relevance is Dirichlet(1) per query; polarities follow ``polarity_law``
@@ -125,19 +136,17 @@ def gen_random_instance(
     group_of = {ind: f"g{labels[i]}" for i, ind in enumerate(individuals)}
     dataset = Dataset(individuals, group_of)
 
-    stream = []
-    for t in range(1, T + 1):
-        rel = rng.dirichlet(np.ones(n))
+    relevance = np.empty((T, n))
+    polarity = np.empty((T, components))
+    for rel, pol in zip(relevance, polarity):
+        rel[:] = rng.dirichlet(np.ones(n))
         if polarity_law == "unit":
-            pol = np.ones(components)
+            pol[:] = 1.0
         elif polarity_law == "signed":
-            pol = rng.choice([-1.0, 1.0], components)
+            pol[:] = rng.choice([-1.0, 1.0], components)
         else:
-            pol = rng.uniform(-1.0, 1.0, components)
-        stream.append(
-            QueryEvent(f"q{t:04d}", t, tuple(pol.tolist()), dict(zip(individuals, rel.tolist())))
-        )
-    return dataset, stream
+            pol[:] = rng.uniform(-1.0, 1.0, components)
+    return dataset, _stream(dataset, relevance, polarity)
 
 
 def fairwashing_scenario():
@@ -148,13 +157,10 @@ def fairwashing_scenario():
     individuals exactly matches their cumulative relevance; accounting for
     polarity, each is off by exactly 1.
 
-    Returns (dataset, stream, assignments, attention_model); feed the
-    assignments through a ledger to reproduce the measurement.
+    Returns (dataset, stream, orderings, attention_model): row ``s`` of the
+    (2, 2) ``orderings`` lists query ``s``'s ranking as dataset rows; feed
+    them through a ledger to reproduce the measurement.
     """
     dataset = Dataset(("a", "b"), {"a": "g1", "b": "g2"})
-    stream = [
-        QueryEvent("q_pos", 1, (1.0,), {"a": 0.5, "b": 0.5}),
-        QueryEvent("q_neg", 2, (-1.0,), {"a": 0.5, "b": 0.5}),
-    ]
-    assignments = [Assignment(("a", "b")), Assignment(("b", "a"))]
-    return dataset, stream, assignments, AttentionModel(cutoff=1)
+    stream = Stream(("q_pos", "q_neg"), [1, 2], [[1.0], [-1.0]], ("a", "b"), [[0.5, 0.5]] * 2)
+    return dataset, stream, np.array([[0, 1], [1, 0]]), AttentionModel(cutoff=1)

@@ -30,7 +30,7 @@ from .assign import (
     position_discounts,
 )
 from .bounds import BernoulliStream, chernoff_bound, hoeffding_bound, monte_carlo_tail
-from .core import Assignment, AttentionModel, Ledger
+from .core import AttentionModel, Ledger
 from .divergence import DivergenceKind, _component_values, w1_insert_matrix
 from .metrics import group_unfairness, individual_unfairness
 from .synth import gen_random_instance
@@ -66,14 +66,9 @@ def random_ledger(rng: np.random.Generator):
         n, G, T, "signed", seed=int(rng.integers(2**31))
     )
     attention = AttentionModel(int(rng.integers(1, n + 1)))
-    ledger = Ledger(dataset, 1)
-    for query in stream:
-        order = rng.permutation(n)
-        ledger.update(
-            query,
-            Assignment(tuple(dataset.individuals[i] for i in order)),
-            attention,
-        )
+    ledger = Ledger(dataset, stream)
+    for _ in range(T):
+        ledger.update(rng.permutation(n), attention)
     return dataset, ledger
 
 

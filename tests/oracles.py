@@ -16,14 +16,7 @@ from fairrank.assign import (
     matching_values,
     position_discounts,
 )
-from fairrank.core import (
-    Assignment,
-    AttentionModel,
-    Ledger,
-    QueryEvent,
-    _accrued,
-    dcg_at_k,
-)
+from fairrank.core import AttentionModel, Ledger, Stream, _accrued
 from fairrank.divergence import DivergenceKind, _component_values, _query_eta, d_multi
 from fairrank.errors import EmptyScopeError, LengthMismatchError, ValidationError
 from fairrank.metrics import iaa, individual_unfairness
@@ -62,21 +55,54 @@ class Track:
         self.seq_rel.append(e * r)
 
 
-def query_columns(ledger: Ledger, candidates, query: QueryEvent):
+def stream_of(relevance, polarity=None, t=None, query_ids=None) -> Stream:
+    """A ``Stream`` of per-query relevance dicts over one individual set.
+
+    Polarity defaults to ``(1.0,)`` per query, timesteps to 1, 2, ... and
+    query ids to ``q1``, ``q2``, ...; a dict missing an id of the first
+    raises KeyError.
+    """
+    T = len(relevance)
+    ids = tuple(sorted(relevance[0]))
+    return Stream(
+        [f"q{s}" for s in range(1, T + 1)] if query_ids is None else query_ids,
+        list(range(1, T + 1)) if t is None else t,
+        [(1.0,)] * T if polarity is None else polarity,
+        ids,
+        [[rel[i] for i in ids] for rel in relevance],
+    )
+
+
+def rows_of(dataset, ordering) -> list[int]:
+    """The dataset rows of an ordering of ids."""
+    return [dataset.index[i] for i in ordering]
+
+
+def relevance_dicts(stream: Stream) -> list[dict[str, float]]:
+    """Each query's relevance as a dict keyed by id."""
+    return [dict(zip(stream.individuals, row)) for row in stream.relevance.tolist()]
+
+
+def dcg_oracle(ordering, relevance: dict[str, float], k: int) -> float:
+    """Position-discounted relevance sum over the top ``k`` ids of ``ordering``."""
+    return float(sum(relevance[i] / math.log2(j + 2) for j, i in enumerate(ordering[:k])))
+
+
+def query_columns(ledger: Ledger, candidates):
     """``divergence_matrix``'s rows, relevance and polarity arguments for
-    candidate ids of one query."""
+    candidate ids of the ledger's next query."""
     rows = [ledger.dataset.index[c] for c in candidates]
-    return rows, [query.relevance[c] for c in candidates], query.polarity
+    return rows, ledger.relevance[ledger.t, rows], ledger.polarity[ledger.t]
 
 
-def ideal_ranking_oracle(query: QueryEvent) -> tuple[str, ...]:
-    """Relevance-descending ordering; ties broken by ascending identifier.
+def ideal_ranking_oracle(relevance: dict[str, float]) -> tuple[str, ...]:
+    """Relevance-descending ordering of a relevance dict's ids; ties broken
+    by ascending identifier.
 
     Sorts the identifiers, then stably by relevance (``reverse=True`` keeps
     equal keys in their ascending-identifier order).
     """
-    rel = query.relevance
-    return tuple(sorted(sorted(rel), key=rel.__getitem__, reverse=True))
+    return tuple(sorted(sorted(relevance), key=relevance.__getitem__, reverse=True))
 
 
 def moments_at_oracle(ledger: Ledger, rows, channel: str, mode: str = "agnostic"):
@@ -167,15 +193,15 @@ def ledger_divergence(
 def prospective_divergence(
     ledger: Ledger,
     individual: str,
-    query: QueryEvent,
     position: int,
     attention: AttentionModel,
     kind: DivergenceKind,
     mode: str = "aware",
 ) -> float:
-    """Divergence the individual would hold after taking ``position`` now.
+    """Divergence the individual would hold after taking ``position`` in
+    the ledger's next query.
 
-    Evaluates D(A_i, R_i) on a hypothetical ledger extended by this query,
+    Evaluates D(A_i, R_i) on a hypothetical ledger extended by that query,
     with the individual's attention taken from the given position and its
     (assignment-independent) relevance accrued as well. The ledger itself is
     not modified.
@@ -183,14 +209,9 @@ def prospective_divergence(
     n = ledger.dataset.n
     if not 1 <= position <= n:
         raise ValidationError(f"position {position} outside 1..{n}")
-    if query.components != ledger.components:
-        raise LengthMismatchError(
-            f"query has {query.components} polarity component(s), "
-            f"ledger tracks {ledger.components}"
-        )
-    eta = _query_eta(query.polarity, ledger.components, mode)
+    eta = _query_eta(ledger.polarity[ledger.t], ledger.components, mode)
     w = attention.weights(n)[position - 1]
-    r = query.relevance[individual]
+    r = ledger.relevance[ledger.t, ledger.dataset.index[individual]]
 
     mean_a, var_a = ledger.moments(individual, "attention", mode)
     mean_r, var_r = ledger.moments(individual, "relevance", mode)
@@ -258,27 +279,27 @@ def joint_offline_oracle(dataset, stream, config) -> float:
     """
     attention = AttentionModel(config.k_att)
     per_step = []
-    for query in stream:
-        ideal = ideal_ranking_oracle(query)
+    for relevance in relevance_dicts(stream):
+        ideal = ideal_ranking_oracle(relevance)
         candidates, tail = ideal[: config.k_re], ideal[config.k_re :]
-        theta_rho = config.theta * dcg_at_k(ideal, query.relevance, config.k_eval)
+        theta_rho = config.theta * dcg_oracle(ideal, relevance, config.k_eval)
         options = [
-            perm + tail
+            rows_of(dataset, perm + tail)
             for perm in itertools.permutations(candidates)
-            if dcg_at_k(perm + tail, query.relevance, config.k_eval)
+            if dcg_oracle(perm + tail, relevance, config.k_eval)
             >= theta_rho - FEASIBILITY_TOL
         ]
         per_step.append(options)
     best = math.inf
     for combo in itertools.product(*per_step):
-        ledger = Ledger(dataset, stream[0].components)
-        for query, ordering in zip(stream, combo):
-            ledger.update(query, Assignment(ordering), attention)
+        ledger = Ledger(dataset, stream)
+        for rows in combo:
+            ledger.update(rows, attention)
         best = min(best, final_objective(ledger, config))
     return best
 
 
-def final_w1_matrix_oracle(ledger, step0, step_query, candidates, mode, attention):
+def final_w1_matrix_oracle(ledger, step0, candidates, mode, attention):
     """Per-cell final-horizon W1: delete step ``step0``, insert, sort, compare.
 
     Entry [i, j] rebuilds candidate ``i``'s attention sequence with its
@@ -287,7 +308,7 @@ def final_w1_matrix_oracle(ledger, step0, step_query, candidates, mode, attentio
     """
     K = len(candidates)
     w_new = attention.weights(ledger.dataset.n)[:K]
-    eta = _query_eta(step_query.polarity, ledger.components, mode)
+    eta = _query_eta(ledger.polarity[step0], ledger.components, mode)
     rows = [ledger.dataset.index[c] for c in candidates]
     seq_a = ledger.sequences("attention", mode)[:, rows, :]
     seq_r = ledger.sequences("relevance", mode)[:, rows, :]

@@ -30,7 +30,7 @@ from fairrank.verify import (
     run_w1,
 )
 
-from oracles import final_objective, joint_offline_oracle, query_columns
+from oracles import dcg_oracle, final_objective, ideal_ranking_oracle, joint_offline_oracle, rows_of
 
 
 def _verdict(num: int, name: str, ok: bool, extra: str = "") -> None:
@@ -69,10 +69,10 @@ def test_c03_concentration_bounds_dominate_monte_carlo():
 
 
 def test_c04_polarity_flip_scenario_exact_fairwashing():
-    dataset, stream, assignments, attention = fairwashing_scenario()
-    ledger = Ledger(dataset, 1)
-    for query, assignment in zip(stream, assignments):
-        ledger.update(query, assignment, attention)
+    dataset, stream, orderings, attention = fairwashing_scenario()
+    ledger = Ledger(dataset, stream)
+    for rows in orderings:
+        ledger.update(rows, attention)
     agnostic = individual_unfairness(ledger, DivergenceKind.L1, "agnostic")
     aware = individual_unfairness(ledger, DivergenceKind.L1, "aware")
     delta = fairwashing_delta(aware, agnostic)
@@ -172,25 +172,23 @@ def test_c08_offline_matches_joint_enumeration():
 
 def test_c09_theta_monotonicity_per_step():
     rng = np.random.default_rng(909)
-    from fairrank.core import AttentionModel, ideal_ranking, dcg_at_k
+    from fairrank.core import AttentionModel
 
     checked = 0
     for _ in range(100):
         dataset, ledger = random_ledger(rng)
         n = dataset.n
         K = int(rng.integers(2, min(7, n) + 1))
+        # the next query: another instance's, over this dataset's ids
         _, extra = gen_random_instance(n, 2, 1, "signed", seed=int(rng.integers(2**31)))
-        query = extra[0]
-        # align identifier space with this instance's dataset
-        query = type(query)(query.query_id, ledger.t + 1, query.polarity,
-                            dict(zip(dataset.individuals, query.relevance.values())))
+        query = dict(zip(dataset.individuals, extra.relevance[0].tolist()))
         attention = AttentionModel(int(rng.integers(1, K + 1)))
-        ideal = ideal_ranking(query)
+        ideal = ideal_ranking_oracle(query)
         candidates = ideal[:K]
-        d = divergence_matrix(ledger, *query_columns(ledger, candidates, query), attention,
-                              DivergenceKind.L1, "aware")
-        rel_head = np.array([query.relevance[c] for c in candidates])
-        rho = dcg_at_k(ideal, query.relevance, K)
+        rel_head = np.array([query[c] for c in candidates])
+        d = divergence_matrix(ledger, rows_of(dataset, candidates), rel_head, extra.polarity[0],
+                              attention, DivergenceKind.L1, "aware")
+        rho = dcg_oracle(ideal, query, K)
         last = math.inf
         for theta in (1.0, 0.8, 0.6, 0.4, 0.2):
             res = bottleneck_with_quality(d, rel_head, theta * rho, K)

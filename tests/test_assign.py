@@ -16,7 +16,7 @@ from fairrank.assign import (
     matching_values,
     position_discounts,
 )
-from fairrank.core import AttentionModel, dcg_at_k, ideal_ranking
+from fairrank.core import AttentionModel
 from fairrank.divergence import DivergenceKind, divergence_matrix
 from fairrank.errors import FairRankError, ValidationError
 from fairrank.rerank import RerankConfig, rerank_online
@@ -28,7 +28,10 @@ from oracles import (
     lexicographic_refine_oracle,
     max_dcg_matching,
     max_gain_matching,
-    query_columns,
+    dcg_oracle,
+    ideal_ranking_oracle,
+    relevance_dicts,
+    rows_of,
 )
 
 LOG3 = 1.0 / math.log2(3)
@@ -296,13 +299,13 @@ class TestLexicographicRefine:
         config = RerankConfig(kind="L1", objective="minmax", theta=0.8, k_re=50,
                               k_att=10, k_eval=10)
         run = rerank_online(dataset, stream[:4], config)
-        query = stream[4]
-        ideal = ideal_ranking(query)
+        query = relevance_dicts(stream)[4]
+        ideal = ideal_ranking_oracle(query)
         candidates = ideal[: config.k_re]
-        d = divergence_matrix(run.ledger, *query_columns(run.ledger, candidates, query),
+        rel = np.array([query[c] for c in candidates])
+        d = divergence_matrix(run.ledger, rows_of(dataset, candidates), rel, stream.polarity[4],
                               AttentionModel(config.k_att), DivergenceKind.L1)
-        rel = np.array([query.relevance[c] for c in candidates])
-        theta_rho = config.theta * dcg_at_k(ideal, query.relevance, config.k_eval)
+        theta_rho = config.theta * dcg_oracle(ideal, query, config.k_eval)
         return d, rel, theta_rho, config.k_eval
 
     def test_k50_tied_tail_matches_the_oracle(self, monkeypatch):
@@ -435,13 +438,13 @@ class TestMinSumMilp:
         config = RerankConfig(kind="L1", objective="minsum", theta=0.9, k_re=50,
                               k_att=10, k_eval=10, polarity_mode="agnostic")
         run = rerank_online(dataset, stream[:6], config)
-        query = stream[6]
-        ideal = ideal_ranking(query)
+        query = relevance_dicts(stream)[6]
+        ideal = ideal_ranking_oracle(query)
         candidates = ideal[: config.k_re]
-        d = divergence_matrix(run.ledger, *query_columns(run.ledger, candidates, query),
+        rel = np.array([query[c] for c in candidates])
+        d = divergence_matrix(run.ledger, rows_of(dataset, candidates), rel, stream.polarity[6],
                               AttentionModel(config.k_att), DivergenceKind.L1, "agnostic")
-        rel = np.array([query.relevance[c] for c in candidates])
-        theta_rho = config.theta * dcg_at_k(ideal, query.relevance, config.k_eval)
+        theta_rho = config.theta * dcg_oracle(ideal, query, config.k_eval)
         return d, rel, theta_rho, config.k_eval
 
     def test_k50_beats_the_budgeted_branch_and_bound(self):

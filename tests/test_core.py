@@ -1,4 +1,5 @@
-"""Domain model: normalization, attention weights, DCG, and the ledger."""
+"""Domain model: attention weights, DCG, the ideal order, the stream's
+checks, and the ledger."""
 
 import itertools
 import math
@@ -12,22 +13,22 @@ from fairrank.core import (
     AttentionModel,
     Dataset,
     Ledger,
-    QueryEvent,
+    Stream,
+    _dcg,
+    _ndcg,
     attention_weights,
-    dcg_at_k,
     ideal_order,
-    ideal_ranking,
-    ndcg_at_k,
-    normalize_relevance,
 )
-from fairrank.errors import (
-    AllZeroError,
-    CoverageError,
-    LengthMismatchError,
-    NegativeScoreError,
-    ValidationError,
+from fairrank.errors import CoverageError, ValidationError
+from oracles import (
+    Track,
+    dcg_oracle,
+    ideal_ranking_oracle,
+    moments_at_oracle,
+    rows_of,
+    sequence_std,
+    stream_of,
 )
-from oracles import Track, ideal_ranking_oracle, moments_at_oracle, sequence_std
 
 
 def same_bits(a, b) -> bool:
@@ -36,20 +37,12 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-class TestNormalizeRelevance:
-    def test_symmetric(self):
-        assert normalize_relevance({"a": 2.0, "b": 2.0}) == {"a": 0.5, "b": 0.5}
-
-    def test_proportional(self):
-        assert normalize_relevance({"a": 1.0, "b": 3.0}) == {"a": 0.25, "b": 0.75}
-
-    def test_all_zero(self):
-        with pytest.raises(AllZeroError):
-            normalize_relevance({"a": 0.0, "b": 0.0})
-
-    def test_negative(self):
-        with pytest.raises(NegativeScoreError):
-            normalize_relevance({"a": 1.0, "b": -0.1})
+def ranked_ids(relevance: dict, ids=None) -> tuple[str, ...]:
+    """``ideal_order`` of one relevance dict, over a dataset listing
+    ``ids`` (default: the dict's key order), as ids."""
+    dataset = Dataset.single_group(tuple(relevance) if ids is None else ids)
+    rel = np.array([relevance[i] for i in dataset.individuals])
+    return tuple(dataset.individuals[i] for i in ideal_order(dataset.id_order, rel))
 
 
 class TestAttentionWeights:
@@ -86,56 +79,56 @@ class TestAttentionWeights:
 
 
 class TestDcg:
-    REL = {"a": 1.0, "b": 0.0}
-
     def test_top_slot(self):
-        assert dcg_at_k(["a", "b"], self.REL, 2) == 1.0
+        assert _dcg([1.0, 0.0]) == 1.0
 
     def test_second_slot(self):
-        assert dcg_at_k(["b", "a"], self.REL, 2) == pytest.approx(
-            1.0 / math.log2(3), abs=1e-12
-        )
+        assert _dcg([0.0, 1.0]) == pytest.approx(1.0 / math.log2(3), abs=1e-12)
 
     def test_all_zero_relevance(self):
-        assert dcg_at_k(["a", "b"], {"a": 0.0, "b": 0.0}, 2) == 0.0
+        assert _dcg([0.0, 0.0]) == 0.0
 
     def test_ndcg_identity(self):
-        assert ndcg_at_k(["a", "b"], ["a", "b"], self.REL, 2) == 1.0
+        assert _ndcg([1.0, 0.0], _dcg([1.0, 0.0])) == 1.0
 
     def test_ndcg_swap(self):
-        assert ndcg_at_k(["b", "a"], ["a", "b"], self.REL, 2) == pytest.approx(
-            0.63093, abs=1e-5
-        )
+        assert _ndcg([0.0, 1.0], _dcg([1.0, 0.0])) == pytest.approx(0.63093, abs=1e-5)
 
     def test_ndcg_zero_ideal_is_vacuously_perfect(self):
-        assert ndcg_at_k(["a", "b"], ["a", "b"], {"a": 0.0, "b": 0.0}, 2) == 1.0
+        assert _ndcg([0.0, 0.0], _dcg([0.0, 0.0])) == 1.0
+
+    def test_matches_the_dict_oracle(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            rel = dict(zip((f"i{j}" for j in range(n)), rng.random(n).tolist()))
+            ordering = tuple(rng.permutation(list(rel)))
+            k = int(rng.integers(1, n + 1))
+            assert _dcg([rel[i] for i in ordering[:k]]) == dcg_oracle(ordering, rel, k)
 
     def test_ideal_ordering_maximizes_dcg(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
             n = int(rng.integers(2, 8))
             ids = [f"i{j}" for j in range(n)]
-            rel = dict(zip(ids, rng.random(n).tolist()))
-            query = QueryEvent("q", 1, (1.0,), normalize_relevance(rel))
-            ideal = ideal_ranking(query)
+            raw = rng.random(n)
+            rel = dict(zip(ids, (raw / math.fsum(raw.tolist())).tolist()))
+            ideal = ranked_ids(rel)
             k = int(rng.integers(1, n + 1))
-            best = dcg_at_k(ideal, query.relevance, k)
+            best = dcg_oracle(ideal, rel, k)
             for perm in itertools.permutations(ids):
-                assert dcg_at_k(perm, query.relevance, k) <= best + 1e-12
+                assert dcg_oracle(perm, rel, k) <= best + 1e-12
 
 
 class TestIdealRanking:
     def test_descending(self):
-        q = QueryEvent("q", 1, (1.0,), {"a": 0.7, "b": 0.3})
-        assert ideal_ranking(q) == ("a", "b")
+        assert ranked_ids({"a": 0.7, "b": 0.3}) == ("a", "b")
 
     def test_tie_break_by_identifier(self):
-        q = QueryEvent("q", 1, (1.0,), {"b": 0.5, "a": 0.5})
-        assert ideal_ranking(q) == ("a", "b")
+        assert ranked_ids({"b": 0.5, "a": 0.5}) == ("a", "b")
 
     def test_three_way(self):
-        q = QueryEvent("q", 1, (1.0,), {"a": 0.2, "b": 0.3, "c": 0.5})
-        assert ideal_ranking(q) == ("c", "b", "a")
+        assert ranked_ids({"a": 0.2, "b": 0.3, "c": 0.5}) == ("c", "b", "a")
 
     def test_matches_negated_relevance_then_identifier_key(self):
         rng = np.random.default_rng(17)
@@ -148,12 +141,11 @@ class TestIdealRanking:
             values = (raw / raw.sum()).tolist()
             values = [-0.0 if v == 0.0 and rng.random() < 0.5 else v for v in values]
             rel = dict(zip(ids, values))
-            q = QueryEvent("q", 1, (1.0,), rel)
-            assert ideal_ranking(q) == tuple(sorted(rel, key=lambda i: (-rel[i], i)))
+            assert ranked_ids(rel) == tuple(sorted(rel, key=lambda i: (-rel[i], i)))
 
     def test_zero_and_negative_zero_tie_by_identifier(self):
-        q = QueryEvent("q", 1, (1.0,), {"c": 0.0, "b": 1.0, "a": -0.0, "d": 0.0})
-        assert ideal_ranking(q) == ("b", "a", "c", "d")
+        rel = {"c": 0.0, "b": 1.0, "a": -0.0, "d": 0.0}
+        assert ranked_ids(rel) == ("b", "a", "c", "d")
 
 
 # ids whose code-point order differs from ASCII or byte-wise intuition
@@ -168,7 +160,7 @@ class TestIdealOrderKernel:
     """``ideal_order`` against the two-sort reference ordering."""
 
     @staticmethod
-    def _query(rng, ids):
+    def _relevance(rng, ids):
         n = len(ids)
         # a coarse grid makes ties; zeros come signed or not, and subnormals
         # (some equal, some next to zero) sit between them and the rest
@@ -178,7 +170,7 @@ class TestIdealOrderKernel:
         for j in range(n):
             if values[j] == 0.0:
                 values[j] = [0.0, -0.0, 5e-324, 1e-310, 2.5e-320][rng.integers(5)]
-        return QueryEvent("q", 1, (1.0,), dict(zip(ids, values)))
+        return dict(zip(ids, values))
 
     def test_matches_the_two_sort_oracle(self):
         rng = np.random.default_rng(23)
@@ -186,36 +178,20 @@ class TestIdealOrderKernel:
             n = int(rng.integers(1, len(ID_POOL) + 1))
             # dataset order is a random permutation, not sorted
             ids = tuple(ID_POOL[i] for i in rng.permutation(len(ID_POOL))[:n])
-            dataset = Dataset.single_group(ids)
-            query = self._query(rng, ids)
-            want = ideal_ranking_oracle(query)
-            rows = ideal_order(dataset.id_order, query.relevance_vector(dataset))
-            assert tuple(dataset.individuals[i] for i in rows) == want
-            assert ideal_ranking(query) == want
+            rel = self._relevance(rng, ids)
+            assert ranked_ids(rel, ids) == ideal_ranking_oracle(rel)
 
-    def test_relevance_dict_order_does_not_matter(self):
+    def test_dataset_order_does_not_matter(self):
         rng = np.random.default_rng(29)
-        ids = ID_POOL
-        query = self._query(rng, ids)
-        shuffled = dict(reversed(list(query.relevance.items())))
-        again = QueryEvent("q", 1, (1.0,), shuffled)
-        assert ideal_ranking(again) == ideal_ranking(query) == ideal_ranking_oracle(query)
+        rel = self._relevance(rng, ID_POOL)
+        assert ranked_ids(rel, ID_POOL[::-1]) == ranked_ids(rel, ID_POOL) == ideal_ranking_oracle(rel)
 
     def test_single_individual(self):
-        dataset = Dataset.single_group(("\u00e9",))
-        query = QueryEvent("q", 1, (1.0,), {"\u00e9": 1.0})
-        rows = ideal_order(dataset.id_order, query.relevance_vector(dataset))
-        assert rows.tolist() == [0]
-        assert ideal_ranking(query) == ideal_ranking_oracle(query) == ("\u00e9",)
+        assert ranked_ids({"\u00e9": 1.0}) == ideal_ranking_oracle({"\u00e9": 1.0}) == ("\u00e9",)
 
     def test_zero_signs_and_subnormals(self):
-        ids = ("d", "c", "b", "a", "e")
-        dataset = Dataset.single_group(ids)
         rel = {"d": 0.0, "c": 5e-324, "b": -0.0, "a": 5e-324, "e": 1.0 - 1e-300}
-        query = QueryEvent("q", 1, (1.0,), rel)
-        rows = ideal_order(dataset.id_order, query.relevance_vector(dataset))
-        assert tuple(ids[i] for i in rows) == ("e", "a", "c", "b", "d")
-        assert ideal_ranking(query) == ideal_ranking_oracle(query)
+        assert ranked_ids(rel) == ("e", "a", "c", "b", "d") == ideal_ranking_oracle(rel)
 
     def test_id_order_is_sorted_and_read_only(self):
         dataset = Dataset.single_group(("b", "\u00e4", "a", "B"))
@@ -228,11 +204,11 @@ class TestIdealOrderKernel:
 class TestValidation:
     def test_query_must_be_normalized(self):
         with pytest.raises(ValidationError):
-            QueryEvent("q", 1, (1.0,), {"a": 0.7, "b": 0.7})
+            stream_of([{"a": 0.7, "b": 0.7}])
 
     def test_query_rejects_negative_relevance(self):
         with pytest.raises(ValidationError):
-            QueryEvent("q", 1, (1.0,), {"a": 1.2, "b": -0.2})
+            stream_of([{"a": 1.2, "b": -0.2}])
 
     @pytest.mark.parametrize(
         "relevance",
@@ -244,30 +220,30 @@ class TestValidation:
     )
     def test_negative_relevance_names_the_first_offender(self, relevance):
         with pytest.raises(ValidationError, match=r"negative relevance -0.1 for 'b'"):
-            QueryEvent("q", 1, (1.0,), relevance)
+            stream_of([relevance])
 
-    def test_query_with_no_relevance_fails_the_sum(self):
-        with pytest.raises(ValidationError, match="sums to 0.0"):
-            QueryEvent("q", 1, (1.0,), {})
+    def test_stream_with_no_individuals_rejected(self):
+        with pytest.raises(ValidationError, match="no individuals"):
+            Stream(["q"], [1], [[1.0]], (), np.empty((1, 0)))
 
     @pytest.mark.parametrize(
         "relevance", [{"a": math.nan}, {"a": 1.0, "b": math.nan}, {"a": math.inf}]
     )
     def test_query_rejects_non_finite_relevance(self, relevance):
         with pytest.raises(ValidationError):
-            QueryEvent("q", 1, (1.0,), relevance)
+            stream_of([relevance])
 
     @pytest.mark.parametrize(
         "polarity", [(math.nan,), (math.inf,), (1.0, -math.inf), (0.0, math.nan)]
     )
     def test_query_rejects_non_finite_polarity(self, polarity):
         with pytest.raises(ValidationError):
-            QueryEvent("q", 1, polarity, {"a": 0.5, "b": 0.5})
+            stream_of([{"a": 0.5, "b": 0.5}], [polarity])
 
     def test_query_coverage(self):
-        q = QueryEvent("q", 1, (1.0,), {"a": 0.5, "b": 0.5})
+        stream = stream_of([{"a": 0.5, "b": 0.5}])
         with pytest.raises(CoverageError):
-            q.validate_coverage(("a", "b", "c"))
+            stream.relevance_in(Dataset.single_group(("a", "b", "c")))
 
     def test_dataset_group_map_exact(self):
         with pytest.raises(ValidationError):
@@ -280,9 +256,12 @@ class TestValidation:
             Assignment(("a", "a"))
 
 
-def _simple_ledger(cutoff=3):
+Q = {"a": 0.2, "b": 0.3, "c": 0.5}
+
+
+def _simple_ledger(relevance=(Q,), polarity=None, cutoff=3):
     dataset = Dataset.single_group(("a", "b", "c"))
-    return dataset, Ledger(dataset, 1), AttentionModel(cutoff)
+    return dataset, Ledger(dataset, stream_of(list(relevance), polarity)), AttentionModel(cutoff)
 
 
 W1 = float(attention_weights(3, 3)[0])
@@ -291,42 +270,38 @@ W1 = float(attention_weights(3, 3)[0])
 class TestLedgerUpdate:
     def test_positive_polarity_top_slot(self):
         dataset, ledger, attention = _simple_ledger()
-        q = QueryEvent("q", 1, (1.0,), {"a": 0.2, "b": 0.3, "c": 0.5})
-        ledger.update(q, Assignment(("a", "b", "c")), attention)
+        ledger.update([0, 1, 2], attention)
         mean, var = ledger.moments("a", "attention", "aware")
         assert mean[0] == pytest.approx(W1, abs=1e-12)
         assert mean[0] == pytest.approx(0.46928, abs=1e-5)
 
     def test_negative_polarity_flips_mean_not_variance(self):
-        dataset, ledger, attention = _simple_ledger()
-        q = QueryEvent("q", 1, (-1.0,), {"a": 0.2, "b": 0.3, "c": 0.5})
-        ledger.update(q, Assignment(("a", "b", "c")), attention)
+        dataset, ledger, attention = _simple_ledger(polarity=[(-1.0,)])
+        ledger.update([0, 1, 2], attention)
         mean, var = ledger.moments("a", "attention", "aware")
         assert mean[0] == pytest.approx(-W1, abs=1e-12)
         assert var[0] == pytest.approx(W1 * (1.0 - W1), abs=1e-15)
         assert var[0] == pytest.approx(0.24906, abs=1e-5)
 
     def test_zero_polarity_freezes_aware_track_only(self):
-        dataset, ledger, attention = _simple_ledger()
-        q = QueryEvent("q", 1, (0.0,), {"a": 0.2, "b": 0.3, "c": 0.5})
-        ledger.update(q, Assignment(("a", "b", "c")), attention)
+        dataset, ledger, attention = _simple_ledger(polarity=[(0.0,)])
+        ledger.update([0, 1, 2], attention)
         for channel in ("attention", "relevance"):
             mean, var = ledger.moments("a", channel, "aware")
             assert mean[0] == 0.0 and var[0] == 0.0
         mean, _ = ledger.moments("a", "attention", "agnostic")
         assert mean[0] == pytest.approx(W1, abs=1e-12)
 
-    def test_polarity_arity_mismatch(self):
-        dataset, ledger, attention = _simple_ledger()
-        q = QueryEvent("q", 1, (1.0, -1.0), {"a": 0.2, "b": 0.3, "c": 0.5})
-        with pytest.raises(LengthMismatchError):
-            ledger.update(q, Assignment(("a", "b", "c")), attention)
-
-    def test_assignment_must_cover_dataset(self):
-        dataset, ledger, attention = _simple_ledger()
-        q = QueryEvent("q", 1, (1.0,), {"a": 0.2, "b": 0.3, "c": 0.5})
-        with pytest.raises(ValidationError):
-            ledger.update(q, Assignment(("a", "b")), attention)
+    def test_binds_the_stream_read_only(self):
+        dataset = Dataset.single_group(("c", "a", "b"))
+        stream = stream_of([Q, {"a": 0.5, "b": 0.5, "c": 0.0}], [(1.0, -1.0), (0.5, 0.0)])
+        ledger = Ledger(dataset, stream)
+        assert ledger.components == 2 and ledger.t == 0
+        assert ledger.relevance.tolist() == [[0.5, 0.2, 0.3], [0.0, 0.5, 0.5]]
+        assert ledger.polarity is stream.polarity
+        for array in (ledger.relevance, ledger.polarity):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
 
     @pytest.mark.parametrize(
         "relevance",
@@ -334,23 +309,28 @@ class TestLedgerUpdate:
         ids=["misses-one", "adds-one"],
     )
     def test_query_covering_other_individuals_rejected(self, relevance):
-        dataset, ledger, attention = _simple_ledger()
-        q = QueryEvent("q", 1, (1.0,), relevance)
         with pytest.raises(CoverageError):
-            ledger.update(q, Assignment(("a", "b", "c")), attention)
-        assert ledger.t == 0
+            _simple_ledger([relevance])
 
     @pytest.mark.parametrize(
-        "ordering",
-        [("a", "b"), ("a", "b", "z"), ("a", "b", "c", "z"), ("a", "b", "b")],
-        ids=["short", "unknown-id", "long", "repeated-id"],
+        "rows",
+        [[0, 1], [0, 1, 3], [0, 1, 2, 0], [0, 1, 1], [0, 1, -1], [0.0, 1.0, 2.0], [[0, 1, 2]]],
+        ids=["short", "unknown-id", "long", "repeated-id", "negative", "float", "nested"],
     )
-    def test_ordering_not_a_permutation_rejected(self, ordering):
+    def test_ordering_not_a_permutation_rejected(self, rows):
         dataset, ledger, attention = _simple_ledger()
-        q = QueryEvent("q", 1, (1.0,), {"a": 0.2, "b": 0.3, "c": 0.5})
-        with pytest.raises(ValidationError):
-            ledger.update(q, Assignment(ordering), attention)
+        with pytest.raises(ValidationError, match="each of the 3 dataset positions once"):
+            ledger.update(rows, attention)
         assert ledger.t == 0
+        ledger.update(np.array([2, 0, 1], dtype=np.int32), attention)
+        assert ledger.t == 1
+
+    def test_update_past_the_end_of_the_stream_rejected(self):
+        dataset, ledger, attention = _simple_ledger()
+        ledger.update([0, 1, 2], attention)
+        with pytest.raises(ValidationError, match="all 1 queries"):
+            ledger.update([0, 1, 2], attention)
+        assert ledger.t == 1
 
 
 class TestLedgerAccounting:
@@ -360,19 +340,20 @@ class TestLedgerAccounting:
         ids = tuple(f"i{j}" for j in range(6))
         dataset = Dataset.single_group(ids)
         attention = AttentionModel(3)
-        ledger = Ledger(dataset, 1)
+        relevance, polarity, orders = [], [], []
+        for _ in range(8):
+            relevance.append(dict(zip(ids, rng.dirichlet(np.ones(6)).tolist())))
+            polarity.append((float(rng.choice([-1.0, 1.0])),))
+            orders.append(tuple(ids[k] for k in rng.permutation(6)))
+        ledger = Ledger(dataset, stream_of(relevance, polarity))
         weights = attention.weights(6)
         expect_attn = {i: 0.0 for i in ids}
         expect_rel = {i: 0.0 for i in ids}
-        for t in range(1, 9):
-            rel = rng.dirichlet(np.ones(6))
-            eta = float(rng.choice([-1.0, 1.0]))
-            q = QueryEvent(f"q{t}", t, (eta,), dict(zip(ids, rel.tolist())))
-            order = tuple(ids[k] for k in rng.permutation(6))
-            ledger.update(q, Assignment(order), attention)
+        for (eta,), rel, order in zip(polarity, relevance, orders):
+            ledger.update(rows_of(dataset, order), attention)
             for pos, ind in enumerate(order, start=1):
                 expect_attn[ind] += eta * weights[pos - 1]
-            for ind, r in q.relevance.items():
+            for ind, r in rel.items():
                 expect_rel[ind] += eta * r
         for ind in ids:
             mean_a, _ = ledger.moments(ind, "attention", "aware")
@@ -385,15 +366,17 @@ class TestLedgerAccounting:
         ids = tuple(f"i{j}" for j in range(5))
         dataset = Dataset.single_group(ids)
         attention = AttentionModel(2)
-        ledger = Ledger(dataset, 1)
+        relevance, polarity, orders = [], [], []
+        for _ in range(6):
+            rel = rng.dirichlet(np.ones(5))
+            polarity.append((float(rng.uniform(-1, 1)),))
+            relevance.append(dict(zip(ids, rel.tolist())))
+            orders.append(tuple(ids[k] for k in rng.permutation(5)))
+        ledger = Ledger(dataset, stream_of(relevance, polarity))
         weights = attention.weights(5)
         expect = {i: 0.0 for i in ids}
-        for t in range(1, 7):
-            rel = rng.dirichlet(np.ones(5))
-            q = QueryEvent(f"q{t}", t, (float(rng.uniform(-1, 1)),),
-                           dict(zip(ids, rel.tolist())))
-            order = tuple(ids[k] for k in rng.permutation(5))
-            ledger.update(q, Assignment(order), attention)
+        for order in orders:
+            ledger.update(rows_of(dataset, order), attention)
             for pos, ind in enumerate(order, start=1):
                 expect[ind] += weights[pos - 1]
         for ind in ids:
@@ -405,12 +388,13 @@ class TestLedgerAccounting:
         ids = tuple(f"i{j}" for j in range(5))
         dataset = Dataset.single_group(ids)
         attention = AttentionModel(2)
-        ledger = Ledger(dataset, 2)
-        for t in range(1, 6):
-            rel = rng.dirichlet(np.ones(5))
-            q = QueryEvent(f"q{t}", t, (1.0, 1.0), dict(zip(ids, rel.tolist())))
-            order = tuple(ids[k] for k in rng.permutation(5))
-            ledger.update(q, Assignment(order), attention)
+        relevance, orders = [], []
+        for _ in range(5):
+            relevance.append(dict(zip(ids, rng.dirichlet(np.ones(5)).tolist())))
+            orders.append(rng.permutation(5))
+        ledger = Ledger(dataset, stream_of(relevance, [(1.0, 1.0)] * 5))
+        for rows in orders:
+            ledger.update(rows, attention)
         for channel in ("attention", "relevance"):
             np.testing.assert_array_equal(
                 ledger.mean_matrix(channel, "aware"), ledger.mean_matrix(channel, "agnostic")
@@ -423,10 +407,9 @@ class TestLedgerAccounting:
             )
 
     def test_sequence_lengths_track_processed_queries(self):
-        dataset, ledger, attention = _simple_ledger()
+        dataset, ledger, attention = _simple_ledger([Q] * 3)
         for t in range(1, 4):
-            q = QueryEvent(f"q{t}", t, (1.0,), {"a": 0.2, "b": 0.3, "c": 0.5})
-            ledger.update(q, Assignment(("a", "b", "c")), attention)
+            ledger.update([0, 1, 2], attention)
             assert ledger.sequence("b", "attention").shape == (t, 1)
             assert ledger.t == t
 
@@ -434,23 +417,22 @@ class TestLedgerAccounting:
         rng = np.random.default_rng(3)
         ids = tuple(f"i{j}" for j in range(4))
         dataset = Dataset.single_group(ids)
-        ledger = Ledger(dataset, 1)
         attention = AttentionModel(4)
-        for t in range(1, 7):
-            rel = rng.dirichlet(np.ones(4))
-            eta = float(rng.uniform(-1, 1))
-            q = QueryEvent(f"q{t}", t, (eta,), dict(zip(ids, rel.tolist())))
-            ledger.update(q, Assignment(ids), attention)
+        relevance, polarity = [], []
+        for _ in range(6):
+            relevance.append(dict(zip(ids, rng.dirichlet(np.ones(4)).tolist())))
+            polarity.append((float(rng.uniform(-1, 1)),))
+        ledger = Ledger(dataset, stream_of(relevance, polarity))
+        for _ in range(6):
+            ledger.update(range(4), attention)
         assert np.all(ledger.var_matrix("attention", "aware") >= 0)
         assert np.all(ledger.var_matrix("relevance", "aware") >= 0)
 
     def test_sequence_std_is_population_std_of_per_query_values(self):
-        dataset, ledger, attention = _simple_ledger(cutoff=1)
-        for t, rel_a in enumerate((0.5, 0.3), start=1):
-            q = QueryEvent(
-                f"q{t}", t, (1.0,), {"a": rel_a, "b": 0.2, "c": 0.8 - rel_a}
-            )
-            ledger.update(q, Assignment(("a", "b", "c")), attention)
+        relevance = [{"a": rel_a, "b": 0.2, "c": 0.8 - rel_a} for rel_a in (0.5, 0.3)]
+        dataset, ledger, attention = _simple_ledger(relevance, cutoff=1)
+        for _ in range(2):
+            ledger.update([0, 1, 2], attention)
         # a's attention values are [1, 1] -> std 0; relevance [0.5, 0.3] -> std 0.1
         assert sequence_std(ledger, "a", "attention")[0] == 0.0
         assert sequence_std(ledger, "a", "relevance")[0] == pytest.approx(0.1, abs=1e-12)
@@ -467,20 +449,27 @@ class TestColumnarStore:
         ids = tuple(f"i{k}" for k in range(n))
         dataset = Dataset.single_group(ids)
         attention = AttentionModel(4)
-        ledger = Ledger(dataset, P)
-        tracks = {"aware": Track(n, P), "agnostic": Track(n, P)}
+        relevance, polarity, orders = [], [], []
         for t in range(1, T + 1):
             raw = rng.random(n) * (rng.random(n) < 0.8)
             raw[0] += 0.1
             eta = rng.normal(size=P)
             if P > 1:
                 eta[t % P] = 0.0
-            query = QueryEvent(f"q{t}", t, tuple(eta), dict(zip(ids, raw / raw.sum())))
-            assignment = Assignment(tuple(rng.permutation(ids)))
-            ledger.update(query, assignment, attention)
-            attn = np.array([attention.weights(n)[assignment.ordering.index(i)] for i in ids])
-            rel = query.relevance_vector(dataset)
-            tracks["aware"].update(eta, attn, rel)
+            relevance.append(dict(zip(ids, raw / raw.sum())))
+            polarity.append(tuple(eta))
+            orders.append(rng.permutation(n))
+        # the stream holds one query more than is recorded, so T=0 reads empty
+        relevance.append(dict.fromkeys(ids, 1.0 / n))
+        polarity.append((1.0,) * P)
+        ledger = Ledger(dataset, stream_of(relevance, polarity))
+        tracks = {"aware": Track(n, P), "agnostic": Track(n, P)}
+        for step, rows in enumerate(orders):
+            ledger.update(rows, attention)
+            attn = np.empty(n)
+            attn[rows] = attention.weights(n)
+            rel = np.array([relevance[step][i] for i in ids])
+            tracks["aware"].update(np.array(polarity[step]), attn, rel)
             tracks["agnostic"].update(np.ones(P), attn, rel)
         for mode, track in tracks.items():
             for channel, mean, var, seq in (
@@ -493,45 +482,44 @@ class TestColumnarStore:
                 assert np.array_equal(ledger.sequences(channel, mode), want)
 
     def test_replaced_attention_row_is_read_back_and_restorable(self):
-        dataset, ledger, attention = _simple_ledger()
-        q = QueryEvent("q", 1, (-0.5,), {"a": 0.2, "b": 0.3, "c": 0.5})
-        ledger.update(q, Assignment(("a", "b", "c")), attention)
+        dataset, ledger, attention = _simple_ledger(polarity=[(-0.5,)])
+        ledger.update([0, 1, 2], attention)
         before = ledger.mean_matrix("attention", "aware")
-        swapped = ledger.attention_values(Assignment(("c", "b", "a")), attention)
-        kept = ledger.replace_attention(0, swapped)
+        swapped = attention.scatter(np.array([2, 1, 0]))
+        kept = ledger._replace_attention(0, swapped)
         np.testing.assert_array_equal(ledger.stored("attention")[0], swapped)
-        fresh = Ledger(dataset, 1)
-        fresh.update(q, Assignment(("c", "b", "a")), attention)
+        _, fresh, _ = _simple_ledger(polarity=[(-0.5,)])
+        fresh.update([2, 1, 0], attention)
         assert np.array_equal(
             ledger.var_matrix("attention", "aware"), fresh.var_matrix("attention", "aware")
         )
-        ledger.replace_attention(0, kept)
+        ledger._replace_attention(0, kept)
         assert np.array_equal(ledger.mean_matrix("attention", "aware"), before)
         with pytest.raises(ValidationError):
-            ledger.replace_attention(1, swapped)
+            ledger._replace_attention(1, swapped)
 
     def test_replacing_attention_keeps_relevance_moments_and_updates_attention(self):
         rng = np.random.default_rng(5)
         ids = tuple(f"i{k}" for k in range(6))
         dataset = Dataset.single_group(ids)
         attention = AttentionModel(3)
-        ledger = Ledger(dataset, 2)
-        stream, orderings = [], []
-        for t in range(1, 5):
-            query = QueryEvent(f"q{t}", t, tuple(rng.normal(size=2)),
-                               dict(zip(ids, rng.dirichlet(np.ones(6)).tolist())))
-            ordering = tuple(rng.permutation(ids))
-            ledger.update(query, Assignment(ordering), attention)
-            stream.append(query)
-            orderings.append(ordering)
+        relevance, polarity, orderings = [], [], []
+        for _ in range(4):
+            polarity.append(tuple(rng.normal(size=2)))
+            relevance.append(dict(zip(ids, rng.dirichlet(np.ones(6)).tolist())))
+            orderings.append(rows_of(dataset, rng.permutation(ids)))
+        stream = stream_of(relevance, polarity)
+        ledger = Ledger(dataset, stream)
+        for rows in orderings:
+            ledger.update(rows, attention)
         modes = ("aware", "agnostic")
         for channel, mode in itertools.product(CHANNELS, modes):
             ledger.mean_matrix(channel, mode)  # memoise every matrix
-        orderings[1] = tuple(reversed(orderings[1]))
-        ledger.replace_attention(1, ledger.attention_values(Assignment(orderings[1]), attention))
-        fresh = Ledger(dataset, 2)
-        for query, ordering in zip(stream, orderings):
-            fresh.update(query, Assignment(ordering), attention)
+        orderings[1] = orderings[1][::-1]
+        ledger._replace_attention(1, attention.scatter(np.array(orderings[1])))
+        fresh = Ledger(dataset, stream)
+        for rows in orderings:
+            fresh.update(rows, attention)
         for channel, mode in itertools.product(CHANNELS, modes):
             assert np.array_equal(ledger.mean_matrix(channel, mode),
                                   fresh.mean_matrix(channel, mode))
@@ -545,14 +533,17 @@ class TestAdvancedMoments:
 
     @staticmethod
     def _stream(rng, ids, P, T):
+        """A stream drawn up front, before any ranking is drawn."""
         n = len(ids)
-        for t in range(1, T + 1):
+        relevance, polarity = [], []
+        for _ in range(T):
             raw = rng.random(n) * (rng.random(n) < 0.7)
             raw[0] += 0.1
             values = [-0.0 if v == 0.0 and rng.random() < 0.5 else v
                       for v in (raw / raw.sum()).tolist()]
-            eta = rng.choice([1.0, -1.0, 0.5, 0.0, -0.0, -2.0], P)
-            yield QueryEvent(f"q{t}", t, tuple(eta.tolist()), dict(zip(ids, values)))
+            polarity.append(rng.choice([1.0, -1.0, 0.5, 0.0, -0.0, -2.0], P).tolist())
+            relevance.append(dict(zip(ids, values)))
+        return stream_of(relevance, polarity)
 
     def _assert_matches_rebuild(self, ledger, rows):
         for channel, mode in itertools.product(CHANNELS, ("aware", "agnostic")):
@@ -568,15 +559,15 @@ class TestAdvancedMoments:
     def test_reads_interleaved_with_updates(self, P):
         rng = np.random.default_rng(31 + P)
         ids = tuple(f"i{k}" for k in range(11))
-        ledger = Ledger(Dataset.single_group(ids), P)
+        ledger = Ledger(Dataset.single_group(ids), self._stream(rng, ids, P, 30))
         attention = AttentionModel(4)
-        for query in self._stream(rng, ids, P, 30):
+        for _ in range(30):
             # memoise a random subset of the four matrices before the update,
             # so entries are built at different steps and then advanced
             for channel, mode in itertools.product(CHANNELS, ("aware", "agnostic")):
                 if rng.random() < 0.3:
                     ledger.moments_at([int(rng.integers(len(ids)))], channel, mode)
-            ledger.update(query, Assignment(tuple(rng.permutation(ids))), attention)
+            ledger.update(rng.permutation(len(ids)), attention)
             if rng.random() < 0.5:
                 self._assert_matches_rebuild(ledger, rng.permutation(len(ids))[:4].tolist())
         self._assert_matches_rebuild(ledger, list(range(len(ids))))
@@ -585,27 +576,25 @@ class TestAdvancedMoments:
     def test_updates_after_replace_attention(self, P):
         rng = np.random.default_rng(41 + P)
         ids = tuple(f"i{k}" for k in range(7))
-        ledger = Ledger(Dataset.single_group(ids), P)
+        ledger = Ledger(Dataset.single_group(ids), self._stream(rng, ids, P, 12))
         attention = AttentionModel(3)
-        stream = list(self._stream(rng, ids, P, 12))
-        for step, query in enumerate(stream):
-            ledger.update(query, Assignment(tuple(rng.permutation(ids))), attention)
+        for step in range(12):
+            ledger.update(rng.permutation(len(ids)), attention)
             self._assert_matches_rebuild(ledger, [0, 3, 6])
             if step in (3, 4, 8):
                 step0 = int(rng.integers(ledger.t))
-                proposal = Assignment(tuple(rng.permutation(ids)))
-                ledger.replace_attention(step0, ledger.attention_values(proposal, attention))
+                proposal = rng.permutation(len(ids))
+                ledger._replace_attention(step0, attention.scatter(proposal))
                 self._assert_matches_rebuild(ledger, [1, 2])
 
     def test_negative_zero_store_reads_back_positive_zero(self):
         """A column of -0.0 terms sums to 0.0, as a running total from 0.0 does."""
         dataset = Dataset.single_group(("a", "b"))
-        ledger = Ledger(dataset, 1)
+        ledger = Ledger(dataset, stream_of([{"a": 1.0, "b": 0.0}] * 2, [(-1.0,)] * 2))
         attention = AttentionModel(1)
         ledger.moments_at([0, 1], "relevance", "aware")
-        for t in (1, 2):
-            query = QueryEvent(f"q{t}", t, (-1.0,), {"a": 1.0, "b": 0.0})
-            ledger.update(query, Assignment(("a", "b")), attention)
+        for _ in range(2):
+            ledger.update([0, 1], attention)
         mean, _ = ledger.moments_at([1], "relevance", "aware")
         assert same_bits(mean, np.zeros((1, 1)))
         assert same_bits(mean, moments_at_oracle(ledger, [1], "relevance", "aware")[0])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fairrank.core import Assignment, AttentionModel, Dataset, Ledger, QueryEvent
+from fairrank.core import AttentionModel, Dataset, Ledger
 from fairrank.divergence import (
     DivergenceKind,
     _component_values,
@@ -24,6 +24,8 @@ from oracles import (
     ledger_divergence,
     prospective_divergence,
     query_columns,
+    rows_of,
+    stream_of,
 )
 
 KINDS = (DivergenceKind.L1, DivergenceKind.L2VAR, DivergenceKind.W1)
@@ -169,12 +171,11 @@ class TestDivergenceAxioms:
     def test_summary_from_ledger(self):
         ids = ("a", "b", "c")
         dataset = Dataset.single_group(ids)
-        ledger = Ledger(dataset, 1)
+        stream = stream_of([{"a": rel_a, "b": 0.1, "c": 0.9 - rel_a} for rel_a in (0.6, 0.2)])
+        ledger = Ledger(dataset, stream)
         attention = AttentionModel(1)
-        for t, rel_a in enumerate((0.6, 0.2), start=1):
-            rel = {"a": rel_a, "b": 0.1, "c": 0.9 - rel_a}
-            ledger.update(QueryEvent(f"q{t}", t, (1.0,), rel),
-                          Assignment(ids), attention)
+        for _ in range(2):
+            ledger.update([0, 1, 2], attention)
         s = DistSummary.from_ledger(ledger, "a", "relevance")
         assert s.mean == pytest.approx(0.8)
         var = 0.6 * 0.4 + 0.2 * 0.8
@@ -182,13 +183,14 @@ class TestDivergenceAxioms:
         np.testing.assert_allclose(s.seq, [0.2, 0.6])
 
 
-def _ledger_after(queries_and_orders, cutoff=3, components=1):
-    ids = ("a", "b", "c")
-    dataset = Dataset.single_group(ids)
-    ledger = Ledger(dataset, components)
+def _ledger_after(relevance, polarity, orders, cutoff=3):
+    """The ledger of a stream over ids a, b, c after ranking its first
+    ``len(orders)`` queries by ``orders`` (orderings of ids)."""
+    dataset = Dataset.single_group(("a", "b", "c"))
+    ledger = Ledger(dataset, stream_of(relevance, polarity))
     attention = AttentionModel(cutoff)
-    for q, order in queries_and_orders:
-        ledger.update(q, Assignment(order), attention)
+    for order in orders:
+        ledger.update(rows_of(dataset, order), attention)
     return ledger, attention
 
 
@@ -197,29 +199,26 @@ W = AttentionModel(3).weights(3)
 
 class TestProspective:
     def test_attention_exactly_matching_relevance(self):
-        q = QueryEvent("q", 1, (1.0,), {"a": float(W[0]), "b": float(W[1]), "c": float(W[2])})
-        ledger, attention = _ledger_after([])
-        d = prospective_divergence(ledger, "a", q, 1, attention, DivergenceKind.L1, "aware")
+        q = {"a": float(W[0]), "b": float(W[1]), "c": float(W[2])}
+        ledger, attention = _ledger_after([q], [(1.0,)], [])
+        d = prospective_divergence(ledger, "a", 1, attention, DivergenceKind.L1, "aware")
         assert d == pytest.approx(0.0, abs=1e-15)
 
     def test_position_beyond_cutoff_gets_nothing(self):
-        q = QueryEvent("q", 1, (1.0,), {"a": 0.5, "b": 0.25, "c": 0.25})
-        ledger, _ = _ledger_after([])
+        ledger, _ = _ledger_after([{"a": 0.5, "b": 0.25, "c": 0.25}], [(1.0,)], [])
         attention = AttentionModel(1)
-        d = prospective_divergence(ledger, "a", q, 3, attention, DivergenceKind.L1, "aware")
+        d = prospective_divergence(ledger, "a", 3, attention, DivergenceKind.L1, "aware")
         assert d == pytest.approx(0.5, abs=1e-15)
 
     def test_negative_polarity_zero_relevance(self):
-        q = QueryEvent("q", 1, (-1.0,), {"a": 0.0, "b": 0.5, "c": 0.5})
-        ledger, attention = _ledger_after([])
-        d = prospective_divergence(ledger, "a", q, 1, attention, DivergenceKind.L1, "aware")
+        ledger, attention = _ledger_after([{"a": 0.0, "b": 0.5, "c": 0.5}], [(-1.0,)], [])
+        d = prospective_divergence(ledger, "a", 1, attention, DivergenceKind.L1, "aware")
         assert d == pytest.approx(float(W[0]), abs=1e-12)
 
     def test_position_out_of_range(self):
-        q = QueryEvent("q", 1, (1.0,), {"a": 0.5, "b": 0.25, "c": 0.25})
-        ledger, attention = _ledger_after([])
+        ledger, attention = _ledger_after([{"a": 0.5, "b": 0.25, "c": 0.25}], [(1.0,)], [])
         with pytest.raises(ValidationError):
-            prospective_divergence(ledger, "a", q, 4, attention, DivergenceKind.L1)
+            prospective_divergence(ledger, "a", 4, attention, DivergenceKind.L1)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("mode", ["aware", "agnostic"])
@@ -228,24 +227,23 @@ class TestProspective:
         rng = np.random.default_rng(17)
         ids = ("a", "b", "c")
         for trial in range(20):
-            history = []
+            relevance, polarity, orders = [], [], []
             for t in range(1, int(rng.integers(1, 5)) + 1):
                 rel = rng.dirichlet(np.ones(3))
-                eta = float(rng.choice([-1.0, 0.5, 1.0]))
-                q = QueryEvent(f"q{t}", t, (eta,), dict(zip(ids, rel.tolist())))
-                order = tuple(np.array(ids)[rng.permutation(3)])
-                history.append((q, order))
-            ledger, attention = _ledger_after(history)
+                polarity.append((float(rng.choice([-1.0, 0.5, 1.0])),))
+                relevance.append(dict(zip(ids, rel.tolist())))
+                orders.append(tuple(np.array(ids)[rng.permutation(3)]))
             rel = rng.dirichlet(np.ones(3))
-            q = QueryEvent("next", ledger.t + 1, (float(rng.choice([-1.0, 1.0])),),
-                           dict(zip(ids, rel.tolist())))
+            polarity.append((float(rng.choice([-1.0, 1.0])),))
+            relevance.append(dict(zip(ids, rel.tolist())))
+            ledger, attention = _ledger_after(relevance, polarity, orders)
             ind = ids[int(rng.integers(0, 3))]
             pos = int(rng.integers(1, 4))
-            before = prospective_divergence(ledger, ind, q, pos, attention, kind, mode)
+            before = prospective_divergence(ledger, ind, pos, attention, kind, mode)
             others = [i for i in ids if i != ind]
             order = list(others)
             order.insert(pos - 1, ind)
-            ledger.update(q, Assignment(tuple(order)), attention)
+            ledger.update(rows_of(ledger.dataset, order), attention)
             after = ledger_divergence(ledger, ind, kind, mode)
             assert before == pytest.approx(after, abs=1e-12)
 
@@ -253,26 +251,28 @@ class TestProspective:
     def test_matrix_agrees_with_per_cell_calls(self, kind):
         rng = np.random.default_rng(23)
         ids = ("a", "b", "c")
-        history = []
+        relevance, orders = [], []
         for t in range(1, 4):
             rel = rng.dirichlet(np.ones(3))
-            q = QueryEvent(f"q{t}", t, (1.0, -0.5), dict(zip(ids, rel.tolist())))
-            history.append((q, tuple(np.array(ids)[rng.permutation(3)])))
-        ledger, attention = _ledger_after(history, components=2)
+            relevance.append(dict(zip(ids, rel.tolist())))
+            orders.append(tuple(np.array(ids)[rng.permutation(3)]))
         rel = rng.dirichlet(np.ones(3))
-        q = QueryEvent("next", 4, (0.7, -1.0), dict(zip(ids, rel.tolist())))
+        relevance.append(dict(zip(ids, rel.tolist())))
+        polarity = [(1.0, -0.5)] * 3 + [(0.7, -1.0)]
+        ledger, attention = _ledger_after(relevance, polarity, orders)
         for mode in ("aware", "agnostic"):
-            d = divergence_matrix(ledger, *query_columns(ledger, ids, q), attention, kind, mode)
+            d = divergence_matrix(ledger, *query_columns(ledger, ids), attention, kind, mode)
             for i, ind in enumerate(ids):
                 for j in range(3):
                     expected = prospective_divergence(
-                        ledger, ind, q, j + 1, attention, kind, mode
+                        ledger, ind, j + 1, attention, kind, mode
                     )
                     assert d[i, j] == pytest.approx(expected, abs=1e-12)
 
 
 def _w1_case(rng, T, P, binary):
-    """Six individuals after T random placements, plus the next query.
+    """Six individuals after T random placements; the stream holds one more
+    query, the next one.
 
     Binary relevance (three of six at 1/3) makes values tie within and
     across sequences; P=2 carries a zero polarity component.
@@ -280,9 +280,8 @@ def _w1_case(rng, T, P, binary):
     ids = ("a", "b", "c", "d", "e", "f")
     dataset = Dataset.single_group(ids)
     attention = AttentionModel(2)  # k_att < K
-    ledger = Ledger(dataset, P)
 
-    def query(t):
+    def query():
         if binary:
             rel = np.zeros(6)
             rel[rng.choice(6, 3, replace=False)] = 1.0 / 3.0
@@ -291,12 +290,15 @@ def _w1_case(rng, T, P, binary):
         eta = rng.choice([-1.0, 0.5, 1.0], size=P)
         if P == 2:
             eta[int(rng.integers(0, 2))] = 0.0
-        return QueryEvent(f"q{t}", t, tuple(eta.tolist()), dict(zip(ids, rel.tolist())))
+        return dict(zip(ids, rel.tolist())), eta.tolist()
 
-    stream = [query(t) for t in range(1, T + 1)]
-    for q in stream:
-        ledger.update(q, Assignment(tuple(np.array(ids)[rng.permutation(6)])), attention)
-    return ledger, attention, stream, query(T + 1)
+    queries = [query() for _ in range(T)]
+    orders = [rng.permutation(6) for _ in range(T)]
+    relevance, polarity = zip(*queries, query())
+    ledger = Ledger(dataset, stream_of(relevance, polarity))
+    for rows in orders:
+        ledger.update(rows, attention)
+    return ledger, attention
 
 
 class TestW1InsertKernel:
@@ -307,17 +309,17 @@ class TestW1InsertKernel:
     def test_prospective_matrix_matches_per_cell(self, P, binary):
         rng = np.random.default_rng(31 + P + 2 * binary)
         for T in range(10):  # T=0 is the empty ledger at the first query
-            ledger, attention, _, q = _w1_case(rng, T, P, binary)
+            ledger, attention = _w1_case(rng, T, P, binary)
             candidates = ("c", "a", "f", "d")  # K=4 < n=6
             for mode in ("aware", "agnostic"):
                 d = divergence_matrix(
-                    ledger, *query_columns(ledger, candidates, q), attention,
+                    ledger, *query_columns(ledger, candidates), attention,
                     DivergenceKind.W1, mode,
                 )
                 for i, ind in enumerate(candidates):
                     for j in range(len(candidates)):
                         expected = prospective_divergence(
-                            ledger, ind, q, j + 1, attention, DivergenceKind.W1, mode
+                            ledger, ind, j + 1, attention, DivergenceKind.W1, mode
                         )
                         assert abs(d[i, j] - expected) <= 1e-12, (T, mode, i, j)
 
@@ -326,7 +328,7 @@ class TestW1InsertKernel:
     def test_final_horizon_matrix_matches_per_cell(self, P, binary):
         rng = np.random.default_rng(41 + P + 2 * binary)
         for T in range(1, 10):
-            ledger, attention, stream, _ = _w1_case(rng, T, P, binary)
+            ledger, attention = _w1_case(rng, T, P, binary)
             candidates = ("b", "e", "a", "c")
             for mode in ("aware", "agnostic"):
                 config = RerankConfig(
@@ -335,9 +337,9 @@ class TestW1InsertKernel:
                 for step0 in range(T):
                     rows = [ledger.dataset.index[c] for c in candidates]
                     d = _final_w1_matrix(
-                        ledger, step0, stream[step0].polarity, rows, config, attention
+                        ledger, step0, ledger.polarity[step0], rows, config, attention
                     )
                     expected = final_w1_matrix_oracle(
-                        ledger, step0, stream[step0], candidates, mode, attention
+                        ledger, step0, candidates, mode, attention
                     )
                     np.testing.assert_allclose(d, expected, rtol=0, atol=1e-12)

@@ -9,7 +9,7 @@ import pytest
 
 from fairrank import io as fio
 from fairrank.cli import _bootstrap, main, sweep_table
-from fairrank.core import Dataset, QueryEvent
+from fairrank.core import Dataset, Stream
 from fairrank.errors import (
     CoverageError,
     LengthMismatchError,
@@ -19,6 +19,7 @@ from fairrank.errors import (
 )
 from fairrank.rerank import RerankConfig, rerank_online
 from fairrank.synth import SynthSpec, gen_synth_binary, gen_synth_cont
+from oracles import relevance_dicts, stream_of
 
 
 def block_matrix(payload) -> np.ndarray:
@@ -101,6 +102,17 @@ class TestStreamFiles:
         assert err.value.line == 4
         assert "q1" in str(err.value)
 
+    @pytest.mark.parametrize("query_id", ["null", "7", "1.5", "true", '["q2"]', '{"q": 2}'])
+    def test_query_id_must_be_a_string(self, tmp_path, query_id):
+        path = tmp_path / "ids.jsonl"
+        path.write_text(
+            '{"query_id": "q1", "t": 1, "polarity": [1.0], "relevance": {"a": 0.5, "b": 0.5}}\n'
+            f'{{"query_id": {query_id}, "t": 2, "polarity": [1.0], "relevance": {{"a": 0.5, "b": 0.5}}}}\n'
+        )
+        with pytest.raises(ParseError, match="query_id must be a string") as err:
+            fio.load_stream(path)
+        assert err.value.line == 2
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -123,9 +135,9 @@ class TestStreamFiles:
         path = tmp_path / "ints.jsonl"
         path.write_text('{"query_id": "q1", "t": 1, "polarity": [-1], "relevance": {"a": 1, "b": 0}}\n')
         _, stream = fio.load_stream(path)
-        assert stream[0].polarity == (-1.0,)
-        assert stream[0].relevance == {"a": 1.0, "b": 0.0}
-        assert all(type(v) is float for v in stream[0].relevance.values())
+        assert stream.polarity.tolist() == [[-1.0]]
+        assert stream.relevance.tolist() == [[1.0, 0.0]]
+        assert stream.polarity.dtype == stream.relevance.dtype == np.float64
 
     def test_key_order_within_a_line_does_not_matter(self, tmp_path):
         lines = [
@@ -137,7 +149,7 @@ class TestStreamFiles:
         path.write_text("\n".join(lines) + "\n")
         individuals, stream = fio.load_stream(path)
         assert individuals == ("a", "b", "c")
-        assert [q.relevance for q in stream] == [json.loads(line)["relevance"] for line in lines]
+        assert relevance_dicts(stream) == [json.loads(line)["relevance"] for line in lines]
         again = tmp_path / "again.jsonl"
         fio.save_stream(again, stream)
         assert [json.loads(line) for line in again.read_text().splitlines()] == [
@@ -167,7 +179,7 @@ class TestStreamFiles:
         path.write_text('{"query_id": "q1", "t": 1, "polarity": [1.0], "relevance": {"a": 3.0, "b": 1.0}}\n')
         with pytest.warns(UserWarning):
             _, stream = fio.load_stream(path, raw=True)
-        assert stream[0].relevance == {"a": 0.75, "b": 0.25}
+        assert stream.relevance.tolist() == [[0.75, 0.25]]
 
     def test_small_drift_within_file_tolerance_is_fixed_silently(self, tmp_path):
         value = 0.5 + 2e-8
@@ -177,7 +189,7 @@ class TestStreamFiles:
                         "relevance": {"a": value, "b": 0.5}}) + "\n"
         )
         _, stream = fio.load_stream(path)
-        assert abs(math.fsum(stream[0].relevance.values()) - 1.0) <= 1e-12
+        assert abs(math.fsum(stream.relevance[0].tolist()) - 1.0) <= 1e-12
 
 
     @pytest.mark.parametrize(
@@ -232,16 +244,24 @@ class TestSplit:
         _, stream, _, _ = binary_files
         tuning, test = fio.split_by_query_id(stream, 0.5, salt="s")
         again_tuning, again_test = fio.split_by_query_id(stream, 0.5, salt="s")
-        assert [q.query_id for q in tuning] == [q.query_id for q in again_tuning]
+        assert isinstance(tuning, Stream) and isinstance(test, Stream)
+        assert tuning.query_ids == again_tuning.query_ids
         assert len(tuning) + len(test) == len(stream)
+        assert sorted(tuning.query_ids + test.query_ids) == sorted(stream.query_ids)
         for part in (tuning, test):
-            ts = [q.t for q in part]
+            ts = part.t.tolist()
             assert ts == sorted(ts)
+            rows = [stream.query_ids.index(q) for q in part.query_ids]
+            assert part.relevance.tobytes() == stream.relevance[rows].tobytes()
+            assert part.polarity.tobytes() == stream.polarity[rows].tobytes()
+            assert part.individuals == stream.individuals
 
     def test_fraction_extremes(self, binary_files):
         _, stream, _, _ = binary_files
         all_tuning, none = fio.split_by_query_id(stream, 1.0)
-        assert len(all_tuning) == len(stream) and none == []
+        assert all_tuning.query_ids == stream.query_ids and none is None
+        none, all_test = fio.split_by_query_id(stream, 0.0)
+        assert none is None and all_test.query_ids == stream.query_ids
         with pytest.raises(ValidationError):
             fio.split_by_query_id(stream, 1.5)
 
@@ -249,7 +269,7 @@ class TestSplit:
         dataset, stream = gen_synth_binary(SynthSpec(n=4, T=16))
         a, _ = fio.split_by_query_id(stream, 0.5, salt="one")
         b, _ = fio.split_by_query_id(stream, 0.5, salt="two")
-        assert [q.query_id for q in a] != [q.query_id for q in b]
+        assert a.query_ids != b.query_ids
 
 
 class TestReports:
@@ -447,10 +467,10 @@ class TestReplayChecks:
         the stored nDCG exact."""
         ids = tuple(f"d{k}" for k in range(8))
         values = [0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05]
-        stream = [
-            QueryEvent(f"q{t}", t, (1.0 if t % 2 else -1.0,), dict(zip(ids, values[t:] + values[:t])))
-            for t in range(1, 6)
-        ]
+        stream = stream_of(
+            [dict(zip(ids, values[t:] + values[:t])) for t in range(1, 6)],
+            [(1.0 if t % 2 else -1.0,) for t in range(1, 6)],
+        )
         dataset = Dataset.single_group(ids)
         config = RerankConfig(k_re=8, k_att=3, k_eval=k_eval, theta=0.8)
         run = rerank_online(dataset, stream, config)
@@ -587,7 +607,7 @@ def _awkward_stream():
     must not renormalize)."""
     rng = np.random.default_rng(7)
     ids = [f"i{k}" for k in range(6)]
-    stream = []
+    relevance = []
     for t in range(1, 6):
         raw = rng.random(len(ids))
         raw[:2] = 0.0
@@ -595,8 +615,9 @@ def _awkward_stream():
         values[0] = -0.0
         values[1] = 5e-324 if t % 2 else values[2] * 1e-3
         values[2] += 6e-10 if t % 2 else -values[1] - 6e-10
-        stream.append(QueryEvent(f"q{t}", t, (1.0 if t % 2 else -0.5,), dict(zip(ids, values))))
-    return Dataset.single_group(ids), stream
+        relevance.append(dict(zip(ids, values)))
+    polarity = [(1.0 if t % 2 else -0.5,) for t in range(1, 6)]
+    return Dataset.single_group(ids), stream_of(relevance, polarity)
 
 
 class TestRunFileBlock:
@@ -614,10 +635,10 @@ class TestRunFileBlock:
         dataset, stream, run, path = saved
         payload = fio.load_run(path)
         block = payload["stream"]
-        assert (block["query_ids"], block["t"]) == ([q.query_id for q in stream], [q.t for q in stream])
-        for want, got in zip(stream, block_relevance(payload)):
-            assert list(got) == sorted(want.relevance)
-            for ind, value in want.relevance.items():
+        assert (block["query_ids"], block["t"]) == (list(stream.query_ids), stream.t.tolist())
+        for want, got in zip(relevance_dicts(stream), block_relevance(payload)):
+            assert list(got) == sorted(want)
+            for ind, value in want.items():
                 assert np.float64(got[ind]).tobytes() == np.float64(value).tobytes()
         replayed = fio.replay_run(payload, dataset.group_of)
         for channel in ("attention", "relevance"):
@@ -636,7 +657,9 @@ class TestRunFileBlock:
     def test_old_list_of_lines_layout_rejected(self, saved):
         dataset, stream, _, path = saved
         payload = fio.load_run(path)
-        payload["stream"] = [fio.stream_line(q) for q in stream]
+        lines = path.with_name("stream.jsonl")
+        fio.save_stream(lines, stream)
+        payload["stream"] = lines.read_text().splitlines()
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ValidationError, match="earlier version"):
             fio.replay_run(fio.load_run(path), dataset.group_of)
@@ -683,6 +706,8 @@ class TestRunFileBlock:
             (lambda b: b["t"].__setitem__(1, 1), StreamOrderError, "timestep"),
             (lambda b: b["polarity"].__setitem__(1, [1.0, 1.0]), LengthMismatchError,
              "component"),
+            (lambda b: b["query_ids"].__setitem__(1, None), ValidationError, "strings"),
+            (lambda b: b["query_ids"].__setitem__(1, 7), ValidationError, "strings"),
         ],
     )
     def test_malformed_block_rejected(self, saved, edit, error, match):
@@ -804,6 +829,31 @@ class TestCli:
         assert "improvement" in doc and "fairwashing" in doc
         assert doc["config"]["objective"] == "minmax"
 
+    def test_baseline_run_of_another_stream_exits_1(self, tmp_path, capsys):
+        runs = {}
+        for name, T, seed in (("a", "4", "1"), ("b", "6", "2")):
+            data = tmp_path / name
+            assert main(["generate", "--variant", "continuous", "--n", "10", "--T", T,
+                         "--seed", seed, "--out", str(data)]) == 0
+            runs[name] = tmp_path / f"{name}.json"
+            assert main(["rank", "--stream", str(data / "stream.jsonl"),
+                         "--out", str(runs[name])]) == 0
+        code = main(["evaluate", "--run", str(runs["a"]), "--baseline-run", str(runs["b"]),
+                     "--out", str(tmp_path / "report.json")])
+        assert code == 1
+        assert "error: baseline run ranks another stream" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_unknown_divergence_kind_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["generate", "--n", "6", "--T", "2", "--out", str(data)])
+        code = main(["sweep", "--stream", str(data / "stream.jsonl"), "--kinds", "L3",
+                     "--out", str(tmp_path / "sweep.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: kind must be one of ('L1', 'L2var', 'W1')")
+        assert "Traceback" not in err
+
     def test_rank_is_bit_reproducible(self, tmp_path):
         data = tmp_path / "data"
         main(["generate", "--variant", "continuous", "--n", "10", "--T", "4",
@@ -919,7 +969,7 @@ class TestSweepTable:
         # resampled streams repeat query ids by design; only files reject them
         dataset, stream = gen_synth_binary(SynthSpec(n=8, T=4))
         resampled = _bootstrap(stream, [0, 1])
-        assert len({q.query_id for q in resampled}) < len(resampled)
+        assert len(set(resampled.query_ids)) < len(resampled)
         config = RerankConfig(k_re=8, k_att=3, k_eval=3)
         run = rerank_online(dataset, resampled, config)
-        assert run.query_ids == [q.query_id for q in resampled]
+        assert run.query_ids == list(resampled.query_ids)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairrank.core import Assignment, AttentionModel, Dataset, Ledger, QueryEvent
+from fairrank.core import AttentionModel, Dataset, Ledger
 from fairrank.divergence import DivergenceKind
 from fairrank.errors import EmptyScopeError
 from fairrank.metrics import (
@@ -26,7 +26,7 @@ from fairrank.metrics import (
 from fairrank.rerank import RerankConfig, evaluate_run, rerank_online
 from fairrank.synth import fairwashing_scenario, gen_random_instance
 from fairrank.verify import random_ledger
-from oracles import individual_divergences_oracle
+from oracles import individual_divergences_oracle, rows_of, stream_of
 
 KINDS = (DivergenceKind.L1, DivergenceKind.L2VAR, DivergenceKind.W1)
 
@@ -38,10 +38,10 @@ def winner_takes_all_ledger(relevances, orders, groups=None):
         dataset = Dataset.single_group(ids)
     else:
         dataset = Dataset(ids, groups)
-    ledger = Ledger(dataset, 1)
+    ledger = Ledger(dataset, stream_of(relevances))
     attention = AttentionModel(1)
-    for t, (rel, order) in enumerate(zip(relevances, orders), start=1):
-        ledger.update(QueryEvent(f"q{t}", t, (1.0,), rel), Assignment(order), attention)
+    for order in orders:
+        ledger.update(rows_of(dataset, order), attention)
     return ledger, dataset
 
 
@@ -61,10 +61,10 @@ class TestIndividualUnfairness:
         dataset = Dataset.single_group(ids)
         attention = AttentionModel(3)
         w = attention.weights(3)
-        ledger = Ledger(dataset, 1)
         rel = dict(zip(ids, (float(w[0]), float(w[1]), float(w[2]))))
-        for t in range(1, 4):
-            ledger.update(QueryEvent(f"q{t}", t, (1.0,), rel), Assignment(ids), attention)
+        ledger = Ledger(dataset, stream_of([rel] * 3))
+        for _ in range(3):
+            ledger.update([0, 1, 2], attention)
         for kind in KINDS:
             assert individual_unfairness(ledger, kind) == 0.0
             assert group_unfairness(ledger, kind) == 0.0
@@ -88,19 +88,20 @@ class TestIndividualUnfairness:
         n = 9
         ids = tuple(f"i{k}" for k in range(n))
         dataset = Dataset.single_group(ids)
-        ledger = Ledger(dataset, P)
         attention = AttentionModel(6)
+        relevance, polarities, orders = [], [], []
         for t in range(1, T + 1):
             raw = rng.random(n) * (rng.random(n) < 0.8)
             raw[0] += 0.1
             polarity = rng.normal(size=P)
             if P > 1:
                 polarity[t % P] = 0.0  # a zero polarity component
-            ledger.update(
-                QueryEvent(f"q{t}", t, tuple(polarity), dict(zip(ids, raw / raw.sum()))),
-                Assignment(tuple(rng.permutation(ids))),
-                attention,
-            )
+            relevance.append(dict(zip(ids, raw / raw.sum())))
+            polarities.append(tuple(polarity))
+            orders.append(rng.permutation(n))
+        ledger = Ledger(dataset, stream_of(relevance, polarities))
+        for rows in orders:
+            ledger.update(rows, attention)
         scope = ("i7", "i2", "i5", "i0")  # a subset in non-dataset order
         for kind in KINDS:
             for mode in ("aware", "agnostic"):
@@ -115,7 +116,7 @@ class TestIndividualUnfairness:
     def test_empty_ledger_rejected(self):
         dataset = Dataset.single_group(("a",))
         with pytest.raises(EmptyScopeError):
-            individual_unfairness(Ledger(dataset, 1), DivergenceKind.L1)
+            individual_unfairness(Ledger(dataset, stream_of([{"a": 1.0}])), DivergenceKind.L1)
 
     def test_iaa_dominates_worst_case_l1(self):
         rng = np.random.default_rng(31)
@@ -142,14 +143,10 @@ class TestGroupUnfairness:
         # one group holding a and b: per-query group attention (0.4+0.2)/2
         ids = ("a", "b")
         dataset = Dataset(ids, {"a": "g", "b": "g"})
-        ledger = Ledger(dataset, 1)
+        ledger = Ledger(dataset, stream_of([{"a": 0.5, "b": 0.5}]))
         attention = AttentionModel(2)
         w = attention.weights(2)  # [0.6131.., 0.3868..]
-        ledger.update(
-            QueryEvent("q", 1, (1.0,), {"a": 0.5, "b": 0.5}),
-            Assignment(("a", "b")),
-            attention,
-        )
+        ledger.update([0, 1], attention)
         summary = group_summaries(ledger)["g"]
         assert summary.seq_attn[0, 0] == pytest.approx((w[0] + w[1]) / 2, abs=1e-15)
         assert summary.mean_attn[0] == pytest.approx(0.5, abs=1e-15)
@@ -184,9 +181,8 @@ class TestBaselineMetrics:
         dataset = Dataset(ids, groups)
         attention = AttentionModel(2)
         w = attention.weights(2)
-        ledger = Ledger(dataset, 1)
-        rel = {"a": float(w[0]), "b": float(w[1])}
-        ledger.update(QueryEvent("q", 1, (1.0,), rel), Assignment(ids), attention)
+        ledger = Ledger(dataset, stream_of([{"a": float(w[0]), "b": float(w[1])}]))
+        ledger.update([0, 1], attention)
         assert eur(ledger, "agnostic", dataset) == pytest.approx(0.0, abs=1e-12)
         assert dp(ledger, "agnostic", dataset) == pytest.approx(
             float(w[0] - w[1]), abs=1e-12
@@ -217,14 +213,15 @@ class TestBaselineMetrics:
         rng = np.random.default_rng(5)
         ids = tuple(f"m{i:02d}" for i in range(10)) + tuple(f"f{i:02d}" for i in range(10))
         dataset = Dataset(ids, {i: i[0] for i in ids})
-        stream = []
+        relevance, polarities = [], []
         for t in range(6):
             raw = rng.random(len(ids)) + 0.5
-            rel = dict(zip(ids, (raw / raw.sum()).tolist()))
+            relevance.append(dict(zip(ids, (raw / raw.sum()).tolist())))
             polarity = 1.0 if t % 2 == 0 else -1.0
             if scale is not None and t == 5:
                 polarity *= scale
-            stream.append(QueryEvent(f"q{t}", t + 1, (polarity,), rel))
+            polarities.append((polarity,))
+        stream = stream_of(relevance, polarities, query_ids=[f"q{t}" for t in range(6)])
         config = RerankConfig(kind="W1", objective="minmax", theta=0.95, k_re=8,
                               k_att=5, k_eval=5)
         fair = rerank_online(dataset, stream, config)
@@ -281,10 +278,10 @@ class TestSentinels:
 
 class TestPolarityScenario:
     def test_flip_scenario_exact_values(self):
-        dataset, stream, assignments, attention = fairwashing_scenario()
-        ledger = Ledger(dataset, 1)
-        for query, assignment in zip(stream, assignments):
-            ledger.update(query, assignment, attention)
+        dataset, stream, orderings, attention = fairwashing_scenario()
+        ledger = Ledger(dataset, stream)
+        for rows in orderings:
+            ledger.update(rows, attention)
         assert individual_unfairness(ledger, DivergenceKind.L1, "agnostic") == 0.0
         assert individual_unfairness(ledger, DivergenceKind.L1, "aware") == 1.0
         assert iaa(ledger, "aware") == 2.0
@@ -296,11 +293,10 @@ class TestPolarityScenario:
     def test_unit_polarity_modes_agree_exactly(self):
         dataset, stream = gen_random_instance(8, 3, 5, "unit", seed=5)
         attention = AttentionModel(4)
-        ledger = Ledger(dataset, 1)
+        ledger = Ledger(dataset, stream)
         rng = np.random.default_rng(5)
-        for q in stream:
-            order = tuple(dataset.individuals[i] for i in rng.permutation(8))
-            ledger.update(q, Assignment(order), attention)
+        for _ in range(len(stream)):
+            ledger.update(rng.permutation(8), attention)
         aware = metrics_panel(ledger, "aware", dataset)
         agnostic = metrics_panel(ledger, "agnostic", dataset)
         assert aware.to_dict() == agnostic.to_dict()
@@ -308,10 +304,10 @@ class TestPolarityScenario:
 
 class TestReport:
     def test_report_structure_and_washing_panel(self):
-        dataset, stream, assignments, attention = fairwashing_scenario()
-        ledger = Ledger(dataset, 1)
-        for query, assignment in zip(stream, assignments):
-            ledger.update(query, assignment, attention)
+        dataset, stream, orderings, attention = fairwashing_scenario()
+        ledger = Ledger(dataset, stream)
+        for rows in orderings:
+            ledger.update(rows, attention)
         report = build_report(ledger, dataset)
         assert set(report.panels) == {"aware", "agnostic"}
         assert report.fairwashing["individual.L1"] == math.inf
@@ -348,17 +344,14 @@ class TestReport:
         rng = np.random.default_rng(11)
         dataset, stream = gen_random_instance(9, 3, 6, "signed", seed=3)
         attention = AttentionModel(4)
-        orders = [
-            Assignment(tuple(dataset.individuals[i] for i in rng.permutation(9)))
-            for _ in stream
-        ]
-        ledger = Ledger(dataset, 1)
+        orders = [rng.permutation(9) for _ in range(len(stream))]
+        ledger = Ledger(dataset, stream)
         reports = []
-        for query, order in zip(stream, orders):
-            ledger.update(query, order, attention)
+        for rows in orders:
+            ledger.update(rows, attention)
             reports.append(build_report(ledger, dataset).to_dict())
-            fresh = Ledger(dataset, 1)
-            for q, o in zip(stream[: ledger.t], orders):
-                fresh.update(q, o, attention)
+            fresh = Ledger(dataset, stream)
+            for o in orders[: ledger.t]:
+                fresh.update(o, attention)
             assert repr(reports[-1]) == repr(build_report(fresh, dataset).to_dict())
         assert len({repr(r["metrics"]["aware"]["group"]) for r in reports}) == len(stream)

@@ -7,14 +7,7 @@ import pytest
 
 from fairrank import rerank as rr
 from fairrank.assign import brute_force
-from fairrank.core import (
-    Assignment,
-    AttentionModel,
-    Ledger,
-    QueryEvent,
-    dcg_at_k,
-    ideal_ranking,
-)
+from fairrank.core import AttentionModel, Dataset, Ledger, Stream
 from fairrank.divergence import DivergenceKind, divergence_matrix
 from fairrank.errors import CoverageError, StreamOrderError, ValidationError
 from fairrank.metrics import individual_divergences, individual_unfairness
@@ -23,11 +16,19 @@ from fairrank.rerank import (
     evaluate_run,
     rerank_offline,
     rerank_online,
-    validate_stream,
 )
 from fairrank.synth import gen_random_instance
 
-from oracles import final_objective, joint_offline_oracle, query_columns
+from oracles import (
+    dcg_oracle,
+    final_objective,
+    ideal_ranking_oracle,
+    joint_offline_oracle,
+    query_columns,
+    relevance_dicts,
+    rows_of,
+    stream_of,
+)
 
 
 def small_config(**kw):
@@ -55,37 +56,38 @@ class TestConfig:
             small_config(objective="max")
         with pytest.raises(ValidationError):
             small_config(polarity_mode="both")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=r"kind must be one of \('L1', 'L2var', 'W1'\)"):
             small_config(kind="L3")
 
 
 class TestStreamValidation:
     def test_timesteps_strictly_increase(self):
-        dataset, stream = gen_random_instance(5, 2, 3, "signed", seed=0)
-        bad = [stream[0], stream[2], stream[1]]
+        _, stream = gen_random_instance(5, 2, 3, "signed", seed=0)
+        swap = [0, 2, 1]
         with pytest.raises(StreamOrderError):
-            validate_stream(dataset, bad)
+            Stream([stream.query_ids[i] for i in swap], stream.t[swap], stream.polarity[swap],
+                   stream.individuals, stream.relevance[swap])
 
     @pytest.mark.parametrize("edit", ["drop", "add", "rename"])
     def test_every_query_covers_the_dataset(self, edit):
         dataset, stream = gen_random_instance(5, 2, 3, "signed", seed=0)
-        relevance = dict(stream[2].relevance)
+        relevance = relevance_dicts(stream)
         first = dataset.individuals[0]
-        share = relevance.pop(first)
-        if edit == "add":
-            relevance[first], relevance["extra"] = share, 0.0
-        elif edit == "rename":
-            relevance["extra"] = share
-        else:
-            relevance[dataset.individuals[1]] += share
-        bad = [*stream[:2], QueryEvent(stream[2].query_id, stream[2].t, stream[2].polarity, relevance)]
-        with pytest.raises(CoverageError, match=stream[2].query_id):
-            validate_stream(dataset, bad)
+        for rel in relevance:
+            share = rel.pop(first)
+            if edit == "add":
+                rel[first], rel["extra"] = share, 0.0
+            elif edit == "rename":
+                rel["extra"] = share
+            else:
+                rel[dataset.individuals[1]] += share
+        bad = stream_of(relevance, stream.polarity, stream.t, stream.query_ids)
+        with pytest.raises(CoverageError, match=stream.query_ids[0]):
+            rerank_online(dataset, bad, small_config())
 
     def test_empty_stream(self):
-        dataset, _ = gen_random_instance(5, 2, 3, "signed", seed=0)
-        with pytest.raises(ValidationError):
-            validate_stream(dataset, [])
+        with pytest.raises(ValidationError, match="empty"):
+            Stream([], [], np.empty((0, 1)), ("a", "b"), np.empty((0, 2)))
 
     def test_prefilter_depth_cannot_exceed_population(self):
         dataset, stream = gen_random_instance(3, 2, 2, "signed", seed=0)
@@ -97,8 +99,8 @@ class TestPassThrough:
     def test_emits_ideal_rankings_at_perfect_quality(self):
         dataset, stream = gen_random_instance(6, 2, 4, "signed", seed=1)
         run = rerank_online(dataset, stream, small_config(objective="none"))
-        for query, assignment, ndcg in zip(stream, run.assignments, run.ndcg):
-            assert assignment.ordering == ideal_ranking(query)
+        for rel, assignment, ndcg in zip(relevance_dicts(stream), run.assignments, run.ndcg):
+            assert assignment.ordering == ideal_ranking_oracle(rel)
             assert ndcg == 1.0
         assert run.fallback_count == 0
         assert all(math.isnan(v) for v in run.objective_trace)
@@ -106,10 +108,9 @@ class TestPassThrough:
     def test_binding_theta_with_unique_relevances(self):
         rng = np.random.default_rng(2)
         ids = tuple(f"i{k}" for k in range(5))
-        stream = []
-        for t in range(1, 5):
-            raw = rng.permutation([0.4, 0.25, 0.2, 0.1, 0.05])
-            stream.append(QueryEvent(f"q{t}", t, (1.0,), dict(zip(ids, raw.tolist()))))
+        stream = stream_of([
+            dict(zip(ids, rng.permutation([0.4, 0.25, 0.2, 0.1, 0.05]).tolist())) for _ in range(4)
+        ])
         dataset, _ = gen_random_instance(5, 2, 1, "unit", seed=0)
         dataset = type(dataset).single_group(ids)
         config = small_config(theta=1.0, k_re=5, k_att=3, k_eval=5)
@@ -145,20 +146,20 @@ class TestPerStepOptimality:
             config = small_config(objective=objective, theta=0.7, k_re=k,
                                   k_att=int(rng.integers(1, k + 1)), k_eval=k)
             run = rerank_online(dataset, stream, config)
-            mirror = Ledger(dataset, 1)
+            mirror = Ledger(dataset, stream)
             attention = AttentionModel(config.k_att)
-            for step, query in enumerate(stream):
-                ideal = ideal_ranking(query)
+            for step, rel in enumerate(relevance_dicts(stream)):
+                ideal = ideal_ranking_oracle(rel)
                 candidates = ideal[: config.k_re]
-                d = divergence_matrix(mirror, *query_columns(mirror, candidates, query),
+                d = divergence_matrix(mirror, *query_columns(mirror, candidates),
                                       attention, DivergenceKind.L1, config.polarity_mode)
-                rel_head = np.array([query.relevance[c] for c in candidates])
-                theta_rho = config.theta * dcg_at_k(ideal, query.relevance, config.k_eval)
+                rel_head = np.array([rel[c] for c in candidates])
+                theta_rho = config.theta * dcg_oracle(ideal, rel, config.k_eval)
                 expected = brute_force(oracle, d, rel_head, theta_rho, config.k_eval)
                 assert run.objective_trace[step] == pytest.approx(
                     expected.objective, abs=1e-9
                 )
-                mirror.update(query, run.assignments[step], attention)
+                mirror.update(run.orderings[step], attention)
 
 
 class TestThetaMonotonicity:
@@ -215,12 +216,10 @@ class TestPolarityFlipRerank:
         """Opposite-polarity twin queries: the system ranking accrues +1/-1
         attention against zero net relevance; the aware re-ranker keeps the
         books near zero instead."""
-        stream = [
-            QueryEvent("q_pos", 1, (1.0,), {"a": 0.501, "b": 0.499}),
-            QueryEvent("q_neg", 2, (-1.0,), {"a": 0.499, "b": 0.501}),
-        ]
-        from fairrank.core import Dataset
-
+        stream = stream_of(
+            [{"a": 0.501, "b": 0.499}, {"a": 0.499, "b": 0.501}], [(1.0,), (-1.0,)],
+            query_ids=["q_pos", "q_neg"],
+        )
         dataset = Dataset(("a", "b"), {"a": "g1", "b": "g2"})
         pass_cfg = RerankConfig(objective="none", k_re=2, k_att=1, k_eval=2)
         passthrough = rerank_online(dataset, stream, pass_cfg)
@@ -245,8 +244,8 @@ class TestFallbackPlumbing:
         run = rerank_online(dataset, stream, small_config(k_re=4, k_att=2, k_eval=3))
         assert run.fallback == [True, True, True]
         assert run.fallback_count == 3
-        for query, assignment in zip(stream, run.assignments):
-            assert assignment.ordering == ideal_ranking(query)
+        for rel, assignment in zip(relevance_dicts(stream), run.assignments):
+            assert assignment.ordering == ideal_ranking_oracle(rel)
         assert all(math.isnan(v) for v in run.objective_trace)
 
 
@@ -307,21 +306,16 @@ class TestOffline:
         config = small_config(kind=kind, k_re=4, k_att=2, k_eval=3, polarity_mode=mode)
         attention = AttentionModel(config.k_att)
         ledger = rerank_online(dataset, stream, config).ledger
-        orderings = [ideal_ranking(q) for q in stream]
-        for step0, query in enumerate(stream):
-            ledger.replace_attention(
-                step0, ledger.attention_values(Assignment(orderings[step0]), attention)
-            )
+        orderings = [rows_of(dataset, ideal_ranking_oracle(rel)) for rel in relevance_dicts(stream)]
+        for step0, rows in enumerate(orderings):
+            ledger._replace_attention(step0, attention.scatter(np.array(rows)))
         rng = np.random.default_rng(61)
         for step0 in rng.integers(0, len(stream), 6):
-            proposal = tuple(rng.permutation(dataset.individuals))
-            orderings[step0] = proposal
-            ledger.replace_attention(
-                step0, ledger.attention_values(Assignment(proposal), attention)
-            )
-            fresh = Ledger(dataset, 2)
-            for query, ordering in zip(stream, orderings):
-                fresh.update(query, Assignment(ordering), attention)
+            orderings[step0] = rows_of(dataset, rng.permutation(dataset.individuals))
+            ledger._replace_attention(step0, attention.scatter(np.array(orderings[step0])))
+            fresh = Ledger(dataset, stream)
+            for rows in orderings:
+                fresh.update(rows, attention)
             want = individual_divergences(fresh, config.kind, mode)
             assert rr._profile(ledger, config) == tuple(sorted(want.values(), reverse=True))
 
@@ -329,11 +323,11 @@ class TestOffline:
         dataset, stream = gen_random_instance(6, 2, 4, "signed", seed=43)
         config = small_config(theta=0.9, k_re=4, k_att=2, k_eval=4)
         off = rerank_offline(dataset, stream, config, max_sweeps=5)
-        for query, assignment, fell_back in zip(stream, off.assignments, off.fallback):
+        for rel, assignment, fell_back in zip(relevance_dicts(stream), off.assignments, off.fallback):
             if not fell_back:
-                ideal = ideal_ranking(query)
-                rho = dcg_at_k(ideal, query.relevance, config.k_eval)
-                got = dcg_at_k(assignment.ordering, query.relevance, config.k_eval)
+                ideal = ideal_ranking_oracle(rel)
+                rho = dcg_oracle(ideal, rel, config.k_eval)
+                got = dcg_oracle(assignment.ordering, rel, config.k_eval)
                 assert got >= config.theta * rho - 1e-9
 
 
@@ -356,3 +350,31 @@ class TestEvaluateRun:
         for mode in ("aware", "agnostic"):
             for value in report.panels[mode].individual.values():
                 assert math.isfinite(value)
+
+    @pytest.mark.parametrize("differ", ["seed", "length", "polarity", "query ids", "individuals"])
+    def test_baseline_from_another_stream_rejected(self, differ):
+        dataset, stream = gen_random_instance(6, 2, 4, "signed", seed=47)
+        config = small_config(k_re=4, k_att=2, k_eval=4)
+        other_dataset, other = dataset, stream
+        if differ == "seed":
+            other = gen_random_instance(6, 2, 4, "signed", seed=48)[1]
+        elif differ == "length":
+            other = gen_random_instance(6, 2, 6, "signed", seed=47)[1]
+        elif differ == "polarity":
+            other = Stream(stream.query_ids, stream.t, -stream.polarity,
+                           stream.individuals, stream.relevance)
+        elif differ == "query ids":
+            other = Stream(("x",) + stream.query_ids[1:], stream.t, stream.polarity,
+                           stream.individuals, stream.relevance)
+        else:
+            ids = tuple(f"j{i}" for i in range(6))
+            other_dataset = Dataset.single_group(ids)
+            other = Stream(stream.query_ids, stream.t, stream.polarity, ids, stream.relevance)
+        run = rerank_online(dataset, stream, config)
+        baseline = rerank_online(other_dataset, other, small_config(objective="none", k_re=4, k_att=2, k_eval=4))
+        with pytest.raises(ValidationError, match="baseline run ranks another stream"):
+            evaluate_run(run, baseline=baseline)
+        # a baseline of an equal stream, loaded apart, is accepted
+        same = Stream(list(stream.query_ids), stream.t.copy(), stream.polarity.copy(),
+                      stream.individuals, stream.relevance.copy())
+        evaluate_run(run, baseline=rerank_online(dataset, same, small_config(objective="none", k_re=4, k_att=2, k_eval=4)))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fairrank import io as fio
-from fairrank.core import Dataset, QueryEvent, Stream, as_stream
+from fairrank.core import AttentionModel, Dataset, Ledger, Stream
 from fairrank.errors import (
     CoverageError,
     LengthMismatchError,
@@ -15,7 +15,7 @@ from fairrank.errors import (
     StreamOrderError,
     ValidationError,
 )
-from fairrank.rerank import RerankConfig, rerank_online, validate_stream
+from fairrank.rerank import RerankConfig, rerank_online
 from fairrank.synth import SynthSpec, gen_random_instance, gen_synth_cont
 
 IDS = ("a", "b", "c")
@@ -62,8 +62,8 @@ MEMORY_EDGE = _sum_edge(1e-9)
 FILE_EDGE = _sum_edge(1e-6)
 
 # (edit, error in memory, error from a stream file, expressible as columns);
-# None accepts. The classes are those QueryEvent, validate_stream and
-# load_stream raised before streams became columnar.
+# None accepts. A query with another individual set or polarity arity cannot
+# be put in one Stream, so only files are checked for those.
 CASES = {
     "nan-relevance": (_relevance(b=math.nan), ValidationError, ValidationError, True),
     "inf-relevance": (_relevance(b=math.inf), ValidationError, ValidationError, True),
@@ -104,15 +104,6 @@ def test_stream_rejects_what_queries_and_files_rejected(case, tmp_path):
     records = _records()
     edit(records)
     dataset = Dataset.single_group(IDS)
-
-    def from_queries():
-        queries = [
-            QueryEvent(r["query_id"], r["t"], tuple(r["polarity"]), dict(r["relevance"]))
-            for r in records
-        ]
-        return validate_stream(dataset, as_stream(queries))
-
-    _check(memory_error, from_queries)
     if columnar:
         _check(memory_error, lambda: Stream(
             [r["query_id"] for r in records],
@@ -123,45 +114,39 @@ def test_stream_rejects_what_queries_and_files_rejected(case, tmp_path):
         ))
     path = tmp_path / "stream.jsonl"
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
-    loaded = _check(file_error, lambda: validate_stream(dataset, fio.load_stream(path)[1]))
+    loaded = _check(file_error, lambda: fio.load_stream(path)[1])
     if file_error is None:
-        assert loaded == 1
+        assert loaded.relevance_in(dataset) is loaded.relevance and loaded.components == 1
 
 
 class TestStream:
     @pytest.fixture()
     def stream(self):
-        return as_stream(gen_random_instance(6, 2, 5, "signed", seed=3, components=2)[1])
+        return gen_random_instance(6, 2, 5, "signed", seed=3, components=2)[1]
 
-    def test_gathers_queries_into_sorted_columns(self):
-        dataset, queries = gen_synth_cont(SynthSpec(variant="continuous", n=8, T=4, seed=2))
-        stream = as_stream(queries)
+    def test_generated_columns_are_sorted_by_id(self):
+        dataset, stream = gen_synth_cont(SynthSpec(variant="continuous", n=8, T=4, seed=2))
         assert stream.individuals == tuple(sorted(dataset.individuals))
-        assert stream.query_ids == tuple(q.query_id for q in queries)
-        assert stream.t.tolist() == [q.t for q in queries]
-        for query, row in zip(queries, stream.relevance):
-            assert row.tolist() == [query.relevance[i] for i in stream.individuals]
+        assert stream.query_ids == ("q0001", "q0002", "q0003", "q0004")
+        assert stream.t.tolist() == [1, 2, 3, 4] and stream.t.dtype == np.int64
         # the relevance in dataset order, whose ids are not sorted here
         in_dataset = stream.relevance_in(dataset)
-        for query, row in zip(queries, in_dataset):
-            assert row.tolist() == [query.relevance[i] for i in dataset.individuals]
-
-    def test_a_stream_passes_through_unchanged(self, stream):
-        assert as_stream(stream) is stream
+        for j, ind in enumerate(dataset.individuals):
+            column = stream.relevance[:, stream.individuals.index(ind)]
+            assert in_dataset[:, j].tobytes() == column.tobytes()
 
     def test_index_iteration_and_slices(self, stream):
         assert len(stream) == 5 and stream.components == 2
-        first = stream[0]
-        assert isinstance(first, QueryEvent)
-        assert first.relevance == dict(zip(stream.individuals, stream.relevance[0].tolist()))
-        assert first.polarity == tuple(stream.polarity[0].tolist()) and first.t == 1
-        assert stream[-1].query_id == stream.query_ids[-1]
-        assert [q.query_id for q in stream] == list(stream.query_ids)
         part = stream[1:3]
         assert isinstance(part, Stream) and part.query_ids == stream.query_ids[1:3]
-        assert as_stream(list(part)).relevance.tobytes() == part.relevance.tobytes()
+        assert part.relevance.tobytes() == stream.relevance[1:3].tobytes()
+        assert part.t.tolist() == [2, 3] and part.individuals == stream.individuals
         with pytest.raises(ValidationError, match="empty"):
             stream[3:1]
+        with pytest.raises(TypeError, match="slices"):
+            stream[0]
+        with pytest.raises(TypeError):
+            list(stream)
 
     def test_columns_are_read_only(self, stream):
         for column in (stream.t, stream.polarity, stream.relevance):
@@ -202,29 +187,24 @@ class TestStream:
         with pytest.raises(CoverageError, match=stream.query_ids[0]):
             stream.relevance_in(dataset)
 
-    def test_engine_gives_the_same_run_for_queries_and_stream(self):
-        dataset, queries = gen_synth_cont(SynthSpec(variant="continuous", n=10, T=6, seed=4))
+    def test_assignments_name_the_orderings_rows(self):
+        dataset, stream = gen_synth_cont(SynthSpec(variant="continuous", n=10, T=6, seed=4))
         config = RerankConfig(k_re=6, k_att=3, k_eval=4, polarity_mode="aware")
-        a = rerank_online(dataset, queries, config)
-        b = rerank_online(dataset, as_stream(queries), config)
-        assert np.array_equal(a.orderings, b.orderings)
-        assert a.ndcg == b.ndcg and a.query_ids == b.query_ids
-        assert [x.ordering for x in a.assignments] == [
-            tuple(dataset.individuals[i] for i in row) for row in b.orderings.tolist()
+        run = rerank_online(dataset, stream, config)
+        assert run.query_ids == list(stream.query_ids)
+        assert [x.ordering for x in run.assignments] == [
+            tuple(dataset.individuals[i] for i in row) for row in run.orderings.tolist()
         ]
 
 
 def test_fill_matches_recording_query_by_query():
     """Replay's bulk write leaves the ledger the engine built step by step."""
-    from fairrank.core import AttentionModel, Ledger
-
-    dataset, queries = gen_random_instance(7, 2, 6, "signed", seed=5, components=2)
+    dataset, stream = gen_random_instance(7, 2, 6, "signed", seed=5, components=2)
     config = RerankConfig(k_re=5, k_att=3, k_eval=3, polarity_mode="aware")
-    run = rerank_online(dataset, queries, config)
-    stream = as_stream(queries)
-    filled = Ledger(dataset, stream.components)
-    filled._fill(run.orderings, AttentionModel(config.k_att),
-                 stream.relevance_in(dataset), stream.polarity)
+    run = rerank_online(dataset, stream, config)
+    filled = Ledger(dataset, stream)
+    filled._fill(run.orderings, AttentionModel(config.k_att))
+    assert filled.t == run.ledger.t == len(stream)
     for channel in ("attention", "relevance"):
         for mode in ("aware", "agnostic"):
             assert filled.mean_matrix(channel, mode).tobytes() == run.ledger.mean_matrix(channel, mode).tobytes()
