@@ -4,7 +4,10 @@ All solvers work on a square K x K instance: rows are candidates, columns
 are ranking positions 1..K. Position j carries a gain of
 ``relevance[i] / log2(j+1)`` (zero beyond an optional evaluation depth), and
 a matching is quality-feasible when its total gain reaches ``theta_rho``
-within the shared feasibility tolerance.
+within the shared feasibility tolerance. Every solver checks its input
+first: the matrix square and finite (the enumeration oracle reads +inf as a
+forbidden edge), the relevance K finite, non-negative values; anything else
+raises ValidationError.
 
 * ``bottleneck_with_quality``— minimize the maximum edge value subject to
   the quality constraint with a max-gain feasibility probe (one assignment
@@ -14,9 +17,15 @@ within the shared feasibility tolerance.
   distinct edge values above it; ties at the optimal bottleneck break
   toward maximal gain;
 * ``lexicographic_refine``   — greedily shrink the next-largest edge values
-  while preserving the bottleneck and the quality constraint, deleting one
-  row and one column of the current sub-problem per level, and closing a
-  tail of interchangeable zero-gain columns with one sort;
+  while preserving the bottleneck and the quality constraint, fixing one
+  row and one column per level. A level whose value sits in one cell
+  (counting interchangeable columns once) is settled from the matching the
+  last search returned: with that cell taken out it is a matching of the
+  reduced problem, and when its largest edge meets the reduced problem's
+  row/column bound and its gain clears the floor beyond rounding error, that
+  bound is the level's threshold with no assignment solve; otherwise its
+  largest edge caps the search. A tail of interchangeable zero-gain columns
+  closes with one sort;
 * ``constrained_min_sum``    — minimize total cost subject to the quality
   constraint via Lagrangian bisection on the constraint multiplier; when the
   dual gap stays open, the K x K binary assignment MILP (HiGHS) proves the
@@ -26,6 +35,7 @@ within the shared feasibility tolerance.
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,11 +87,41 @@ def _solve_lsa(costs: np.ndarray):
     return tuple(cols.tolist())
 
 
+def _checked(matrix, relevance, allow_inf: bool = False):
+    """The solvers' shared input check: ``matrix`` as a finite, non-empty
+    K x K float array (with ``allow_inf``, +inf cells stay as forbidden
+    edges) and ``relevance`` as K finite, non-negative floats."""
+    try:
+        matrix = np.asarray(matrix, dtype=np.float64)
+        relevance = np.asarray(relevance, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"solver input is not numeric: {exc}") from None
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
+        raise ValidationError(f"matrix must be square and non-empty, got shape {matrix.shape}")
+    if allow_inf:
+        if np.isnan(matrix).any() or matrix.min() == -np.inf:
+            raise ValidationError("matrix must hold no NaN or -inf")
+    elif not (-np.inf < matrix.min() and matrix.max() < np.inf):  # NaN fails too
+        raise ValidationError("matrix must be finite everywhere")
+    k = matrix.shape[0]
+    if relevance.shape != (k,):
+        raise ValidationError(f"relevance must have {k} entries, got shape {relevance.shape}")
+    if not (0.0 <= relevance.min() and relevance.max() < np.inf):  # NaN fails too
+        raise ValidationError("relevance must be finite and non-negative")
+    return matrix, relevance
+
+
+def _gains(relevance: np.ndarray, dcg_depth: int | None) -> np.ndarray:
+    """Gain of candidate i at position j: relevance[i] / log2(j+1)."""
+    return relevance[:, None] * position_discounts(len(relevance), dcg_depth)[None, :]
+
+
 def _bottleneck_search(
     d: np.ndarray,
     gains: np.ndarray,
     theta_rho: float,
     cap: float = math.inf,
+    proven=None,
 ):
     """Minimal threshold z (<= cap) admitting a quality-feasible matching
     over edges d <= z. Returns (z, assignment, gain) or None.
@@ -90,7 +130,11 @@ def _bottleneck_search(
     so no threshold there is feasible: that bound is probed first, and only
     when it admits no quality-feasible matching is the threshold
     binary-searched over the distinct values in (bound, cap]. Each probe is
-    one max-gain assignment solve over the edges d <= z.
+    one max-gain assignment solve over the edges d <= z. ``proven`` is a
+    (t, assignment, gain) triple of a matching known to pass every probe at
+    or above its largest edge t <= cap: the search then skips the probe at
+    the largest value and binary-searches only the values in (bound, t),
+    returning ``proven`` itself when none of them is feasible.
     """
     bound = max(d.min(axis=1).max(), d.min(axis=0).max())
     if bound > cap:
@@ -113,13 +157,19 @@ def _bottleneck_search(
 
     best = probe(bound)
     if best is None:
-        values = np.unique(d[(d > bound) & (d <= cap)])
-        if values.size == 0:
-            return None
-        hi = values.size - 1
-        best = probe(values[hi])
-        if best is None:
-            return None
+        if proven is None:
+            values = np.unique(d[(d > bound) & (d <= cap)])
+            if values.size == 0:
+                return None
+            hi = values.size - 1
+            best = probe(values[hi])
+            if best is None:
+                return None
+        else:
+            # index values.size stands for t, feasible by the certificate
+            values = np.unique(d[(d > bound) & (d < proven[0])])
+            hi = values.size
+            best = np.asarray(proven[1]), proven[2]
         lo = 0
         while lo < hi:
             mid = (lo + hi) // 2
@@ -141,13 +191,8 @@ def bottleneck_with_quality(
     Infeasible when even the unrestricted max-DCG matching misses the
     quality threshold.
     """
-    d = np.asarray(d, dtype=np.float64)
-    if not np.isfinite(d).all():
-        raise ValidationError("bottleneck matrix must be finite everywhere")
-    k = d.shape[0]
-    relevance = np.asarray(relevance, dtype=np.float64)
-    gains = relevance[:, None] * position_discounts(k, dcg_depth)[None, :]
-    found = _bottleneck_search(d, gains, theta_rho)
+    d, relevance = _checked(d, relevance)
+    found = _bottleneck_search(d, _gains(relevance, dcg_depth), theta_rho)
     if found is None:
         return MatchResult.infeasible()
     z, cols, _ = found
@@ -173,6 +218,13 @@ def _closes_by_sort(sub_d, sub_gains, theta_rho: float, fixed_gain: float) -> bo
     )
 
 
+# a carried matching certifies a probe only if its gain clears the probe's
+# floor by more than _SUM_ERROR * K times that gain: a float sum of K
+# non-negative terms is within K * eps / 2 of its exact value (relative),
+# which covers the carried sum and the probe's own, with a wide safety factor
+_SUM_ERROR = 8.0 * np.finfo(np.float64).eps
+
+
 def lexicographic_refine(
     d, relevance, theta_rho: float, base: MatchResult, dcg_depth: int | None = None
 ) -> MatchResult:
@@ -184,47 +236,213 @@ def lexicographic_refine(
     reduced problem, re-checking the quality constraint on the full matching
     each step. The bottleneck value is preserved exactly; falls back to
     ``base`` whenever refinement cannot strictly (lexicographically) match
-    it. Each distinct reduced problem is searched once: interchangeable
-    columns (e.g. the zero-attention, zero-gain tail) are tried once per
-    level, and the chosen edge's sub-search becomes the next level. The
-    sub-problem is carried from level to level: the value and gain matrices
-    are built once, and each candidate's reduced pair is the current pair
-    with one row and one column taken out. Once every remaining column
-    equals the first in values with zero gain (the zero-attention, zero-gain
-    tail), each remaining level would fix the first row, in row order, of
-    the largest remaining value in the first remaining column: those levels
-    are one stable sort of the rows by value, largest first.
+    it.
+
+    The full problem is searched once. A column class is a run of adjacent
+    columns equal in values and gains over all rows; its first remaining
+    column stands for all of it. A level whose value sits in one remaining
+    (row, class) cell is forced and is found from a value index, without
+    scanning the sub-problem. Its reduced problem is then settled from the
+    matching of the search that produced the level: that matching's largest
+    edge is the level value, so it puts the forced row in the forced cell's
+    class, and without that pair it matches the reduced problem (columns of
+    a class are interchangeable). If its largest edge t equals the reduced problem's row/column
+    bound (kept from per-class row and column minima) and its gain clears
+    the floor by more than the summation error, the search's first probe,
+    at that bound, is feasible, so the bound is the search's answer: no
+    sub-problem is built and no assignment solved. If t lies above the
+    bound, t is a feasible threshold and the search probes only below it.
+    Refinement reads only the threshold of each search, never its matching,
+    so outputs are those of searching every level. A level with two or more
+    candidate cells searches every candidate's reduced problem, trying a
+    column equal to its left neighbour over the remaining rows once. Once
+    every remaining column equals the first in values with zero gain (the
+    zero-attention, zero-gain tail), each remaining level would fix the
+    first row, in row order, of the largest remaining value in the first
+    remaining column: those levels are one stable sort of the rows by
+    value, largest first.
     """
+    d, relevance = _checked(d, relevance)
     if not base.feasible:
         return base
-    d = np.asarray(d, dtype=np.float64)
-    k = d.shape[0]
-    relevance = np.asarray(relevance, dtype=np.float64)
-    disc = position_discounts(k, dcg_depth)
-
-    # the current level: original row and column indices, and its value and
-    # gain matrices stacked as (2, m, m)
-    rows = list(range(k))
-    cols = list(range(k))
-    sub = np.stack([d, relevance[:, None] * disc[None, :]])
-    level = _bottleneck_search(sub[0], sub[1], theta_rho)
+    gains = _gains(relevance, dcg_depth)
+    level = _bottleneck_search(d, gains, theta_rho)
     if level is None:
         return base
-    z = level[0]
+    return _refine(d, gains, theta_rho, base, level[0], level[1])
+
+
+def _refine_bottleneck(
+    d: np.ndarray, relevance: np.ndarray, theta_rho: float, base: MatchResult,
+    dcg_depth: int | None = None,
+) -> MatchResult:
+    """``lexicographic_refine`` of ``base = bottleneck_with_quality(d,
+    relevance, theta_rho, dcg_depth)``, feasible: that answer is the full
+    problem's search (its threshold and matching), so the K x K problem is
+    searched once per step."""
+    gains = _gains(relevance, dcg_depth)
+    return _refine(d, gains, theta_rho, base, base.objective, base.assignment)
+
+
+def _take(matrix, rows, cols):
+    return matrix.take(rows, axis=0).take(cols, axis=1)
+
+
+def _refine(d, gains, theta_rho, base, z, matched) -> MatchResult:
+    """The level loop of ``lexicographic_refine``, from the full problem's
+    minimal threshold ``z`` and the matching ``matched`` its search found."""
+    k = d.shape[0]
+    # column classes; columns leave a class from the front, so the live
+    # columns of class c are first[c]..ends[c]-1
+    same = np.zeros(k, dtype=bool)
+    same[1:] = ((d[:, 1:] == d[:, :-1]) & (gains[:, 1:] == gains[:, :-1])).all(axis=0)
+    starts = np.flatnonzero(~same)
+    classes = np.cumsum(~same) - 1
+    col_class = classes.tolist()
+    n_classes = starts.size
+    first = starts.tolist()
+    ends = starts[1:].tolist() + [k]
+    # the value index: (row, class) cells by value, row-major among equals
+    values = d[:, starts]
+    by_value = np.argsort(values, axis=None, kind="stable")
+    cell_values = values.ravel()[by_value].tolist()
+    cell_rows, cell_classes = np.divmod(by_value, n_classes)
+    cell_rows, cell_classes = cell_rows.tolist(), cell_classes.tolist()
+
+    row_live = np.ones(k, dtype=bool)
+    col_live = np.ones(k, dtype=bool)
+    # row and column minima over the live cells (live_values: +inf
+    # elsewhere), with the rows whose minimum sits in each class and the
+    # classes whose minimum sits in each row; dead rows and classes read -inf
+    live_values = values.copy()
+    minima = np.concatenate([values.min(axis=1), values.min(axis=0)])
+    row_min, col_min = minima[:k], minima[k:]  # views: the bound is minima.max()
+    rows_at = [[] for _ in range(n_classes)]
+    classes_at = [[] for _ in range(k)]
+    for i, c in enumerate(values.argmin(axis=1).tolist()):
+        rows_at[c].append(i)
+    for c, i in enumerate(values.argmin(axis=0).tolist()):
+        classes_at[i].append(c)
+    # live rows and classes with a nonzero gain somewhere: while there are
+    # both, the closing sort cannot apply (gain[i, j] is relevance[i] times
+    # the discount of j)
+    nonzero = gains != 0
+    row_gains = nonzero.any(axis=1).tolist()
+    class_gains = nonzero[:, starts].any(axis=0).tolist()
+    gain_rows, gain_classes = sum(row_gains), sum(class_gains)
+
+    # the carried matching, held as each live row's class (columns of a
+    # class are interchangeable), edge value and gain (dead rows -inf and 0)
+    match = np.zeros(k, dtype=np.intp)
+    edge = np.empty(k)
+    edge_gain = np.empty(k)
+
+    def carry(rows, cols):
+        match[rows] = classes[cols]
+        edge[rows] = d[rows, cols]
+        edge_gain[rows] = gains[rows, cols]
+
+    def drop(r, j):
+        nonlocal gain_rows, gain_classes
+        row_live[r] = col_live[j] = False
+        live_values[r] = np.inf
+        row_min[r] = edge[r] = -np.inf
+        edge_gain[r] = 0.0
+        gain_rows -= row_gains[r]
+        c = col_class[j]
+        first[c] += 1
+        if first[c] == ends[c]:
+            live_values[:, c] = np.inf
+            col_min[c] = -np.inf
+            gain_classes -= class_gains[c]
+            stale = [i for i in rows_at[c] if row_live[i]]
+            if stale:
+                block = live_values[stale]
+                row_min[stale] = block.min(axis=1)
+                for i, c2 in zip(stale, block.argmin(axis=1).tolist()):
+                    rows_at[c2].append(i)
+        stale = [c2 for c2 in classes_at[r] if first[c2] < ends[c2]]
+        if stale:
+            block = live_values[:, stale]
+            col_min[stale] = block.min(axis=0)
+            for c2, i in zip(stale, block.argmin(axis=0).tolist()):
+                classes_at[i].append(c2)
+
+    def forced_cell(z):
+        """The one live (row, class) cell of value z, or None when there
+        are several."""
+        cell = None
+        for p in range(bisect_left(cell_values, z), bisect_right(cell_values, z)):
+            r, c = cell_rows[p], cell_classes[p]
+            if row_live[r] and first[c] < ends[c]:
+                if cell is not None:
+                    return None
+                cell = r, c
+        return cell
+
+    carry(np.arange(k), np.asarray(matched))
     fixed_gain = 0.0
     assignment = [0] * k
-    # without[i, :m - 1]: the indices 0..m-1 other than i, for every m <= k
-    idx = np.arange(k - 1)
-    without = idx + (idx[None, :] >= np.arange(k)[:, None])
-    while rows:
-        m = len(rows)
+    without = None
+    for m in range(k, 0, -1):
+        if not (gain_rows and gain_classes):
+            rows, cols = row_live.nonzero()[0], col_live.nonzero()[0]
+            sub_d = _take(d, rows, cols)
+            if _closes_by_sort(sub_d, _take(gains, rows, cols), theta_rho, fixed_gain):
+                # each remaining level fixes the first row (in row order) of
+                # the largest remaining value in the first remaining column
+                order = np.argsort(-sub_d[:, 0], kind="stable")
+                for row, col in zip(rows[order].tolist(), cols.tolist()):
+                    assignment[row] = col
+                break
+
+        cell = forced_cell(z)
+        if cell is not None:
+            r, c = cell
+            j = first[c]
+            fixed_gain += gains[r, j]
+            assignment[r] = j
+            if m == 1:
+                if fixed_gain < theta_rho - FEASIBILITY_TOL:
+                    return base
+                break
+            # the carried matching's largest edge is z, so it holds row r in
+            # class c: without that pair it matches the reduced problem
+            drop(r, j)
+            floor = theta_rho - fixed_gain
+            bound, t = minima.max(), edge.max()
+            # gains are >= 0, so below a negative floor no sum is needed
+            gain = 0.0 if floor - FEASIBILITY_TOL < 0.0 else edge_gain.sum()
+            certified = gain - (floor - FEASIBILITY_TOL) > _SUM_ERROR * k * gain
+            if certified and t <= bound:
+                z = float(bound)
+                continue
+            rows, cols = row_live.nonzero()[0], col_live.nonzero()[0]
+            proven = None
+            if certified:
+                # the carried matching in the sub-problem's columns: these
+                # run class by class, so the rows sorted by class take them
+                # in turn
+                carried = np.empty(m - 1, dtype=np.intp)
+                carried[np.argsort(match[rows], kind="stable")] = np.arange(m - 1)
+                proven = t, carried, edge_gain.sum()
+            found = _bottleneck_search(
+                _take(d, rows, cols), _take(gains, rows, cols), floor, z, proven
+            )
+            if found is None:
+                return base
+            z = found[0]
+            carry(rows, cols[list(found[1])])
+            continue
+
+        # two or more candidate cells: search each candidate's reduced problem
+        if without is None:
+            # without[i, :m - 1]: the indices 0..m-1 other than i, for every m <= k
+            idx = np.arange(k - 1)
+            without = idx + (idx[None, :] >= np.arange(k)[:, None])
+        rows, cols = row_live.nonzero()[0], col_live.nonzero()[0]
+        sub = np.stack([_take(d, rows, cols), _take(gains, rows, cols)])
         sub_d, sub_gains = sub
-        if _closes_by_sort(sub_d, sub_gains, theta_rho, fixed_gain):
-            # each remaining level fixes the first row (in row order) of the
-            # largest remaining value in the first remaining column
-            for il, col in zip(np.argsort(-sub_d[:, 0], kind="stable").tolist(), cols):
-                assignment[rows[il]] = col
-            break
         edge_rows, edge_cols = np.nonzero(sub_d == z)  # row-major
         edges = list(zip(edge_rows.tolist(), edge_cols.tolist()))
         if len(edges) > 1:
@@ -235,32 +453,25 @@ def lexicographic_refine(
             twin = np.zeros(m, dtype=bool)
             twin[1:] = (sub[:, :, 1:] == sub[:, :, :-1]).all(axis=(0, 1))
             edges = [(il, jl) for il, jl in edges if not twin[jl]]
+        # (here m >= 2: with one row left, the level value is its one cell)
         best = None
         best_next = math.inf
         for il, jl in edges:
             gain2 = fixed_gain + sub_gains[il, jl]
-            if m == 1:
-                if gain2 < theta_rho - FEASIBILITY_TOL:
-                    continue
-                z_next, reduced = -math.inf, None
-            else:
-                reduced = sub.take(without[il, : m - 1], axis=1).take(
-                    without[jl, : m - 1], axis=2
-                )
-                found = _bottleneck_search(reduced[0], reduced[1], theta_rho - gain2, z)
-                if found is None:
-                    continue
-                z_next = found[0]
-            if z_next < best_next:
-                best_next = z_next
-                best = (il, jl, gain2, reduced)
+            reduced = sub.take(without[il, : m - 1], axis=1).take(without[jl, : m - 1], axis=2)
+            found = _bottleneck_search(reduced[0], reduced[1], theta_rho - gain2, z)
+            if found is not None and found[0] < best_next:
+                best_next = found[0]
+                best = (il, jl, gain2, found)
         if best is None:
             return base
-        il, jl, fixed_gain, sub = best
-        assignment[rows[il]] = cols[jl]
-        del rows[il], cols[jl]
+        il, jl, fixed_gain, found = best
+        r, j = int(rows[il]), int(cols[jl])
+        assignment[r] = j
+        drop(r, j)
         # the winner's sub-search is the next level's search
         z = best_next
+        carry(np.delete(rows, il), np.delete(cols, jl)[list(found[1])])
 
     assignment = tuple(assignment)
     refined_vec = _sorted_desc(matching_values(d, assignment))
@@ -284,12 +495,8 @@ def constrained_min_sum(
     to a proven optimum (``_min_sum_milp``). Every feasible answer is
     optimal; a solver that cannot prove it raises FairRankError.
     """
-    costs = np.asarray(costs, dtype=np.float64)
-    if not np.isfinite(costs).all():
-        raise ValidationError("cost matrix must be finite everywhere")
-    k = costs.shape[0]
-    relevance = np.asarray(relevance, dtype=np.float64)
-    gains = relevance[:, None] * position_discounts(k, dcg_depth)[None, :]
+    costs, relevance = _checked(costs, relevance)
+    gains = _gains(relevance, dcg_depth)
 
     def gain_of(cols):
         return float(matching_values(gains, cols).sum())
@@ -377,15 +584,15 @@ def brute_force(
     theta_rho: float,
     dcg_depth: int | None = None,
 ) -> MatchResult:
-    """Exact optimum by enumerating all K! matchings (oracle; K <= 8)."""
+    """Exact optimum by enumerating all K! matchings (oracle; K <= 8).
+    An infinite cell is a forbidden edge."""
     if objective not in OBJECTIVES:
         raise ValidationError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    matrix = np.asarray(d_or_costs, dtype=np.float64)
+    matrix, relevance = _checked(d_or_costs, relevance, allow_inf=True)
     k = matrix.shape[0]
     if k > 8:
         raise ValidationError(f"brute_force enumerates K! matchings; K={k} exceeds 8")
-    relevance = np.asarray(relevance, dtype=np.float64)
-    gains = relevance[:, None] * position_discounts(k, dcg_depth)[None, :]
+    gains = _gains(relevance, dcg_depth)
 
     perms = _all_permutations(k)  # (M, K): row i -> column perms[m, i]
     rows = np.arange(k)[None, :]

@@ -37,9 +37,9 @@ import numpy as np
 
 from .assign import (
     FEASIBILITY_TOL,
+    _refine_bottleneck,
     bottleneck_with_quality,
     constrained_min_sum,
-    lexicographic_refine,
 )
 from .core import Assignment, AttentionModel, Dataset, Ledger, Stream, _dcg, _ndcg, ideal_order
 from .divergence import (
@@ -153,7 +153,8 @@ def _solve_step(d, relevance_head, theta_rho, config):
     if config.objective in ("minmax", "minmax-lex"):
         res = bottleneck_with_quality(d, relevance_head, theta_rho, config.k_eval)
         if res.feasible and config.objective == "minmax-lex":
-            res = lexicographic_refine(d, relevance_head, theta_rho, res, config.k_eval)
+            # the bottleneck search is refinement's first level
+            res = _refine_bottleneck(d, relevance_head, theta_rho, res, config.k_eval)
         return res
     return constrained_min_sum(d, relevance_head, theta_rho, config.k_eval)
 

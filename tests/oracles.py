@@ -11,6 +11,7 @@ import numpy as np
 from fairrank.assign import (
     FEASIBILITY_TOL,
     MatchResult,
+    _bottleneck_search,
     _solve_lsa,
     _sorted_desc,
     matching_values,
@@ -437,6 +438,85 @@ def lexicographic_refine_oracle(
         cap = z
 
     assignment = tuple(fixed[i] for i in range(k))
+    refined_vec = _sorted_desc(matching_values(d, assignment))
+    base_vec = _sorted_desc(matching_values(d, base.assignment))
+    if refined_vec > base_vec:
+        return base
+    return MatchResult(assignment, float(refined_vec[0]), True)
+
+
+def lexicographic_refine_dense(
+    d, relevance, theta_rho: float, base: MatchResult, dcg_depth: int | None = None
+) -> MatchResult:
+    """Level-by-level lexicographic refinement on the dense sub-problem: the
+    reference for ``fairrank.assign._refine``'s level loop.
+
+    Every level scans its whole value matrix for the edges at the level
+    value, tries the first of each run of columns equal over the live rows,
+    and runs a full bottleneck search on every candidate's reduced problem,
+    carried from level to level as the current value and gain matrices
+    with one row and one column taken out. A zero-gain tail of columns equal
+    in values closes by one stable sort of the rows, as in the solver.
+    """
+    if not base.feasible:
+        return base
+    d = np.asarray(d, dtype=np.float64)
+    k = d.shape[0]
+    relevance = np.asarray(relevance, dtype=np.float64)
+    disc = position_discounts(k, dcg_depth)
+
+    rows = list(range(k))
+    cols = list(range(k))
+    sub = np.stack([d, relevance[:, None] * disc[None, :]])
+    level = _bottleneck_search(sub[0], sub[1], theta_rho)
+    if level is None:
+        return base
+    z = level[0]
+    fixed_gain = 0.0
+    assignment = [0] * k
+    while rows:
+        m = len(rows)
+        sub_d, sub_gains = sub
+        if (
+            not sub_gains.any()
+            and (sub_d == sub_d[:, :1]).all()
+            and not (m > 1 and 0.0 < (theta_rho - fixed_gain) - FEASIBILITY_TOL)
+            and not (fixed_gain + 0.0 < theta_rho - FEASIBILITY_TOL)
+        ):
+            for il, col in zip(np.argsort(-sub_d[:, 0], kind="stable").tolist(), cols):
+                assignment[rows[il]] = col
+            break
+        edge_rows, edge_cols = np.nonzero(sub_d == z)  # row-major
+        edges = list(zip(edge_rows.tolist(), edge_cols.tolist()))
+        if len(edges) > 1:
+            twin = np.zeros(m, dtype=bool)
+            twin[1:] = (sub[:, :, 1:] == sub[:, :, :-1]).all(axis=(0, 1))
+            edges = [(il, jl) for il, jl in edges if not twin[jl]]
+        best = None
+        best_next = math.inf
+        for il, jl in edges:
+            gain2 = fixed_gain + sub_gains[il, jl]
+            if m == 1:
+                if gain2 < theta_rho - FEASIBILITY_TOL:
+                    continue
+                z_next, reduced = -math.inf, None
+            else:
+                reduced = np.delete(np.delete(sub, il, axis=1), jl, axis=2)
+                found = _bottleneck_search(reduced[0], reduced[1], theta_rho - gain2, z)
+                if found is None:
+                    continue
+                z_next = found[0]
+            if z_next < best_next:
+                best_next = z_next
+                best = (il, jl, gain2, reduced)
+        if best is None:
+            return base
+        il, jl, fixed_gain, sub = best
+        assignment[rows[il]] = cols[jl]
+        del rows[il], cols[jl]
+        z = best_next
+
+    assignment = tuple(assignment)
     refined_vec = _sorted_desc(matching_values(d, assignment))
     base_vec = _sorted_desc(matching_values(d, base.assignment))
     if refined_vec > base_vec:

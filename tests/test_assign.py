@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import OptimizeResult
 
 import fairrank.assign as assign_mod
+import fairrank.rerank as rerank_mod
 from fairrank.assign import (
     FEASIBILITY_TOL,
     bottleneck_with_quality,
@@ -19,12 +20,13 @@ from fairrank.assign import (
 from fairrank.core import AttentionModel
 from fairrank.divergence import DivergenceKind, divergence_matrix
 from fairrank.errors import FairRankError, ValidationError
-from fairrank.rerank import RerankConfig, rerank_online
+from fairrank.rerank import RerankConfig, rerank_offline, rerank_online
 from fairrank.synth import SynthSpec, gen_synth
 from fairrank.verify import random_subproblem
 from oracles import (
     bottleneck_search_oracle,
     hungarian_min_cost,
+    lexicographic_refine_dense,
     lexicographic_refine_oracle,
     max_dcg_matching,
     max_gain_matching,
@@ -335,17 +337,19 @@ class TestLexicographicRefine:
 
         monkeypatch.setattr(assign_mod, "_bottleneck_search", counted)
         refined = lexicographic_refine(d, rel, theta_rho, base, k_eval)
-        # 19: one search per level down to the zero-gain tail, which one sort
-        # closes (50, one per level, before)
-        assert searches <= 21
+        # 13: the full problem's search and one per level down to the
+        # zero-gain tail that the carried matching does not settle (50, one
+        # per level, then 19 with the tail closed by one sort)
+        assert searches <= 13
         oracle = lexicographic_refine_oracle(d, rel, theta_rho, base, k_eval)
         assert refined.assignment == oracle.assignment
 
     def test_assignment_solves_on_a_k50_instance(self, monkeypatch):
         # scipy assignment solves on this instance: the binary search over
         # every distinct value made 10 (bottleneck) and 281 (refinement);
-        # probing the row/column bound first makes 1 and 94, and closing the
-        # zero-gain tail by one sort 1 and 63
+        # probing the row/column bound first makes 1 and 94, closing the
+        # zero-gain tail by one sort 1 and 63, and settling forced levels
+        # from the carried matching 1 and 49
         d, rel, theta_rho, k_eval = self._k50_instance()
         solves = 0
         lsa = assign_mod.linear_sum_assignment
@@ -360,7 +364,116 @@ class TestLexicographicRefine:
         assert solves <= 2
         solves = 0
         lexicographic_refine(d, rel, theta_rho, base, k_eval)
-        assert solves <= 66
+        assert solves <= 49
+
+
+class TestCarriedMatching:
+    """Forced levels settle from the matching carried over from the last
+    search; a search runs only where that matching cannot prove the level
+    value."""
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        costs = []
+        lsa = assign_mod.linear_sum_assignment
+
+        def counted(matrix):
+            costs.append(matrix)
+            return lsa(matrix)
+
+        monkeypatch.setattr(assign_mod, "linear_sum_assignment", counted)
+        return costs
+
+    @staticmethod
+    def _same(ours, reference, base):
+        assert (ours is base) == (reference is base)
+        if ours is not base:
+            assert ours == reference
+
+    def test_gain_inside_the_margin_still_solves(self, monkeypatch):
+        # level 0 is forced at 0.5 (cell (0, 0)); the carried matching leaves
+        # cell (1, 1), whose gain is the reduced problem's whole gain
+        d = np.array([[0.5, 0.1], [0.1, 0.2]])
+        rel = np.array([1.0, 0.5])
+        gains = rel[:, None] * position_discounts(2)[None, :]
+        carried = gains[1, 1]
+        # theta_rho a few ulps either side of the level-0 matching's gain
+        theta_rho = float(gains[0, 0] + gains[1, 1] + FEASIBILITY_TOL)
+        margins = {}
+        for _ in range(100):
+            theta_rho = float(np.nextafter(theta_rho, 0.0))
+            floor = (theta_rho - (0.0 + gains[0, 0])) - FEASIBILITY_TOL
+            margins[theta_rho] = carried - floor
+        inside = [th for th, gap in margins.items()
+                  if 0.0 <= gap <= assign_mod._SUM_ERROR * 2 * carried]
+        clear = [th for th, gap in margins.items() if gap > 1e-14]
+        assert inside and clear
+        costs = self._count_solves(monkeypatch)
+        for theta_rho, solves in ((inside[0], 1), (clear[0], 0)):
+            base = bottleneck_with_quality(d, rel, theta_rho)
+            assert base.feasible and base.objective == 0.5
+            costs.clear()
+            refined = assign_mod._refine_bottleneck(d, rel, theta_rho, base)
+            assert len(costs) == solves
+            self._same(refined, lexicographic_refine_dense(d, rel, theta_rho, base), base)
+
+    def test_proven_threshold_bounds_the_probes(self, monkeypatch):
+        """Where the carried matching's largest edge t lies above the
+        reduced problem's bound, every probe is below t and the search
+        returns the threshold of a search without the certificate."""
+        costs = self._count_solves(monkeypatch)
+        search = assign_mod._bottleneck_search
+        proven_searches = settled_at_t = 0
+
+        def checked(d, gains, theta_rho, cap=math.inf, proven=None):
+            nonlocal proven_searches, settled_at_t
+            first = len(costs)
+            found = search(d, gains, theta_rho, cap, proven)
+            if proven is not None:
+                proven_searches += 1
+                # the certificate is a matching of this problem with largest
+                # edge t that passes the quality floor
+                rows, cols = np.arange(len(d)), np.asarray(proven[1])
+                assert sorted(cols.tolist()) == rows.tolist()
+                assert d[rows, cols].max() == proven[0] <= cap
+                assert gains[rows, cols].sum() >= theta_rho - FEASIBILITY_TOL
+                probes = [d[np.isfinite(c)].max() for c in costs[first:]]
+                assert all(z < proven[0] for z in probes)
+                assert found[0] == bottleneck_search_oracle(d, gains, theta_rho, cap)[0]
+                settled_at_t += found[0] == proven[0]
+            return found
+
+        monkeypatch.setattr(assign_mod, "_bottleneck_search", checked)
+        rng = np.random.default_rng(4)
+        for _ in range(600):
+            d, rel, theta_rho, depth = tailed_instance(rng)
+            base = bottleneck_with_quality(d, rel, theta_rho, depth)
+            ours = lexicographic_refine(d, rel, theta_rho, base, depth)
+            self._same(ours, lexicographic_refine_dense(d, rel, theta_rho, base, depth), base)
+        assert proven_searches > 100 and settled_at_t > 10
+
+    def test_offline_k50_inputs_match_the_dense_loop(self, monkeypatch):
+        """Every minmax-lex step of a seeded K=50 offline run (synth
+        continuous, n=200, T=8), refined from its own search and from the
+        step's bottleneck answer, equals the dense level loop."""
+        inputs = []
+        refine = rerank_mod._refine_bottleneck
+
+        def captured(d, relevance, theta_rho, base, dcg_depth=None):
+            inputs.append((d.copy(), relevance.copy(), theta_rho, dcg_depth))
+            return refine(d, relevance, theta_rho, base, dcg_depth)
+
+        monkeypatch.setattr(rerank_mod, "_refine_bottleneck", captured)
+        dataset, stream = gen_synth(SynthSpec(n=200, T=8, seed=5, variant="continuous"))
+        config = RerankConfig(kind="L1", objective="minmax-lex", theta=0.8, k_re=50,
+                              k_att=10, k_eval=10)
+        rerank_offline(dataset, stream, config, max_sweeps=2)
+        assert len(inputs) >= 16 and all(len(rel) == 50 for _, rel, _, _ in inputs)
+        for d, rel, theta_rho, depth in inputs:
+            base = bottleneck_with_quality(d, rel, theta_rho, depth)
+            reference = lexicographic_refine_dense(d, rel, theta_rho, base, depth)
+            self._same(lexicographic_refine(d, rel, theta_rho, base, depth), reference, base)
+            self._same(refine(d, rel, theta_rho, base, depth), reference, base)
 
 
 class TestConstrainedMinSum:
@@ -513,3 +626,66 @@ class TestBruteForce:
         rel = [0.5, 0.5]
         res = brute_force("minmax", np.ones((2, 2)), rel, ideal_dcg(rel) + 1.0)
         assert not res.feasible
+
+
+class TestInputChecks:
+    """Every solver rejects a non-square or non-finite matrix and a relevance
+    vector that is not K finite, non-negative entries, before solving."""
+
+    D = np.array([[0.4, 0.1, 0.3, 0.2], [0.2, 0.5, 0.1, 0.3],
+                  [0.3, 0.2, 0.6, 0.1], [0.1, 0.4, 0.2, 0.7]])
+    REL = np.array([0.4, 0.3, 0.2, 0.1])
+
+    @staticmethod
+    def _solvers():
+        base = bottleneck_with_quality(TestInputChecks.D, TestInputChecks.REL, 0.5)
+        assert base.feasible
+        return {
+            "bottleneck": lambda d, rel: bottleneck_with_quality(d, rel, 0.5),
+            "refine": lambda d, rel: lexicographic_refine(d, rel, 0.5, base),
+            "min-sum": lambda d, rel: constrained_min_sum(d, rel, 0.5),
+            "brute-force": lambda d, rel: brute_force("minmax", d, rel, 0.5),
+        }
+
+    def _bad_inputs(self):
+        nan_cell = self.D.copy()
+        nan_cell[1, 2] = math.nan
+        nan_rel = self.REL.copy()
+        nan_rel[2] = math.nan
+        inf_rel = self.REL.copy()
+        inf_rel[0] = math.inf
+        return {
+            "nan cell": (nan_cell, self.REL),
+            "not square": (self.D[:3], self.REL),
+            "not a matrix": (self.D.ravel(), self.REL),
+            "empty": (np.zeros((0, 0)), np.zeros(0)),
+            "short relevance": (self.D, self.REL[:3]),
+            "long relevance": (self.D, np.append(self.REL, 0.0)),
+            "relevance matrix": (self.D, self.REL[:, None]),
+            "nan relevance": (self.D, nan_rel),
+            "inf relevance": (self.D, inf_rel),
+            "negative relevance": (self.D, self.REL - 0.2),
+        }
+
+    @pytest.mark.parametrize("solver", ["bottleneck", "refine", "min-sum", "brute-force"])
+    def test_bad_input_raises_validation_error(self, solver):
+        solve = self._solvers()[solver]
+        for name, (d, rel) in self._bad_inputs().items():
+            with pytest.raises(ValidationError):
+                solve(d, rel)
+                pytest.fail(f"{solver} accepted {name}")
+
+    def test_infinite_cells(self):
+        # +inf marks a forbidden edge only for the enumeration oracle
+        d = self.D.copy()
+        d[0, 0] = math.inf
+        for solver, solve in self._solvers().items():
+            if solver == "brute-force":
+                assert solve(d, self.REL).assignment[0] != 0
+            else:
+                with pytest.raises(ValidationError):
+                    solve(d, self.REL)
+
+    def test_valid_lists_accepted(self):
+        for solve in self._solvers().values():
+            assert solve(self.D.tolist(), self.REL.tolist()).feasible
