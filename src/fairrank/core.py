@@ -502,10 +502,15 @@ class Ledger:
 def _accrued(steps: np.ndarray) -> np.ndarray:
     """Sum over arrival order (axis 0) as a running total from 0.0 gives it.
 
-    ``cumsum`` adds step by step whatever the shape (``sum`` may add in
-    pairs), and ``+ 0.0`` turns the -0.0 of an all-(-0.0) column into the
-    0.0 a running total ends on.
+    Over the rows of a C-ordered array of more than one column
+    ``np.add.reduce`` adds row by row, as a running total does, without the
+    (T, ...) ``cumsum`` array; over a single column, or with T innermost in
+    memory, it adds in pairs, so a single column keeps ``cumsum``. ``+ 0.0``
+    turns the -0.0 of an all-(-0.0) column into the 0.0 a running total
+    ends on.
     """
     if not len(steps):
         return np.zeros(steps.shape[1:])
-    return steps.cumsum(axis=0)[-1] + 0.0
+    if steps[0].size == 1:
+        return steps.cumsum(axis=0)[-1] + 0.0
+    return np.add.reduce(np.ascontiguousarray(steps), axis=0) + 0.0

@@ -97,28 +97,39 @@ def individual_divergences(
     mode: str = "agnostic",
     scope=None,
 ) -> dict[str, float]:
-    """Component-summed divergence per individual (scope=None means all).
-
-    One array pass over every individual in scope: L1 and L2var from the
-    moment matrices, W1 from one sort of the (T, n, P) sequence stacks.
-    """
+    """Component-summed divergence per individual (scope=None means all)."""
     individuals = ledger.dataset.individuals if scope is None else tuple(scope)
     if not individuals:
         raise EmptyScopeError("no individuals in scope")
-    rows = [ledger.dataset.index[i] for i in individuals]
-    mean_a = ledger.mean_matrix("attention", mode)[rows]
-    var_a = ledger.var_matrix("attention", mode)[rows]
-    mean_r = ledger.mean_matrix("relevance", mode)[rows]
-    var_r = ledger.var_matrix("relevance", mode)[rows]
+    rows = None if scope is None else [ledger.dataset.index[i] for i in individuals]
+    return dict(zip(individuals, _divergence_values(ledger, kind, mode, rows).tolist()))
+
+
+def _divergence_values(
+    ledger: Ledger, kind: DivergenceKind, mode: str, rows: list[int] | None
+) -> np.ndarray:
+    """Component-summed divergence of the individuals at dataset positions
+    ``rows`` (None: everyone, the moment matrices read in place).
+
+    One array pass: L1 and L2var from the moment matrices, W1 from one sort
+    of the (T, k, P) sequence stacks.
+    """
+    (mean_a, var_a), (mean_r, var_r) = (
+        ledger._moment_matrices(channel, mode) for channel in ("attention", "relevance")
+    )
+    if rows is not None:
+        mean_a, var_a, mean_r, var_r = (x[rows] for x in (mean_a, var_a, mean_r, var_r))
     seq_a = seq_r = None
     if kind == DivergenceKind.W1:
-        # the mean over T of the stacks equals each individual's own mean bit
-        # for bit (tests/test_metrics.py checks this against the oracle)
-        seq_a = ledger.sequences("attention", mode)[:, rows, :]
-        seq_r = ledger.sequences("relevance", mode)[:, rows, :]
+        # the fancy-index copy lays T innermost, so the mean over T of the
+        # stacks equals each individual's own mean bit for bit
+        # (tests/test_metrics.py checks this against the oracle)
+        taken = np.arange(ledger.dataset.n) if rows is None else rows
+        seq_a = ledger.sequences("attention", mode)[:, taken, :]
+        seq_r = ledger.sequences("relevance", mode)[:, taken, :]
     comps = _component_values(kind, mean_a, var_a, seq_a, mean_r, var_r, seq_r)
     # components summed left to right from zero, as d_multi's sum does
-    return dict(zip(individuals, sum(comps.T).tolist()))
+    return sum(comps.T)
 
 
 def individual_unfairness(
@@ -130,7 +141,9 @@ def individual_unfairness(
     """Worst-case divergence across individuals in scope."""
     if ledger.t == 0:
         raise EmptyScopeError("ledger has no processed queries")
-    return max(individual_divergences(ledger, kind, mode, scope).values())
+    if scope is not None:
+        return max(individual_divergences(ledger, kind, mode, scope).values())
+    return float(_divergence_values(ledger, kind, mode, None).max())
 
 
 def group_divergences(

@@ -17,7 +17,7 @@ from fairrank.assign import (
     matching_values,
     position_discounts,
 )
-from fairrank.core import AttentionModel, Ledger, Stream, _accrued
+from fairrank.core import AttentionModel, Ledger, Stream
 from fairrank.divergence import DivergenceKind, _component_values, _query_eta, d_multi
 from fairrank.errors import EmptyScopeError, LengthMismatchError, ValidationError
 from fairrank.metrics import iaa, individual_unfairness
@@ -106,12 +106,21 @@ def ideal_ranking_oracle(relevance: dict[str, float]) -> tuple[str, ...]:
     return tuple(sorted(sorted(relevance), key=relevance.__getitem__, reverse=True))
 
 
+def running_total(steps: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 by ``cumsum``, a running total from 0.0 (so an
+    all-(-0.0) column ends on 0.0): the reference for
+    ``fairrank.core._accrued``."""
+    if not len(steps):
+        return np.zeros(steps.shape[1:])
+    return steps.cumsum(axis=0)[-1] + 0.0
+
+
 def moments_at_oracle(ledger: Ledger, rows, channel: str, mode: str = "agnostic"):
     """Cumulative (mean, variance), (k, P), of the individuals at dataset
     positions ``rows``, summed afresh from the ledger's store by ``cumsum``."""
     x = ledger.stored(channel)[:, rows, None]
     eta = ledger._polarity(mode)[:, None, :]
-    return _accrued(eta * x), _accrued(eta * eta * x * (1.0 - x))
+    return running_total(eta * x), running_total(eta * eta * x * (1.0 - x))
 
 
 def sequence_std(
@@ -321,6 +330,28 @@ def final_w1_matrix_oracle(ledger, step0, candidates, mode, attention):
             seq = np.sort(np.vstack([base, eta * w_new[j]]), axis=0)
             d[i, j] = float(np.mean(np.abs(seq - rel_sorted), axis=0).sum())
     return d
+
+
+def w1_insert_matrix_oracle(base, rel_sorted, values) -> np.ndarray:
+    """The searchsorted reference for ``fairrank.divergence.w1_insert_matrix``:
+    the same closed form with one ``np.searchsorted`` per candidate and
+    component and every position computed, bit-identical to the kernel."""
+    m, K, P = base.shape
+    zeros = np.zeros((1, K, P))
+    prefix = np.concatenate([zeros, np.cumsum(np.abs(base - rel_sorted[:-1]), axis=0)])
+    after = np.abs(base - rel_sorted[1:])[::-1]
+    suffix = np.concatenate([np.cumsum(after, axis=0)[::-1], zeros])
+    # (K cand, P, K pos) insertion ranks; searchsorted keeps memory at O(K^2 P)
+    s = np.empty((K, P, values.shape[0]), dtype=np.intp)
+    for i in range(K):
+        for p in range(P):
+            s[i, p] = np.searchsorted(base[:, i, p], values[:, p], side="left")
+
+    def at_rank(x):
+        return np.take_along_axis(x.transpose(1, 2, 0), s, axis=2)
+
+    gap = np.abs(values.T[None, :, :] - at_rank(rel_sorted))
+    return ((at_rank(prefix) + gap + at_rank(suffix)) / (m + 1)).sum(axis=1)
 
 
 def bottleneck_search_oracle(

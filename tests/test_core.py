@@ -14,6 +14,7 @@ from fairrank.core import (
     Dataset,
     Ledger,
     Stream,
+    _accrued,
     _dcg,
     _ndcg,
     attention_weights,
@@ -26,6 +27,7 @@ from oracles import (
     ideal_ranking_oracle,
     moments_at_oracle,
     rows_of,
+    running_total,
     sequence_std,
     stream_of,
 )
@@ -598,3 +600,33 @@ class TestAdvancedMoments:
         mean, _ = ledger.moments_at([1], "relevance", "aware")
         assert same_bits(mean, np.zeros((1, 1)))
         assert same_bits(mean, moments_at_oracle(ledger, [1], "relevance", "aware")[0])
+
+
+class TestAccrued:
+    """``_accrued`` equals the ``cumsum`` running total bit for bit."""
+
+    @staticmethod
+    def _steps(rng, T, n, P):
+        """Moment terms eta * x with ties, exact zeros of both signs and
+        all-(-0.0) columns."""
+        x = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0 / 3.0], (T, n, 1))
+        x[rng.random((T, n, 1)) < 0.5] = rng.random()
+        eta = rng.choice([1.0, -1.0, 0.5, 0.0, -0.0, -2.0], (T, 1, P))
+        return eta * x
+
+    def test_matches_running_total(self):
+        rng = np.random.default_rng(83)
+        shapes = [(T, n, P) for T in (0, 1, 2, 9, 40) for n in (1, 2, 7) for P in (1, 2, 3)]
+        shapes += [(200, 1, 1), (200, 2, 1), (200, 1, 2), (64, 300, 1)]
+        for T, n, P in shapes:
+            for _ in range(20):
+                steps = self._steps(rng, T, n, P)
+                assert same_bits(_accrued(steps), running_total(steps)), (T, n, P)
+                # a fancy-index copy lays T innermost
+                rows = rng.permutation(n)[: max(1, n - 1)].tolist()
+                taken = steps[:, rows, :]
+                assert same_bits(_accrued(taken), running_total(taken)), (T, n, P, rows)
+
+    def test_all_negative_zero_column_sums_to_positive_zero(self):
+        for shape in ((3, 1, 1), (3, 2, 1), (1, 1, 2)):
+            assert same_bits(_accrued(np.full(shape, -0.0)), np.zeros(shape[1:]))

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from fairrank.core import AttentionModel, Dataset, Ledger
+import fairrank.divergence
+import fairrank.rerank
+from fairrank.core import AttentionModel, Dataset, Ledger, Stream
 from fairrank.divergence import (
     DivergenceKind,
     _component_values,
     d_multi,
     divergence_matrix,
+    w1_insert_matrix,
 )
 from fairrank.errors import LengthMismatchError, ValidationError
 from fairrank.rerank import RerankConfig, _final_w1_matrix
@@ -26,6 +29,7 @@ from oracles import (
     query_columns,
     rows_of,
     stream_of,
+    w1_insert_matrix_oracle,
 )
 
 KINDS = (DivergenceKind.L1, DivergenceKind.L2VAR, DivergenceKind.W1)
@@ -343,3 +347,98 @@ class TestW1InsertKernel:
                         ledger, step0, candidates, mode, attention
                     )
                     np.testing.assert_allclose(d, expected, rtol=0, atol=1e-12)
+
+
+def _signed_zero_draws(rng, shape, rounded):
+    """Draws in [-1, 1]: a coarse grid with exact 0.0 and -0.0 (ties) or
+    continuous values."""
+    if rounded:
+        return rng.integers(-2, 3, shape) / 2.0 * rng.choice([1.0, -1.0], shape)
+    return rng.uniform(-1.0, 1.0, shape)
+
+
+def _kernel_inputs(rng, m, K, P):
+    """Sorted (m, K, P) base and (m+1, K, P) relevance, and (K, P) position
+    values eta * w whose tail past a random attention cutoff (below or above
+    K) is a run of equal zeros, -0.0 where eta < 0."""
+    rounded = bool(rng.integers(0, 2))
+    base = np.sort(_signed_zero_draws(rng, (m, K, P), rounded), axis=0)
+    rel = np.sort(_signed_zero_draws(rng, (m + 1, K, P), rounded), axis=0)
+    eta = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], P)
+    w = AttentionModel(int(rng.integers(1, K + 6))).weights(K + 5)[:K]
+    if rounded:
+        w = np.round(w * 2.0) / 2.0  # equal adjacent positions inside the cutoff
+    return base, rel, eta * w[:, None]
+
+
+def _ranked_ledger(rng, m, K, P):
+    """A ledger of n >= K individuals after m random rankings; its stream
+    holds one query more. Relevance is on a coarse grid with zeros in half
+    the draws, polarity mixes signs and, for P > 1, one zero component."""
+    n = K + int(rng.integers(0, 4))
+    dataset = Dataset.single_group(tuple(f"i{i:02d}" for i in range(n)))
+    if rng.integers(0, 2):
+        counts = rng.integers(0, 3, (m + 1, n)).astype(float)
+        counts[:, 0] += 1.0  # every row has mass
+        relevance = counts / counts.sum(axis=1, keepdims=True)
+    else:
+        relevance = rng.dirichlet(np.ones(n), m + 1)
+    polarity = rng.choice([-1.0, 0.5, 1.0], (m + 1, P))
+    if P > 1:
+        polarity[:, int(rng.integers(0, P))] = 0.0
+    stream = Stream(
+        [f"q{s}" for s in range(m + 1)], np.arange(1, m + 2), polarity,
+        dataset.individuals, relevance,
+    )
+    ledger = Ledger(dataset, stream)
+    attention = AttentionModel(int(rng.integers(1, K + 6)))  # cutoff below or above K
+    for _ in range(m):
+        ledger.update(rng.permutation(n), attention)
+    return ledger, attention
+
+
+class TestW1InsertKernelDifferential:
+    """The loop-free kernel against the searchsorted oracle, bit for bit."""
+
+    @pytest.mark.parametrize("P", [1, 2, 3])
+    def test_kernel_matches_oracle_bits(self, P):
+        rng = np.random.default_rng(61 + P)
+        for m in range(41):
+            for _ in range(3):
+                K = int(rng.integers(1, 61))
+                base, rel, values = _kernel_inputs(rng, m, K, P)
+                got = w1_insert_matrix(base, rel, values)
+                want = w1_insert_matrix_oracle(base, rel, values)
+                assert got.tobytes() == want.tobytes(), (m, K, P)
+
+    @pytest.mark.parametrize("P", [1, 2, 3])
+    def test_both_callers_match_oracle_bits(self, P, monkeypatch):
+        rng = np.random.default_rng(71 + P)
+        for case in range(40):
+            m, K = int(rng.integers(0, 41)), int(rng.integers(1, 61))
+            ledger, attention = _ranked_ledger(rng, m, K, P)
+            rows = rng.permutation(ledger.dataset.n)[:K]
+            mode = ("aware", "agnostic")[case % 2]
+            config = RerankConfig(kind="W1", k_re=K, k_att=1, k_eval=1, polarity_mode=mode)
+            step0 = int(rng.integers(0, m)) if m else None
+
+            def matrices():
+                online = divergence_matrix(
+                    ledger, rows, ledger.relevance[m, rows], ledger.polarity[m],
+                    attention, DivergenceKind.W1, mode,
+                )
+                if step0 is None:
+                    return online, None
+                final = _final_w1_matrix(
+                    ledger, step0, ledger.polarity[step0], rows, config, attention
+                )
+                return online, final
+
+            got = matrices()
+            with monkeypatch.context() as patched:
+                patched.setattr(fairrank.divergence, "w1_insert_matrix", w1_insert_matrix_oracle)
+                patched.setattr(fairrank.rerank, "w1_insert_matrix", w1_insert_matrix_oracle)
+                want = matrices()
+            assert got[0].tobytes() == want[0].tobytes(), (case, m, K, mode)
+            if step0 is not None:
+                assert got[1].tobytes() == want[1].tobytes(), (case, m, K, mode, step0)
