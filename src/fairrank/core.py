@@ -293,12 +293,21 @@ class Stream:
 def ideal_order(id_order: np.ndarray, rel: np.ndarray) -> np.ndarray:
     """Positions of ``rel`` in relevance-descending order, ties broken by
     ascending identifier; ``id_order`` lists the positions by ascending
-    identifier (``Dataset.id_order``).
+    identifier (``Dataset.id_order``). ``rel`` is finite, as ``Stream``
+    checks.
 
-    A stable sort of the negated values taken in identifier order keeps equal
-    values (0.0 and -0.0 included) in that order.
+    The negated values are taken in identifier order and sorted once by
+    value (numpy's default, unstable kind). When no two adjacent sorted
+    values compare equal, the row has exactly one sorted order, so the
+    default-kind argsort returns it bit for bit. Otherwise a stable argsort
+    keeps equal values in identifier order; ``0.0 == -0.0``, so a signed-zero
+    pair counts as a tie and is ordered by identifier too.
     """
-    return id_order[np.argsort(-rel[id_order], kind="stable")]
+    neg = -rel[id_order]
+    ranked = np.sort(neg)
+    if (ranked[1:] == ranked[:-1]).any():
+        return id_order[neg.argsort(kind="stable")]
+    return id_order[neg.argsort()]
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AttentionModel, Dataset, Ledger, Stream, _dcg, _fsum, _ndcg
+from .core import AttentionModel, Dataset, Ledger, Stream, _dcg, _fsum, _ndcg, ideal_order
 from .errors import (
     CoverageError,
     LengthMismatchError,
@@ -527,19 +527,16 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
             f"run file sweeps must be a non-negative integer, got {payload['sweeps']!r}"
         )
     # the dataset lists the block's (sorted) individuals in order, so the
-    # stored positions are dataset rows and the ideal order is a stable sort
+    # stored positions are dataset rows and relevance rows are in dataset order
     orderings = _decode_orderings(payload["orderings"], stream)
     dataset = build_dataset(stream.individuals, group_of)
     relevance = stream.relevance
-    flagged = np.flatnonzero(payload["fallback"])
-    not_ideal = (
-        orderings[flagged] != np.argsort(-relevance[flagged], axis=1, kind="stable")
-    ).any(axis=1)
-    if not_ideal.any():
-        raise ValidationError(
-            f"run file query {stream.query_ids[flagged[np.argmax(not_ideal)]]!r}: "
-            "flagged as a fallback but not ranked in the ideal order"
-        )
+    for step in np.flatnonzero(payload["fallback"]).tolist():
+        if not np.array_equal(orderings[step], ideal_order(dataset.id_order, relevance[step])):
+            raise ValidationError(
+                f"run file query {stream.query_ids[step]!r}: "
+                "flagged as a fallback but not ranked in the ideal order"
+            )
     # the ideal DCG needs only each query's k_eval largest relevance values,
     # in descending order; which of equal values comes first cannot change it
     n = len(stream.individuals)

@@ -428,6 +428,8 @@ def rerank_offline(
     # replay final orderings for per-step statistics
     final_ledger = Ledger(dataset, stream)
     ndcg, trace = [], []
+    positions = np.arange(dataset.n)
+    rank_of = np.empty(dataset.n, dtype=np.intp)
     for step0, (rel, polarity, rows, (ideal, ideal_dcg, rel_head)) in enumerate(
         zip(ledger.relevance, stream.polarity, orderings, steps)
     ):
@@ -444,8 +446,10 @@ def rerank_offline(
                 _cost_kind(config),
                 config.polarity_mode,
             )
-            # the rank of each head candidate, 0-based
-            chosen = np.argsort(rows)[ideal[:K]]
+            # the rank of each head candidate, 0-based, from the inverse
+            # permutation of the ordering
+            rank_of[rows] = positions
+            chosen = rank_of[ideal[:K]]
             values = d[np.arange(K), chosen]
             trace.append(
                 float(values.sum() if config.objective == "minsum" else values.max())

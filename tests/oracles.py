@@ -106,6 +106,13 @@ def ideal_ranking_oracle(relevance: dict[str, float]) -> tuple[str, ...]:
     return tuple(sorted(sorted(relevance), key=relevance.__getitem__, reverse=True))
 
 
+def ideal_order_oracle(id_order: np.ndarray, rel: np.ndarray) -> np.ndarray:
+    """``core.ideal_order`` as one stable argsort of every row: the negated
+    values taken in identifier order keep equal values (0.0 and -0.0
+    included) in that order."""
+    return id_order[np.argsort(-rel[id_order], kind="stable")]
+
+
 def running_total(steps: np.ndarray) -> np.ndarray:
     """Sum over axis 0 by ``cumsum``, a running total from 0.0 (so an
     all-(-0.0) column ends on 0.0): the reference for

@@ -24,6 +24,7 @@ from fairrank.errors import CoverageError, ValidationError
 from oracles import (
     Track,
     dcg_oracle,
+    ideal_order_oracle,
     ideal_ranking_oracle,
     moments_at_oracle,
     rows_of,
@@ -194,6 +195,42 @@ class TestIdealOrderKernel:
     def test_zero_signs_and_subnormals(self):
         rel = {"d": 0.0, "c": 5e-324, "b": -0.0, "a": 5e-324, "e": 1.0 - 1e-300}
         assert ranked_ids(rel) == ("e", "a", "c", "b", "d") == ideal_ranking_oracle(rel)
+
+    @staticmethod
+    def _rows(rng, n):
+        """Seeded rows of length ``n`` for the differential test, named by
+        what they cover."""
+        distinct = rng.permutation(np.linspace(1.0, 2.0, n)) / n
+        yield "tie-free", distinct
+        ranked = np.sort(distinct)[::-1]
+        for p in sorted({0, n - 2, *rng.integers(0, n - 1, 3).tolist()}):
+            # exactly one tied pair, at sorted positions p and p + 1
+            tied = ranked.copy()
+            tied[p + 1] = tied[p]
+            yield f"one tie at {p}", rng.permutation(tied)
+        # the kernel orders any finite values: negatives put the pair inside
+        signed = rng.permutation(np.linspace(-1.0, 1.0, n + 1)[np.arange(n + 1) != n // 2])
+        signed[rng.choice(n, 2, replace=False)] = (0.0, -0.0)
+        yield "0.0/-0.0 pair", signed
+        # k * 2**-1074 for k = 1..n, half of them scaled up to k * 2**-74
+        subnormal = rng.permutation(np.arange(1, n + 1) * 5e-324)
+        subnormal[rng.choice(n, n // 2, replace=False)] *= 2.0**1000
+        yield "subnormals", subnormal
+        tiny = np.flatnonzero(subnormal < 1e-300)
+        subnormal[tiny[0]] = subnormal[tiny[-1]]
+        yield "a tied subnormal pair", subnormal
+        yield "all equal", np.full(n, 1.0 / n)
+
+    @pytest.mark.parametrize("n", [2, 17, 200, 2000, 5000])
+    def test_matches_the_stable_argsort_oracle(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            # dataset order is a random permutation, not sorted
+            id_order = rng.permutation(n)
+            for what, rel in self._rows(rng, n):
+                assert np.array_equal(
+                    ideal_order(id_order, rel), ideal_order_oracle(id_order, rel)
+                ), what
 
     def test_id_order_is_sorted_and_read_only(self):
         dataset = Dataset.single_group(("b", "\u00e4", "a", "B"))

@@ -29,6 +29,16 @@ def _binary():
     return gen_synth(SynthSpec(n=40, T=8, seed=0, variant="binary"))
 
 
+def _continuous_600():
+    # tie-free rows: the ideal order comes from one unstable argsort
+    return gen_synth(SynthSpec(n=600, T=16, seed=3, variant="continuous"))
+
+
+def _binary_600():
+    # every row ties: the ideal order comes from the stable argsort
+    return gen_synth(SynthSpec(n=600, T=16, seed=3, variant="binary"))
+
+
 def _three_components():
     return gen_random_instance(30, 3, 10, "continuous", seed=11, components=3)
 
@@ -48,6 +58,12 @@ RUNS = {
         for kind in ("L1", "L2var", "W1")
         for mode in ("aware", "agnostic")
     },
+    "online-minmax-L2var-aware-continuous-600": (
+        rerank_online, _continuous_600, _config("L2var", "minmax", "aware")
+    ),
+    "online-minmax-L2var-aware-binary-600": (
+        rerank_online, _binary_600, _config("L2var", "minmax", "aware")
+    ),
     "online-minmax-lex-binary-aware": (
         rerank_online, _binary, _config("L1", "minmax-lex", "aware")
     ),
@@ -77,6 +93,18 @@ GOLDEN = {
         "objective_trace": "bb130bb895edc5a216a69226a818077fd543b7f94039d33e6a590aba76c391c5",
         "ndcg": "06cd2ad6f23b160db69c2d0f88a034534482ed32550c0ee139646f2ad56a475b",
         "run_file": "f225ca84ce275d972f0eec6596e71756a4c01370d4b7a7588848937e2ef6d1e6",
+    },
+    "online-minmax-L2var-aware-binary-600": {
+        "orderings": "c20a1481ca3ab56f68c17142309e3385314383fcb5b28dfe28425bf2be0027dd",
+        "objective_trace": "929ca6315845c963c18b6036cefd245af1cb233ed3d6a285f0d1a5e480a33eb8",
+        "ndcg": "b977b658cdfd1a699ee4499510a48c1bb7e8a2b93cffed5172ef5ce597c2bcae",
+        "run_file": "6512890f048eb92f292849f0c3672105ca48fc89dd0a1c7a3e51d7bfb2b6b24f",
+    },
+    "online-minmax-L2var-aware-continuous-600": {
+        "orderings": "758ba3e8b3402430dd2303b524decd664c94cbb320ddc528c5e4042ee6a32651",
+        "objective_trace": "d12632c26802df98cf264ce7722efa0ac0e08201105e6bd5a428fd404e907e82",
+        "ndcg": "18e9dd7f9cb7e7847584c80e7a8305ec2169a20307856c2c91efc6f0f9035b54",
+        "run_file": "dafbea6527b0175e93b88a7a1a53f002b58981103154b1b958888963b725b84a",
     },
     "online-minmax-L2var-agnostic": {
         "orderings": "3908c9cdde68e4253bb873315ae300bc4b079537936bd140790720b25e0fbcfa",

@@ -452,6 +452,44 @@ class TestReplayChecks:
         with pytest.raises(ValidationError, match="fallback"):
             fio.replay_run(payload, group_of)
 
+    @pytest.fixture()
+    def tied_payload(self, tmp_path):
+        """A pass-through run of a binary stream: every row ties, and every
+        ordering is the ideal one."""
+        dataset, stream = gen_synth_binary(SynthSpec(n=8, T=4))
+        config = RerankConfig(k_re=8, k_att=3, k_eval=3, theta=0.8, objective="none")
+        run_path = tmp_path / "run.json"
+        fio.save_run(run_path, rerank_online(dataset, stream, config), stream)
+        return fio.load_run(run_path), dataset.group_of
+
+    def test_flagged_tied_step_in_ascending_id_order_replays(self, tied_payload):
+        payload, group_of = tied_payload
+        step = 1
+        relevance = block_matrix(payload)[step]
+        row = block_orderings(payload)[step]
+        # positions index the sorted ids, so each tie lists them ascending
+        for value in np.unique(relevance):
+            tie = row[relevance[row] == value]
+            assert len(tie) == 4 and (np.diff(tie) > 0).all()
+        payload["fallback"][step] = True
+        fio.replay_run(payload, group_of)
+
+    def test_flagged_tied_step_with_two_tied_ids_swapped_rejected(self, tied_payload):
+        payload, group_of = tied_payload
+        step = 1
+        relevance = block_matrix(payload)[step]
+        positions = block_orderings(payload)
+        row = positions[step]
+        # the last two entries tie below the k_eval cut: the nDCG stays exact
+        # and the swapped file replays unless the step is flagged
+        assert relevance[row[-1]] == relevance[row[-2]]
+        row[[-2, -1]] = row[[-1, -2]]
+        set_orderings(payload, positions)
+        fio.replay_run(payload, group_of)
+        payload["fallback"][step] = True
+        with pytest.raises(ValidationError, match="q0002.*fallback"):
+            fio.replay_run(payload, group_of)
+
     def test_unknown_id_in_an_ordering_rejected(self, payload):
         payload, group_of = payload
         positions = block_orderings(payload)
