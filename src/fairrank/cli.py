@@ -261,11 +261,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polarity-mode", choices=("aware", "agnostic"), default="agnostic")
     p.add_argument("--offline", action="store_true", help="coordinate-descent mode")
     p.add_argument("--max-sweeps", type=int, default=10)
-    p.add_argument("--out", required=True, help="run file path")
+    p.add_argument(
+        "--out",
+        required=True,
+        help="run file path: one JSON header line (`head -n 1` shows the run's "
+        "metadata), then the relevance and orderings as raw binary blocks",
+    )
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("evaluate", help="metric report for a saved run")
-    p.add_argument("--run", required=True)
+    p.add_argument(
+        "--run",
+        required=True,
+        help="run file written by `fairrank rank`; files of earlier versions "
+        "(one JSON document) are rejected",
+    )
     p.add_argument("--baseline-run", default=None)
     p.add_argument("--groups", default=None)
     p.add_argument("--out", required=True, help="report file path")

@@ -16,26 +16,28 @@ Streams load into and save from a ``core.Stream``, the package's only
 in-memory stream: every line's relevance values go into one (T, n) matrix,
 with no per-query object. Query ids must be JSON strings.
 
-Run files are self-contained single-line JSON: the config echo, the
-stream as one columnar block, and the emitted orderings. The block holds the
-query ids, timesteps and polarity vectors as JSON arrays, the sorted
-individual ids, and the T x n relevance matrix as base64 of its
-little-endian float64 bytes (row-major, columns in individual order), so
-replay reads back every relevance value bit for bit without parsing text
-floats. The orderings are one base64 string too: the T x n little-endian
-int32 positions into the block's individuals, row ``s`` ranking step ``s``
-best first. Evaluation replays a run exactly: it checks each row is a
-permutation and each query's stored nDCG and fallback flag against it, and
-fills the ledger in one write. Indented run files load the same way; run
-files whose stream is a list of stream lines, or whose orderings are lists
-of ids (earlier layouts), are rejected.
+Run files are self-contained: one JSON header line, then two raw binary
+blocks. The header is ASCII-only JSON (non-ASCII ids escaped, so its first
+newline ends it), padded with spaces so the body starts at a multiple of 8
+bytes; ``head -n 1 run.json`` is the run's metadata. It holds the layout
+name (``format``), the config echo, the stream block (query ids, timesteps,
+polarity vectors and the sorted individual ids), the query ids, nDCG,
+fallback flags, objective trace and sweep count. With T query ids and n
+individuals, the body is the T x n relevance matrix as little-endian
+float64 (row-major, columns in individual order), so replay reads back
+every value bit for bit, then the T x n orderings as little-endian int32
+positions into the individuals, row ``s`` ranking step ``s`` best first:
+12 x T x n bytes, nothing after. ``load_run`` views both blocks in the
+file's bytes without copying. Evaluation replays a run exactly: it checks
+each row is a permutation and each query's stored nDCG and fallback flag
+against it, and fills the ledger in one write. Run files of earlier
+versions (one JSON document, compact or indented) are rejected.
 
 Report files are JSON with deterministic key order and every number
 serialized at 12 significant digits; non-finite sentinels use the
 ``Infinity``/``NaN`` tokens (readable by Python's json module).
 """
 
-import base64
 import csv
 import hashlib
 import json
@@ -313,59 +315,32 @@ def save_report(path, report_dict: dict) -> None:
 
 # -- run files -------------------------------------------------------------------
 
+RUN_FORMAT = "fairrank-run/json-header+blocks"
+_HEADER_KEYS = ("config", "stream", "query_ids", "ndcg", "fallback", "objective_trace", "sweeps")
 _BLOCK_KEYS = ("query_ids", "t", "polarity", "individuals", "relevance")
 
 
-def _b64(array: np.ndarray, dtype: str) -> str:
-    return base64.b64encode(np.ascontiguousarray(array, dtype=dtype).tobytes()).decode("ascii")
-
-
-def _b64_block(encoded, what: str, itemsize: int, shape: tuple[int, int]) -> bytes:
-    """The bytes of a base64 block holding ``shape`` items of ``itemsize``
-    bytes; raises ParseError unless it is valid base64 and ValidationError
-    unless its length fits."""
-    try:
-        data = base64.b64decode(encoded, validate=True)
-    except (TypeError, ValueError):
-        raise ParseError(f"run file {what} block is not valid base64") from None
-    if len(data) != itemsize * shape[0] * shape[1]:
-        raise ValidationError(
-            f"run file {what} block has {len(data)} bytes, "
-            f"expected {itemsize} x {shape[0]} queries x {shape[1]} individuals"
-        )
-    return data
-
-
-def _encode_stream(stream: Stream) -> dict:
-    """The stream as one columnar block.
-
-    Relevance is the T x n matrix (rows in stream order, columns in
-    ``individuals`` order) as base64 of its little-endian float64 bytes, so
-    every value, ``-0.0`` and subnormals included, comes back bit for bit.
-    """
-    return {
-        "query_ids": list(stream.query_ids),
-        "t": stream.t.tolist(),
-        "polarity": stream.polarity.tolist(),
-        "individuals": list(stream.individuals),
-        "relevance": _b64(stream.relevance, "<f8"),
-    }
+def _block(value, what: str, dtype: str, shape: tuple[int, int]) -> np.ndarray:
+    """``value``, a block as ``load_run`` reads it; raises ValidationError
+    unless it is a ``shape`` array of ``dtype``."""
+    if isinstance(value, np.ndarray) and value.dtype == dtype and value.shape == shape:
+        return value
+    got = f"{value.dtype} {value.shape}" if isinstance(value, np.ndarray) else type(value).__name__
+    raise ValidationError(
+        f"run file {what} block is {got}, expected {np.dtype(dtype).name} "
+        f"{shape[0]} queries x {shape[1]} individuals"
+    )
 
 
 def _decode_stream(block) -> Stream:
-    """The ``Stream`` of a block written by ``_encode_stream``; the Stream
-    checks values, order and coverage."""
-    if isinstance(block, list):
-        raise ValidationError(
-            "run file was written by an earlier version (stream lines); "
-            "re-run `fairrank rank`"
-        )
+    """The ``Stream`` of a run file's stream block; the Stream checks values,
+    order and coverage."""
     if not isinstance(block, dict):
         raise ValidationError("run file stream must be an object")
     missing = [key for key in _BLOCK_KEYS if key not in block]
     if missing:
         raise ValidationError(f"run file stream block is missing {missing[0]!r}")
-    query_ids, ts, polarity, individuals, encoded = map(block.__getitem__, _BLOCK_KEYS)
+    query_ids, ts, polarity, individuals, relevance = map(block.__getitem__, _BLOCK_KEYS)
     if not all(isinstance(c, list) for c in (query_ids, ts, polarity, individuals)):
         raise ValidationError("run file stream block columns must be arrays")
     if not all(type(q) is str for q in query_ids):
@@ -379,8 +354,7 @@ def _decode_stream(block) -> Stream:
         raise ValidationError("run file stream block needs a non-empty list of ids")
     if len(set(individuals)) != len(individuals):
         raise ValidationError("run file stream block repeats an individual")
-    shape = (len(query_ids), len(individuals))
-    data = _b64_block(encoded, "relevance", 8, shape)
+    relevance = _block(relevance, "relevance", "<f8", (len(query_ids), len(individuals)))
     for query_id, t, eta in zip(query_ids, ts, polarity):
         _check_step(t, eta, None, f"run file query {query_id!r}: ")
         if len(eta) != len(polarity[0]):
@@ -388,24 +362,15 @@ def _decode_stream(block) -> Stream:
                 f"run file query {query_id!r} has {len(eta)} polarity "
                 f"component(s), expected {len(polarity[0])}"
             )
-    relevance = np.frombuffer(data, dtype="<f8").reshape(shape)
     return Stream(query_ids, ts, polarity, individuals, relevance)
 
 
-def _decode_orderings(encoded, stream: Stream) -> np.ndarray:
+def _decode_orderings(positions, stream: Stream) -> np.ndarray:
     """The (T, n) orderings of a run file as positions into the stream's
     individuals; raises ValidationError, naming the query, unless each row
     is a permutation."""
-    if isinstance(encoded, list):
-        raise ValidationError(
-            "run file orderings were written by an earlier version (lists of ids); "
-            "re-run `fairrank rank`"
-        )
-    if not isinstance(encoded, str):
-        raise ValidationError("run file orderings must be a base64 string")
     T, n = stream.relevance.shape
-    positions = np.frombuffer(_b64_block(encoded, "orderings", 4, (T, n)), dtype="<i4")
-    positions = positions.reshape(T, n)
+    positions = _block(positions, "orderings", "<i4", (T, n))
     outside = ((positions < 0) | (positions >= n)).any(axis=1)
     if outside.any():
         raise ValidationError(
@@ -424,48 +389,87 @@ def _decode_orderings(encoded, stream: Stream) -> np.ndarray:
     return positions
 
 
-_RUN_KEYS = (
-    "config", "stream", "query_ids", "orderings", "ndcg", "fallback", "objective_trace", "sweeps"
-)
-
-
 def save_run(path, result: RunResult, stream: Stream) -> None:
-    """Self-contained run file: config echo, the stream as one columnar block
-    (relevance as exact float64 bytes, see ``_encode_stream``), and the
-    emitted orderings with their nDCG, fallback flags and objective trace.
-
-    The orderings are one base64 block of little-endian int32: row ``s``
-    lists step ``s``'s ranking as positions into the block's
-    ``individuals``. Written as one compact line (no indent, so the C
-    encoder serializes it).
+    """Write a self-contained run file in the layout the module docstring
+    describes: the header line (``format``, config echo, stream block
+    without its relevance, query ids, nDCG, fallback flags, objective trace
+    and sweeps), then the relevance and the orderings blocks, the orderings
+    as positions into the stream's sorted individuals. Every byte is built
+    before the file is opened, so a save that raises leaves an existing file
+    as it was.
     """
     positions = stream.columns(result.ledger.dataset)[result.orderings]
-    payload = {
+    header = {
+        "format": RUN_FORMAT,
         "config": result.config.to_dict(),
-        "stream": _encode_stream(stream),
+        "stream": {
+            "query_ids": list(stream.query_ids),
+            "t": stream.t.tolist(),
+            "polarity": stream.polarity.tolist(),
+            "individuals": list(stream.individuals),
+        },
         "query_ids": list(result.query_ids),
-        "orderings": _b64(positions, "<i4"),
         "ndcg": list(result.ndcg),
         "fallback": [bool(f) for f in result.fallback],
         "objective_trace": list(result.objective_trace),
         "sweeps": result.sweeps,
     }
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False) + "\n", encoding="utf-8")
+    line = json.dumps(header).encode("ascii")
+    line += b" " * (-(len(line) + 1) % 8) + b"\n"
+    blocks = (line, np.ascontiguousarray(stream.relevance, "<f8"), positions.astype("<i4"))
+    with Path(path).open("wb") as fh:
+        fh.writelines(blocks)
 
 
 def load_run(path) -> dict:
-    """A run file's payload; raises ValidationError unless it carries every
-    key ``save_run`` writes."""
+    """A run file's payload: the header's keys, with the stream block's
+    ``relevance`` and the ``orderings`` as read-only (T, n) arrays viewing
+    the file's bytes (T query ids and n individuals, both from the header).
+
+    Raises ParseError when the file has no newline or its first line is not
+    a JSON object, and ValidationError when the header lacks a key
+    ``save_run`` writes, names another layout (run files of earlier
+    versions are one JSON document: re-run ``fairrank rank``), or the body
+    is not exactly 12 x T x n bytes.
+    """
     path = Path(path)
+    data = path.read_bytes()
+    end = data.find(b"\n")
+    if end < 0:
+        raise ParseError(f"run file {path} has no header line")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"run file is not valid JSON ({exc.msg})") from None
+        payload = json.loads(data[:end])
+    except ValueError as exc:
+        # an indented JSON document (an earlier layout) opens with a lone brace
+        if data[:end].strip() != b"{":
+            raise ParseError(f"run file {path} header is not valid JSON ({exc})") from None
+        payload = {}
     if not isinstance(payload, dict):
-        raise ValidationError(f"run file {path} must hold a JSON object")
-    for key in _RUN_KEYS:
+        raise ParseError(f"run file {path} header must be a JSON object")
+    layout = payload.pop("format", None)
+    if layout != RUN_FORMAT:
+        raise ValidationError(
+            f"run file {path} has 'format' {layout!r}, not {RUN_FORMAT!r} (earlier "
+            "versions wrote one JSON document); re-run `fairrank rank`"
+        )
+    for key in _HEADER_KEYS:
         if key not in payload:
             raise ValidationError(f"run file {path} is missing {key!r}")
+    block = payload["stream"]
+    if not isinstance(block, dict):
+        raise ValidationError(f"run file {path} stream must be an object")
+    for key in ("query_ids", "individuals"):
+        if not isinstance(block.get(key), list):
+            raise ValidationError(f"run file {path} stream block needs a {key!r} array")
+    T, n = len(block["query_ids"]), len(block["individuals"])
+    body, start = len(data) - end - 1, end + 1
+    if body != 12 * T * n:
+        raise ValidationError(
+            f"run file {path} body has {body} bytes, expected {12 * T * n} "
+            f"(12 x {T} queries x {n} individuals)"
+        )
+    block["relevance"] = np.frombuffer(data, "<f8", T * n, start).reshape(T, n)
+    payload["orderings"] = np.frombuffer(data, "<i4", T * n, start + 8 * T * n).reshape(T, n)
     return payload
 
 
@@ -491,19 +495,19 @@ def _replay_config(echo) -> RerankConfig:
 
 
 def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResult:
-    """Rebuild a RunResult (ledger included) from a saved run file.
+    """Rebuild a RunResult (ledger included) from a ``load_run`` payload.
 
-    Both blocks are decoded straight into arrays, and the ledger is filled
-    in one write. A run file whose stream is the older list of stream lines,
-    or whose orderings are lists of ids, raises ValidationError. Raises
+    The relevance and orderings arrays are checked with array operations
+    and used as they are, and the ledger is filled in one write. Raises
     LengthMismatchError when a per-query list (fallback flags, nDCG,
     objective trace, query ids, or a column of the stream block) is not one
-    entry per query, and ValidationError when a block is malformed (the
-    orderings block must hold 4 bytes per query and individual), the query
-    ids differ from the stream block's, a value has the wrong JSON type (see
-    ``_replay_config`` for the config echo), an ordering is not a
-    permutation, a stored nDCG differs from the one its ordering gives, or a
-    step flagged as a fallback does not carry the ideal ordering.
+    entry per query, and ValidationError when the stream block is malformed,
+    a block is not a T x n array of its dtype (little-endian float64
+    relevance, int32 orderings), the query ids differ from the stream
+    block's, a value has the wrong JSON type (see ``_replay_config`` for the
+    config echo), an ordering is not a permutation, a stored nDCG differs
+    from the one its ordering gives, or a step flagged as a fallback does
+    not carry the ideal ordering.
     """
     config = _replay_config(payload["config"])
     stream = _decode_stream(payload["stream"])

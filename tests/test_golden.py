@@ -80,67 +80,67 @@ GOLDEN = {
         "orderings": "9a72a325398a1d61473f2df81acd1e12fb5323396443340b68f372e0ee28fa1d",
         "objective_trace": "a9e10ee8bac1f4134bb5e056a035b92408662947bff8ea44db2866a0f197a9e4",
         "ndcg": "d49cdc1a4c3215efe12370f097fc731f4fbf59c0040e6ef2a8d2b716eafa7510",
-        "run_file": "722395c72c73c866c40b20e47b889d4500d496aca755436ae8ddb4bc8e0a5f14",
+        "run_file": "d5d5c6475c9ab7d106c6226d6eda99323cfaa7b5621c52756404915c05eed6c6",
     },
     "online-minmax-L1-agnostic": {
         "orderings": "6a1c1d47f4d006a595e423a650e912ca5d9fb21a3bcec8613b81f39dc5782796",
         "objective_trace": "ed1fe3ea780902bfbe08d70f9236405ce1f4f97277543e00eb016cc263b3dba5",
         "ndcg": "81a34d7cff9c8d2c1fa5d006d1b2e3029a04ae07bea4efc2ca7d139403e62bf2",
-        "run_file": "58ae850b837772b61b9aea402dfc2e80ad09777f7ac51cd95de867d3288fba24",
+        "run_file": "d842fbe4f5b59f61a260ec31c0c8f6b858ebf4eb9bec8a429287f5f0943f30ba",
     },
     "online-minmax-L1-aware": {
         "orderings": "6c4f1abf5d146b2b9b233a4a6f6bfb7d583d0cb6b6ef8c0aedf02b5a3344d4e6",
         "objective_trace": "bb130bb895edc5a216a69226a818077fd543b7f94039d33e6a590aba76c391c5",
         "ndcg": "06cd2ad6f23b160db69c2d0f88a034534482ed32550c0ee139646f2ad56a475b",
-        "run_file": "f225ca84ce275d972f0eec6596e71756a4c01370d4b7a7588848937e2ef6d1e6",
+        "run_file": "c04daa911215df90ab3973430018943b006e3d436cdcaaf071b8d79094a49b0b",
     },
     "online-minmax-L2var-aware-binary-600": {
         "orderings": "c20a1481ca3ab56f68c17142309e3385314383fcb5b28dfe28425bf2be0027dd",
         "objective_trace": "929ca6315845c963c18b6036cefd245af1cb233ed3d6a285f0d1a5e480a33eb8",
         "ndcg": "b977b658cdfd1a699ee4499510a48c1bb7e8a2b93cffed5172ef5ce597c2bcae",
-        "run_file": "6512890f048eb92f292849f0c3672105ca48fc89dd0a1c7a3e51d7bfb2b6b24f",
+        "run_file": "fd465ad244960fe21e7b1f2acfc28a6be8548767d06316dea7e8df72dc4f6ded",
     },
     "online-minmax-L2var-aware-continuous-600": {
         "orderings": "758ba3e8b3402430dd2303b524decd664c94cbb320ddc528c5e4042ee6a32651",
         "objective_trace": "d12632c26802df98cf264ce7722efa0ac0e08201105e6bd5a428fd404e907e82",
         "ndcg": "18e9dd7f9cb7e7847584c80e7a8305ec2169a20307856c2c91efc6f0f9035b54",
-        "run_file": "dafbea6527b0175e93b88a7a1a53f002b58981103154b1b958888963b725b84a",
+        "run_file": "50495d3cb41bc18a380278ae7b84027db4143dacb59f77f00c72e20cd2251cb3",
     },
     "online-minmax-L2var-agnostic": {
         "orderings": "3908c9cdde68e4253bb873315ae300bc4b079537936bd140790720b25e0fbcfa",
         "objective_trace": "cbdc36ee64835fdb04fe7b03118e7a1a7459e2e1213c5687922dfaf8ddf0578d",
         "ndcg": "8dcb18bf75fc34f94516001569f9bbbe7e76afefe070e5f0bed8638ef06e97d2",
-        "run_file": "a5446d12aceb3c2ca4af804340c8d96b55e942f85091608be7ef08fd2e7afd02",
+        "run_file": "d130a804ba743a79eeece87f8f93fdbdd4ca3d71c1135a7b2e7bafe65ec812e0",
     },
     "online-minmax-L2var-aware": {
         "orderings": "f1c3b101e37721bb8ed347762547815e290e0e92f36fc1367d462362bd13a297",
         "objective_trace": "db8f2bbb577586bd0295c317b016f564ab34a74b0dda869ab2b3c157aee3f48b",
         "ndcg": "28c28ff412d8930b80ca2707af3714e515c61be2fd34d06edc830dd8e36b8878",
-        "run_file": "4739bda55a6ad11bd39aec6219fe5aff74f53562bd777731fce2d28630529980",
+        "run_file": "f23b518b68fe5a9ba6fa1bbb064234798e688643a795d313edb4c42833621d85",
     },
     "online-minmax-W1-agnostic": {
         "orderings": "a8a876cfb1efd710feade93cc394928020fecdaa1aca0823297eb4bb134ad71a",
         "objective_trace": "23adebaba60c97a7affff0a1a082d22eaeff967f6901cb8bbcae9126bf5264a8",
         "ndcg": "68c463e5a2210402bcd07d936e057e5d6ec01fa2b12a6f6b2d05e71d2b6d2890",
-        "run_file": "272acdf19832c67b029570672b0d24ba5b5f1357db110806b4d821a7c24ea17c",
+        "run_file": "4ba8e6b25a919b16fdf0b4a6c5d77ec43bcee12676dd9d688fababe04669bfb1",
     },
     "online-minmax-W1-aware": {
         "orderings": "a8a876cfb1efd710feade93cc394928020fecdaa1aca0823297eb4bb134ad71a",
         "objective_trace": "f545872c870836da7079cad648d453e70841644545257c0a2664456cca439739",
         "ndcg": "68c463e5a2210402bcd07d936e057e5d6ec01fa2b12a6f6b2d05e71d2b6d2890",
-        "run_file": "5eec17559cdc81c6f74dc81cde7a964c808d760794158bf173187855f68eec55",
+        "run_file": "7e97f6100c12ce212670a7b05cdfbfad28d15284b3c597a8854727e639004f92",
     },
     "online-minmax-lex-P3-aware": {
         "orderings": "cd2948a11369b97631b3f34a5a10e82013491dbd834e41bf2019e0a2c810fa64",
         "objective_trace": "af31d4b7d89c82444e159b2726f432e6751da51b7f19556fb729705b56219a8c",
         "ndcg": "394ed0d728b83086dbe1a3a56ebed53ab4a8f42f8baa684ba0e3533ceacd36b7",
-        "run_file": "62e3d0ab8fa7c2dce08aed40afff8c696d3486b3f23e40ac4bf8ee412712f185",
+        "run_file": "0bb3075d004e66d0a1c8c42dec9218d9d6c9f7da6020e63a658615b10dbeafb5",
     },
     "online-minmax-lex-binary-aware": {
         "orderings": "d835570f0aece1ecb3212e98033b8ca5dc29c01198f8c38a768107f1cf789e03",
         "objective_trace": "81f3b8084247031a481be6dd7f13208e96655b6e66d75e9bf4e9d7e836f64fdc",
         "ndcg": "e76b4b3fe81c596b8e58f41307abab6fb8c82203401a63b45917ba892036f49a",
-        "run_file": "24ffd156ad00ae27f7481ec2cd9e4a34f415cb69f428060fc97d7c8d762b6253",
+        "run_file": "34f65bfd3d0c99b61710055410b1b9c35d726d0685e7de13a958c26d41d931a6",
     },
 }
 

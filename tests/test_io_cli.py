@@ -23,29 +23,46 @@ from oracles import relevance_dicts, stream_of
 
 
 def block_matrix(payload) -> np.ndarray:
-    """The (T, n) relevance of a run file's stream block, decoded independently."""
-    block = payload["stream"]
-    rows = np.frombuffer(base64.b64decode(block["relevance"]), dtype="<f8")
-    return rows.reshape(len(block["t"]), len(block["individuals"]))
+    """The (T, n) relevance of a loaded run file's stream block."""
+    return payload["stream"]["relevance"]
 
 
 def block_relevance(payload) -> list[dict]:
-    """Per-query relevance of a run file's stream block, decoded independently."""
+    """Per-query relevance of a loaded run file's stream block."""
     individuals = payload["stream"]["individuals"]
     return [dict(zip(individuals, row)) for row in block_matrix(payload).tolist()]
 
 
 def block_orderings(payload) -> np.ndarray:
-    """A run file's orderings block as a writable (T, n) array of positions
+    """A loaded run file's orderings as a writable (T, n) array of positions
     into the stream block's individuals."""
-    positions = np.frombuffer(base64.b64decode(payload["orderings"]), dtype="<i4")
-    return positions.reshape(len(payload["query_ids"]), -1).copy()
+    return payload["orderings"].copy()
 
 
 def set_orderings(payload, positions) -> None:
-    """Write ``positions`` as the run file's orderings block."""
-    data = np.asarray(positions, dtype="<i4").tobytes()
-    payload["orderings"] = base64.b64encode(data).decode("ascii")
+    """Put ``positions`` in a loaded run file's payload as its orderings."""
+    payload["orderings"] = np.asarray(positions, dtype="<i4")
+
+
+def read_run(path) -> tuple[dict, bytes]:
+    """A run file's header, parsed independently of ``load_run``, and its body."""
+    header, body = path.read_bytes().split(b"\n", 1)
+    return json.loads(header), body
+
+
+def write_run(path, header: dict, body: bytes) -> None:
+    """Write ``header`` (compact, ASCII-only) as a run file's first line, then ``body``."""
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
+
+
+def earlier_layout(payload) -> dict:
+    """A loaded run file's payload in the layout written before run files
+    had a binary body: one JSON document, both blocks base64 strings."""
+    def b64(array):
+        return base64.b64encode(array.tobytes()).decode("ascii")
+
+    stream = {**payload["stream"], "relevance": b64(payload["stream"]["relevance"])}
+    return {**payload, "stream": stream, "orderings": b64(payload["orderings"])}
 
 
 @pytest.fixture()
@@ -343,13 +360,13 @@ class TestRunFiles:
 
     def test_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "run.json"
-        path.write_text('{"config": {}}')
-        with pytest.raises(ValidationError):
+        write_run(path, {"format": fio.RUN_FORMAT, "config": {}}, b"")
+        with pytest.raises(ValidationError, match="missing 'stream'"):
             fio.load_run(path)
 
     @pytest.mark.parametrize(
         "key",
-        ["config", "stream", "query_ids", "orderings", "ndcg", "fallback",
+        ["format", "config", "stream", "query_ids", "ndcg", "fallback",
          "objective_trace", "sweeps"],
     )
     def test_every_saved_key_is_required(self, binary_files, tmp_path, key):
@@ -357,10 +374,27 @@ class TestRunFiles:
         config = RerankConfig(k_re=8, k_att=3, k_eval=3, theta=0.9)
         run_path = tmp_path / "run.json"
         fio.save_run(run_path, rerank_online(dataset, stream, config), stream)
-        payload = json.loads(run_path.read_text())
-        assert key in payload
-        del payload[key]
-        run_path.write_text(json.dumps(payload))
+        header, body = read_run(run_path)
+        assert key in header
+        del header[key]
+        write_run(run_path, header, body)
+        with pytest.raises(ValidationError, match=repr(key)):
+            fio.load_run(run_path)
+
+    @pytest.mark.parametrize("key", ["query_ids", "individuals"])
+    def test_stream_block_without_its_shape_rejected(self, binary_files, tmp_path, key):
+        dataset, stream, _, _ = binary_files
+        run_path = tmp_path / "run.json"
+        run = rerank_online(dataset, stream, RerankConfig(k_re=8, k_att=3, k_eval=3))
+        fio.save_run(run_path, run, stream)
+        header, body = read_run(run_path)
+        for value in (None, "abc"):
+            header["stream"][key] = value
+            write_run(run_path, header, body)
+            with pytest.raises(ValidationError, match=repr(key)):
+                fio.load_run(run_path)
+        del header["stream"][key]
+        write_run(run_path, header, body)
         with pytest.raises(ValidationError, match=repr(key)):
             fio.load_run(run_path)
 
@@ -396,9 +430,9 @@ class TestConfigEcho:
         run_path = tmp_path / "run.json"
         config = RerankConfig(k_re=8, k_att=3, k_eval=3)
         fio.save_run(run_path, rerank_online(dataset, stream, config), stream)
-        payload = json.loads(run_path.read_text())
-        payload["config"]["seed"] = 0
-        run_path.write_text(json.dumps(payload))
+        header, body = read_run(run_path)
+        header["config"]["seed"] = 0
+        write_run(run_path, header, body)
         code = main(["evaluate", "--run", str(run_path), "--groups", str(groups_path),
                      "--out", str(tmp_path / "report.json")])
         assert code == 1
@@ -564,11 +598,12 @@ class TestMistypedRunValues:
         lambda p: p["ndcg"].__setitem__(0, "1.0"),
         lambda p: p.__setitem__("ndcg", 1.0),
         lambda p: p.__setitem__("orderings", "abc"),
+        lambda p: p["stream"].__setitem__("relevance", "abc"),
     ], ids=[
         "k_att-string", "k_re-float", "k_eval-bool", "theta-string", "kind-unknown",
         "mode-null", "sweeps-abc", "sweeps-string", "sweeps-negative", "trace-zz",
         "trace-string", "fallback-string", "ndcg-string", "ndcg-not-a-list",
-        "orderings-string",
+        "orderings-string", "relevance-string",
     ])
     def test_mistyped_value_raises_validation_error(self, saved, edit):
         run_path, _, group_of = saved
@@ -579,9 +614,9 @@ class TestMistypedRunValues:
 
     def test_mistyped_config_echo_exits_1_from_evaluate(self, saved, tmp_path, capsys):
         run_path, groups_path, _ = saved
-        payload = json.loads(run_path.read_text())
-        payload["config"]["k_att"] = "3"
-        run_path.write_text(json.dumps(payload))
+        header, body = read_run(run_path)
+        header["config"]["k_att"] = "3"
+        write_run(run_path, header, body)
         code = main(["evaluate", "--run", str(run_path), "--groups", str(groups_path),
                      "--out", str(tmp_path / "report.json")])
         assert code == 1
@@ -590,18 +625,28 @@ class TestMistypedRunValues:
     def test_run_file_that_is_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("5\n")
-        with pytest.raises(ValidationError, match="object"):
+        with pytest.raises(ParseError, match="object"):
             fio.load_run(path)
 
 
 class TestRunFileLayout:
-    def test_run_file_is_one_compact_line(self, binary_files, tmp_path):
+    def test_run_file_is_a_header_line_and_two_blocks(self, binary_files, tmp_path):
         dataset, stream, _, _ = binary_files
+        run = rerank_online(dataset, stream, RerankConfig(k_re=8, k_att=3, k_eval=3))
         run_path = tmp_path / "run.json"
-        fio.save_run(run_path, rerank_online(dataset, stream, RerankConfig(k_re=8, k_att=3, k_eval=3)), stream)
-        text = run_path.read_text(encoding="utf-8")
-        assert text.endswith("}\n") and text.count("\n") == 1
-        assert text == json.dumps(json.loads(text), ensure_ascii=False) + "\n"
+        fio.save_run(run_path, run, stream)
+        data = run_path.read_bytes()
+        line, body = data.split(b"\n", 1)
+        header = json.loads(line)
+        # compact ASCII JSON, padded with spaces so the body is 8-byte aligned
+        assert line.rstrip(b" ") == json.dumps(header).encode("ascii")
+        assert (len(line) + 1) % 8 == 0 and len(line) - len(line.rstrip(b" ")) < 8
+        assert header["format"] == fio.RUN_FORMAT and "orderings" not in header
+        assert "relevance" not in header["stream"]
+        T, n = len(stream), len(stream.individuals)
+        positions = stream.columns(dataset)[run.orderings]
+        assert body == stream.relevance.astype("<f8").tobytes() + positions.astype("<i4").tobytes()
+        assert len(body) == 12 * T * n
 
     def test_saving_twice_gives_identical_bytes(self, binary_files, tmp_path):
         dataset, _, stream_path, _ = binary_files
@@ -615,28 +660,146 @@ class TestRunFileLayout:
         fio.save_stream(again, stream)
         assert again.read_bytes() == stream_path.read_bytes()
 
-    def test_indented_run_files_evaluate_identically(self, tmp_path):
+    @pytest.mark.parametrize("indent", [None, 2], ids=["compact", "indented"])
+    def test_earlier_json_layouts_rejected(self, tmp_path, capsys, indent):
         data = tmp_path / "data"
         assert main(["generate", "--variant", "continuous", "--n", "12", "--T", "6",
                      "--seed", "4", "--out", str(data)]) == 0
-        common = ["--stream", str(data / "stream.jsonl"), "--groups", str(data / "groups.csv")]
-        base, run = tmp_path / "base.json", tmp_path / "run.json"
-        assert main(["rank", *common, "--objective", "none", "--out", str(base)]) == 0
-        assert main(["rank", *common, "--kind", "W1", "--theta", "0.8", "--out", str(run)]) == 0
-        old_base, old_run = tmp_path / "old_base.json", tmp_path / "old_run.json"
-        for new, old in ((base, old_base), (run, old_run)):
-            payload = json.loads(new.read_text(encoding="utf-8"))
-            # the layout written before run files became one compact line
-            old.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
-                           encoding="utf-8")
-            assert old.read_bytes() != new.read_bytes()
-        reports = []
-        for r, b in ((run, base), (old_run, old_base)):
-            out = tmp_path / f"report-{r.stem}.json"
-            assert main(["evaluate", "--run", str(r), "--baseline-run", str(b),
-                         "--groups", str(data / "groups.csv"), "--out", str(out)]) == 0
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
+        run = tmp_path / "run.json"
+        assert main(["rank", "--stream", str(data / "stream.jsonl"), "--kind", "W1",
+                     "--theta", "0.8", "--out", str(run)]) == 0
+        doc = earlier_layout(fio.load_run(run))
+        run.write_text(json.dumps(doc, indent=indent, ensure_ascii=False) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="re-run `fairrank rank`"):
+            fio.load_run(run)
+        capsys.readouterr()
+        code = main(["evaluate", "--run", str(run), "--out", str(tmp_path / "report.json")])
+        assert code == 1 and "re-run `fairrank rank`" in capsys.readouterr().err
+
+    def test_unknown_format_rejected(self, binary_files, tmp_path):
+        dataset, stream, _, _ = binary_files
+        run_path = tmp_path / "run.json"
+        run = rerank_online(dataset, stream, RerankConfig(k_re=8, k_att=3, k_eval=3))
+        fio.save_run(run_path, run, stream)
+        header, body = read_run(run_path)
+        header["format"] = "fairrank-run/0"
+        write_run(run_path, header, body)
+        with pytest.raises(ValidationError, match="'format' 'fairrank-run/0'"):
+            fio.load_run(run_path)
+
+
+class TestRunFileContainer:
+    """The container: a header line that must be a JSON object, then a body
+    of exactly 12 x T x n bytes."""
+
+    @pytest.fixture()
+    def saved(self, binary_files, tmp_path):
+        dataset, stream, _, _ = binary_files
+        run_path = tmp_path / "run.json"
+        run = rerank_online(dataset, stream, RerankConfig(k_re=8, k_att=3, k_eval=3))
+        fio.save_run(run_path, run, stream)
+        return dataset, stream, run_path
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            (b"", "no header line"),
+            (b'{"format": "x"}', "no header line"),
+            (b"not json\n", "not valid JSON"),
+            (b'{"format": \n{}', "not valid JSON"),
+            (b"\xff\xfe{}\n", "not valid JSON"),
+            (b"[1, 2]\n", "object"),
+            (b'"run"\n', "object"),
+        ],
+        ids=["empty", "no-newline", "not-json", "cut-header", "not-utf8", "array", "string"],
+    )
+    def test_malformed_header_raises_parse_error(self, tmp_path, data, match):
+        path = tmp_path / "run.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=match):
+            fio.load_run(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda b: b[:-1], lambda b: b + b"\0", lambda b: b[:-12], lambda b: b""],
+        ids=["one-byte-short", "one-byte-long", "one-cell-short", "empty"],
+    )
+    def test_body_of_the_wrong_size_rejected(self, saved, edit):
+        _, stream, path = saved
+        line, body = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(line + b"\n" + edit(body))
+        want = 12 * len(stream) * len(stream.individuals)
+        with pytest.raises(ValidationError, match=f"has {len(edit(body))} bytes, expected {want}"):
+            fio.load_run(path)
+
+    def test_loaded_blocks_are_read_only_views(self, saved):
+        dataset, stream, path = saved
+        payload = fio.load_run(path)
+        T, n = len(stream), len(stream.individuals)
+        for block in (payload["stream"]["relevance"], payload["orderings"]):
+            assert block.shape == (T, n) and not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 0
+        assert payload["stream"]["relevance"].flags.aligned
+        replayed = fio.replay_run(payload, dataset.group_of)
+        assert not replayed.orderings.flags.writeable
+        assert np.shares_memory(replayed.orderings, payload["orderings"])
+
+    def test_failed_save_leaves_the_target_untouched(self, saved, tmp_path):
+        dataset, stream, _ = saved
+        path = tmp_path / "kept.json"
+        path.write_bytes(b"previous contents")
+        run = rerank_online(dataset, stream, RerankConfig(k_re=8, k_att=3, k_eval=3))
+        other = stream_of([{"x": 0.5, "y": 0.5}])
+        with pytest.raises(CoverageError):
+            fio.save_run(path, run, other)
+        assert path.read_bytes() == b"previous contents"
+
+    def test_non_ascii_ids_round_trip(self, tmp_path):
+        ids = ("a", "é", "日本", "\U0001f600", "\ud800b", "z\nq")
+        stream = stream_of(
+            [dict(zip(ids, [0.3, 0.2, 0.2, 0.1, 0.1, 0.1])),
+             dict(zip(ids, [0.1, 0.1, 0.1, 0.2, 0.2, 0.3]))],
+            [(1.0,), (-1.0,)],
+            query_ids=("q-ü", "\udcffq"),
+        )
+        dataset = Dataset.single_group(stream.individuals)
+        run = rerank_online(dataset, stream, RerankConfig(k_re=6, k_att=2, k_eval=2))
+        path = tmp_path / "run.json"
+        fio.save_run(path, run, stream)
+        line = path.read_bytes().split(b"\n", 1)[0]
+        assert line.isascii()
+        payload = fio.load_run(path)
+        assert payload["stream"]["individuals"] == sorted(ids)
+        assert payload["query_ids"] == payload["stream"]["query_ids"] == ["q-ü", "\udcffq"]
+        replayed = fio.replay_run(payload)
+        assert replayed.ledger.dataset.individuals == stream.individuals
+        assert [a.ordering for a in replayed.assignments] == [a.ordering for a in run.assignments]
+
+    def test_stream_with_an_id_that_is_not_utf8_saves_and_replays(self, tmp_path):
+        """A relevance key of ``"\\ud800b"`` is valid JSON that loads as a lone
+        surrogate; the run file must still save, load and replay it."""
+        path = tmp_path / "stream.jsonl"
+        path.write_text(
+            '{"query_id": "q1", "t": 1, "polarity": [1.0], '
+            '"relevance": {"\\ud800b": 0.75, "a": 0.25}}\n'
+            '{"query_id": "q2", "t": 2, "polarity": [-1.0], '
+            '"relevance": {"\\ud800b": 0.5, "a": 0.5}}\n',
+            encoding="utf-8",
+        )
+        individuals, stream = fio.load_stream(path)
+        assert individuals == ("a", "\ud800b")
+        dataset = fio.build_dataset(individuals, None)
+        run = rerank_online(dataset, stream, RerankConfig(k_re=2, k_att=1, k_eval=1))
+        run_path = tmp_path / "run.json"
+        run_path.write_bytes(b"previous contents")
+        fio.save_run(run_path, run, stream)
+        payload = fio.load_run(run_path)
+        assert payload["stream"]["individuals"] == ["a", "\ud800b"]
+        replayed = fio.replay_run(payload)
+        assert replayed.ledger.dataset.individuals == ("a", "\ud800b")
+        assert [a.ordering for a in replayed.assignments] == [a.ordering for a in run.assignments]
+        assert replayed.ndcg == run.ndcg
 
 
 def _awkward_stream():
@@ -693,23 +856,22 @@ class TestRunFileBlock:
         assert run_path.stat().st_size < stream_path.stat().st_size
 
     def test_old_list_of_lines_layout_rejected(self, saved):
-        dataset, stream, _, path = saved
-        payload = fio.load_run(path)
+        _, stream, _, path = saved
+        doc = earlier_layout(fio.load_run(path))
         lines = path.with_name("stream.jsonl")
         fio.save_stream(lines, stream)
-        payload["stream"] = lines.read_text().splitlines()
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        doc["stream"] = lines.read_text().splitlines()
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="earlier version"):
-            fio.replay_run(fio.load_run(path), dataset.group_of)
+            fio.load_run(path)
 
     @staticmethod
     def _set_row(block, step, scale=1.0, index=None, value=None):
-        rows = np.frombuffer(base64.b64decode(block["relevance"]), dtype="<f8")
-        rows = rows.reshape(len(block["t"]), -1).copy()
+        rows = block["relevance"].copy()
         rows[step] *= scale
         if index is not None:
             rows[step, index] = value
-        block["relevance"] = base64.b64encode(rows.tobytes()).decode("ascii")
+        block["relevance"] = rows
 
     @pytest.mark.parametrize(
         "edit, error, match",
@@ -721,15 +883,18 @@ class TestRunFileBlock:
             (lambda b: b["individuals"].__setitem__(1, b["individuals"][0]),
              ValidationError, "repeats"),
             (lambda b: b.__setitem__("individuals", []), ValidationError, "non-empty"),
-            (lambda b: b.__setitem__("relevance", b["relevance"][:-4] + "*AAA"),
-             ParseError, "base64"),
-            # without validation the stray character would be skipped silently
-            (lambda b: b.__setitem__("relevance", b["relevance"][:8] + "*" + b["relevance"][8:]),
-             ParseError, "base64"),
-            (lambda b: b.__setitem__("relevance", b["relevance"] + "AAAAAAAAAAA="),
-             ValidationError, "bytes"),
-            (lambda b: b.__setitem__("relevance", b["relevance"][:-12]),
-             ValidationError, "bytes"),
+            (lambda b: b.__setitem__("relevance", b["relevance"].tolist()),
+             ValidationError, "relevance block is list"),
+            (lambda b: b.__setitem__("relevance", b["relevance"].astype("<f4")),
+             ValidationError, "relevance block is float32"),
+            (lambda b: b.__setitem__("relevance", b["relevance"].astype(">f8")),
+             ValidationError, "relevance block is >f8"),
+            (lambda b: b.__setitem__("relevance", np.pad(b["relevance"], ((0, 0), (0, 1)))),
+             ValidationError, "relevance block is float64 \\(5, 7\\)"),
+            (lambda b: b.__setitem__("relevance", b["relevance"][:-1]),
+             ValidationError, "relevance block is float64 \\(4, 6\\)"),
+            (lambda b: b.__setitem__("relevance", b["relevance"].ravel()),
+             ValidationError, "relevance block is float64 \\(30,\\)"),
             (lambda b: b["t"].__setitem__(0, True), ParseError, "timestep"),
             (lambda b: b["polarity"].__setitem__(1, ["1.0"]), ParseError, "polarity"),
             (lambda b: b["polarity"].__setitem__(1, [False]), ParseError, "polarity"),
@@ -757,8 +922,8 @@ class TestRunFileBlock:
 
 
 class TestOrderingBlock:
-    """The run file's orderings: one base64 block of little-endian int32
-    positions into the stream block's individuals."""
+    """The run file's orderings: one block of little-endian int32 positions
+    into the stream block's individuals."""
 
     @pytest.fixture()
     def saved(self, tmp_path):
@@ -806,39 +971,42 @@ class TestOrderingBlock:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda b: b[:-4],
-            lambda b: b + b"\0\0\0\0",
-            lambda b: b[:-32],
-            lambda b: b[:-1],
+            lambda p: p[:, :-1],
+            lambda p: np.pad(p, ((0, 0), (0, 1))),
+            lambda p: p[:-1],
+            lambda p: p.ravel(),
+            lambda p: p.astype("<i8"),
+            lambda p: p.astype(">i4"),
         ],
-        ids=["one-position-short", "one-position-long", "one-row-short", "ragged"],
+        ids=["one-position-short", "one-position-long", "one-row-short", "flat", "int64",
+             "big-endian"],
     )
-    def test_block_of_the_wrong_byte_length_rejected(self, saved, edit):
+    def test_block_of_the_wrong_shape_or_dtype_rejected(self, saved, edit):
         dataset, _, _, path = saved
         payload = fio.load_run(path)
-        data = edit(base64.b64decode(payload["orderings"]))
-        payload["orderings"] = base64.b64encode(data).decode("ascii")
-        with pytest.raises(ValidationError, match="orderings block has"):
+        payload["orderings"] = edit(payload["orderings"])
+        match = "orderings block is .*, expected int32 4 queries x 8 individuals"
+        with pytest.raises(ValidationError, match=match):
             fio.replay_run(payload, dataset.group_of)
 
-    @pytest.mark.parametrize("value", [None, 7, 1.5, True, {"q0001": "AAAA"}],
-                             ids=["null", "int", "float", "bool", "object"])
-    def test_non_string_block_rejected(self, saved, value):
+    @pytest.mark.parametrize("value", [None, 7, 1.5, True, {"q0001": "AAAA"}, "AAAA"],
+                             ids=["null", "int", "float", "bool", "object", "string"])
+    def test_non_array_block_rejected(self, saved, value):
         dataset, _, _, path = saved
         payload = fio.load_run(path)
         payload["orderings"] = value
-        with pytest.raises(ValidationError, match="base64 string"):
+        with pytest.raises(ValidationError, match="orderings block is"):
             fio.replay_run(payload, dataset.group_of)
 
     def test_old_list_of_ids_layout_rejected(self, saved, capsys, tmp_path):
-        dataset, _, run, path = saved
-        payload = fio.load_run(path)
-        payload["orderings"] = [list(a.ordering) for a in run.assignments]
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        _, _, run, path = saved
+        doc = earlier_layout(fio.load_run(path))
+        doc["orderings"] = [list(a.ordering) for a in run.assignments]
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="re-run `fairrank rank`"):
-            fio.replay_run(fio.load_run(path), dataset.group_of)
+            fio.load_run(path)
         code = main(["evaluate", "--run", str(path), "--out", str(tmp_path / "report.json")])
-        assert code == 1 and "lists of ids" in capsys.readouterr().err
+        assert code == 1 and "re-run `fairrank rank`" in capsys.readouterr().err
 
 
 class TestCli:
@@ -910,7 +1078,7 @@ class TestCli:
         assert main(["rank", "--stream", str(data / "stream.jsonl"),
                      "--offline", "--max-sweeps", "2", "--k-re", "3",
                      "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["sweeps"] >= 1
+        assert read_run(out)[0]["sweeps"] >= 1
 
     def test_sweep_writes_grid_rows(self, tmp_path):
         data = tmp_path / "data"

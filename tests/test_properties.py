@@ -5,7 +5,10 @@ polarity mode, on small synthetic streams:
   evaluation depth is at least theta * rho, within ``FEASIBILITY_TOL``;
 * offline descent ends on an objective profile never above the online
   run's (lexicographically for the min-max objectives, the summed L1 gap
-  for min-sum).
+  for min-sum);
+* a saved run file loads and replays to the same orderings, relevance
+  bytes, nDCG and report, on streams with ties and with several polarity
+  components, and a file cut anywhere in its body is rejected.
 """
 
 import itertools
@@ -13,10 +16,13 @@ import itertools
 import numpy as np
 import pytest
 
+from fairrank import io as fio
 from fairrank.assign import FEASIBILITY_TOL
+from fairrank.core import Dataset, Stream
 from fairrank.divergence import DivergenceKind
-from fairrank.rerank import RerankConfig, rerank_offline, rerank_online
-from fairrank.synth import SynthSpec, gen_random_instance, gen_synth_cont
+from fairrank.errors import ValidationError
+from fairrank.rerank import RerankConfig, evaluate_run, rerank_offline, rerank_online
+from fairrank.synth import SynthSpec, gen_random_instance, gen_synth_binary, gen_synth_cont
 
 from oracles import dcg_oracle, ideal_ranking_oracle, individual_divergences_oracle, relevance_dicts
 
@@ -87,3 +93,83 @@ def test_quality_floor_and_offline_never_above_online(case):
             got = dcg_oracle(assignment.ordering, rel, config.k_eval)
             assert got >= config.theta * rho - FEASIBILITY_TOL, (config, assignment)
     assert _not_above(_profile(offline.ledger, config), _profile(online.ledger, config)), config
+
+
+def _tied_instance(rng):
+    """Relevance on a grid of quarters, so most rows tie, with one to three
+    polarity components; the dataset lists its ids unsorted, the stream
+    sorted."""
+    n, T, P = int(rng.integers(4, 10)), int(rng.integers(2, 7)), int(rng.integers(1, 4))
+    ids = [f"u{k:02d}" for k in range(n)]
+    counts = rng.integers(0, 4, (T, n)).astype(float)
+    counts[:, 0] += 1.0
+    order = rng.permutation(n)
+    dataset = Dataset(
+        tuple(ids[k] for k in order), {i: f"g{k % 2}" for k, i in enumerate(ids)}
+    )
+    stream = Stream(
+        [f"q{s}" for s in range(T)],
+        np.arange(1, T + 1),
+        rng.uniform(-1.0, 1.0, (T, P)),
+        tuple(ids),
+        counts / counts.sum(axis=1, keepdims=True),
+    )
+    return dataset, stream
+
+
+def _round_trip_case(seed):
+    rng = np.random.default_rng([31, seed])
+    make = seed % 3
+    if make == 0:
+        dataset, stream = _tied_instance(rng)
+    elif make == 1:
+        dataset, stream = gen_synth_binary(SynthSpec(n=8, T=4, seed=seed))
+    else:
+        dataset, stream = gen_random_instance(
+            7, 2, 5, "continuous", seed=seed, components=int(rng.integers(2, 4))
+        )
+    # offline descent escalates to block moves at k_re > 3, seconds per case
+    k_re = int(rng.integers(2, 4))
+    config = RerankConfig(
+        kind=KINDS[int(rng.integers(3))], objective=OBJECTIVES[int(rng.integers(3))],
+        theta=float(rng.uniform(0.6, 0.95)), k_re=k_re,
+        k_att=int(rng.integers(1, k_re + 1)), k_eval=int(rng.integers(1, k_re + 1)),
+        polarity_mode=MODES[int(rng.integers(2))],
+    )
+    return rng, dataset, stream, config, bool(rng.integers(2))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_run_file_round_trip(seed, tmp_path):
+    rng, dataset, stream, config, offline = _round_trip_case(seed)
+    run = (
+        rerank_offline(dataset, stream, config, max_sweeps=2)
+        if offline
+        else rerank_online(dataset, stream, config)
+    )
+    base = rerank_online(dataset, stream, RerankConfig(
+        kind=config.kind, objective="none", k_re=config.k_re, k_att=config.k_att,
+        k_eval=config.k_eval,
+    ))
+    run_path, base_path = tmp_path / "run.json", tmp_path / "base.json"
+    fio.save_run(run_path, run, stream)
+    fio.save_run(base_path, base, stream)
+    payload = fio.load_run(run_path)
+    assert payload["stream"]["relevance"].tobytes() == stream.relevance.tobytes()
+    replayed = fio.replay_run(payload, dataset.group_of)
+    replayed_base = fio.replay_run(fio.load_run(base_path), dataset.group_of)
+    assert [a.ordering for a in replayed.assignments] == [a.ordering for a in run.assignments]
+    assert replayed.ndcg == run.ndcg and replayed.fallback == run.fallback
+    assert repr(replayed.objective_trace) == repr(run.objective_trace)
+    want = fio.canonical_json(evaluate_run(run, baseline=base).to_dict())
+    got = fio.canonical_json(evaluate_run(replayed, baseline=replayed_base).to_dict())
+    assert got == want
+    again = tmp_path / "again.json"
+    fio.save_run(again, replayed, stream)
+    assert again.read_bytes() == run_path.read_bytes()
+    # a body cut anywhere short of its end no longer holds 12 x T x n bytes
+    data = run_path.read_bytes()
+    body = len(data) - data.index(b"\n") - 1
+    run_path.write_bytes(data[: len(data) - int(rng.integers(1, body + 1))])
+    with pytest.raises(ValidationError, match="bytes, expected"):
+        fio.load_run(run_path)
