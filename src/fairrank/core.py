@@ -121,6 +121,15 @@ class Dataset:
             out.setdefault(self.group_of[ind], []).append(ind)
         return {g: tuple(members) for g, members in sorted(out.items())}
 
+    @cached_property
+    def group_rows(self) -> dict[str, np.ndarray]:
+        """Each group's dataset positions, in dataset order, read-only."""
+        out = {}
+        for group, members in self.groups.items():
+            out[group] = np.array([self.index[m] for m in members], dtype=np.intp)
+            out[group].setflags(write=False)
+        return out
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     view = array.view()
@@ -415,12 +424,15 @@ class Ledger:
         unchecked: row ``s`` of the (T, n) ``orderings`` lists step ``s``'s
         dataset positions by rank.
 
-        The ledger must be empty. The memo stays empty, so every moment comes
-        from the ``cumsum`` build, as it would after the same queries were
-        recorded one by one.
+        The ledger must be empty. Its attention starts from zeros and only
+        the head cells, the ranks with nonzero attention, are written. The
+        memo stays empty, so every moment comes from the ``cumsum`` build, as
+        it would after the same queries were recorded one by one.
         """
         T, n = orderings.shape
-        self._attention[np.arange(T)[:, None], orderings] = attention.weights(n)
+        k = min(attention.cutoff, n)
+        self._attention = np.zeros(self.relevance.shape)
+        self._attention[np.arange(T)[:, None], orderings[:, :k]] = attention.weights(n)[:k]
         self.t = T
         self._memo = {}
 

@@ -43,6 +43,7 @@ import hashlib
 import json
 import math
 import warnings
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -61,16 +62,33 @@ STREAM_SUM_TOL = 1e-6
 EXACT_SUM_TOL = 1e-9
 
 
+def _write_text(path, text: str, ids) -> None:
+    """Write ``text`` as UTF-8, every byte built before the file is opened,
+    so a save that raises leaves an existing file as it was. Raises
+    ValidationError naming the first of ``ids`` that has no UTF-8 form (a
+    lone surrogate, which a JSON stream line can spell as ``"\\ud800"``)."""
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:
+        for ident in ids:
+            try:
+                ident.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValidationError(f"id {ident!r} is not valid UTF-8 text") from None
+        raise
+    Path(path).write_bytes(data)
+
+
 def save_stream(path, stream: Stream) -> None:
     """Write a ``Stream`` one canonical line per query."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for query_id, t, polarity, row in zip(
-            stream.query_ids, stream.t.tolist(), stream.polarity.tolist(), stream.relevance.tolist()
-        ):
-            relevance = dict(zip(stream.individuals, row))
-            record = {"query_id": query_id, "t": t, "polarity": polarity, "relevance": relevance}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    lines = []
+    for query_id, t, polarity, row in zip(
+        stream.query_ids, stream.t.tolist(), stream.polarity.tolist(), stream.relevance.tolist()
+    ):
+        relevance = dict(zip(stream.individuals, row))
+        record = {"query_id": query_id, "t": t, "polarity": polarity, "relevance": relevance}
+        lines.append(json.dumps(record, ensure_ascii=False) + "\n")
+    _write_text(path, "".join(lines), stream.query_ids + stream.individuals)
 
 
 def _number_types(values, what: str, lineno: int | None) -> set:
@@ -213,12 +231,12 @@ def load_stream(path, raw: bool = False) -> tuple[tuple[str, ...], Stream]:
 
 
 def save_groups(path, dataset: Dataset) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["individual_id", "group_id"])
-        for ind in dataset.individuals:
-            writer.writerow([ind, dataset.group_of[ind]])
+    text = StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["individual_id", "group_id"])
+    for ind in dataset.individuals:
+        writer.writerow([ind, dataset.group_of[ind]])
+    _write_text(path, text.getvalue(), dataset.individuals + tuple(dataset.groups))
 
 
 def load_groups(path) -> dict[str, str]:
@@ -367,25 +385,20 @@ def _decode_stream(block) -> Stream:
 
 def _decode_orderings(positions, stream: Stream) -> np.ndarray:
     """The (T, n) orderings of a run file as positions into the stream's
-    individuals; raises ValidationError, naming the query, unless each row
-    is a permutation."""
+    individuals; raises ValidationError, naming the first query whose row is
+    not a permutation (a row sorts to 0..n-1 exactly when it is one)."""
     T, n = stream.relevance.shape
     positions = _block(positions, "orderings", "<i4", (T, n))
-    outside = ((positions < 0) | (positions >= n)).any(axis=1)
-    if outside.any():
-        raise ValidationError(
-            f"run file query {stream.query_ids[np.argmax(outside)]!r}: ordering "
+    bad = (np.sort(positions, axis=1) != np.arange(n)).any(axis=1)
+    if bad.any():
+        step = int(np.argmax(bad))
+        row = positions[step]
+        problem = (
             f"holds a position outside 0..{n - 1}"
+            if ((row < 0) | (row >= n)).any()
+            else "repeats a position"
         )
-    seen = np.zeros((T, n), dtype=bool)
-    seen[np.arange(T)[:, None], positions] = True
-    # n positions in range miss one exactly when they repeat one
-    repeated = ~seen.all(axis=1)
-    if repeated.any():
-        raise ValidationError(
-            f"run file query {stream.query_ids[np.argmax(repeated)]!r}: ordering "
-            "repeats a position"
-        )
+        raise ValidationError(f"run file query {stream.query_ids[step]!r}: ordering {problem}")
     return positions
 
 

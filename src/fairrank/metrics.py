@@ -10,6 +10,28 @@ relative-improvement reporting.
 Division-by-zero cases yield explicit sentinels, never silent zeros:
 ``float("inf")`` for infinite fairwashing, ``float("nan")`` (UNDEFINED) for
 undefined ratios.
+
+Every metric reads the ledger through one kernel, ``_read``, one pass per
+(channel, polarity mode). A pass holds the ledger's memoised (n, P) moment
+matrices, the per-query values eta * x as one C-ordered (n, T, P) array
+sorted in place along T, and each group's summed moments and per-query
+average. A polarity panel makes one pass per channel; a report, two panels.
+A run and its baseline rank one stream, so ``evaluate_run`` makes the
+relevance pass once per mode for both reports. A pass lives only as long as
+the panels that read it: no ledger memo keeps (T, n) values.
+
+Two layout rules keep every value bit-identical to a per-individual or
+per-group computation:
+
+* W1 is the mean over T of |sorted attention - sorted relevance|. The
+  (n, T, P) layout puts each individual's (T, P) sequence in one C-ordered
+  block, so the mean adds in the order the individual's own (T, P) mean
+  does: pairwise along a contiguous T when P == 1, query by query when
+  P > 1. Laying T innermost for P > 1, or n innermost (the product of the
+  transposed stored values without ``order="C"``), moves W1 by an ulp.
+* A group's per-query average gathers its member rows, (m, T, P), and sums
+  over the members, one (T, P) block after another in dataset order, as a
+  gather from the (T, n, P) sequences and a sum over its m axis adds them.
 """
 
 import math
@@ -17,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, Ledger
+from .core import CHANNELS, MODES, Dataset, Ledger
 from .divergence import DivergenceKind, _component_values, d_multi
 from .errors import EmptyScopeError
 
@@ -45,50 +67,75 @@ class GroupSummary:
     seq_rel: np.ndarray
 
 
+@dataclass(frozen=True)
+class _Reading:
+    """One read of a ledger channel in one polarity mode (see ``_read``)."""
+
+    mean: np.ndarray
+    var: np.ndarray
+    ordered: np.ndarray | None = None
+    groups: dict | None = None
+
+
+def _read(ledger: Ledger, channel: str, mode: str, dataset: Dataset | None = None) -> _Reading:
+    """The pass over a (channel, mode) that every metric reads (see the
+    module docstring).
+
+    It holds the ledger's memoised (n, P) moment matrices. Given a dataset,
+    it also holds the (n, T, P) per-query values eta * x sorted along T,
+    and each group's (size, mean, variance, (T, P) per-query average).
+    Without one it holds the moments only, all that L1 and L2var read.
+    """
+    mean, var = ledger._moment_matrices(channel, mode)
+    if dataset is None:
+        return _Reading(mean, var)
+    x = ledger.stored(channel)
+    eta = ledger._polarity(mode)
+    if mode == "aware":
+        values = np.multiply(x.T[:, :, None], eta[None, :, :], order="C")
+    else:
+        # the agnostic eta is all ones: the copy is the product, exactly
+        values = np.empty((x.shape[1], x.shape[0], eta.shape[1]))
+        values[...] = x.T[:, :, None]
+    groups = {}
+    for group, rows in dataset.group_rows.items():
+        m = len(rows)
+        groups[group] = (
+            m,
+            mean[rows].sum(axis=0) / m,
+            var[rows].sum(axis=0) / (m * m),
+            values[rows].sum(axis=0) / m,
+        )
+    values.sort(axis=1)
+    return _Reading(mean, var, values, groups)
+
+
+def _readings(ledger: Ledger, mode: str, dataset: Dataset | None = None):
+    return tuple(_read(ledger, channel, mode, dataset) for channel in CHANNELS)
+
+
+def _summaries(attention: _Reading, relevance: _Reading) -> dict[str, GroupSummary]:
+    out = {}
+    for group, (size, mean_a, var_a, seq_a) in attention.groups.items():
+        _, mean_r, var_r, seq_r = relevance.groups[group]
+        out[group] = GroupSummary(
+            group=group,
+            size=size,
+            mean_attn=mean_a,
+            var_attn=var_a,
+            mean_rel=mean_r,
+            var_rel=var_r,
+            seq_attn=seq_a,
+            seq_rel=seq_r,
+        )
+    return out
+
+
 def group_summaries(
     ledger: Ledger, mode: str = "agnostic", dataset: Dataset | None = None
 ) -> dict[str, GroupSummary]:
-    """Per-group summaries of the ledger's current state.
-
-    Built once per (ledger state, mode, dataset), so the five group metrics
-    of a polarity panel share one build; the arrays are read-only.
-    """
-    dataset = dataset or ledger.dataset
-    # the memo entry holds the dataset, so its id stays unique while cached
-    _, summaries = ledger.memo(
-        ("group_summaries", mode, id(dataset)),
-        lambda: (dataset, _build_group_summaries(ledger, mode, dataset)),
-    )
-    return dict(summaries)
-
-
-def _build_group_summaries(
-    ledger: Ledger, mode: str, dataset: Dataset
-) -> dict[str, GroupSummary]:
-    mean_a = ledger.mean_matrix("attention", mode)
-    var_a = ledger.var_matrix("attention", mode)
-    mean_r = ledger.mean_matrix("relevance", mode)
-    var_r = ledger.var_matrix("relevance", mode)
-    seq_a = ledger.sequences("attention", mode)
-    seq_r = ledger.sequences("relevance", mode)
-    out = {}
-    for group, members in dataset.groups.items():
-        rows = [dataset.index[m] for m in members]
-        m = len(rows)
-        out[group] = GroupSummary(
-            group=group,
-            size=m,
-            mean_attn=mean_a[rows].sum(axis=0) / m,
-            var_attn=var_a[rows].sum(axis=0) / (m * m),
-            mean_rel=mean_r[rows].sum(axis=0) / m,
-            var_rel=var_r[rows].sum(axis=0) / (m * m),
-            seq_attn=seq_a[:, rows, :].sum(axis=1) / m,
-            seq_rel=seq_r[:, rows, :].sum(axis=1) / m,
-        )
-        for value in vars(out[group]).values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-    return out
+    """Per-group summaries of the ledger's current state."""
+    return _summaries(*_readings(ledger, mode, dataset or ledger.dataset))
 
 
 def individual_divergences(
@@ -101,33 +148,34 @@ def individual_divergences(
     individuals = ledger.dataset.individuals if scope is None else tuple(scope)
     if not individuals:
         raise EmptyScopeError("no individuals in scope")
-    rows = None if scope is None else [ledger.dataset.index[i] for i in individuals]
-    return dict(zip(individuals, _divergence_values(ledger, kind, mode, rows).tolist()))
+    values = _divergence_values(kind, *_readings(ledger, mode, _sequences_for(kind, ledger)))
+    if scope is not None:
+        values = values[[ledger.dataset.index[i] for i in individuals]]
+    return dict(zip(individuals, values.tolist()))
+
+
+def _sequences_for(kind: DivergenceKind, ledger: Ledger) -> Dataset | None:
+    """The dataset a pass for ``kind`` needs: W1 reads the sorted values,
+    L1 and L2var the moments only."""
+    return ledger.dataset if kind == DivergenceKind.W1 else None
 
 
 def _divergence_values(
-    ledger: Ledger, kind: DivergenceKind, mode: str, rows: list[int] | None
+    kind: DivergenceKind, attention: _Reading, relevance: _Reading
 ) -> np.ndarray:
-    """Component-summed divergence of the individuals at dataset positions
-    ``rows`` (None: everyone, the moment matrices read in place).
+    """Component-summed divergence of every individual, in dataset order.
 
-    One array pass: L1 and L2var from the moment matrices, W1 from one sort
-    of the (T, k, P) sequence stacks.
+    L1 and L2var come from the moment matrices, W1 from the sorted values.
     """
-    (mean_a, var_a), (mean_r, var_r) = (
-        ledger._moment_matrices(channel, mode) for channel in ("attention", "relevance")
-    )
-    if rows is not None:
-        mean_a, var_a, mean_r, var_r = (x[rows] for x in (mean_a, var_a, mean_r, var_r))
-    seq_a = seq_r = None
     if kind == DivergenceKind.W1:
-        # the fancy-index copy lays T innermost, so the mean over T of the
-        # stacks equals each individual's own mean bit for bit
-        # (tests/test_metrics.py checks this against the oracle)
-        taken = np.arange(ledger.dataset.n) if rows is None else rows
-        seq_a = ledger.sequences("attention", mode)[:, taken, :]
-        seq_r = ledger.sequences("relevance", mode)[:, taken, :]
-    comps = _component_values(kind, mean_a, var_a, seq_a, mean_r, var_r, seq_r)
+        gaps = attention.ordered - relevance.ordered
+        np.abs(gaps, out=gaps)
+        # with no query the (n, 0, P) gaps sum to W1 = 0
+        comps = np.mean(gaps, axis=1) if gaps.shape[1] else gaps.sum(axis=1)
+    else:
+        comps = _component_values(
+            kind, attention.mean, attention.var, None, relevance.mean, relevance.var, None
+        )
     # components summed left to right from zero, as d_multi's sum does
     return sum(comps.T)
 
@@ -143,7 +191,18 @@ def individual_unfairness(
         raise EmptyScopeError("ledger has no processed queries")
     if scope is not None:
         return max(individual_divergences(ledger, kind, mode, scope).values())
-    return float(_divergence_values(ledger, kind, mode, None).max())
+    readings = _readings(ledger, mode, _sequences_for(kind, ledger))
+    return float(_divergence_values(kind, *readings).max())
+
+
+def _group_values(kind: DivergenceKind, summaries: dict[str, GroupSummary]) -> dict[str, float]:
+    out = {}
+    for group, s in summaries.items():
+        comps = _component_values(
+            kind, s.mean_attn, s.var_attn, s.seq_attn, s.mean_rel, s.var_rel, s.seq_rel
+        )
+        out[group] = d_multi(comps)
+    return out
 
 
 def group_divergences(
@@ -152,13 +211,7 @@ def group_divergences(
     mode: str = "agnostic",
     dataset: Dataset | None = None,
 ) -> dict[str, float]:
-    out = {}
-    for group, s in group_summaries(ledger, mode, dataset).items():
-        comps = _component_values(
-            kind, s.mean_attn, s.var_attn, s.seq_attn, s.mean_rel, s.var_rel, s.seq_rel
-        )
-        out[group] = d_multi(comps)
-    return out
+    return _group_values(kind, group_summaries(ledger, mode, dataset))
 
 
 def group_unfairness(
@@ -175,8 +228,11 @@ def group_unfairness(
 
 def iaa(ledger: Ledger, mode: str = "agnostic") -> float:
     """Inequity of amortized attention: sum over individuals of |mean gaps|."""
-    gap = ledger.mean_matrix("attention", mode) - ledger.mean_matrix("relevance", mode)
-    return float(np.abs(gap).sum())
+    return _iaa(*_readings(ledger, mode))
+
+
+def _iaa(attention: _Reading, relevance: _Reading) -> float:
+    return float(np.abs(attention.mean - relevance.mean).sum())
 
 
 def eur(
@@ -195,7 +251,11 @@ def eur(
     (the margin covers second-order terms) for each of the two ratios a gap
     subtracts.
     """
-    summaries = list(group_summaries(ledger, mode, dataset).values())
+    return _eur(group_summaries(ledger, mode, dataset), ledger.t)
+
+
+def _eur(summaries: dict[str, GroupSummary], t: int) -> float:
+    summaries = list(summaries.values())
     exposure = np.stack([s.mean_attn for s in summaries])  # (G, P)
     relevance = np.stack([s.mean_rel for s in summaries])
     if np.any(relevance == 0.0):
@@ -205,7 +265,7 @@ def eur(
     # average| summed over queries is the terms' magnitude over m
     abs_attn = np.stack([np.abs(s.seq_attn).sum(axis=0) for s in summaries])
     abs_rel = np.stack([np.abs(s.seq_rel).sum(axis=0) for s in summaries])
-    steps = ledger.t + np.array([s.size for s in summaries])[:, None] + 2
+    steps = t + np.array([s.size for s in summaries])[:, None] + 2
     error = steps * np.finfo(np.float64).eps * (abs_attn + np.abs(ratios) * abs_rel)
     floor = 2.0 * (error / np.abs(relevance)).max(axis=0)
     gaps = ratios.max(axis=0) - ratios.min(axis=0)
@@ -214,8 +274,11 @@ def eur(
 
 def dp(ledger: Ledger, mode: str = "agnostic", dataset: Dataset | None = None) -> float:
     """Demographic parity: max pairwise gap of group average exposure."""
-    summaries = list(group_summaries(ledger, mode, dataset).values())
-    exposure = np.stack([s.mean_attn for s in summaries])
+    return _dp(group_summaries(ledger, mode, dataset))
+
+
+def _dp(summaries: dict[str, GroupSummary]) -> float:
+    exposure = np.stack([s.mean_attn for s in summaries.values()])
     return float(
         sum(exposure[:, p].max() - exposure[:, p].min() for p in range(exposure.shape[1]))
     )
@@ -271,16 +334,27 @@ class MetricsPanel:
 def metrics_panel(
     ledger: Ledger, mode: str, dataset: Dataset | None = None
 ) -> MetricsPanel:
+    dataset = dataset or ledger.dataset
+    return _panel(ledger, mode, dataset, _read(ledger, "relevance", mode, dataset))
+
+
+def _panel(ledger: Ledger, mode: str, dataset: Dataset, relevance: _Reading) -> MetricsPanel:
+    """The panel of ``ledger`` in ``mode``. ``relevance`` is the relevance
+    pass in ``mode`` under ``dataset`` of this ledger, or of one that ranks
+    the same stream and has recorded as many queries."""
+    if ledger.t == 0:
+        raise EmptyScopeError("ledger has no processed queries")
+    attention = _read(ledger, "attention", mode, dataset)
+    summaries = _summaries(attention, relevance)
     return MetricsPanel(
         individual={
-            kind.value: individual_unfairness(ledger, kind, mode) for kind in KINDS
+            kind.value: float(_divergence_values(kind, attention, relevance).max())
+            for kind in KINDS
         },
-        group={
-            kind.value: group_unfairness(ledger, kind, mode, dataset) for kind in KINDS
-        },
-        iaa=iaa(ledger, mode),
-        eur=eur(ledger, mode, dataset),
-        dp=dp(ledger, mode, dataset),
+        group={kind.value: max(_group_values(kind, summaries).values()) for kind in KINDS},
+        iaa=_iaa(attention, relevance),
+        eur=_eur(summaries, ledger.t),
+        dp=_dp(summaries),
     )
 
 
@@ -312,14 +386,28 @@ class MetricsReport:
 
 def build_report(ledger: Ledger, dataset: Dataset | None = None) -> MetricsReport:
     """Metric panels for both polarity modes plus the fairwashing deltas."""
-    panels = {mode: metrics_panel(ledger, mode, dataset) for mode in ("aware", "agnostic")}
-    aware_flat = panels["aware"].flat()
-    agnostic_flat = panels["agnostic"].flat()
-    washing = {
-        key: fairwashing_delta(aware_flat[key], agnostic_flat[key])
-        for key in aware_flat
-    }
-    return MetricsReport(panels=panels, fairwashing=washing)
+    return _reports(dataset or ledger.dataset, ledger)[0]
+
+
+def _reports(dataset: Dataset, *ledgers: Ledger) -> list[MetricsReport]:
+    """``build_report`` of each ledger. The ledgers rank one stream and have
+    recorded as many queries, so each mode's relevance pass is made once,
+    on the first, and read by every panel of that mode."""
+    panels = [{} for _ in ledgers]
+    for mode in MODES:
+        relevance = _read(ledgers[0], "relevance", mode, dataset)
+        for ledger, out in zip(ledgers, panels):
+            out[mode] = _panel(ledger, mode, dataset, relevance)
+    reports = []
+    for by_mode in panels:
+        aware_flat = by_mode["aware"].flat()
+        agnostic_flat = by_mode["agnostic"].flat()
+        washing = {
+            key: fairwashing_delta(aware_flat[key], agnostic_flat[key])
+            for key in aware_flat
+        }
+        reports.append(MetricsReport(panels=by_mode, fairwashing=washing))
+    return reports
 
 
 def improvement_panel(

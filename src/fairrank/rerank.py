@@ -50,12 +50,7 @@ from .divergence import (
     w1_insert_matrix,
 )
 from .errors import ValidationError
-from .metrics import (
-    MetricsReport,
-    build_report,
-    improvement_panel,
-    individual_divergences,
-)
+from .metrics import MetricsReport, _reports, improvement_panel, individual_divergences
 
 OBJECTIVES = ("minmax", "minmax-lex", "minsum", "none")
 IMPROVEMENT_TOL = 1e-12
@@ -495,17 +490,19 @@ def evaluate_run(
 
     A baseline ``RunResult`` must rank the same stream: it raises
     ValidationError unless its individuals, query ids, relevance and
-    polarity equal the run's.
+    polarity equal the run's. Its report then shares the run's relevance
+    side: each polarity mode's relevance is read once, for both reports.
     """
     dataset = dataset or result.ledger.dataset
-    report = build_report(result.ledger, dataset)
+    if isinstance(baseline, RunResult):
+        _check_same_stream(result, baseline)
+        report, baseline = _reports(dataset, result.ledger, baseline.ledger)
+    else:
+        (report,) = _reports(dataset, result.ledger)
     report.mean_ndcg = result.mean_ndcg
     report.fallback_count = result.fallback_count
     report.per_query_ndcg = list(result.ndcg)
     report.objective_trace = list(result.objective_trace)
     if baseline is not None:
-        if isinstance(baseline, RunResult):
-            _check_same_stream(result, baseline)
-            baseline = evaluate_run(baseline, dataset)
         report.improvement = improvement_panel(baseline, report)
     return report

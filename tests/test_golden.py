@@ -1,18 +1,21 @@
 """Golden outputs: fixed seeded runs must reproduce their pinned digests.
 
 Each run's orderings, ``repr``'d objective trace, nDCG and saved run file
-are hashed with sha256. A change that claims to leave the engines' output
-alone (a refactor, a faster kernel) must keep every digest; one that means
-to change an output updates the digest it moves and says why.
+are hashed with sha256, and so is the ``repr`` of the report of some runs
+evaluated against their pass-through baseline. A change that claims to
+leave the engines' or the metrics' output alone (a refactor, a faster
+kernel) must keep every digest; one that means to change an output updates
+the digest it moves and says why.
 """
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from fairrank.io import save_run
-from fairrank.rerank import RerankConfig, rerank_offline, rerank_online
+from fairrank.rerank import RerankConfig, evaluate_run, rerank_offline, rerank_online
 from fairrank.synth import SynthSpec, gen_random_instance, gen_synth
 
 
@@ -163,6 +166,41 @@ def test_run_matches_golden_digests(name, tmp_path):
     assert _digests(*RUNS[name], tmp_path) == GOLDEN[name]
 
 
+# runs whose report against the pass-through baseline is pinned: the online
+# L2var and W1 runs in both modes, an offline run, P = 3 and tied relevance
+REPORT_RUNS = (
+    "online-minmax-L2var-aware",
+    "online-minmax-L2var-agnostic",
+    "online-minmax-W1-aware",
+    "online-minmax-W1-agnostic",
+    "offline-minmax-lex-L1-aware",
+    "online-minmax-lex-P3-aware",
+    "online-minmax-lex-binary-aware",
+)
+
+GOLDEN_REPORTS = {
+    "online-minmax-L2var-aware": "84612f4755d1e8fd2439207ef071f69cd879c6e60d362a8a79145f6a83cd9ad3",
+    "online-minmax-L2var-agnostic": "ab57188baee92973326e5bd7e673610c6b17b5bb9c78b1b237abd2e10b200c4b",
+    "online-minmax-W1-aware": "9132f5d756ae716e60e3483978d6c4958574a6cc0568b993f649bf97945ad4d3",
+    "online-minmax-W1-agnostic": "b866d4cced35d6dfce166a971f46ab917bf29af42d15b087dd795d1982bdf63d",
+    "offline-minmax-lex-L1-aware": "cecb7b91db00ddb5765644e87540eda4186be6649f8b363320ecafb286ae3ea8",
+    "online-minmax-lex-P3-aware": "99b23c1c30357a41503b9725b24240df38b225a0f6307803f117bba1ae6f2235",
+    "online-minmax-lex-binary-aware": "205f2d4b72ca300d08c4e38d3cc609117c178c4560618ffccdd61d13273d426a",
+}
+
+
+def _report_digest(engine, make, config) -> str:
+    dataset, stream = make()
+    result = engine(dataset, stream, config)
+    baseline = rerank_online(dataset, stream, replace(config, objective="none"))
+    return _sha(repr(evaluate_run(result, baseline=baseline).to_dict()))
+
+
+@pytest.mark.parametrize("name", REPORT_RUNS)
+def test_report_matches_golden_digest(name):
+    assert _report_digest(*RUNS[name]) == GOLDEN_REPORTS[name]
+
+
 if __name__ == "__main__":
     # prints the GOLDEN table for the current code; paste it above only when
     # an output is meant to change
@@ -172,3 +210,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         table = {name: _digests(*RUNS[name], Path(tmp)) for name in sorted(RUNS)}
     print(json.dumps(table, indent=4))
+    print(json.dumps({name: _report_digest(*RUNS[name]) for name in REPORT_RUNS}, indent=4))

@@ -3,6 +3,7 @@
 import base64
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -801,6 +802,27 @@ class TestRunFileContainer:
         assert [a.ordering for a in replayed.assignments] == [a.ordering for a in run.assignments]
         assert replayed.ndcg == run.ndcg
 
+    def test_stream_and_groups_with_an_id_that_is_not_utf8_leave_the_target_untouched(
+        self, tmp_path
+    ):
+        """A stream file may load an id with no UTF-8 form; writing it back
+        raises, naming the id, before the target is opened."""
+        source = tmp_path / "stream.jsonl"
+        source.write_text(
+            '{"query_id": "q1", "t": 1, "polarity": [1.0], '
+            '"relevance": {"\\ud800b": 0.5, "a": 0.5}}\n',
+            encoding="utf-8",
+        )
+        individuals, stream = fio.load_stream(source)
+        dataset = Dataset(individuals, {"a": "g1", "\ud800b": "g2"})
+        named = re.escape(repr("\ud800b"))
+        for save, value in ((fio.save_stream, stream), (fio.save_groups, dataset)):
+            target = tmp_path / f"{save.__name__}.out"
+            target.write_bytes(b"previous contents")
+            with pytest.raises(ValidationError, match=named):
+                save(target, value)
+            assert target.read_bytes() == b"previous contents"
+
 
 def _awkward_stream():
     """Relevance an encoding must keep bit for bit: -0.0, the smallest
@@ -960,6 +982,26 @@ class TestOrderingBlock:
         ids=["repeated", "negative", "one-past-the-end", "int32-max"],
     )
     def test_position_defects_rejected_by_query(self, saved, edit, match):
+        dataset, _, _, path = saved
+        payload = fio.load_run(path)
+        positions = block_orderings(payload)
+        edit(positions)
+        set_orderings(payload, positions)
+        with pytest.raises(ValidationError, match=match):
+            fio.replay_run(payload, dataset.group_of)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda p: (p[1].__setitem__(0, p[1][1]), p[3].__setitem__(5, 8)), "q0002.*repeats"),
+            (lambda p: (p[0].__setitem__(2, -1), p[2].__setitem__(0, p[2][1])), "q0001.*outside"),
+            (lambda p: p[2].__setitem__(slice(0, 2), [9, 9]), "q0003.*outside"),
+        ],
+        ids=["repeat-before-outside", "outside-before-repeat", "both-in-one-row"],
+    )
+    def test_first_bad_query_is_named(self, saved, edit, match):
+        """A file with several bad rows names the first, with its own
+        defect; a row both out of range and repeating reads as out of range."""
         dataset, _, _, path = saved
         payload = fio.load_run(path)
         positions = block_orderings(payload)

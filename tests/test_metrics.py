@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairrank.core import AttentionModel, Dataset, Ledger
+from fairrank.core import AttentionModel, Dataset, Ledger, Stream
 from fairrank.divergence import DivergenceKind
 from fairrank.errors import EmptyScopeError
 from fairrank.metrics import (
@@ -355,3 +355,74 @@ class TestReport:
                 fresh.update(o, attention)
             assert repr(reports[-1]) == repr(build_report(fresh, dataset).to_dict())
         assert len({repr(r["metrics"]["aware"]["group"]) for r in reports}) == len(stream)
+
+
+def _grouped_case(P, T, tied, zero_component, seed):
+    """A signed stream over 11 individuals in two groups that interleave in
+    dataset order, plus a singleton group."""
+    dataset, stream = gen_random_instance(11, 2, T, "signed", seed=seed, components=P)
+    ids = dataset.individuals
+    dataset = Dataset(ids, {i: "solo" if k == 4 else f"g{k % 2}" for k, i in enumerate(ids)})
+    polarity, relevance = np.array(stream.polarity), np.array(stream.relevance)
+    if zero_component:
+        polarity[:, -1] = 0.0
+    if tied:
+        relevance = np.round(relevance * 3) + 1.0
+        relevance /= relevance.sum(axis=1, keepdims=True)
+    return dataset, Stream(stream.query_ids, stream.t, polarity, stream.individuals, relevance)
+
+
+def _array_sizes(value):
+    if isinstance(value, np.ndarray):
+        return [value.size]
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif hasattr(value, "__dataclass_fields__"):
+        value = list(vars(value).values())
+    if isinstance(value, (tuple, list)):
+        return [size for item in value for size in _array_sizes(item)]
+    return []
+
+
+SHARED_CASES = [
+    # (P, T, tied relevance, a zero polarity component)
+    (1, 1, False, False),
+    (1, 12, True, False),
+    (2, 1, False, True),
+    (2, 12, False, True),
+    (3, 12, True, True),
+    (3, 10, False, False),
+]
+
+
+class TestSharedRelevance:
+    """A run and its baseline read each mode's relevance once, together."""
+
+    @pytest.mark.parametrize("P, T, tied, zero_component", SHARED_CASES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_shared_relevance_report_equals_the_unshared_one(
+        self, P, T, tied, zero_component, kind
+    ):
+        seed = 10 * P + T
+        dataset, stream = _grouped_case(P, T, tied, zero_component, seed)
+        mode = ("aware", "agnostic")[seed % 2]
+        config = RerankConfig(kind=kind, k_re=6, k_att=3, k_eval=4, polarity_mode=mode)
+        run = rerank_online(dataset, stream, config)
+        baseline = rerank_online(dataset, stream, replace(config, objective="none"))
+        shared = evaluate_run(run, baseline=baseline).to_dict()
+        unshared = evaluate_run(run, baseline=evaluate_run(baseline)).to_dict()
+        assert repr(shared) == repr(unshared)
+        assert repr(shared["metrics"]) == repr(evaluate_run(run).to_dict()["metrics"])
+
+    @pytest.mark.parametrize("P, T, tied, zero_component", SHARED_CASES[3:])
+    def test_no_memo_value_holds_a_stream_sized_array(self, P, T, tied, zero_component):
+        dataset, stream = _grouped_case(P, T, tied, zero_component, seed=P)
+        config = RerankConfig(kind=DivergenceKind.W1, k_re=6, k_att=3, k_eval=4)
+        run = rerank_online(dataset, stream, config)
+        baseline = rerank_online(dataset, stream, replace(config, objective="none"))
+        evaluate_run(run, baseline=baseline)
+        T, n = stream.relevance.shape
+        for ledger in (run.ledger, baseline.ledger):
+            assert ledger._memo
+            for key, value in ledger._memo.items():
+                assert sum(_array_sizes(value)) < T * n, key
