@@ -72,6 +72,21 @@ def _ndcg(values, ideal_dcg: float) -> float:
     return 1.0 if ideal_dcg == 0.0 else _dcg(values) / ideal_dcg
 
 
+def _ndcg_rows(values: np.ndarray, ideal_values: np.ndarray) -> np.ndarray:
+    """``_ndcg`` of each row of the (T, k) ``values`` against the same row
+    of ``ideal_values``, bit for bit: each DCG adds its k discounted columns
+    one at a time from 0.0, as ``_dcg`` adds its terms, and a row whose
+    ideal DCG is zero scores 1."""
+    dcg, ideal = np.zeros(len(values)), np.zeros(len(values))
+    for j in range(values.shape[1]):
+        discount = math.log2(j + 2)
+        dcg += values[:, j] / discount
+        ideal += ideal_values[:, j] / discount
+    out = np.ones(len(values))
+    np.divide(dcg, ideal, out=out, where=ideal != 0.0)
+    return out
+
+
 @dataclass(frozen=True)
 class Dataset:
     """The individuals being ranked and their (single) group memberships."""
@@ -85,9 +100,13 @@ class Dataset:
             raise ValidationError("duplicate individual identifiers")
         if not self.individuals:
             raise ValidationError("dataset has no individuals")
-        missing = set(self.individuals) - set(self.group_of)
-        extra = set(self.group_of) - set(self.individuals)
-        if missing or extra:
+        # distinct individuals all in a map of as many keys cover it exactly
+        group_of = self.group_of
+        if len(group_of) != len(self.individuals) or not all(
+            map(group_of.__contains__, self.individuals)
+        ):
+            missing = set(self.individuals) - set(group_of)
+            extra = set(group_of) - set(self.individuals)
             raise ValidationError(
                 f"group map must cover exactly the individuals "
                 f"(missing={sorted(missing)}, extra={sorted(extra)})"
@@ -122,11 +141,26 @@ class Dataset:
         return {g: tuple(members) for g, members in sorted(out.items())}
 
     @cached_property
+    def group_codes(self) -> np.ndarray:
+        """Each dataset position's group, as its place in ``groups`` order,
+        read-only."""
+        codes = np.empty(self.n, dtype=np.intp)
+        for code, rows in enumerate(self.group_rows.values()):
+            codes[rows] = code
+        codes.setflags(write=False)
+        return codes
+
+    @cached_property
     def group_rows(self) -> dict[str, np.ndarray]:
-        """Each group's dataset positions, in dataset order, read-only."""
+        """Each group's dataset positions, in dataset order, read-only; the
+        groups in ``groups`` order."""
+        rows: dict[str, list[int]] = {}
+        group_of = self.group_of
+        for row, ind in enumerate(self.individuals):
+            rows.setdefault(group_of[ind], []).append(row)
         out = {}
-        for group, members in self.groups.items():
-            out[group] = np.array([self.index[m] for m in members], dtype=np.intp)
+        for group in sorted(rows):
+            out[group] = np.array(rows[group], dtype=np.intp)
             out[group].setflags(write=False)
         return out
 
@@ -489,14 +523,49 @@ class Ledger:
         mean, var = self._moment_matrices(channel, mode)
         return mean.take(rows, axis=0), var.take(rows, axis=0)
 
-    def _moment_matrices(self, channel: str, mode: str):
-        """The memoised (n, P) moment matrices, built by ``cumsum`` and then
-        advanced by ``update``."""
+    def _head_cells(self):
+        """The stored attention's nonzero (head) cells in arrival order, as
+        the 0-based steps, the dataset rows and the values, (c,) each.
+
+        Only ``k_att`` cells per query hold attention, so every whole-ledger
+        reading of that channel works on these, derived once per ledger
+        state.
+        """
 
         def build():
+            x = self.stored("attention")
+            flat = np.flatnonzero(x != 0)
+            return (*divmod(flat, x.shape[1]), x.reshape(-1)[flat])
+
+        return self.memo(("cells",), build)
+
+    def _moment_matrices(self, channel: str, mode: str):
+        """The memoised (n, P) moment matrices, built as running totals over
+        arrival order and then advanced by ``update``.
+
+        Attention is summed over its head cells: ``bincount`` adds each
+        bin's terms from 0.0 in arrival order, which is the running total
+        of the whole column less its exact zeros, so bit for bit the same.
+        """
+
+        def build():
+            if channel == "attention":
+                steps, rows, x = self._head_cells()
+                n, P = self.dataset.n, self.components
+                eta, x = self._polarity(mode)[steps], x[:, None]
+                if not len(x):  # bincount of nothing counts in integers
+                    return np.zeros((n, P)), np.zeros((n, P))
+                bins = ((rows * P)[:, None] + np.arange(P)).ravel()
+                q = eta * eta * x * (1.0 - x)
+                return tuple(
+                    np.bincount(bins, terms.ravel(), minlength=n * P).reshape(n, P)
+                    for terms in (eta * x, q)
+                )
             x = self.stored(channel)[:, :, None]
             eta = self._polarity(mode)[:, None, :]
-            return _accrued(eta * x), _accrued(eta * eta * x * (1.0 - x))
+            q = np.multiply(eta * eta, x)
+            q *= 1.0 - x
+            return _accrued(eta * x), _accrued(q)
 
         return self.memo(("moments", channel, mode), build)
 

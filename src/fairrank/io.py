@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AttentionModel, Dataset, Ledger, Stream, _dcg, _fsum, _ndcg, ideal_order
+from .core import AttentionModel, Dataset, Ledger, Stream, _fsum, _ndcg_rows, ideal_order
 from .errors import (
     CoverageError,
     LengthMismatchError,
@@ -411,7 +411,11 @@ def save_run(path, result: RunResult, stream: Stream) -> None:
     before the file is opened, so a save that raises leaves an existing file
     as it was.
     """
-    positions = stream.columns(result.ledger.dataset)[result.orderings]
+    dataset = result.ledger.dataset
+    if dataset.individuals == stream.individuals:
+        positions = result.orderings  # dataset rows are already positions
+    else:
+        positions = stream.columns(dataset)[result.orderings]
     header = {
         "format": RUN_FORMAT,
         "config": result.config.to_dict(),
@@ -560,10 +564,10 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
     k = min(config.k_eval, n)
     ideal_heads = np.sort(np.partition(relevance, n - k, axis=1)[:, n - k :], axis=1)[:, ::-1]
     heads = np.take_along_axis(relevance, orderings[:, :k], axis=1)
-    for query_id, stored, head, ideal in zip(
-        stream.query_ids, payload["ndcg"], heads.tolist(), ideal_heads.tolist()
-    ):
-        if stored != _ndcg(head, _dcg(ideal)):
+    ndcg = _ndcg_rows(heads, ideal_heads).tolist()
+    # compared in Python, so an int or a huge int entry compares exactly
+    for query_id, stored, value in zip(stream.query_ids, payload["ndcg"], ndcg):
+        if stored != value:
             raise ValidationError(
                 f"run file query {query_id!r}: stored nDCG {stored!r} "
                 "does not match its ordering"

@@ -13,14 +13,16 @@ undefined ratios.
 
 Every metric reads the ledger through one kernel, ``_read``, one pass per
 (channel, polarity mode). A pass holds the ledger's memoised (n, P) moment
-matrices, the per-query values eta * x as one C-ordered (n, T, P) array
-sorted in place along T, and each group's summed moments and per-query
-average. A polarity panel makes one pass per channel; a report, two panels.
-A run and its baseline rank one stream, so ``evaluate_run`` makes the
-relevance pass once per mode for both reports. A pass lives only as long as
-the panels that read it: no ledger memo keeps (T, n) values.
+matrices, the per-query values eta * x sorted along T, and each group's
+summed moments and per-query average. A polarity panel makes one pass per
+channel; a report, two panels. A run and its baseline rank one stream, so
+``evaluate_run`` makes the relevance pass once per mode for both reports.
+A pass lives only as long as the panels that read it: no ledger memo keeps
+(T, n) values. A dataset handed to a metric may regroup the ledger's
+individuals but must list them in the ledger's order (ValidationError
+otherwise), since every matrix is laid out in that order.
 
-Two layout rules keep every value bit-identical to a per-individual or
+Three layout rules keep every value bit-identical to a per-individual or
 per-group computation:
 
 * W1 is the mean over T of |sorted attention - sorted relevance|. The
@@ -32,6 +34,20 @@ per-group computation:
 * A group's per-query average gathers its member rows, (m, T, P), and sums
   over the members, one (T, P) block after another in dataset order, as a
   gather from the (T, n, P) sequences and a sum over its m axis adds them.
+* Attention is read from its head cells, the k_att nonzero cells per query
+  (``Ledger._head_cells``), never as a (T, n) or (n, T, P) array: relevance
+  is dense, so it keeps the layout above. Each individual's sorted values
+  are its negative values first, then T - c zeros, then its positive
+  values, so W1 starts from |sorted relevance| and replaces the gap at each
+  head cell's sorted position; the gaps are those of the dense subtraction,
+  in the same places. A group's per-query sums add its members' head
+  values from 0.0 in dataset order (one ``bincount`` over (group, query)),
+  as the gather-then-sum adds them less its exact zeros; so where a group
+  got no attention at a query (aware mode, eta < 0) the sum reads 0.0 where
+  the dense sum read -0.0. Group W1 and ``eur`` read absolute values, so no
+  metric changes. With one query numpy sums a lone column of members
+  pairwise; there the per-query values are the moments, whose group sums
+  add that way.
 """
 
 import math
@@ -41,7 +57,7 @@ import numpy as np
 
 from .core import CHANNELS, MODES, Dataset, Ledger
 from .divergence import DivergenceKind, _component_values, d_multi
-from .errors import EmptyScopeError
+from .errors import EmptyScopeError, ValidationError
 
 UNDEFINED = float("nan")
 
@@ -69,11 +85,17 @@ class GroupSummary:
 
 @dataclass(frozen=True)
 class _Reading:
-    """One read of a ledger channel in one polarity mode (see ``_read``)."""
+    """One read of a ledger channel in one polarity mode (see ``_read``).
+
+    Relevance holds its sorted values in ``ordered``; attention holds in
+    ``heads`` the flat indices into that (n, T, P) layout of its nonzero
+    sorted values, and the values.
+    """
 
     mean: np.ndarray
     var: np.ndarray
     ordered: np.ndarray | None = None
+    heads: tuple | None = None
     groups: dict | None = None
 
 
@@ -82,14 +104,42 @@ def _read(ledger: Ledger, channel: str, mode: str, dataset: Dataset | None = Non
     module docstring).
 
     It holds the ledger's memoised (n, P) moment matrices. Given a dataset,
-    it also holds the (n, T, P) per-query values eta * x sorted along T,
-    and each group's (size, mean, variance, (T, P) per-query average).
-    Without one it holds the moments only, all that L1 and L2var read.
+    it also holds the per-query values eta * x sorted along T, and each
+    group's (size, mean, variance, (T, P) per-query average). Without one
+    it holds the moments only, all that L1 and L2var read. Raises
+    ValidationError unless the dataset lists the ledger's individuals in
+    the ledger's order.
     """
     mean, var = ledger._moment_matrices(channel, mode)
     if dataset is None:
         return _Reading(mean, var)
-    x = ledger.stored(channel)
+    if dataset is not ledger.dataset and dataset.individuals != ledger.dataset.individuals:
+        raise ValidationError(
+            "dataset must list the ledger's individuals in the ledger's order "
+            "(a dataset may regroup them, not reorder or replace them)"
+        )
+    group_rows = dataset.group_rows
+    ordered = heads = None
+    if channel == "attention":
+        heads, sums = _head_reading(ledger, mode, mean, dataset)
+    else:
+        ordered, sums = _dense_reading(ledger, mode, group_rows)
+    groups = {}
+    for (group, rows), total in zip(group_rows.items(), sums):
+        m = len(rows)
+        groups[group] = (
+            m,
+            mean[rows].sum(axis=0) / m,
+            var[rows].sum(axis=0) / (m * m),
+            total / m,
+        )
+    return _Reading(mean, var, ordered, heads, groups)
+
+
+def _dense_reading(ledger: Ledger, mode: str, group_rows: dict):
+    """The relevance as C-ordered (n, T, P) values eta * x sorted along T,
+    and each group's (T, P) per-query sum."""
+    x = ledger.stored("relevance")
     eta = ledger._polarity(mode)
     if mode == "aware":
         values = np.multiply(x.T[:, :, None], eta[None, :, :], order="C")
@@ -97,17 +147,41 @@ def _read(ledger: Ledger, channel: str, mode: str, dataset: Dataset | None = Non
         # the agnostic eta is all ones: the copy is the product, exactly
         values = np.empty((x.shape[1], x.shape[0], eta.shape[1]))
         values[...] = x.T[:, :, None]
-    groups = {}
-    for group, rows in dataset.group_rows.items():
-        m = len(rows)
-        groups[group] = (
-            m,
-            mean[rows].sum(axis=0) / m,
-            var[rows].sum(axis=0) / (m * m),
-            values[rows].sum(axis=0) / m,
-        )
+    sums = [values[rows].sum(axis=0) for rows in group_rows.values()]
     values.sort(axis=1)
-    return _Reading(mean, var, values, groups)
+    return values, sums
+
+
+def _head_reading(ledger: Ledger, mode: str, mean: np.ndarray, dataset: Dataset):
+    """The attention's sorted values read from its head cells (the flat
+    indices into the sorted (n, T, P) layout, and the values), and each
+    group's (T, P) per-query sum; ``mean`` is the attention's mean matrix
+    in ``mode``."""
+    steps, rows, x = ledger._head_cells()
+    n, T, P = ledger.dataset.n, ledger.t, ledger.components
+    components = np.arange(P)
+    flat = (ledger._polarity(mode)[steps] * x[:, None]).ravel()
+    # a (row, component) run of c cells sorts to its negatives, then T - c
+    # zeros and the other cells, each ascending
+    key = ((rows * P)[:, None] + components).ravel()
+    order = np.lexsort((flat, key))
+    key, ordered = key[order], flat[order]
+    counts = np.bincount(key, minlength=n * P)
+    end = counts.cumsum()[key]  # one past the last cell of each cell's run
+    position = np.arange(len(key)) - np.where(ordered < 0, end - counts[key], end - T)
+    row, component = np.divmod(key, P)
+    heads = ((row * T + position) * P + component, ordered)
+    if T == 1:
+        # numpy sums a lone (m,) column pairwise; with one query the values
+        # are the moments, whose group sums add that way
+        return heads, [mean[m].sum(axis=0)[None] for m in dataset.group_rows.values()]
+    # each query's cells come in ascending rows, so every (group, query,
+    # component) bin adds its members in dataset order, as the dense
+    # gather-then-sum does
+    groups = len(dataset.group_rows)
+    cells = ((dataset.group_codes[rows] * T + steps)[:, None] * P + components).ravel()
+    sums = np.bincount(cells, flat, minlength=groups * T * P)
+    return heads, sums.reshape(groups, T, P)
 
 
 def _readings(ledger: Ledger, mode: str, dataset: Dataset | None = None):
@@ -168,8 +242,11 @@ def _divergence_values(
     L1 and L2var come from the moment matrices, W1 from the sorted values.
     """
     if kind == DivergenceKind.W1:
-        gaps = attention.ordered - relevance.ordered
-        np.abs(gaps, out=gaps)
+        # off the head cells the attention is 0, so the gap is |relevance|
+        gaps = np.abs(relevance.ordered)
+        index, values = attention.heads
+        flat = gaps.reshape(-1)
+        flat[index] = np.abs(values - relevance.ordered.reshape(-1)[index])
         # with no query the (n, 0, P) gaps sum to W1 = 0
         comps = np.mean(gaps, axis=1) if gaps.shape[1] else gaps.sum(axis=1)
     else:

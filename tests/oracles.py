@@ -17,7 +17,7 @@ from fairrank.assign import (
     matching_values,
     position_discounts,
 )
-from fairrank.core import AttentionModel, Ledger, Stream
+from fairrank.core import AttentionModel, Dataset, Ledger, Stream, _accrued
 from fairrank.divergence import DivergenceKind, _component_values, _query_eta, d_multi
 from fairrank.errors import EmptyScopeError, LengthMismatchError, ValidationError
 from fairrank.metrics import iaa, individual_unfairness
@@ -128,6 +128,55 @@ def moments_at_oracle(ledger: Ledger, rows, channel: str, mode: str = "agnostic"
     x = ledger.stored(channel)[:, rows, None]
     eta = ledger._polarity(mode)[:, None, :]
     return running_total(eta * x), running_total(eta * eta * x * (1.0 - x))
+
+
+def dense_moment_matrices(ledger: Ledger, channel: str, mode: str):
+    """The (n, P) moment matrices summed over every stored cell, zeros
+    included: the dense reference for ``Ledger._moment_matrices``, whose
+    attention build reads the head cells only."""
+    x = ledger.stored(channel)[:, :, None]
+    eta = ledger._polarity(mode)[:, None, :]
+    return _accrued(eta * x), _accrued(eta * eta * x * (1.0 - x))
+
+
+def dense_read(ledger: Ledger, channel: str, mode: str, dataset: Dataset):
+    """The dense pass over a (channel, mode): the reference for
+    ``fairrank.metrics._read``, whose attention pass reads the head cells.
+
+    Returns the moment matrices, the C-ordered (n, T, P) values eta * x
+    sorted along T, and each group's (size, mean, variance, (T, P)
+    per-query average).
+    """
+    mean, var = dense_moment_matrices(ledger, channel, mode)
+    x = ledger.stored(channel)
+    eta = ledger._polarity(mode)
+    if mode == "aware":
+        values = np.multiply(x.T[:, :, None], eta[None, :, :], order="C")
+    else:
+        # the agnostic eta is all ones: the copy is the product, exactly
+        values = np.empty((x.shape[1], x.shape[0], eta.shape[1]))
+        values[...] = x.T[:, :, None]
+    groups = {}
+    for group, rows in dataset.group_rows.items():
+        m = len(rows)
+        groups[group] = (
+            m,
+            mean[rows].sum(axis=0) / m,
+            var[rows].sum(axis=0) / (m * m),
+            values[rows].sum(axis=0) / m,
+        )
+    values.sort(axis=1)
+    return mean, var, values, groups
+
+
+def dense_w1(attention_ordered: np.ndarray, relevance_ordered: np.ndarray) -> np.ndarray:
+    """Component-summed W1 of every individual from the two dense sorted
+    (n, T, P) value arrays of ``dense_read``."""
+    gaps = attention_ordered - relevance_ordered
+    np.abs(gaps, out=gaps)
+    # with no query the (n, 0, P) gaps sum to W1 = 0
+    comps = np.mean(gaps, axis=1) if gaps.shape[1] else gaps.sum(axis=1)
+    return sum(comps.T)
 
 
 def sequence_std(

@@ -17,6 +17,7 @@ from fairrank.core import (
     _accrued,
     _dcg,
     _ndcg,
+    _ndcg_rows,
     attention_weights,
     ideal_order,
 )
@@ -24,6 +25,7 @@ from fairrank.errors import CoverageError, ValidationError
 from oracles import (
     Track,
     dcg_oracle,
+    dense_moment_matrices,
     ideal_order_oracle,
     ideal_ranking_oracle,
     moments_at_oracle,
@@ -99,6 +101,17 @@ class TestDcg:
 
     def test_ndcg_zero_ideal_is_vacuously_perfect(self):
         assert _ndcg([0.0, 0.0], _dcg([0.0, 0.0])) == 1.0
+
+    def test_rows_match_the_per_query_ndcg_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for k in (1, 2, 9, 12):
+            ideal = -np.sort(-rng.random((30, k)), axis=1)
+            values = rng.permuted(ideal, axis=1) * (rng.random((30, k)) < 0.8)
+            ideal[3] = 0.0  # a row whose ideal DCG is zero scores 1
+            want = [_ndcg(v, _dcg(i)) for v, i in zip(values.tolist(), ideal.tolist())]
+            got = _ndcg_rows(values, ideal)
+            assert got.tolist() == want
+            assert got[3] == 1.0
 
     def test_matches_the_dict_oracle(self):
         rng = np.random.default_rng(5)
@@ -637,6 +650,76 @@ class TestAdvancedMoments:
         mean, _ = ledger.moments_at([1], "relevance", "aware")
         assert same_bits(mean, np.zeros((1, 1)))
         assert same_bits(mean, moments_at_oracle(ledger, [1], "relevance", "aware")[0])
+
+
+class TestHeadCells:
+    """Attention is read from its nonzero (head) cells: the cells are the
+    stored matrix's nonzero entries in arrival order, and the moment
+    matrices summed over them equal the dense build bit for bit, however
+    the ledger was written."""
+
+    @staticmethod
+    def _ledgers(P, T, k_att, n=9):
+        rng = np.random.default_rng(100 * P + 10 * T + k_att)
+        ids = tuple(f"i{k}" for k in range(n))
+        stream = TestAdvancedMoments._stream(rng, ids, P, T)
+        dataset = Dataset.single_group(ids)
+        attention = AttentionModel(k_att)
+        orderings = np.array([rng.permutation(n) for _ in range(T)])
+        updated = Ledger(dataset, stream)
+        for step, rows in enumerate(orderings):
+            if step == T // 2:
+                for mode in ("aware", "agnostic"):
+                    updated._moment_matrices("attention", mode)
+            updated.update(rows, attention)
+        filled = Ledger(dataset, stream)
+        filled._fill(orderings, attention)
+        replaced = Ledger(dataset, stream)
+        replaced._fill(orderings, attention)
+        for step0 in rng.choice(T, size=min(T, 2), replace=False).tolist():
+            replaced._moment_matrices("attention", "agnostic")
+            replaced._replace_attention(step0, attention.scatter(rng.permutation(n)))
+        return updated, filled, replaced
+
+    CASES = [(1, 1, 3), (1, 30, 4), (2, 1, 9), (2, 8, 2), (3, 12, 5), (3, 6, 20)]
+
+    @pytest.mark.parametrize("P, T, k_att", CASES)
+    def test_cells_are_the_nonzero_cells_in_arrival_order(self, P, T, k_att):
+        for ledger in self._ledgers(P, T, k_att):
+            steps, rows, values = ledger._head_cells()
+            stored = ledger.stored("attention")
+            want_steps, want_rows = np.nonzero(stored)
+            assert np.array_equal(steps, want_steps) and np.array_equal(rows, want_rows)
+            assert same_bits(values, stored[want_steps, want_rows])
+            assert len(values) == T * min(k_att, ledger.dataset.n)
+
+    @pytest.mark.parametrize("P, T, k_att", CASES)
+    def test_moments_equal_the_dense_build(self, P, T, k_att):
+        for ledger in self._ledgers(P, T, k_att):
+            for mode in ("aware", "agnostic"):
+                got = ledger._moment_matrices("attention", mode)
+                want = dense_moment_matrices(ledger, "attention", mode)
+                assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), mode
+
+    def test_writes_drop_the_cells(self):
+        updated, _, replaced = self._ledgers(2, 6, 3)
+        for ledger in (updated, replaced):
+            ledger._head_cells()
+            assert ("cells",) in ledger._memo
+        replaced._replace_attention(0, AttentionModel(1).scatter(np.arange(9)))
+        assert ("cells",) not in replaced._memo
+        steps, rows, _ = replaced._head_cells()
+        assert steps.tolist()[:1] == [0] and rows.tolist()[:1] == [0]
+        assert (steps == 0).sum() == 1
+
+    def test_empty_ledger_moments_are_float_zeros(self):
+        ledger = Ledger(Dataset.single_group(("a", "b")), stream_of([{"a": 0.5, "b": 0.5}]))
+        for mode in ("aware", "agnostic"):
+            mean, var = ledger._moment_matrices("attention", mode)
+            assert same_bits(mean, np.zeros((2, 1))) and same_bits(var, np.zeros((2, 1)))
+        ledger.update([1, 0], AttentionModel(1))
+        mean, var = ledger._moment_matrices("attention", "aware")
+        assert same_bits(mean, np.array([[0.0], [1.0]]))
 
 
 class TestAccrued:

@@ -468,6 +468,25 @@ class TestReplayChecks:
         with pytest.raises(ValidationError, match="q0002.*nDCG"):
             fio.replay_run(payload, group_of)
 
+    def test_tampered_ndcg_in_the_middle_of_the_stream_named(self, payload):
+        payload, group_of = payload
+        stored = payload["ndcg"][2]
+        payload["ndcg"][2] = math.nextafter(stored, 0.0)
+        with pytest.raises(ValidationError, match="q0003.*nDCG"):
+            fio.replay_run(payload, group_of)
+        payload["ndcg"][2] = 10**400  # a huge int compares, never overflows
+        with pytest.raises(ValidationError, match="q0003.*nDCG"):
+            fio.replay_run(payload, group_of)
+
+    def test_integral_ndcg_entries_compare_by_value(self, payload):
+        payload, group_of = payload
+        ndcg = payload["ndcg"]
+        ones = [t for t, value in enumerate(ndcg) if value == 1.0]
+        assert ones
+        for t in ones:
+            ndcg[t] = 1
+        assert fio.replay_run(payload, group_of).ndcg == [float(x) for x in ndcg]
+
     def test_edited_k_eval_rejected(self, payload):
         payload, group_of = payload
         payload["config"]["k_eval"] = 2

@@ -8,7 +8,7 @@ import pytest
 
 from fairrank.core import AttentionModel, Dataset, Ledger, Stream
 from fairrank.divergence import DivergenceKind
-from fairrank.errors import EmptyScopeError
+from fairrank.errors import EmptyScopeError, ValidationError
 from fairrank.metrics import (
     build_report,
     dp,
@@ -22,11 +22,13 @@ from fairrank.metrics import (
     individual_unfairness,
     metrics_panel,
     relative_improvement,
+    _divergence_values,
+    _read,
 )
 from fairrank.rerank import RerankConfig, evaluate_run, rerank_online
 from fairrank.synth import fairwashing_scenario, gen_random_instance
 from fairrank.verify import random_ledger
-from oracles import individual_divergences_oracle, rows_of, stream_of
+from oracles import dense_read, dense_w1, individual_divergences_oracle, rows_of, stream_of
 
 KINDS = (DivergenceKind.L1, DivergenceKind.L2VAR, DivergenceKind.W1)
 
@@ -357,10 +359,10 @@ class TestReport:
         assert len({repr(r["metrics"]["aware"]["group"]) for r in reports}) == len(stream)
 
 
-def _grouped_case(P, T, tied, zero_component, seed):
-    """A signed stream over 11 individuals in two groups that interleave in
-    dataset order, plus a singleton group."""
-    dataset, stream = gen_random_instance(11, 2, T, "signed", seed=seed, components=P)
+def _grouped_case(P, T, tied, zero_component, seed, n=11):
+    """A signed stream over ``n`` individuals in two groups that interleave
+    in dataset order, plus a singleton group."""
+    dataset, stream = gen_random_instance(n, 2, T, "signed", seed=seed, components=P)
     ids = dataset.individuals
     dataset = Dataset(ids, {i: "solo" if k == 4 else f"g{k % 2}" for k, i in enumerate(ids)})
     polarity, relevance = np.array(stream.polarity), np.array(stream.relevance)
@@ -426,3 +428,132 @@ class TestSharedRelevance:
             assert ledger._memo
             for key, value in ledger._memo.items():
                 assert sum(_array_sizes(value)) < T * n, key
+
+
+HEAD_CASES = [
+    # (P, T, k_att, zero polarity component, n)
+    (1, 1, 3, False, 11),
+    (1, 12, 3, False, 11),
+    (1, 40, 4, False, 11),
+    (2, 1, 2, True, 11),
+    (2, 9, 4, True, 11),
+    (3, 7, 3, False, 11),
+    (3, 10, 5, True, 11),
+    # k_att >= n: every cell holds attention
+    (1, 6, 20, False, 11),
+    (2, 1, 20, True, 11),
+    (3, 5, 11, False, 11),
+    # groups of 15 and 14: numpy sums a lone column of 8 or more pairwise
+    (1, 1, 30, False, 30),
+    (1, 2, 30, False, 30),
+]
+
+
+def _head_ledgers(P, T, k_att, zero_component, n, draw=0):
+    """Ledgers over a signed stream of ``n`` individuals grouped as in
+    ``_grouped_case``, written by ``update`` (with the moments memoised half
+    way, so ``update`` advances them), by replay's ``_fill`` and by
+    descent's ``_replace_attention``."""
+    seed = 7 * P + T + k_att + n + 1000 * draw
+    dataset, stream = _grouped_case(P, T, False, zero_component, seed, n)
+    rng = np.random.default_rng(seed)
+    attention = AttentionModel(k_att)
+    orderings = np.array([rng.permutation(n) for _ in range(T)])
+    updated = Ledger(dataset, stream)
+    for step, rows in enumerate(orderings):
+        if step == T // 2:
+            for channel in ("attention", "relevance"):
+                for mode in ("aware", "agnostic"):
+                    updated._moment_matrices(channel, mode)
+        updated.update(rows, attention)
+    filled = Ledger(dataset, stream)
+    filled._fill(orderings, attention)
+    replaced = Ledger(dataset, stream)
+    replaced._fill(orderings, attention)
+    for step0 in rng.choice(T, size=min(T, 3), replace=False).tolist():
+        replaced._moment_matrices("attention", "aware")
+        replaced._replace_attention(step0, attention.scatter(rng.permutation(n)))
+    return dataset, {"update": updated, "fill": filled, "replace": replaced}
+
+
+class TestHeadCellReading:
+    """The attention pass reads only its head cells. It equals the dense
+    reading kept in ``oracles.dense_read``: moments and W1 bit for bit,
+    group per-query sums by value (a query that gives a group no attention
+    may read 0.0 where the dense sum read -0.0)."""
+
+    @pytest.mark.parametrize("P, T, k_att, zero_component, n", HEAD_CASES)
+    def test_equals_the_dense_reading(self, P, T, k_att, zero_component, n):
+        cases = [_head_ledgers(P, T, k_att, zero_component, n, draw) for draw in range(3)]
+        for dataset, ledgers in cases:
+            self._assert_equal_to_dense(dataset, ledgers)
+
+    @staticmethod
+    def _assert_equal_to_dense(dataset, ledgers):
+        for how, ledger in ledgers.items():
+            for mode in ("aware", "agnostic"):
+                got = _read(ledger, "attention", mode, dataset)
+                mean, var, ordered, groups = dense_read(ledger, "attention", mode, dataset)
+                assert got.mean.tobytes() == mean.tobytes(), (how, mode)
+                assert got.var.tobytes() == var.tobytes(), (how, mode)
+                relevance = _read(ledger, "relevance", mode, dataset)
+                w1 = _divergence_values(DivergenceKind.W1, got, relevance)
+                assert w1.tobytes() == dense_w1(ordered, relevance.ordered).tobytes(), (how, mode)
+                assert list(got.groups) == list(groups)
+                for group, (size, g_mean, g_var, seq) in groups.items():
+                    got_size, got_mean, got_var, got_seq = got.groups[group]
+                    assert got_size == size
+                    assert got_mean.tobytes() == g_mean.tobytes()
+                    assert got_var.tobytes() == g_var.tobytes()
+                    assert got_seq.shape == seq.shape
+                    assert np.array_equal(got_seq, seq), (how, mode, group)
+
+
+class TestDatasetMustMatchLedger:
+    """A dataset handed to the metrics must list the ledger's individuals in
+    the ledger's order; it may regroup them."""
+
+    CONFIG = RerankConfig(k_re=6, k_att=3, k_eval=4)
+
+    def _run(self):
+        dataset, stream = _grouped_case(2, 6, False, False, seed=4)
+        return dataset, stream, rerank_online(dataset, stream, self.CONFIG)
+
+    def test_reversed_dataset_is_rejected(self):
+        dataset, _, run = self._run()
+        reversed_ds = Dataset(tuple(reversed(dataset.individuals)), dataset.group_of)
+        for read in (
+            lambda: group_divergences(run.ledger, DivergenceKind.L1, "agnostic", reversed_ds),
+            lambda: group_summaries(run.ledger, "aware", reversed_ds),
+            lambda: eur(run.ledger, "aware", reversed_ds),
+            lambda: metrics_panel(run.ledger, "aware", reversed_ds),
+            lambda: build_report(run.ledger, reversed_ds),
+            lambda: evaluate_run(run, dataset=reversed_ds),
+        ):
+            with pytest.raises(ValidationError, match="ledger's order"):
+                read()
+
+    def test_foreign_dataset_is_rejected(self):
+        dataset, stream, run = self._run()
+        foreign = Dataset.single_group(tuple(f"other{k}" for k in range(dataset.n)))
+        with pytest.raises(ValidationError, match="ledger's individuals"):
+            evaluate_run(run, dataset=foreign)
+        baseline = rerank_online(dataset, stream, replace(self.CONFIG, objective="none"))
+        with pytest.raises(ValidationError, match="ledger's individuals"):
+            evaluate_run(run, dataset=foreign, baseline=baseline)
+
+    def test_regrouping_dataset_is_read(self):
+        dataset, _, run = self._run()
+        ids = dataset.individuals
+        regrouped = Dataset(ids, {i: ("low" if k < 5 else "high") for k, i in enumerate(ids)})
+        values = group_divergences(run.ledger, DivergenceKind.L1, "agnostic", regrouped)
+        assert list(values) == ["high", "low"]
+        rows = {"low": list(range(5)), "high": list(range(5, len(ids)))}
+        for group, value in values.items():
+            mean_a, mean_r = (
+                run.ledger.mean_matrix(channel)[rows[group]].mean(axis=0)
+                for channel in ("attention", "relevance")
+            )
+            assert value == pytest.approx(float(np.abs(mean_a - mean_r).sum()), abs=1e-15)
+        report = evaluate_run(run, dataset=regrouped).to_dict()
+        assert set(report["metrics"]["aware"]["group"]) == {"L1", "L2var", "W1"}
