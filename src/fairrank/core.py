@@ -179,6 +179,21 @@ def _fsum(values) -> float:
         return math.inf
 
 
+def _int64_misfit(given, t: np.ndarray) -> tuple[int, int] | None:
+    """The index and value of the first of the timesteps ``given`` (read by
+    numpy as ``t``) that is an integer outside int64, or None. numpy holds
+    integers past int64 as uint64, float64 or object."""
+    if t.dtype.kind == "u":
+        over = t > np.iinfo(np.int64).max
+        return (i := int(np.argmax(over)), int(t[i])) if over.any() else None
+    if t.dtype.kind not in "fO" or t.ndim != 1:
+        return None
+    values = t.tolist() if isinstance(given, np.ndarray) else list(given)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values):
+        return None
+    return next(((i, int(v)) for i, v in enumerate(values) if not -(2**63) <= v < 2**63), None)
+
+
 @dataclass(frozen=True, eq=False)
 class Stream:
     """A query stream held in columns, in arrival order: the only in-memory
@@ -206,7 +221,8 @@ class Stream:
     def __post_init__(self):
         query_ids = tuple(self.query_ids)
         individuals = tuple(self.individuals)
-        t = _read_only(np.asarray(self.t))
+        given_t = self.t
+        t = _read_only(np.asarray(given_t))
         polarity = _read_only(np.asarray(self.polarity, dtype=np.float64))
         relevance = _read_only(np.asarray(self.relevance, dtype=np.float64))
         for name, value in (
@@ -234,6 +250,11 @@ class Stream:
                 f"stream columns disagree: {T} query ids, timesteps {t.shape}, "
                 f"polarity {polarity.shape}, relevance {relevance.shape} "
                 f"for {len(individuals)} individuals"
+            )
+        misfit = _int64_misfit(given_t, t)
+        if misfit is not None:
+            raise ValidationError(
+                f"query {query_ids[misfit[0]]!r}: timestep {misfit[1]} does not fit in int64"
             )
         if t.dtype.kind not in "iu":
             raise ValidationError(f"timesteps must be integers, got {t.dtype}")

@@ -4,11 +4,24 @@ Stream files are UTF-8 JSON lines, one query per line::
 
     {"query_id": "q0001", "t": 1, "polarity": [1.0], "relevance": {"a": 0.5, ...}}
 
-Timesteps must be strictly increasing; every query must rank the same set
-of individuals; relevance must be normalized within 1e-6 (pass ``raw=True``
-to renormalize arbitrary non-negative scores with a warning). Serialization
-is canonical (fixed key order, relevance keys sorted, shortest round-trip
-floats), so ``generate -> load -> save`` is byte-identical.
+Timesteps must be strictly increasing integers that fit in int64; every
+query must rank the same set of individuals; relevance must be normalized
+within 1e-6 (pass ``raw=True`` to renormalize arbitrary non-negative scores
+with a warning). Serialization is canonical (fixed key order, relevance keys
+sorted, shortest round-trip floats), so ``generate -> load -> save`` is
+byte-identical.
+
+Each line is parsed by ``orjson``. A line it rejects (``NaN``/``Infinity``
+tokens, a literal past the float range such as ``1e400``, a lone-surrogate
+escape, a BOM), or one it reads as no valid query (not an object, a
+non-string query id, a timestep that is not an integer: ``orjson`` reads
+an integer literal past 64 bits as a float), is parsed again by the stdlib
+``json`` module, whose value then meets the same checks (or whose error
+becomes the ParseError), so such lines load or fail exactly as with the
+stdlib alone. A valid line is parsed once. One difference remains: a
+relevance or polarity integer literal past 64 bits reaches the checks as
+the float it rounds to, so a raw-mode negative-score error prints that
+float; the loaded ``Stream`` is the same.
 
 Group files are CSV with the header ``individual_id,group_id``.
 
@@ -47,6 +60,7 @@ from io import StringIO
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .core import AttentionModel, Dataset, Ledger, Stream, _fsum, _ndcg_rows, ideal_order
 from .errors import (
@@ -60,6 +74,7 @@ from .rerank import RerankConfig, RunResult
 
 STREAM_SUM_TOL = 1e-6
 EXACT_SUM_TOL = 1e-9
+_INT64_MAX = 2**63 - 1
 
 
 def _write_text(path, text: str, ids) -> None:
@@ -112,6 +127,27 @@ def _check_step(t, polarity, lineno: int | None, prefix: str = "") -> None:
     if not isinstance(polarity, list) or not polarity:
         raise ParseError(f"{prefix}polarity must be a non-empty array", lineno)
     _number_types(polarity, f"{prefix}polarity", lineno)
+
+
+def _parse_json(line: str, lineno: int):
+    """One stream line's JSON value: ``orjson``'s, unless it rejects the line
+    or reads it as no valid query, in which case the stdlib's value or its
+    error as a ParseError (see the module docstring)."""
+    try:
+        record = orjson.loads(line)
+    except orjson.JSONDecodeError:
+        pass
+    else:
+        if (
+            type(record) is dict
+            and type(record.get("t")) is int
+            and type(record.get("query_id")) is str
+        ):
+            return record
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
 
 
 def _parse_line(record, lineno: int):
@@ -167,13 +203,11 @@ def load_stream(path, raw: bool = False) -> tuple[tuple[str, ...], Stream]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
-            query_id, t, eta, values = _parse_line(record, lineno)
+            query_id, t, eta, values = _parse_line(_parse_json(line, lineno), lineno)
             if t < 1:
                 raise ValidationError(f"line {lineno}: timestep must be >= 1, got {t}")
+            if t > _INT64_MAX:
+                raise ValidationError(f"line {lineno}: timestep {t} does not fit in int64")
             if query_id in seen_ids:
                 raise ParseError(f"duplicate query_id {query_id!r}", lineno)
             seen_ids.add(query_id)
@@ -375,6 +409,10 @@ def _decode_stream(block) -> Stream:
     relevance = _block(relevance, "relevance", "<f8", (len(query_ids), len(individuals)))
     for query_id, t, eta in zip(query_ids, ts, polarity):
         _check_step(t, eta, None, f"run file query {query_id!r}: ")
+        if not -_INT64_MAX - 1 <= t <= _INT64_MAX:
+            raise ValidationError(
+                f"run file query {query_id!r}: timestep {t} does not fit in int64"
+            )
         if len(eta) != len(polarity[0]):
             raise LengthMismatchError(
                 f"run file query {query_id!r} has {len(eta)} polarity "

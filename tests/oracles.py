@@ -3,8 +3,11 @@ per-cell (one individual, one position) references for the ledger, the
 divergence kernel and the assignment solvers."""
 
 import itertools
+import json
 import math
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -17,9 +20,17 @@ from fairrank.assign import (
     matching_values,
     position_discounts,
 )
-from fairrank.core import AttentionModel, Dataset, Ledger, Stream, _accrued
+from fairrank.core import AttentionModel, Dataset, Ledger, Stream, _accrued, _fsum
 from fairrank.divergence import DivergenceKind, _component_values, _query_eta, d_multi
-from fairrank.errors import EmptyScopeError, LengthMismatchError, ValidationError
+from fairrank.errors import (
+    CoverageError,
+    EmptyScopeError,
+    LengthMismatchError,
+    ParseError,
+    StreamOrderError,
+    ValidationError,
+)
+from fairrank.io import EXACT_SUM_TOL, STREAM_SUM_TOL, _check_raw, _number_types, _parse_line
 from fairrank.metrics import iaa, individual_unfairness
 
 
@@ -650,3 +661,92 @@ def individual_divergences_oracle(
         )
         values[ind] = d_multi(comps)
     return values
+
+
+def load_stream_oracle(path, raw: bool = False) -> tuple[tuple[str, ...], Stream]:
+    """``fairrank.io.load_stream`` as it was with the stdlib parser alone,
+    kept as the reference the orjson loader must match line for line.
+
+    Parse and validate a stream file.
+
+    Returns the inferred individual set (sorted) and the ``Stream``: every
+    line's values are gathered into one list, in the first line's key order,
+    and converted to the relevance matrix once. Raises ParseError (with line
+    number, also for a query id that is not a string or repeats and, in raw
+    mode, for a negative score or a sum that is zero or not finite),
+    StreamOrderError, ValidationError, CoverageError when queries rank
+    different individual sets, or LengthMismatchError when their polarity
+    vectors differ in length.
+    """
+    path = Path(path)
+    query_ids, ts, polarity = [], [], []
+    values_flat: list = []  # every line's values, one row after another
+    rescale: list[tuple[int, float]] = []  # (row, sum) of rows to renormalize
+    order = keys = components = None
+    seen_ids: set[str] = set()
+    prev_t = 0
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON ({exc.msg})", lineno) from None
+            query_id, t, eta, values = _parse_line(record, lineno)
+            if t < 1:
+                raise ValidationError(f"line {lineno}: timestep must be >= 1, got {t}")
+            if query_id in seen_ids:
+                raise ParseError(f"duplicate query_id {query_id!r}", lineno)
+            seen_ids.add(query_id)
+            if t <= prev_t:
+                raise StreamOrderError(f"line {lineno}: timestep {t} not greater than {prev_t}")
+            prev_t = t
+            # rows hold the first line's key order; the columns are sorted once
+            # at the end, and a line listing its keys in that order is read as is
+            line_order = tuple(values)
+            if order is None:
+                order, keys, components = line_order, values.keys(), len(eta)
+            same_order = line_order == order
+            if not same_order and values.keys() != keys:
+                raise CoverageError(
+                    f"line {lineno}: query {query_id!r} ranks a different "
+                    "individual set than earlier queries"
+                )
+            if len(eta) != components:
+                raise LengthMismatchError(
+                    f"line {lineno}: query {query_id!r} has {len(eta)} polarity "
+                    f"component(s), expected {components}"
+                )
+            _number_types(values.values(), "relevance", lineno)
+            values_flat.extend(values.values() if same_order else map(values.__getitem__, order))
+            total = _fsum(values.values())
+            if raw:
+                _check_raw(values, total, lineno)
+            if abs(total - 1.0) > STREAM_SUM_TOL:
+                if not raw:
+                    raise ValidationError(
+                        f"line {lineno}: relevance sums to {total!r}; "
+                        "not normalized within 1e-6 (use raw mode to renormalize)"
+                    )
+                warnings.warn(
+                    f"stream line {lineno}: renormalizing raw relevance (sum {total!r})",
+                    stacklevel=2,
+                )
+                rescale.append((len(query_ids), total))
+            elif abs(total - 1.0) > EXACT_SUM_TOL:
+                # inside the file tolerance but outside the in-memory one
+                rescale.append((len(query_ids), total))
+            query_ids.append(query_id)
+            ts.append(t)
+            polarity.append(eta)
+    if not query_ids:
+        raise ValidationError(f"stream file {path} contains no queries")
+    individuals = tuple(sorted(order))
+    # a value past the float range has already failed its line's sum check
+    relevance = np.array(values_flat, dtype=np.float64).reshape(len(query_ids), -1)
+    for row, total in rescale:
+        relevance[row] /= total
+    if individuals != order:
+        relevance = relevance[:, sorted(range(len(order)), key=order.__getitem__)]
+    return individuals, Stream(query_ids, ts, polarity, individuals, relevance)

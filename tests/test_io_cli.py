@@ -948,6 +948,12 @@ class TestRunFileBlock:
             (lambda b: TestRunFileBlock._set_row(b, 2, scale=1.0 + 1e-8),
              ValidationError, "sums to"),
             (lambda b: b["t"].__setitem__(1, 1), StreamOrderError, "timestep"),
+            (lambda b: b["t"].__setitem__(4, 2**63), ValidationError,
+             f"^run file query 'q5': timestep {2**63} does not fit in int64$"),
+            (lambda b: b["t"].__setitem__(4, 2**64), ValidationError,
+             f"^run file query 'q5': timestep {2**64} does not fit in int64$"),
+            (lambda b: b["t"].__setitem__(0, -(2**63) - 1), ValidationError,
+             f"^run file query 'q1': timestep {-(2**63) - 1} does not fit in int64$"),
             (lambda b: b["polarity"].__setitem__(1, [1.0, 1.0]), LengthMismatchError,
              "component"),
             (lambda b: b["query_ids"].__setitem__(1, None), ValidationError, "strings"),
@@ -960,6 +966,12 @@ class TestRunFileBlock:
         edit(payload["stream"])
         with pytest.raises(error, match=match):
             fio.replay_run(payload, dataset.group_of)
+
+    def test_int64_maximum_timestep_accepted(self, saved):
+        dataset, _, run, path = saved
+        payload = fio.load_run(path)
+        payload["stream"]["t"][-1] = 2**63 - 1
+        assert fio.replay_run(payload, dataset.group_of).ndcg == run.ndcg
 
 
 class TestOrderingBlock:
