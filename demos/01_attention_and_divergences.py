@@ -55,10 +55,11 @@ divergences = [
     for kind in (DivergenceKind.L1, DivergenceKind.L2VAR, DivergenceKind.W1)
 ]
 for ind in ids:
-    mean_a, _ = ledger.moments(ind, "attention")
-    mean_r, _ = ledger.moments(ind, "relevance")
+    row = [dataset.index[ind]]
+    mean_a, _ = ledger.moments_at(row, "attention")
+    mean_r, _ = ledger.moments_at(row, "relevance")
     values = [by_individual[ind] for by_individual in divergences]
-    print(f"{ind:>10} {mean_a[0]:9.4f} {mean_r[0]:9.4f} "
+    print(f"{ind:>10} {mean_a[0, 0]:9.4f} {mean_r[0, 0]:9.4f} "
           f"{values[0]:7.4f} {values[1]:8.4f} {values[2]:7.4f}")
 
 print("""

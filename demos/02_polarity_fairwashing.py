@@ -24,11 +24,11 @@ for query_id, polarity, rows in zip(stream.query_ids, stream.polarity, orderings
     ledger.update(rows, attention)
 
 print()
-for ind in dataset.individuals:
-    raw_attn = ledger.moments(ind, "attention", "agnostic")[0][0]
-    raw_rel = ledger.moments(ind, "relevance", "agnostic")[0][0]
-    val_attn = ledger.moments(ind, "attention", "aware")[0][0]
-    val_rel = ledger.moments(ind, "relevance", "aware")[0][0]
+for row, ind in enumerate(dataset.individuals):
+    raw_attn = ledger.moments_at([row], "attention", "agnostic")[0][0, 0]
+    raw_rel = ledger.moments_at([row], "relevance", "agnostic")[0][0, 0]
+    val_attn = ledger.moments_at([row], "attention", "aware")[0][0, 0]
+    val_rel = ledger.moments_at([row], "relevance", "aware")[0][0, 0]
     print(f"  {ind}: raw attention {raw_attn:+.1f} vs relevance {raw_rel:+.1f}   "
           f"| polarity-weighted {val_attn:+.1f} vs {val_rel:+.1f}")
 

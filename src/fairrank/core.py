@@ -256,6 +256,9 @@ class Stream:
             raise ValidationError(
                 f"query {query_ids[misfit[0]]!r}: timestep {misfit[1]} does not fit in int64"
             )
+        # numpy reads a bool among integers as 0 or 1
+        if not isinstance(given_t, np.ndarray) and {bool, np.bool_} & set(map(type, given_t)):
+            raise ValidationError("timesteps must be integers, got bool")
         if t.dtype.kind not in "iu":
             raise ValidationError(f"timesteps must be integers, got {t.dtype}")
         if polarity.shape[1] < 1:
@@ -425,10 +428,12 @@ class Ledger:
     Single-writer: ``update`` appends the next query's attention. The
     package's unchecked writes are replay's bulk ``_fill`` and descent's
     ``_replace_attention``. All accessors are read-only and safe to call
-    concurrently between writes. Values derived from one state can be kept
-    in ``memo``, which each write clears, except for the full moment
-    matrices: a new query advances them by its own terms, and
-    ``_replace_attention`` keeps the relevance ones.
+    concurrently between writes. Two fields hold what is derived from the
+    stored state, each built on its first read: ``_moments``, the (n, P)
+    moment matrices per (channel, mode), and ``_cells``, the attention's
+    head cells. ``update`` advances the built moments by the new query's
+    terms and drops ``_cells``; ``_replace_attention`` keeps the relevance
+    moments and drops the rest; ``_fill`` drops both.
     """
 
     def __init__(self, dataset: Dataset, stream: Stream):
@@ -438,7 +443,8 @@ class Ledger:
         self.components = stream.components
         self.t = 0
         self._attention = np.empty(self.relevance.shape)
-        self._memo: dict = {}
+        self._moments: dict = {}
+        self._cells = None
 
     def update(self, rows, attention: AttentionModel) -> None:
         """Record the next query's ranking: the individual at dataset
@@ -446,9 +452,8 @@ class Ledger:
 
         Raises ValidationError, leaving ``t`` unchanged, unless ``rows`` is a
         permutation of the dataset positions and a query is left to record.
-        Memoised moment matrices advance by the query's terms, written as
-        the ``cumsum`` build adds them, so they stay bit-identical to a
-        rebuild; every other memo entry is dropped.
+        Built moment matrices advance by the query's terms, written as the
+        ``cumsum`` build adds them, so they stay bit-identical to a rebuild.
         """
         n = self.dataset.n
         if self.t == len(self._attention):
@@ -466,8 +471,8 @@ class Ledger:
             )
         attn = attention.scatter(rows)
         self._attention[self.t] = attn
-        self._memo = {key: value for key, value in self._memo.items() if key[0] == "moments"}
-        for (_, channel, mode), (mean, var) in self._memo.items():
+        self._cells = None
+        for (channel, mode), (mean, var) in self._moments.items():
             x = (attn if channel == "attention" else self.relevance[self.t])[:, None]
             eta = self.polarity[self.t] if mode == "aware" else np.ones(self.components)
             mean += eta * x
@@ -480,16 +485,17 @@ class Ledger:
         dataset positions by rank.
 
         The ledger must be empty. Its attention starts from zeros and only
-        the head cells, the ranks with nonzero attention, are written. The
-        memo stays empty, so every moment comes from the ``cumsum`` build, as
-        it would after the same queries were recorded one by one.
+        the head cells, the ranks with nonzero attention, are written. No
+        moment is kept, so each comes from the ``cumsum`` build, as it would
+        after the same queries were recorded one by one.
         """
         T, n = orderings.shape
         k = min(attention.cutoff, n)
         self._attention = np.zeros(self.relevance.shape)
         self._attention[np.arange(T)[:, None], orderings[:, :k]] = attention.weights(n)[:k]
         self.t = T
-        self._memo = {}
+        self._moments = {}
+        self._cells = None
 
     def _replace_attention(self, step0: int, values: np.ndarray) -> np.ndarray:
         """Store ``values`` as the attention of the 0-based step ``step0``,
@@ -499,20 +505,11 @@ class Ledger:
             raise ValidationError(f"step {step0} outside 0..{self.t - 1}")
         previous = self._attention[step0].copy()
         self._attention[step0] = values
-        self._memo = {
-            key: value
-            for key, value in self._memo.items()
-            if key[:2] == ("moments", "relevance")
-        }
+        self._moments = {key: v for key, v in self._moments.items() if key[0] == "relevance"}
+        self._cells = None
         return previous
 
     # -- read-only accessors -------------------------------------------------
-
-    def memo(self, key, build):
-        """``build()`` computed once per ledger state under ``key``."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
 
     def stored(self, channel: str) -> np.ndarray:
         """The stored per-query attention or relevance, (t, n), read-only."""
@@ -549,65 +546,45 @@ class Ledger:
         the 0-based steps, the dataset rows and the values, (c,) each.
 
         Only ``k_att`` cells per query hold attention, so every whole-ledger
-        reading of that channel works on these, derived once per ledger
-        state.
+        reading of that channel works on these, kept in ``_cells``.
         """
-
-        def build():
+        if self._cells is None:
             x = self.stored("attention")
             flat = np.flatnonzero(x != 0)
-            return (*divmod(flat, x.shape[1]), x.reshape(-1)[flat])
-
-        return self.memo(("cells",), build)
+            self._cells = (*divmod(flat, x.shape[1]), x.reshape(-1)[flat])
+        return self._cells
 
     def _moment_matrices(self, channel: str, mode: str):
-        """The memoised (n, P) moment matrices, built as running totals over
-        arrival order and then advanced by ``update``.
+        """The (n, P) moment matrices kept in ``_moments``, built as running
+        totals over arrival order and then advanced by ``update``.
 
         Attention is summed over its head cells: ``bincount`` adds each
         bin's terms from 0.0 in arrival order, which is the running total
         of the whole column less its exact zeros, so bit for bit the same.
         """
+        key = (channel, mode)
+        if key not in self._moments:
+            self._moments[key] = self._build_moments(channel, mode)
+        return self._moments[key]
 
-        def build():
-            if channel == "attention":
-                steps, rows, x = self._head_cells()
-                n, P = self.dataset.n, self.components
-                eta, x = self._polarity(mode)[steps], x[:, None]
-                if not len(x):  # bincount of nothing counts in integers
-                    return np.zeros((n, P)), np.zeros((n, P))
-                bins = ((rows * P)[:, None] + np.arange(P)).ravel()
-                q = eta * eta * x * (1.0 - x)
-                return tuple(
-                    np.bincount(bins, terms.ravel(), minlength=n * P).reshape(n, P)
-                    for terms in (eta * x, q)
-                )
-            x = self.stored(channel)[:, :, None]
-            eta = self._polarity(mode)[:, None, :]
-            q = np.multiply(eta * eta, x)
-            q *= 1.0 - x
-            return _accrued(eta * x), _accrued(q)
-
-        return self.memo(("moments", channel, mode), build)
-
-    def moments(self, individual: str, channel: str, mode: str = "agnostic"):
-        """(mean, variance) arrays of shape (P,) for one individual."""
-        mean, var = self.moments_at([self.dataset.index[individual]], channel, mode)
-        return mean[0], var[0]
-
-    def sequence(self, individual: str, channel: str, mode: str = "agnostic") -> np.ndarray:
-        """Per-query value sequence, shape (t, P), in arrival order."""
-        return self.values_at([self.dataset.index[individual]], channel, mode)[:, 0]
-
-    def mean_matrix(self, channel: str, mode: str = "agnostic") -> np.ndarray:
-        return self._moment_matrices(channel, mode)[0].copy()
-
-    def var_matrix(self, channel: str, mode: str = "agnostic") -> np.ndarray:
-        return self._moment_matrices(channel, mode)[1].copy()
-
-    def sequences(self, channel: str, mode: str = "agnostic") -> np.ndarray:
-        """All per-query values, shape (t, n, P)."""
-        return self.values_at(slice(None), channel, mode)
+    def _build_moments(self, channel: str, mode: str):
+        if channel == "attention":
+            steps, rows, x = self._head_cells()
+            n, P = self.dataset.n, self.components
+            eta, x = self._polarity(mode)[steps], x[:, None]
+            if not len(x):  # bincount of nothing counts in integers
+                return np.zeros((n, P)), np.zeros((n, P))
+            bins = ((rows * P)[:, None] + np.arange(P)).ravel()
+            q = eta * eta * x * (1.0 - x)
+            return tuple(
+                np.bincount(bins, terms.ravel(), minlength=n * P).reshape(n, P)
+                for terms in (eta * x, q)
+            )
+        x = self.stored(channel)[:, :, None]
+        eta = self._polarity(mode)[:, None, :]
+        q = np.multiply(eta * eta, x)
+        q *= 1.0 - x
+        return _accrued(eta * x), _accrued(q)
 
 
 def _accrued(steps: np.ndarray) -> np.ndarray:

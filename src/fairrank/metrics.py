@@ -12,15 +12,15 @@ Division-by-zero cases yield explicit sentinels, never silent zeros:
 undefined ratios.
 
 Every metric reads the ledger through one kernel, ``_read``, one pass per
-(channel, polarity mode). A pass holds the ledger's memoised (n, P) moment
+(channel, polarity mode). A pass holds the ledger's kept (n, P) moment
 matrices, the per-query values eta * x sorted along T, and each group's
 summed moments and per-query average. A polarity panel makes one pass per
 channel; a report, two panels. A run and its baseline rank one stream, so
 ``evaluate_run`` makes the relevance pass once per mode for both reports.
-A pass lives only as long as the panels that read it: no ledger memo keeps
-(T, n) values. A dataset handed to a metric may regroup the ledger's
-individuals but must list them in the ledger's order (ValidationError
-otherwise), since every matrix is laid out in that order.
+A pass lives only as long as the panels that read it: the ledger's derived
+state holds no (T, n) values. A dataset handed to a metric may regroup the
+ledger's individuals but must list them in the ledger's order
+(ValidationError otherwise), since every matrix is laid out in that order.
 
 Three layout rules keep every value bit-identical to a per-individual or
 per-group computation:
@@ -103,7 +103,7 @@ def _read(ledger: Ledger, channel: str, mode: str, dataset: Dataset | None = Non
     """The pass over a (channel, mode) that every metric reads (see the
     module docstring).
 
-    It holds the ledger's memoised (n, P) moment matrices. Given a dataset,
+    It holds the ledger's kept (n, P) moment matrices. Given a dataset,
     it also holds the per-query values eta * x sorted along T, and each
     group's (size, mean, variance, (T, P) per-query average). Without one
     it holds the moments only, all that L1 and L2var read. Raises

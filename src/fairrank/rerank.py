@@ -30,6 +30,7 @@ progress.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,6 +64,9 @@ class RerankConfig:
     ``theta`` is the fraction of the ideal ranking quality every re-ranked
     query must retain; ``k_re`` the prefilter depth; ``k_att`` the attention
     cutoff; ``k_eval`` the DCG evaluation depth (both capped by ``k_re``).
+    The depths must be integers and ``theta`` a real number, neither a bool;
+    numpy scalars are stored as Python ``int`` and ``float``, so the config
+    echoes into a run file as given.
     """
 
     kind: DivergenceKind = DivergenceKind.L1
@@ -83,6 +87,16 @@ class RerankConfig:
             raise ValidationError(
                 f"objective must be one of {OBJECTIVES}, got {self.objective!r}"
             )
+        for name in ("k_re", "k_att", "k_eval"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        theta = self.theta
+        if isinstance(theta, bool) or not isinstance(theta, numbers.Real):
+            raise ValidationError(f"theta must be a real number, got {theta!r}")
+        if type(theta) not in (int, float):
+            object.__setattr__(self, "theta", float(theta))
         if not 0.0 < self.theta <= 1.0:
             raise ValidationError(f"theta must be in (0, 1], got {self.theta}")
         if not 1 <= self.k_att <= self.k_re:

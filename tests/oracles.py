@@ -197,9 +197,10 @@ def sequence_std(
 
     This is the alternate reading of the spread statistic: dispersion of
     the per-query expected values rather than the Poisson-binomial
-    deviation of the cumulative sum kept in ``moments``.
+    deviation of the cumulative sum read by ``moments_at``.
     """
-    return ledger.sequence(individual, channel, mode).std(axis=0, ddof=0)
+    row = [ledger.dataset.index[individual]]
+    return ledger.values_at(row, channel, mode)[:, 0].std(axis=0, ddof=0)
 
 
 @dataclass(frozen=True)
@@ -224,9 +225,10 @@ class DistSummary:
         mode: str = "agnostic",
         component: int = 0,
     ) -> "DistSummary":
-        mean, var = ledger.moments(individual, channel, mode)
-        seq = ledger.sequence(individual, channel, mode)[:, component]
-        return cls(float(mean[component]), float(np.sqrt(var[component])), seq)
+        row = [ledger.dataset.index[individual]]
+        mean, var = ledger.moments_at(row, channel, mode)
+        seq = ledger.values_at(row, channel, mode)[:, 0, component]
+        return cls(float(mean[0, component]), float(np.sqrt(var[0, component])), seq)
 
 
 def d_l1(attn: DistSummary, rel: DistSummary) -> float:
@@ -258,13 +260,16 @@ def ledger_divergence(
     ledger: Ledger, individual: str, kind: DivergenceKind, mode: str = "agnostic"
 ) -> float:
     """Current-horizon divergence D(A_i, R_i), summed over polarity components."""
-    mean_a, var_a = ledger.moments(individual, "attention", mode)
-    mean_r, var_r = ledger.moments(individual, "relevance", mode)
+    row = [ledger.dataset.index[individual]]
+    mean_a, var_a = ledger.moments_at(row, "attention", mode)
+    mean_r, var_r = ledger.moments_at(row, "relevance", mode)
     seq_a = seq_r = None
     if kind == DivergenceKind.W1:
-        seq_a = ledger.sequence(individual, "attention", mode)
-        seq_r = ledger.sequence(individual, "relevance", mode)
-    return d_multi(_component_values(kind, mean_a, var_a, seq_a, mean_r, var_r, seq_r))
+        seq_a = ledger.values_at(row, "attention", mode)[:, 0]
+        seq_r = ledger.values_at(row, "relevance", mode)[:, 0]
+    return d_multi(
+        _component_values(kind, mean_a[0], var_a[0], seq_a, mean_r[0], var_r[0], seq_r)
+    )
 
 
 def prospective_divergence(
@@ -288,19 +293,20 @@ def prospective_divergence(
         raise ValidationError(f"position {position} outside 1..{n}")
     eta = _query_eta(ledger.polarity[ledger.t], ledger.components, mode)
     w = attention.weights(n)[position - 1]
-    r = ledger.relevance[ledger.t, ledger.dataset.index[individual]]
+    row = [ledger.dataset.index[individual]]
+    r = ledger.relevance[ledger.t, row[0]]
 
-    mean_a, var_a = ledger.moments(individual, "attention", mode)
-    mean_r, var_r = ledger.moments(individual, "relevance", mode)
-    mean_a = mean_a + eta * w
-    var_a = var_a + eta * eta * w * (1.0 - w)
-    mean_r = mean_r + eta * r
-    var_r = var_r + eta * eta * r * (1.0 - r)
+    mean_a, var_a = ledger.moments_at(row, "attention", mode)
+    mean_r, var_r = ledger.moments_at(row, "relevance", mode)
+    mean_a = mean_a[0] + eta * w
+    var_a = var_a[0] + eta * eta * w * (1.0 - w)
+    mean_r = mean_r[0] + eta * r
+    var_r = var_r[0] + eta * eta * r * (1.0 - r)
 
     seq_a = seq_r = None
     if kind == DivergenceKind.W1:
-        seq_a = np.vstack([ledger.sequence(individual, "attention", mode), eta * w])
-        seq_r = np.vstack([ledger.sequence(individual, "relevance", mode), eta * r])
+        seq_a = np.vstack([ledger.values_at(row, "attention", mode)[:, 0], eta * w])
+        seq_r = np.vstack([ledger.values_at(row, "relevance", mode)[:, 0], eta * r])
     return d_multi(_component_values(kind, mean_a, var_a, seq_a, mean_r, var_r, seq_r))
 
 
@@ -387,8 +393,8 @@ def final_w1_matrix_oracle(ledger, step0, candidates, mode, attention):
     w_new = attention.weights(ledger.dataset.n)[:K]
     eta = _query_eta(ledger.polarity[step0], ledger.components, mode)
     rows = [ledger.dataset.index[c] for c in candidates]
-    seq_a = ledger.sequences("attention", mode)[:, rows, :]
-    seq_r = ledger.sequences("relevance", mode)[:, rows, :]
+    seq_a = ledger.values_at(rows, "attention", mode)
+    seq_r = ledger.values_at(rows, "relevance", mode)
     d = np.zeros((K, K))
     for i in range(K):
         rel_sorted = np.sort(seq_r[:, i, :], axis=0)
@@ -634,13 +640,11 @@ def individual_divergences_oracle(
     if not individuals:
         raise EmptyScopeError("no individuals in scope")
     rows = [ledger.dataset.index[i] for i in individuals]
-    mean_a = ledger.mean_matrix("attention", mode)[rows]
-    var_a = ledger.var_matrix("attention", mode)[rows]
-    mean_r = ledger.mean_matrix("relevance", mode)[rows]
-    var_r = ledger.var_matrix("relevance", mode)[rows]
+    mean_a, var_a = ledger.moments_at(rows, "attention", mode)
+    mean_r, var_r = ledger.moments_at(rows, "relevance", mode)
     if kind == DivergenceKind.W1:
-        seq_a = ledger.sequences("attention", mode)[:, rows, :]
-        seq_r = ledger.sequences("relevance", mode)[:, rows, :]
+        seq_a = ledger.values_at(rows, "attention", mode)
+        seq_r = ledger.values_at(rows, "relevance", mode)
         values = {}
         for pos, ind in enumerate(individuals):
             comps = _component_values(

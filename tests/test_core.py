@@ -323,26 +323,27 @@ class TestLedgerUpdate:
     def test_positive_polarity_top_slot(self):
         dataset, ledger, attention = _simple_ledger()
         ledger.update([0, 1, 2], attention)
-        mean, var = ledger.moments("a", "attention", "aware")
-        assert mean[0] == pytest.approx(W1, abs=1e-12)
-        assert mean[0] == pytest.approx(0.46928, abs=1e-5)
+        mean, var = ledger.moments_at([dataset.index["a"]], "attention", "aware")
+        assert mean[0, 0] == pytest.approx(W1, abs=1e-12)
+        assert mean[0, 0] == pytest.approx(0.46928, abs=1e-5)
 
     def test_negative_polarity_flips_mean_not_variance(self):
         dataset, ledger, attention = _simple_ledger(polarity=[(-1.0,)])
         ledger.update([0, 1, 2], attention)
-        mean, var = ledger.moments("a", "attention", "aware")
-        assert mean[0] == pytest.approx(-W1, abs=1e-12)
-        assert var[0] == pytest.approx(W1 * (1.0 - W1), abs=1e-15)
-        assert var[0] == pytest.approx(0.24906, abs=1e-5)
+        mean, var = ledger.moments_at([dataset.index["a"]], "attention", "aware")
+        assert mean[0, 0] == pytest.approx(-W1, abs=1e-12)
+        assert var[0, 0] == pytest.approx(W1 * (1.0 - W1), abs=1e-15)
+        assert var[0, 0] == pytest.approx(0.24906, abs=1e-5)
 
     def test_zero_polarity_freezes_aware_track_only(self):
         dataset, ledger, attention = _simple_ledger(polarity=[(0.0,)])
         ledger.update([0, 1, 2], attention)
+        a = [dataset.index["a"]]
         for channel in ("attention", "relevance"):
-            mean, var = ledger.moments("a", channel, "aware")
-            assert mean[0] == 0.0 and var[0] == 0.0
-        mean, _ = ledger.moments("a", "attention", "agnostic")
-        assert mean[0] == pytest.approx(W1, abs=1e-12)
+            mean, var = ledger.moments_at(a, channel, "aware")
+            assert mean[0, 0] == 0.0 and var[0, 0] == 0.0
+        mean, _ = ledger.moments_at(a, "attention", "agnostic")
+        assert mean[0, 0] == pytest.approx(W1, abs=1e-12)
 
     def test_binds_the_stream_read_only(self):
         dataset = Dataset.single_group(("c", "a", "b"))
@@ -408,10 +409,10 @@ class TestLedgerAccounting:
             for ind, r in rel.items():
                 expect_rel[ind] += eta * r
         for ind in ids:
-            mean_a, _ = ledger.moments(ind, "attention", "aware")
-            mean_r, _ = ledger.moments(ind, "relevance", "aware")
-            assert mean_a[0] == pytest.approx(expect_attn[ind], abs=1e-12)
-            assert mean_r[0] == pytest.approx(expect_rel[ind], abs=1e-12)
+            mean_a, _ = ledger.moments_at([dataset.index[ind]], "attention", "aware")
+            mean_r, _ = ledger.moments_at([dataset.index[ind]], "relevance", "aware")
+            assert mean_a[0, 0] == pytest.approx(expect_attn[ind], abs=1e-12)
+            assert mean_r[0, 0] == pytest.approx(expect_rel[ind], abs=1e-12)
 
     def test_agnostic_mean_is_sum_of_position_weights(self):
         rng = np.random.default_rng(8)
@@ -432,8 +433,8 @@ class TestLedgerAccounting:
             for pos, ind in enumerate(order, start=1):
                 expect[ind] += weights[pos - 1]
         for ind in ids:
-            mean, _ = ledger.moments(ind, "attention", "agnostic")
-            assert mean[0] == pytest.approx(expect[ind], abs=1e-12)
+            mean, _ = ledger.moments_at([dataset.index[ind]], "attention", "agnostic")
+            assert mean[0, 0] == pytest.approx(expect[ind], abs=1e-12)
 
     def test_unit_polarity_tracks_are_bitwise_equal(self):
         rng = np.random.default_rng(11)
@@ -447,22 +448,22 @@ class TestLedgerAccounting:
         ledger = Ledger(dataset, stream_of(relevance, [(1.0, 1.0)] * 5))
         for rows in orders:
             ledger.update(rows, attention)
+        everyone = list(range(5))
         for channel in ("attention", "relevance"):
+            aware = ledger.moments_at(everyone, channel, "aware")
+            agnostic = ledger.moments_at(everyone, channel, "agnostic")
+            np.testing.assert_array_equal(aware[0], agnostic[0])
+            np.testing.assert_array_equal(aware[1], agnostic[1])
             np.testing.assert_array_equal(
-                ledger.mean_matrix(channel, "aware"), ledger.mean_matrix(channel, "agnostic")
-            )
-            np.testing.assert_array_equal(
-                ledger.var_matrix(channel, "aware"), ledger.var_matrix(channel, "agnostic")
-            )
-            np.testing.assert_array_equal(
-                ledger.sequences(channel, "aware"), ledger.sequences(channel, "agnostic")
+                ledger.values_at(everyone, channel, "aware"),
+                ledger.values_at(everyone, channel, "agnostic"),
             )
 
     def test_sequence_lengths_track_processed_queries(self):
         dataset, ledger, attention = _simple_ledger([Q] * 3)
         for t in range(1, 4):
             ledger.update([0, 1, 2], attention)
-            assert ledger.sequence("b", "attention").shape == (t, 1)
+            assert ledger.values_at([dataset.index["b"]], "attention").shape == (t, 1, 1)
             assert ledger.t == t
 
     def test_variance_non_negative(self):
@@ -477,8 +478,8 @@ class TestLedgerAccounting:
         ledger = Ledger(dataset, stream_of(relevance, polarity))
         for _ in range(6):
             ledger.update(range(4), attention)
-        assert np.all(ledger.var_matrix("attention", "aware") >= 0)
-        assert np.all(ledger.var_matrix("relevance", "aware") >= 0)
+        for channel in ("attention", "relevance"):
+            assert np.all(ledger.moments_at(range(4), channel, "aware")[1] >= 0)
 
     def test_sequence_std_is_population_std_of_per_query_values(self):
         relevance = [{"a": rel_a, "b": 0.2, "c": 0.8 - rel_a} for rel_a in (0.5, 0.3)]
@@ -528,25 +529,27 @@ class TestColumnarStore:
                 ("attention", track.mean_attn, track.var_attn, track.seq_attn),
                 ("relevance", track.mean_rel, track.var_rel, track.seq_rel),
             ):
-                assert np.array_equal(ledger.mean_matrix(channel, mode), mean)
-                assert np.array_equal(ledger.var_matrix(channel, mode), var)
+                got_mean, got_var = ledger.moments_at(range(n), channel, mode)
+                assert np.array_equal(got_mean, mean) and np.array_equal(got_var, var)
                 want = np.stack(seq) if seq else np.zeros((0, n, P))
-                assert np.array_equal(ledger.sequences(channel, mode), want)
+                assert np.array_equal(ledger.values_at(range(n), channel, mode), want)
 
     def test_replaced_attention_row_is_read_back_and_restorable(self):
         dataset, ledger, attention = _simple_ledger(polarity=[(-0.5,)])
         ledger.update([0, 1, 2], attention)
-        before = ledger.mean_matrix("attention", "aware")
+        rows = range(3)
+        before, _ = ledger.moments_at(rows, "attention", "aware")
         swapped = attention.scatter(np.array([2, 1, 0]))
         kept = ledger._replace_attention(0, swapped)
         np.testing.assert_array_equal(ledger.stored("attention")[0], swapped)
         _, fresh, _ = _simple_ledger(polarity=[(-0.5,)])
         fresh.update([2, 1, 0], attention)
         assert np.array_equal(
-            ledger.var_matrix("attention", "aware"), fresh.var_matrix("attention", "aware")
+            ledger.moments_at(rows, "attention", "aware")[1],
+            fresh.moments_at(rows, "attention", "aware")[1],
         )
         ledger._replace_attention(0, kept)
-        assert np.array_equal(ledger.mean_matrix("attention", "aware"), before)
+        assert np.array_equal(ledger.moments_at(rows, "attention", "aware")[0], before)
         with pytest.raises(ValidationError):
             ledger._replace_attention(1, swapped)
 
@@ -566,17 +569,16 @@ class TestColumnarStore:
             ledger.update(rows, attention)
         modes = ("aware", "agnostic")
         for channel, mode in itertools.product(CHANNELS, modes):
-            ledger.mean_matrix(channel, mode)  # memoise every matrix
+            ledger._moment_matrices(channel, mode)  # build every matrix
         orderings[1] = orderings[1][::-1]
         ledger._replace_attention(1, attention.scatter(np.array(orderings[1])))
         fresh = Ledger(dataset, stream)
         for rows in orderings:
             fresh.update(rows, attention)
         for channel, mode in itertools.product(CHANNELS, modes):
-            assert np.array_equal(ledger.mean_matrix(channel, mode),
-                                  fresh.mean_matrix(channel, mode))
-            assert np.array_equal(ledger.var_matrix(channel, mode),
-                                  fresh.var_matrix(channel, mode))
+            got = ledger._moment_matrices(channel, mode)
+            want = fresh._moment_matrices(channel, mode)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestAdvancedMoments:
@@ -604,8 +606,8 @@ class TestAdvancedMoments:
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
             everyone = list(range(ledger.dataset.n))
             mean, var = moments_at_oracle(ledger, everyone, channel, mode)
-            assert same_bits(ledger.mean_matrix(channel, mode), mean)
-            assert same_bits(ledger.var_matrix(channel, mode), var)
+            got_mean, got_var = ledger._moment_matrices(channel, mode)
+            assert same_bits(got_mean, mean) and same_bits(got_var, var)
 
     @pytest.mark.parametrize("P", [1, 3])
     def test_reads_interleaved_with_updates(self, P):
@@ -614,7 +616,7 @@ class TestAdvancedMoments:
         ledger = Ledger(Dataset.single_group(ids), self._stream(rng, ids, P, 30))
         attention = AttentionModel(4)
         for _ in range(30):
-            # memoise a random subset of the four matrices before the update,
+            # build a random subset of the four matrices before the update,
             # so entries are built at different steps and then advanced
             for channel, mode in itertools.product(CHANNELS, ("aware", "agnostic")):
                 if rng.random() < 0.3:
@@ -705,9 +707,9 @@ class TestHeadCells:
         updated, _, replaced = self._ledgers(2, 6, 3)
         for ledger in (updated, replaced):
             ledger._head_cells()
-            assert ("cells",) in ledger._memo
+            assert ledger._cells is not None
         replaced._replace_attention(0, AttentionModel(1).scatter(np.arange(9)))
-        assert ("cells",) not in replaced._memo
+        assert replaced._cells is None
         steps, rows, _ = replaced._head_cells()
         assert steps.tolist()[:1] == [0] and rows.tolist()[:1] == [0]
         assert (steps == 0).sum() == 1
@@ -720,6 +722,64 @@ class TestHeadCells:
         ledger.update([1, 0], AttentionModel(1))
         mean, var = ledger._moment_matrices("attention", "aware")
         assert same_bits(mean, np.array([[0.0], [1.0]]))
+
+
+class TestDerivedFields:
+    """``_moments`` and ``_cells``, as the writes leave them, equal a fresh
+    ledger's build bit for bit, over random interleavings of ``_fill``,
+    ``update`` and ``_replace_attention`` with reads between the writes, so
+    that pairs are built at different steps and then advanced or dropped."""
+
+    PAIRS = list(itertools.product(CHANNELS, ("aware", "agnostic")))
+
+    def _read_some(self, rng, ledger):
+        for channel, mode in self.PAIRS:
+            if rng.random() < 0.4:
+                ledger._moment_matrices(channel, mode)
+        if rng.random() < 0.4:
+            ledger._head_cells()
+
+    @staticmethod
+    def _assert_matches_fresh(ledger, stream, orderings, attention):
+        fresh = Ledger(ledger.dataset, stream)
+        for rows in orderings:
+            fresh.update(rows, attention)
+        assert ledger.t == fresh.t
+        for (channel, mode), got in ledger._moments.items():
+            want = fresh._moment_matrices(channel, mode)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), (channel, mode)
+        if ledger._cells is not None:
+            for got, want in zip(ledger._cells, fresh._head_cells()):
+                assert same_bits(got, want)
+
+    @pytest.mark.parametrize("P", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_interleavings_match_a_fresh_build(self, P, seed):
+        rng = np.random.default_rng(1000 * P + seed)
+        n, T = 8, 12
+        ids = tuple(f"i{k}" for k in range(n))
+        # signed polarity with zero components of both signs
+        stream = TestAdvancedMoments._stream(rng, ids, P, T)
+        attention = AttentionModel(int(rng.integers(1, n + 1)))
+        ledger = Ledger(Dataset.single_group(ids), stream)
+        orderings = []
+        self._read_some(rng, ledger)
+        if rng.random() < 0.5:  # replay's bulk write, into the empty ledger
+            orderings = [rng.permutation(n) for _ in range(T)]
+            ledger._fill(np.array(orderings), attention)
+            self._assert_matches_fresh(ledger, stream, orderings, attention)
+            self._read_some(rng, ledger)
+        for _ in range(2 * T):
+            if ledger.t < T and (not ledger.t or rng.random() < 0.6):
+                orderings.append(rng.permutation(n))
+                ledger.update(orderings[-1], attention)
+            else:
+                step0 = int(rng.integers(ledger.t))
+                orderings[step0] = rng.permutation(n)
+                ledger._replace_attention(step0, attention.scatter(orderings[step0]))
+            self._assert_matches_fresh(ledger, stream, orderings, attention)
+            self._read_some(rng, ledger)
+        self._assert_matches_fresh(ledger, stream, orderings, attention)
 
 
 class TestAccrued:

@@ -321,15 +321,17 @@ class TestRunFiles:
         replayed = fio.replay_run(fio.load_run(run_path), dataset.group_of)
         # replay infers a sorted individual order; compare per individual
         for ind in dataset.individuals:
+            got_row = [replayed.ledger.dataset.index[ind]]
+            want_row = [run.ledger.dataset.index[ind]]
             for channel in ("attention", "relevance"):
                 for mode in ("aware", "agnostic"):
-                    got_mean, got_var = replayed.ledger.moments(ind, channel, mode)
-                    want_mean, want_var = run.ledger.moments(ind, channel, mode)
+                    got_mean, got_var = replayed.ledger.moments_at(got_row, channel, mode)
+                    want_mean, want_var = run.ledger.moments_at(want_row, channel, mode)
                     np.testing.assert_array_equal(got_mean, want_mean)
                     np.testing.assert_array_equal(got_var, want_var)
                     np.testing.assert_array_equal(
-                        replayed.ledger.sequence(ind, channel, mode),
-                        run.ledger.sequence(ind, channel, mode),
+                        replayed.ledger.values_at(got_row, channel, mode),
+                        run.ledger.values_at(want_row, channel, mode),
                     )
         assert replayed.ndcg == run.ndcg
         assert replayed.fallback == run.fallback
@@ -885,8 +887,8 @@ class TestRunFileBlock:
         replayed = fio.replay_run(payload, dataset.group_of)
         for channel in ("attention", "relevance"):
             for mode in ("aware", "agnostic"):
-                assert (replayed.ledger.sequences(channel, mode).tobytes()
-                        == run.ledger.sequences(channel, mode).tobytes())
+                assert (replayed.ledger.values_at(slice(None), channel, mode).tobytes()
+                        == run.ledger.values_at(slice(None), channel, mode).tobytes())
         assert [a.ordering for a in replayed.assignments] == [a.ordering for a in run.assignments]
 
     def test_run_file_is_smaller_than_its_stream_file(self, tmp_path):

@@ -425,8 +425,8 @@ class TestSharedRelevance:
         evaluate_run(run, baseline=baseline)
         T, n = stream.relevance.shape
         for ledger in (run.ledger, baseline.ledger):
-            assert ledger._memo
-            for key, value in ledger._memo.items():
+            assert ledger._moments and ledger._cells is not None
+            for key, value in [*ledger._moments.items(), ("cells", ledger._cells)]:
                 assert sum(_array_sizes(value)) < T * n, key
 
 
@@ -551,7 +551,7 @@ class TestDatasetMustMatchLedger:
         rows = {"low": list(range(5)), "high": list(range(5, len(ids)))}
         for group, value in values.items():
             mean_a, mean_r = (
-                run.ledger.mean_matrix(channel)[rows[group]].mean(axis=0)
+                run.ledger.moments_at(rows[group], channel)[0].mean(axis=0)
                 for channel in ("attention", "relevance")
             )
             assert value == pytest.approx(float(np.abs(mean_a - mean_r).sum()), abs=1e-15)

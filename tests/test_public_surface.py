@@ -42,13 +42,13 @@ def test_removed_names_are_absent():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(Stream, "__iter__")
     assert not hasattr(Assignment, "position_of")
-    for name in ("_record", "_ordering_rows", "attention_values", "replace_attention"):
+    for name in (
+        "_record", "_ordering_rows", "attention_values", "replace_attention",
+        "memo", "moments", "sequence", "sequences", "mean_matrix", "var_matrix",
+    ):
         assert not hasattr(Ledger, name), name
 
 
 def test_ledger_writes_only_through_update():
     public = {name for name in vars(Ledger) if not name.startswith("_")}
-    assert public == {
-        "update", "memo", "stored", "values_at", "moments_at", "moments",
-        "sequence", "mean_matrix", "var_matrix", "sequences",
-    }
+    assert public == {"update", "stored", "values_at", "moments_at"}

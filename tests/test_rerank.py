@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fairrank import io as fio
 from fairrank import rerank as rr
 from fairrank.assign import brute_force
 from fairrank.core import AttentionModel, Dataset, Ledger, Stream
@@ -51,6 +52,37 @@ class TestConfig:
         with pytest.raises(ValidationError):
             small_config(k_eval=9, k_re=4)
 
+    @pytest.mark.parametrize("depth", ["k_re", "k_att", "k_eval"])
+    @pytest.mark.parametrize("value", [10.0, 2.0, True, np.True_, "2"])
+    def test_depths_must_be_integers(self, depth, value):
+        with pytest.raises(ValidationError, match=f"{depth} must be an integer"):
+            RerankConfig(**{"k_re": 10, "k_att": 2, "k_eval": 2, depth: value})
+
+    @pytest.mark.parametrize("theta", ["0.8", None, True, complex(0.8)])
+    def test_theta_must_be_real(self, theta):
+        with pytest.raises(ValidationError, match="theta must be a real number"):
+            small_config(theta=theta)
+
+    @pytest.mark.parametrize(
+        "numbers",
+        [
+            dict(k_re=np.int64(5), k_att=np.int32(2), k_eval=np.uint8(3)),
+            dict(theta=np.float32(0.75)),
+            dict(theta=np.float64(0.75), k_re=np.int16(5)),
+        ],
+        ids=["numpy-depths", "float32-theta", "float64-theta"],
+    )
+    def test_numpy_scalars_rank_save_and_replay(self, numbers, tmp_path):
+        config = small_config(**{"k_re": 5, **numbers})
+        for name, value in config.to_dict().items():
+            assert type(value) in (str, int, float), name
+        dataset, stream = gen_random_instance(6, 2, 3, "signed", seed=2)
+        run = rerank_online(dataset, stream, config)
+        fio.save_run(tmp_path / "run.json", run, stream)
+        replayed = fio.replay_run(fio.load_run(tmp_path / "run.json"), dataset.group_of)
+        assert replayed.config == config
+        assert replayed.ndcg == run.ndcg
+
     def test_enumerations(self):
         with pytest.raises(ValidationError):
             small_config(objective="max")
@@ -93,6 +125,20 @@ class TestStreamValidation:
         dataset, stream = gen_random_instance(3, 2, 2, "signed", seed=0)
         with pytest.raises(ValidationError):
             rerank_online(dataset, stream, small_config(k_re=4, k_att=2, k_eval=2))
+
+
+    # numpy warns as the variance terms overflow; the engines must still stop
+    # with a ValidationError, neither a solver error nor a NaN ranking
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("engine", [rerank_online, rerank_offline])
+    def test_overflowing_divergence_matrix_is_rejected(self, engine):
+        dataset, stream = gen_random_instance(6, 2, 4, "signed", seed=2)
+        polarity = np.where(stream.polarity < 0, -1e200, 1e200)
+        huge = Stream(stream.query_ids, stream.t, polarity, stream.individuals, stream.relevance)
+        config = small_config(kind="L2var", k_re=5, polarity_mode="aware")
+        with pytest.raises(ValidationError, match="matrix must be finite everywhere"):
+            engine(dataset, huge, config)
 
 
 class TestPassThrough:
@@ -183,18 +229,15 @@ class TestLedgerInvariants:
         dataset, stream = gen_random_instance(7, 2, 5, "signed", seed=19)
         a = rerank_online(dataset, stream, small_config(objective="none", k_re=5, k_att=2, k_eval=5))
         b = rerank_online(dataset, stream, small_config(objective="minmax", k_re=5, k_att=2, k_eval=5))
+        rows = range(dataset.n)
         for mode in ("aware", "agnostic"):
+            mean_a, var_a = a.ledger.moments_at(rows, "relevance", mode)
+            mean_b, var_b = b.ledger.moments_at(rows, "relevance", mode)
+            np.testing.assert_array_equal(mean_a, mean_b)
+            np.testing.assert_array_equal(var_a, var_b)
             np.testing.assert_array_equal(
-                a.ledger.mean_matrix("relevance", mode),
-                b.ledger.mean_matrix("relevance", mode),
-            )
-            np.testing.assert_array_equal(
-                a.ledger.var_matrix("relevance", mode),
-                b.ledger.var_matrix("relevance", mode),
-            )
-            np.testing.assert_array_equal(
-                a.ledger.sequences("relevance", mode),
-                b.ledger.sequences("relevance", mode),
+                a.ledger.values_at(rows, "relevance", mode),
+                b.ledger.values_at(rows, "relevance", mode),
             )
 
     def test_bitwise_determinism(self):
@@ -206,8 +249,8 @@ class TestLedgerInvariants:
         assert a.ndcg == b.ndcg
         assert a.objective_trace == b.objective_trace
         np.testing.assert_array_equal(
-            a.ledger.mean_matrix("attention", "aware"),
-            b.ledger.mean_matrix("attention", "aware"),
+            a.ledger.moments_at(range(dataset.n), "attention", "aware")[0],
+            b.ledger.moments_at(range(dataset.n), "attention", "aware")[0],
         )
 
 

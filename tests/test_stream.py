@@ -176,6 +176,14 @@ class TestStream:
             Stream(stream.query_ids, stream.t + 0.5, stream.polarity,
                    stream.individuals, stream.relevance)
 
+    @pytest.mark.parametrize(
+        "t", [[True, 2], (1, np.True_), np.array([False, True])],
+        ids=["mixed-list", "numpy-bool-in-tuple", "bool-array"],
+    )
+    def test_boolean_timesteps_rejected(self, t):
+        with pytest.raises(ValidationError, match="timesteps must be integers, got bool"):
+            Stream(["a", "b"], t, [[1.0]] * 2, ("x", "y"), [[0.5, 0.5]] * 2)
+
     def test_error_names_the_first_bad_query(self, stream):
         relevance = stream.relevance.copy()
         relevance[3, 1] = -relevance[3, 1] - 0.01
@@ -207,6 +215,9 @@ def test_fill_matches_recording_query_by_query():
     assert filled.t == run.ledger.t == len(stream)
     for channel in ("attention", "relevance"):
         for mode in ("aware", "agnostic"):
-            assert filled.mean_matrix(channel, mode).tobytes() == run.ledger.mean_matrix(channel, mode).tobytes()
-            assert filled.var_matrix(channel, mode).tobytes() == run.ledger.var_matrix(channel, mode).tobytes()
-            assert filled.sequences(channel, mode).tobytes() == run.ledger.sequences(channel, mode).tobytes()
+            got = filled._moment_matrices(channel, mode)
+            want = run.ledger._moment_matrices(channel, mode)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert (filled.values_at(slice(None), channel, mode).tobytes()
+                    == run.ledger.values_at(slice(None), channel, mode).tobytes())
