@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import pytest
 
+import fairrank.assign as assign_mod
 from fairrank.io import save_run
 from fairrank.rerank import RerankConfig, evaluate_run, rerank_offline, rerank_online
 from fairrank.synth import SynthSpec, gen_random_instance, gen_synth
@@ -46,9 +47,9 @@ def _three_components():
     return gen_random_instance(30, 3, 10, "continuous", seed=11, components=3)
 
 
-def _config(kind, objective, mode, k_re=20):
+def _config(kind, objective, mode, k_re=20, theta=0.8):
     return RerankConfig(
-        kind=kind, objective=objective, theta=0.8, k_re=k_re, k_att=5, k_eval=6,
+        kind=kind, objective=objective, theta=theta, k_re=k_re, k_att=5, k_eval=6,
         polarity_mode=mode,
     )
 
@@ -75,6 +76,12 @@ RUNS = {
     ),
     "offline-minmax-lex-L1-aware": (
         rerank_offline, _continuous, _config("L1", "minmax-lex", "aware", 12)
+    ),
+    # every step's cost-optimal matching meets the quality floor
+    "online-minsum-L1-aware": (rerank_online, _continuous, _config("L1", "minsum", "aware")),
+    # three of the twelve steps are settled by the min-sum MILP
+    "online-minsum-L1-agnostic-theta0.9": (
+        rerank_online, _continuous, _config("L1", "minsum", "agnostic", theta=0.9)
     ),
 }
 
@@ -145,6 +152,18 @@ GOLDEN = {
         "ndcg": "e76b4b3fe81c596b8e58f41307abab6fb8c82203401a63b45917ba892036f49a",
         "run_file": "34f65bfd3d0c99b61710055410b1b9c35d726d0685e7de13a958c26d41d931a6",
     },
+    "online-minsum-L1-agnostic-theta0.9": {
+        "orderings": "0ad109dee959a2a972af248e14b451245c7c42c0bb93a7a8d0a43722fa1b6e26",
+        "objective_trace": "c56b4821e8456ef18d4564b560f9d9fdd5050d610ac077d9e5399f1178c6c8a0",
+        "ndcg": "deb0b07fac73b7fc292bc4b0c6e78d0cad72eb1c10b0543417d3957df733e2cd",
+        "run_file": "efc48c731e3d4821e7aa60ee853dbcef7c4411f9d6b8df230224c5a0e415ed68",
+    },
+    "online-minsum-L1-aware": {
+        "orderings": "65ea75a1762c23bc2e6bad744546eaa5f8bc7572febf2d54f22602b469ffe129",
+        "objective_trace": "a225e66a551a4b70ba6fbb1b9a022c64fe90eb4fcb4db645d5a82c70ee62412e",
+        "ndcg": "151c7be804c6e7195e63e8314b8853543c56749a48687317ca9bde31f87d06c4",
+        "run_file": "32d5915370087dc96a039c176154434530293f8ddf0a162b1e2f26c4cd347bd9",
+    },
 }
 
 
@@ -164,6 +183,23 @@ def _digests(engine, make, config, tmp_path) -> dict:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_matches_golden_digests(name, tmp_path):
     assert _digests(*RUNS[name], tmp_path) == GOLDEN[name]
+
+
+def test_tight_minsum_run_reaches_the_milp(monkeypatch, tmp_path):
+    """The theta = 0.9 min-sum pin covers the MILP finish, not only the
+    quick exits."""
+    calls = 0
+    finish = assign_mod._min_sum_milp
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return finish(*args)
+
+    monkeypatch.setattr(assign_mod, "_min_sum_milp", counted)
+    name = "online-minsum-L1-agnostic-theta0.9"
+    assert _digests(*RUNS[name], tmp_path) == GOLDEN[name]
+    assert calls > 0
 
 
 # runs whose report against the pass-through baseline is pinned: the online
