@@ -27,9 +27,9 @@ raises ValidationError.
   largest edge caps the search. A tail of interchangeable zero-gain columns
   closes with one sort;
 * ``constrained_min_sum``    — minimize total cost subject to the quality
-  constraint via Lagrangian bisection on the constraint multiplier; when the
-  dual gap stays open, the K x K binary assignment MILP (HiGHS) proves the
-  optimum;
+  constraint: the cost-optimal matching when it meets the floor, infeasible
+  when the max-gain matching misses it, and otherwise one binary MILP
+  (HiGHS) over rows x column classes that proves the optimum;
 * ``brute_force``            — K! enumeration oracle (K <= 8).
 """
 
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment, milp
 
 from .errors import FairRankError, ValidationError
@@ -288,16 +287,22 @@ def _take(matrix, rows, cols):
     return matrix.take(rows, axis=0).take(cols, axis=1)
 
 
+def _column_classes(d: np.ndarray, gains: np.ndarray):
+    """The column classes of a K x K instance: runs of adjacent columns
+    equal in values and gains over all rows, so interchangeable in any
+    matching. Returns each class's first column and each column's class."""
+    same = np.zeros(d.shape[1], dtype=bool)
+    same[1:] = ((d[:, 1:] == d[:, :-1]) & (gains[:, 1:] == gains[:, :-1])).all(axis=0)
+    return np.flatnonzero(~same), np.cumsum(~same) - 1
+
+
 def _refine(d, gains, theta_rho, base, z, matched) -> MatchResult:
     """The level loop of ``lexicographic_refine``, from the full problem's
     minimal threshold ``z`` and the matching ``matched`` its search found."""
     k = d.shape[0]
-    # column classes; columns leave a class from the front, so the live
-    # columns of class c are first[c]..ends[c]-1
-    same = np.zeros(k, dtype=bool)
-    same[1:] = ((d[:, 1:] == d[:, :-1]) & (gains[:, 1:] == gains[:, :-1])).all(axis=0)
-    starts = np.flatnonzero(~same)
-    classes = np.cumsum(~same) - 1
+    # columns leave a class from the front, so the live columns of class c
+    # are first[c]..ends[c]-1
+    starts, classes = _column_classes(d, gains)
     col_class = classes.tolist()
     n_classes = starts.size
     first = starts.tolist()
@@ -446,13 +451,11 @@ def _refine(d, gains, theta_rho, base, z, matched) -> MatchResult:
         edge_rows, edge_cols = np.nonzero(sub_d == z)  # row-major
         edges = list(zip(edge_rows.tolist(), edge_cols.tolist()))
         if len(edges) > 1:
-            # a column equal to its left neighbour (values and gains) leaves
-            # the same reduced problem as that neighbour, whose edge comes
-            # first in row-major order and so wins every tie: try only the
-            # first of a run (a lone edge never sits in such a column)
-            twin = np.zeros(m, dtype=bool)
-            twin[1:] = (sub[:, :, 1:] == sub[:, :, :-1]).all(axis=(0, 1))
-            edges = [(il, jl) for il, jl in edges if not twin[jl]]
+            # a column leaves the same reduced problem as its class's first
+            # column, whose edge comes first in row-major order and so wins
+            # every tie: try only first columns (a lone edge always sits in one)
+            firsts = set(_column_classes(sub_d, sub_gains)[0].tolist())
+            edges = [(il, jl) for il, jl in edges if jl in firsts]
         # (here m >= 2: with one row left, the level value is its one cell)
         best = None
         best_next = math.inf
@@ -489,11 +492,10 @@ def constrained_min_sum(
 ) -> MatchResult:
     """Minimum-total-cost matching subject to DCG >= theta_rho.
 
-    Lagrangian bisection on the quality multiplier solves a sequence of
-    plain assignment problems; if the dual bound does not certify the best
-    feasible solution, the binary assignment MILP with the DCG row is solved
-    to a proven optimum (``_min_sum_milp``). Every feasible answer is
-    optimal; a solver that cannot prove it raises FairRankError.
+    The cost-optimal matching when it meets the floor; infeasible when even
+    the max-gain matching misses it; otherwise the floor binds and the class
+    MILP (``_min_sum_milp``) proves the optimum. A solve that cannot prove
+    it, or whose matching misses the floor, raises FairRankError.
     """
     costs, relevance = _checked(costs, relevance)
     gains = _gains(relevance, dcg_depth)
@@ -501,75 +503,55 @@ def constrained_min_sum(
     def gain_of(cols):
         return float(matching_values(gains, cols).sum())
 
-    def cost_of(cols):
-        return float(matching_values(costs, cols).sum())
-
-    base = _solve_lsa(costs)
-    if gain_of(base) >= theta_rho - FEASIBILITY_TOL:
-        return MatchResult(base, cost_of(base), True)
-
-    top = _solve_lsa(-gains)
-    if gain_of(top) < theta_rho - FEASIBILITY_TOL:
-        return MatchResult.infeasible()
-
-    best_cols = top
-    best_cost = cost_of(top)
-    lower_bound = -math.inf
-
-    def dual(lam):
-        nonlocal best_cols, best_cost, lower_bound
-        cols = _solve_lsa(costs - lam * gains)
-        g = gain_of(cols)
-        lower_bound = max(lower_bound, cost_of(cols) - lam * (g - theta_rho))
-        feas = g >= theta_rho - FEASIBILITY_TOL
-        if feas and cost_of(cols) < best_cost:
-            best_cols, best_cost = cols, cost_of(cols)
-        return feas
-
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        if dual(hi):
-            break
-        hi *= 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if dual(mid):
-            hi = mid
-        else:
-            lo = mid
-
-    if best_cost <= lower_bound + FEASIBILITY_TOL:
-        return MatchResult(best_cols, best_cost, True)
-    cols = _min_sum_milp(costs, gains, theta_rho)
+    cols = _solve_lsa(costs)
     if gain_of(cols) < theta_rho - FEASIBILITY_TOL:
-        raise FairRankError("min-sum MILP returned a matching below the quality floor")
-    return MatchResult(cols, cost_of(cols), True)
+        if gain_of(_solve_lsa(-gains)) < theta_rho - FEASIBILITY_TOL:
+            return MatchResult.infeasible()
+        # the cost-optimal gain is >= 0, so here theta_rho > FEASIBILITY_TOL > 0
+        cols = _min_sum_milp(costs, gains, theta_rho)
+        if gain_of(cols) < theta_rho - FEASIBILITY_TOL:
+            raise FairRankError("min-sum MILP returned a matching below the quality floor")
+    return MatchResult(cols, float(matching_values(costs, cols).sum()), True)
 
 
 def _min_sum_milp(costs: np.ndarray, gains: np.ndarray, theta_rho: float):
-    """Min-cost permutation with total gain >= theta_rho, proven by HiGHS.
+    """Min-cost permutation with total gain >= theta_rho > 0, proven by HiGHS.
 
-    Binary x[i, j] (row-major) with one equality row per candidate and per
-    position and the DCG row; costs are divided by their largest magnitude
-    so HiGHS's absolute gap tolerance is relative to the instance. Raises
-    FairRankError unless HiGHS reports a proven optimum.
+    Binary x[i, c] (row-major) puts row i in column class c, with equality
+    rows per candidate (sum 1) and per class (sum its size) and the DCG row.
+    Costs are divided by their largest magnitude and gains by theta_rho, so
+    HiGHS's absolute tolerances are relative to the instance. Rows take
+    their class's columns in ascending order of both. Raises FairRankError
+    unless HiGHS proves an optimum whose rounded x fills every class.
     """
     k = costs.shape[0]
-    ones, eye = np.ones((1, k)), sparse.identity(k)
-    assign_rows = sparse.vstack([sparse.kron(eye, ones), sparse.kron(ones, eye)])
+    starts, _ = _column_classes(costs, gains)
+    n_classes = starts.size
+    sizes = np.diff(starts, append=k)
+    totals = np.concatenate([np.ones(k), sizes])
+    # row i sums x[i, :], row k + c sums x[:, c]
+    assign_rows = np.vstack(
+        [np.repeat(np.eye(k), n_classes, axis=1), np.tile(np.eye(n_classes), k)]
+    )
+    gain_row = gains[:, starts].reshape(1, -1) / theta_rho
     res = milp(
-        costs.ravel() / (np.abs(costs).max() or 1.0),
-        integrality=np.ones(k * k),
+        costs[:, starts].ravel() / (np.abs(costs).max() or 1.0),
+        integrality=np.ones(k * n_classes),
         bounds=Bounds(0.0, 1.0),
         constraints=[
-            LinearConstraint(assign_rows, 1.0, 1.0),
-            LinearConstraint(gains.reshape(1, -1), theta_rho - FEASIBILITY_TOL, np.inf),
+            LinearConstraint(assign_rows, totals, totals),
+            LinearConstraint(gain_row, 1.0 - FEASIBILITY_TOL / theta_rho, np.inf),
         ],
         options={"mip_rel_gap": 0.0},
     )
     if res.status != 0:
         raise FairRankError(f"min-sum MILP did not prove an optimum: {res.message}")
-    return tuple(res.x.reshape(k, k).argmax(axis=1).tolist())
+    x = np.rint(res.x).reshape(k, n_classes)
+    if not ((x.sum(axis=1) == 1.0).all() and (x.sum(axis=0) == sizes).all()):
+        raise FairRankError("min-sum MILP returned an x that does not fill every class")
+    cols = np.empty(k, dtype=np.intp)
+    cols[np.argsort(x.argmax(axis=1), kind="stable")] = np.arange(k)
+    return tuple(cols.tolist())
 
 
 @lru_cache(maxsize=8)

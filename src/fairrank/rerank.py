@@ -210,7 +210,12 @@ def rerank_online(dataset: Dataset, stream: Stream, config: RerankConfig) -> Run
                 ledger, rows[: config.k_re], rel_head, polarity, attention, cost_kind,
                 config.polarity_mode,
             )
-            res = _solve_step(d, rel_head, config.theta * ideal_dcg, config)
+            try:
+                res = _solve_step(d, rel_head, config.theta * ideal_dcg, config)
+            except ValidationError as exc:
+                raise ValidationError(
+                    f"query {stream.query_ids[step]!r} (polarity {polarity.tolist()}): {exc}"
+                ) from None
             if res.feasible:
                 rows = _with_head(rows, np.argsort(res.assignment))
                 objective_value = res.objective
@@ -337,10 +342,13 @@ def rerank_offline(
     individual divergences there; a rejected row is put back. When a sweep
     stalls, descent escalates to joint moves over blocks of 1, 2, ... steps,
     enumerating the block's feasible orderings whenever the option sets are
-    small enough (product of option counts within ``BLOCK_BUDGET``); on
-    desk-scale prefilter depths the blocks are not enumerable and descent
-    reduces to plain sweeps. Only strict (lexicographic) improvements are
-    accepted, so the final objective never exceeds the online one. Stops
+    small enough (product of option counts within ``BLOCK_BUDGET``), drawing
+    in order on the steps that can change the profile: enumerable (``k_re``
+    <= 6), not fallen back, with an option besides the current ordering. A
+    stall so visits at most sum_{s <= 14} C(m, s) blocks for m steps of two
+    or more options, times 2^r for r steps of one (only rounding allows
+    those); none at larger ``k_re``. Only strict (lexicographic) improvements
+    are accepted, so the final objective never exceeds the online one. Stops
     after ``max_sweeps`` rounds or when no move of any size improves. The
     final orderings are then replayed once for the per-step nDCG and
     objective trace.
@@ -398,16 +406,19 @@ def rerank_offline(
                     None if options is None
                     else [(o, attention.scatter(o)) for o in options]
                 )
-        T = len(stream)
-        for size in range(1, T + 1):
-            for block in itertools.combinations(range(T), size):
-                counts = []
-                for s in block:
-                    if online.fallback[s] or options_cache[s] is None:
-                        counts = None
-                        break
-                    counts.append(len(options_cache[s]))
-                if counts is None or math.prod(counts) > BLOCK_BUDGET:
+        # a step with no options leaves nothing to enumerate, and one whose
+        # only option is its current ordering leaves every profile as it is
+        steps_in = [
+            s for s, options in enumerate(options_cache)
+            if options and not online.fallback[s]
+            and not (len(options) == 1 and np.array_equal(options[0][0], orderings[s]))
+        ]
+        counts = sorted(len(options_cache[s]) for s in steps_in)
+        for size in range(1, len(steps_in) + 1):
+            if math.prod(counts[:size]) > BLOCK_BUDGET:
+                break  # every block of this size or more is over budget
+            for block in itertools.combinations(steps_in, size):
+                if math.prod(len(options_cache[s]) for s in block) > BLOCK_BUDGET:
                     continue
                 block_best = None
                 for combo in itertools.product(*(options_cache[s] for s in block)):

@@ -17,7 +17,7 @@ from fairrank.assign import (
     matching_values,
     position_discounts,
 )
-from fairrank.core import AttentionModel
+from fairrank.core import AttentionModel, Ledger
 from fairrank.divergence import DivergenceKind, divergence_matrix
 from fairrank.errors import FairRankError, ValidationError
 from fairrank.rerank import RerankConfig, rerank_offline, rerank_online
@@ -71,6 +71,26 @@ def tailed_instance(rng):
     if rng.random() < 0.03:
         theta_rho = ideal + 1.0  # infeasible: the base is returned as is
     return d, rel, theta_rho, depth
+
+
+def k50_minsum_instance(heads):
+    """The subproblem of a K=50 L1 min-sum run at theta=0.9 (synth
+    continuous, n=200, T=32, seed 0, k_att = k_eval = 10, agnostic) at the
+    step after ``heads``: the ledger records each head (the dataset
+    positions of ranks 1-10; no attention reaches the ranks beyond)."""
+    dataset, stream = gen_synth(SynthSpec(n=200, T=32, seed=0, variant="continuous"))
+    ledger = Ledger(dataset, stream)
+    attention = AttentionModel(10)
+    for head in heads:
+        ledger.update(np.concatenate([head, np.setdiff1d(np.arange(200), head)]), attention)
+    step = len(heads)
+    query = relevance_dicts(stream)[step]
+    ideal = ideal_ranking_oracle(query)
+    candidates = ideal[:50]
+    rel = np.array([query[c] for c in candidates])
+    d = divergence_matrix(ledger, rows_of(dataset, candidates), rel, stream.polarity[step],
+                          attention, DivergenceKind.L1, "agnostic")
+    return d, rel, 0.9 * dcg_oracle(ideal, query, 10), 10
 
 
 class TestHungarian:
@@ -512,8 +532,8 @@ class TestConstrainedMinSum:
 
 
 class TestMinSumMilp:
-    """When the Lagrangian dual gap stays open, the binary assignment MILP
-    finishes the search with a proven optimum."""
+    """When neither quick exit settles an instance, the class MILP proves
+    the optimum."""
 
     def test_agrees_with_enumeration(self, monkeypatch):
         milp_calls = 0
@@ -543,22 +563,21 @@ class TestMinSumMilp:
                 assert abs(res.objective - oracle.objective) <= 1e-9
         assert milp_calls > 1000
 
-    @staticmethod
-    def _k50_theta09_instance():
-        """Step 7 of a K=50 L1 min-sum run at theta=0.9 (synth continuous,
-        n=200, T=16, seed 0, agnostic)."""
-        dataset, stream = gen_synth(SynthSpec(n=200, T=16, seed=0, variant="continuous"))
-        config = RerankConfig(kind="L1", objective="minsum", theta=0.9, k_re=50,
-                              k_att=10, k_eval=10, polarity_mode="agnostic")
-        run = rerank_online(dataset, stream[:6], config)
-        query = relevance_dicts(stream)[6]
-        ideal = ideal_ranking_oracle(query)
-        candidates = ideal[: config.k_re]
-        rel = np.array([query[c] for c in candidates])
-        d = divergence_matrix(run.ledger, rows_of(dataset, candidates), rel, stream.polarity[6],
-                              AttentionModel(config.k_att), DivergenceKind.L1, "agnostic")
-        theta_rho = config.theta * dcg_oracle(ideal, query, config.k_eval)
-        return d, rel, theta_rho, config.k_eval
+    # the heads the run emitted at steps 1-6 under the Lagrangian-bisection
+    # solver, after which the bound below was measured; steps 3-6 have tied
+    # optima, so another optimal solver may emit other heads there
+    PREFIX_HEADS = (
+        (79, 91, 41, 66, 89, 48, 47, 39, 74, 62),
+        (25, 59, 42, 70, 11, 19, 95, 71, 44, 33),
+        (133, 52, 114, 3, 32, 100, 24, 57, 43, 142),
+        (49, 75, 94, 67, 65, 164, 97, 23, 7, 5),
+        (50, 20, 18, 179, 195, 46, 101, 104, 35, 116),
+        (51, 64, 87, 28, 55, 169, 109, 177, 144, 151),
+    )
+
+    @classmethod
+    def _k50_theta09_instance(cls):
+        return k50_minsum_instance(cls.PREFIX_HEADS)
 
     def test_k50_beats_the_budgeted_branch_and_bound(self):
         # a depth-first branch-and-bound stopped at 200k nodes returned
@@ -575,8 +594,8 @@ class TestMinSumMilp:
         "status,match", [(1, "did not prove"), (0, "below the quality floor")]
     )
     def test_unproven_or_infeasible_finish_raises(self, monkeypatch, status, match):
-        # the dual gap stays open here; the optimum (2, 0, 1) costs 1.5, and
-        # the identity a stub returns misses the quality floor
+        # neither quick exit settles this instance; the optimum (2, 0, 1)
+        # costs 1.5, and the identity a stub returns misses the quality floor
         costs = np.array([[1.0, 0.5, 1.0], [0.25, 1.0, 0.75], [0.0, 0.25, 1.0]])
         rel = np.array([0.0, 0.7, 0.2])
         theta_rho = 0.96 * ideal_dcg(rel)
@@ -589,6 +608,66 @@ class TestMinSumMilp:
         monkeypatch.setattr(assign_mod, "milp", stub)
         with pytest.raises(FairRankError, match=match):
             constrained_min_sum(costs, rel, theta_rho)
+
+    def test_finish_that_does_not_fill_its_classes_raises(self, monkeypatch):
+        # every row in the first column's class, which holds one column
+        x = np.zeros((3, 3))
+        x[:, 0] = 1.0
+        costs = np.array([[1.0, 0.5, 1.0], [0.25, 1.0, 0.75], [0.0, 0.25, 1.0]])
+        rel = np.array([0.0, 0.7, 0.2])
+
+        def stub(*args, **kwargs):
+            return OptimizeResult(status=0, x=x.ravel(), message="stub")
+
+        monkeypatch.setattr(assign_mod, "milp", stub)
+        with pytest.raises(FairRankError, match="does not fill every class"):
+            constrained_min_sum(costs, rel, 0.96 * ideal_dcg(rel))
+
+
+class TestMinSumNearTight:
+    """Step 28 of the theta=0.9 agnostic min-sum run: the floor binds with
+    theta_rho near 0.03, where HiGHS's absolute feasibility tolerance (1e-7)
+    is wide. With the DCG row unscaled, the MILP answered a matching 1.9e-7
+    below the floor here; divided by theta_rho, the row must clear it."""
+
+    HEADS = (
+        (79, 91, 41, 66, 89, 48, 47, 39, 74, 62),
+        (25, 59, 42, 70, 11, 19, 95, 71, 44, 33),
+        (32, 133, 52, 142, 24, 43, 3, 57, 114, 100),
+        (75, 67, 49, 65, 94, 97, 164, 5, 7, 23),
+        (20, 18, 50, 179, 195, 46, 104, 101, 35, 116),
+        (51, 64, 87, 28, 55, 169, 109, 177, 144, 151),
+        (90, 98, 2, 31, 107, 187, 88, 172, 183, 161),
+        (34, 96, 86, 127, 40, 190, 130, 167, 134, 54),
+        (15, 12, 10, 6, 106, 162, 166, 148, 112, 143),
+        (36, 37, 188, 17, 123, 21, 192, 22, 124, 129),
+        (27, 93, 72, 138, 165, 105, 120, 152, 170, 155),
+        (8, 13, 80, 185, 61, 99, 163, 117, 141, 180),
+        (77, 160, 132, 171, 196, 174, 178, 118, 29, 0),
+        (22, 14, 153, 156, 184, 198, 121, 189, 115, 9),
+        (45, 154, 168, 85, 159, 182, 58, 76, 108, 78),
+        (38, 53, 191, 126, 119, 135, 30, 111, 82, 95),
+        (9, 175, 1, 149, 194, 4, 181, 16, 71, 102),
+        (83, 128, 193, 176, 186, 63, 73, 44, 23, 54),
+        (43, 197, 139, 69, 155, 48, 144, 151, 101, 161),
+        (1, 62, 157, 92, 60, 29, 11, 19, 172, 100),
+        (37, 173, 158, 84, 137, 140, 110, 103, 27, 152),
+        (68, 26, 145, 192, 0, 33, 114, 180, 116, 141),
+        (21, 131, 143, 178, 82, 170, 167, 74, 148, 5),
+        (70, 125, 47, 88, 115, 57, 169, 16, 108, 164),
+        (17, 136, 147, 150, 6, 162, 182, 177, 112, 134),
+        (56, 122, 65, 89, 124, 7, 103, 189, 99, 110),
+        (30, 81, 39, 135, 97, 76, 46, 104, 78, 166),
+    )
+
+    def test_answer_clears_the_floor(self):
+        d, rel, theta_rho, k_eval = k50_minsum_instance(self.HEADS)
+        gains = rel[:, None] * position_discounts(len(rel), k_eval)[None, :]
+        cheapest = hungarian_min_cost(d).assignment
+        assert matching_values(gains, cheapest).sum() < theta_rho  # the floor binds
+        res = constrained_min_sum(d, rel, theta_rho, k_eval)
+        assert res.feasible
+        assert float(matching_values(gains, res.assignment).sum()) >= theta_rho - FEASIBILITY_TOL
 
 
 class TestBruteForce:

@@ -79,7 +79,8 @@ RUNS = {
     ),
     # every step's cost-optimal matching meets the quality floor
     "online-minsum-L1-aware": (rerank_online, _continuous, _config("L1", "minsum", "aware")),
-    # three of the twelve steps are settled by the min-sum MILP
+    # three of the twelve steps are settled by the min-sum MILP; its digests
+    # move whenever the MILP breaks a tie between optima otherwise
     "online-minsum-L1-agnostic-theta0.9": (
         rerank_online, _continuous, _config("L1", "minsum", "agnostic", theta=0.9)
     ),
@@ -153,10 +154,10 @@ GOLDEN = {
         "run_file": "34f65bfd3d0c99b61710055410b1b9c35d726d0685e7de13a958c26d41d931a6",
     },
     "online-minsum-L1-agnostic-theta0.9": {
-        "orderings": "0ad109dee959a2a972af248e14b451245c7c42c0bb93a7a8d0a43722fa1b6e26",
-        "objective_trace": "c56b4821e8456ef18d4564b560f9d9fdd5050d610ac077d9e5399f1178c6c8a0",
-        "ndcg": "deb0b07fac73b7fc292bc4b0c6e78d0cad72eb1c10b0543417d3957df733e2cd",
-        "run_file": "efc48c731e3d4821e7aa60ee853dbcef7c4411f9d6b8df230224c5a0e415ed68",
+        "orderings": "f6117cabfc01e6c5e9ae307f1c3176c0b2c4bf99a81ad8980a71b1c5db202950",
+        "objective_trace": "b579929e3e75e7f96d741ba783afbbfda9fc0ef265a8bd3851a1f11fab076f37",
+        "ndcg": "77605b1ed9abe28fbfe7c092f40e4d08aab989345dcdec6957349aee5d3863b9",
+        "run_file": "292e4e1757e73e40d6838fd59a24fc8b1f5bdf9338205718ef60d58fa733a3ab",
     },
     "online-minsum-L1-aware": {
         "orderings": "65ea75a1762c23bc2e6bad744546eaa5f8bc7572febf2d54f22602b469ffe129",
@@ -185,7 +186,7 @@ def test_run_matches_golden_digests(name, tmp_path):
     assert _digests(*RUNS[name], tmp_path) == GOLDEN[name]
 
 
-def test_tight_minsum_run_reaches_the_milp(monkeypatch, tmp_path):
+def test_tight_minsum_run_reaches_the_milp(monkeypatch):
     """The theta = 0.9 min-sum pin covers the MILP finish, not only the
     quick exits."""
     calls = 0
@@ -197,8 +198,8 @@ def test_tight_minsum_run_reaches_the_milp(monkeypatch, tmp_path):
         return finish(*args)
 
     monkeypatch.setattr(assign_mod, "_min_sum_milp", counted)
-    name = "online-minsum-L1-agnostic-theta0.9"
-    assert _digests(*RUNS[name], tmp_path) == GOLDEN[name]
+    engine, make, config = RUNS["online-minsum-L1-agnostic-theta0.9"]
+    engine(*make(), config)
     assert calls > 0
 
 

@@ -8,7 +8,9 @@ polarity mode, on small synthetic streams:
   for min-sum);
 * a saved run file loads and replays to the same orderings, relevance
   bytes, nDCG and report, on streams with ties and with several polarity
-  components, and a file cut anywhere in its body is rejected.
+  components, and a file cut anywhere in its body is rejected;
+* every min-sum answer on a near-tight floor clears it and costs what the
+  K! oracle's answer costs.
 """
 
 import itertools
@@ -17,10 +19,16 @@ import numpy as np
 import pytest
 
 from fairrank import io as fio
-from fairrank.assign import FEASIBILITY_TOL
+from fairrank.assign import (
+    FEASIBILITY_TOL,
+    brute_force,
+    constrained_min_sum,
+    matching_values,
+    position_discounts,
+)
 from fairrank.core import Dataset, Stream
 from fairrank.divergence import DivergenceKind
-from fairrank.errors import ValidationError
+from fairrank.errors import FairRankError, ValidationError
 from fairrank.rerank import RerankConfig, evaluate_run, rerank_offline, rerank_online
 from fairrank.synth import SynthSpec, gen_random_instance, gen_synth_binary, gen_synth_cont
 
@@ -173,3 +181,41 @@ def test_run_file_round_trip(seed, tmp_path):
     run_path.write_bytes(data[: len(data) - int(rng.integers(1, body + 1))])
     with pytest.raises(ValidationError, match="bytes, expected"):
         fio.load_run(run_path)
+
+
+def _near_tight_min_sum(rng):
+    """A K <= 7 min-sum instance whose floor is the gain of a random
+    matching raised by 0 to 1e-7 of itself, with relevance scaled by 1e-5
+    to 10: the floor binds unless the cost-optimal matching clears it, and
+    lies within HiGHS's default feasibility tolerance of a matching's gain."""
+    k = int(rng.integers(2, 8))
+    costs = rng.integers(0, 5, (k, k)) / 4.0 if rng.random() < 0.3 else rng.random((k, k))
+    rel = rng.random(k) * 10.0 ** int(rng.integers(-5, 2))
+    depth = None if rng.random() < 0.3 else int(rng.integers(1, k + 1))
+    gains = rel[:, None] * position_discounts(k, depth)[None, :]
+    floor = float(matching_values(gains, rng.permutation(k)).sum())
+    theta_rho = floor * (1.0 + float(rng.choice([0.0, 1e-10, 1e-9, 1e-8, 1e-7])))
+    return costs, rel, theta_rho, depth, gains
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_min_sum_answers_clear_near_tight_floors(seed):
+    """A min-sum solve either answers, proven optimal, or raises
+    FairRankError. HiGHS holds the DCG row, divided by theta_rho, to a
+    relative 1e-7, so where a cheaper matching lies just below the floor the
+    solve may raise; nine in ten of these instances must be answered."""
+    rng = np.random.default_rng([59, seed])
+    answered = 0
+    for _ in range(50):
+        costs, rel, theta_rho, depth, gains = _near_tight_min_sum(rng)
+        try:
+            res = constrained_min_sum(costs, rel, theta_rho, depth)
+        except FairRankError:
+            continue
+        answered += 1
+        oracle = brute_force("minsum", costs, rel, theta_rho, depth)
+        assert res.feasible == oracle.feasible
+        if res.feasible:
+            assert float(matching_values(gains, res.assignment).sum()) >= theta_rho - FEASIBILITY_TOL
+            assert abs(res.objective - oracle.objective) <= 1e-9
+    assert answered >= 45

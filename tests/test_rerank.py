@@ -1,6 +1,9 @@
 """Online and offline re-ranking engines."""
 
+import itertools
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -137,7 +140,9 @@ class TestStreamValidation:
         polarity = np.where(stream.polarity < 0, -1e200, 1e200)
         huge = Stream(stream.query_ids, stream.t, polarity, stream.individuals, stream.relevance)
         config = small_config(kind="L2var", k_re=5, polarity_mode="aware")
-        with pytest.raises(ValidationError, match="matrix must be finite everywhere"):
+        # the first query's matrix overflows; the error names it
+        match = re.escape("query 'q0001' (polarity [1e+200]): matrix must be finite everywhere")
+        with pytest.raises(ValidationError, match=match):
             engine(dataset, huge, config)
 
 
@@ -329,6 +334,28 @@ class TestOffline:
             assert off_obj == pytest.approx(
                 joint_offline_oracle(dataset, stream, config), abs=1e-9
             )
+
+    def test_stalled_long_stream_visits_no_block(self, monkeypatch):
+        """At k_re > 6 no step's orderings are enumerable, so a stalled
+        sweep of a 40-step stream must not walk its 2^40 - 1 blocks."""
+        blocks = 0
+
+        def counted(iterable, size):
+            nonlocal blocks
+            for block in itertools.combinations(iterable, size):
+                blocks += 1
+                if blocks > 1000:
+                    raise AssertionError("escalation walks blocks it cannot enumerate")
+                yield block
+
+        monkeypatch.setattr(rr, "itertools", SimpleNamespace(
+            combinations=counted, permutations=itertools.permutations, product=itertools.product,
+        ))
+        dataset, stream = gen_random_instance(12, 2, 40, "continuous", seed=3)
+        config = small_config(k_re=8, k_att=3, k_eval=4)
+        off = rerank_offline(dataset, stream, config)
+        assert off.sweeps < 10  # a sweep stalled, so descent tried to escalate
+        assert blocks == 0
 
     def test_l2var_descent_with_non_unit_polarity(self):
         """The replaced step's variance term cancels exactly from the
