@@ -77,6 +77,13 @@ RUNS = {
     "offline-minmax-lex-L1-aware": (
         rerank_offline, _continuous, _config("L1", "minmax-lex", "aware", 12)
     ),
+    # offline minmax descent proposes lex-refined steps whatever the kind
+    **{
+        f"offline-minmax-{kind}-aware": (
+            rerank_offline, _continuous, _config(kind, "minmax", "aware", 12)
+        )
+        for kind in ("L2var", "W1")
+    },
     # every step's cost-optimal matching meets the quality floor
     "online-minsum-L1-aware": (rerank_online, _continuous, _config("L1", "minsum", "aware")),
     # three of the twelve steps are settled by the min-sum MILP; its digests
@@ -87,6 +94,18 @@ RUNS = {
 }
 
 GOLDEN = {
+    "offline-minmax-L2var-aware": {
+        "orderings": "4f17c880ca3f2405645e20951b2461e19c3b07b9777c97692068a030da0e478e",
+        "objective_trace": "38599ff0cf1b0a61bef8ce8e71b93397f71f6a7fdc176c8c5c44a292a400b241",
+        "ndcg": "c534ee5ad1453657d7166b2e0223fcf52d713d4939de694cb3948d46716a1107",
+        "run_file": "822cc5355d887e59bcaac853edff81ca3f8051f1727a02047ed169b6dccc1c07",
+    },
+    "offline-minmax-W1-aware": {
+        "orderings": "1069e4465dc6dcac187125aee2895e484e5b732c9dfde629233aae1bd824dc8d",
+        "objective_trace": "65c00a237122512eb7f5bb6b31040245da028b0e56aa3822eac9db8c565a63a8",
+        "ndcg": "f513e13a2688a63ce85654a15c2b228e3d568f7c9d90fa7bb92a9f67c912880e",
+        "run_file": "286739ab5a06c70ffcc96b9b48ed852f81fa143a2af062d46be19453689b455b",
+    },
     "offline-minmax-lex-L1-aware": {
         "orderings": "9a72a325398a1d61473f2df81acd1e12fb5323396443340b68f372e0ee28fa1d",
         "objective_trace": "a9e10ee8bac1f4134bb5e056a035b92408662947bff8ea44db2866a0f197a9e4",
