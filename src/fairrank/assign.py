@@ -24,8 +24,10 @@ raises ValidationError.
   reduced problem, and when its largest edge meets the reduced problem's
   row/column bound and its gain clears the floor beyond rounding error, that
   bound is the level's threshold with no assignment solve; otherwise its
-  largest edge caps the search. A tail of interchangeable zero-gain columns
-  closes with one sort;
+  largest edge caps the search. Once per refinement, one solve first swaps
+  that matching for a certified one nearer the lexicographic optimum (min
+  sum of squared value ratios). A tail of interchangeable zero-gain
+  columns closes with one sort;
 * ``constrained_min_sum``    — minimize total cost subject to the quality
   constraint: the cost-optimal matching when it meets the floor, infeasible
   when the max-gain matching misses it, and otherwise one binary MILP
@@ -224,6 +226,20 @@ def _closes_by_sort(sub_d, sub_gains, theta_rho: float, fixed_gain: float) -> bo
 _SUM_ERROR = 8.0 * np.finfo(np.float64).eps
 
 
+def _lex_carry(sub_d, sub_gains, t: float, floor: float):
+    """Columns of the matching over the edges d <= t (t: the carried one's
+    largest edge) of least sum (max(d, 0)/t)^2 (sum d at t <= 0), near the
+    lexicographic optimum (Burkard & Rendl 1991); None unless its gain
+    clears ``floor`` by the carried matching's margin."""
+    allowed = sub_d <= t
+    costs = np.full(sub_d.shape, np.inf)
+    edges = sub_d[allowed]
+    costs[allowed] = (np.maximum(edges, 0.0) / t) ** 2 if t > 0 else edges
+    rows, cols = linear_sum_assignment(costs)
+    gain = sub_gains[rows, cols].sum()
+    return cols if gain - (floor - FEASIBILITY_TOL) > _SUM_ERROR * len(cols) * gain else None
+
+
 def lexicographic_refine(
     d, relevance, theta_rho: float, base: MatchResult, dcg_depth: int | None = None
 ) -> MatchResult:
@@ -249,8 +265,11 @@ def lexicographic_refine(
     bound (kept from per-class row and column minima) and its gain clears
     the floor by more than the summation error, the search's first probe,
     at that bound, is feasible, so the bound is the search's answer: no
-    sub-problem is built and no assignment solved. If t lies above the
-    bound, t is a feasible threshold and the search probes only below it.
+    sub-problem is built and no assignment solved. At the first level
+    where t lies above the bound, ``_lex_carry`` swaps in a certified
+    matching nearer the lexicographic optimum, whose t often meets it. If t
+    still lies above the bound, t is a feasible threshold and the search
+    probes only below it.
     Refinement reads only the threshold of each search, never its matching,
     so outputs are those of searching every level. A level with two or more
     candidate cells searches every candidate's reduced problem, trying a
@@ -389,6 +408,7 @@ def _refine(d, gains, theta_rho, base, z, matched) -> MatchResult:
     fixed_gain = 0.0
     assignment = [0] * k
     without = None
+    lex_tried = False
     for m in range(k, 0, -1):
         if not (gain_rows and gain_classes):
             rows, cols = row_live.nonzero()[0], col_live.nonzero()[0]
@@ -423,7 +443,16 @@ def _refine(d, gains, theta_rho, base, z, matched) -> MatchResult:
                 z = float(bound)
                 continue
             rows, cols = row_live.nonzero()[0], col_live.nonzero()[0]
+            sub_d, sub_gains = _take(d, rows, cols), _take(gains, rows, cols)
             proven = None
+            if certified and not lex_tried:  # once per refinement
+                lex_tried = True
+                if (lex := _lex_carry(sub_d, sub_gains, t, floor)) is not None:
+                    carry(rows, cols[lex])
+                    t = edge.max()
+                    if t <= bound:
+                        z = float(bound)
+                        continue
             if certified:
                 # the carried matching in the sub-problem's columns: these
                 # run class by class, so the rows sorted by class take them
@@ -431,9 +460,7 @@ def _refine(d, gains, theta_rho, base, z, matched) -> MatchResult:
                 carried = np.empty(m - 1, dtype=np.intp)
                 carried[np.argsort(match[rows], kind="stable")] = np.arange(m - 1)
                 proven = t, carried, edge_gain.sum()
-            found = _bottleneck_search(
-                _take(d, rows, cols), _take(gains, rows, cols), floor, z, proven
-            )
+            found = _bottleneck_search(sub_d, sub_gains, floor, z, proven)
             if found is None:
                 return base
             z = found[0]

@@ -30,6 +30,8 @@ from .errors import CoverageError, LengthMismatchError, StreamOrderError, Valida
 
 DEFAULT_ATTENTION_CUTOFF = 10
 RELEVANCE_SUM_TOL = 1e-9
+# a Stream's largest polarity magnitude: divergence terms stay below (T * 1e100)**2
+POLARITY_LIMIT = 1e100
 
 CHANNELS = ("attention", "relevance")
 MODES = ("aware", "agnostic")
@@ -203,10 +205,10 @@ class Stream:
     (T, P), ``individuals`` lists the ranked ids in ascending order and
     ``relevance`` is the (T, n) float64 matrix with columns in that order.
     It is checked once, when built: timesteps are integers, at least 1 and
-    strictly increasing; polarity is finite; relevance is non-negative and
-    each row sums to 1 within ``RELEVANCE_SUM_TOL`` (by ``math.fsum``).
-    Query ids may repeat (bootstrap resamples do). The arrays are read-only
-    views.
+    strictly increasing; polarity is finite and within ±``POLARITY_LIMIT``;
+    relevance is non-negative and each row sums to 1 within
+    ``RELEVANCE_SUM_TOL`` (by ``math.fsum``). Query ids may repeat
+    (bootstrap resamples do). The arrays are read-only views.
 
     ``len`` counts the queries and a slice is a Stream (so it must keep at
     least one query); a query's values are read from the columns.
@@ -292,6 +294,9 @@ class Stream:
                 raise ValidationError(f"query {query_id!r}: timestep must be >= 1, got {t}")
             if not all(map(math.isfinite, eta)):
                 raise ValidationError(f"query {query_id!r}: non-finite polarity {tuple(eta)}")
+            if max(map(abs, eta)) > POLARITY_LIMIT:
+                limit = f"±{POLARITY_LIMIT:g}"
+                raise ValidationError(f"query {query_id!r}: polarity {tuple(eta)} beyond {limit}")
             if lowest < 0:
                 j = int(np.argmax(relevance[i] < 0))
                 raise ValidationError(

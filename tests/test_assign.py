@@ -357,10 +357,11 @@ class TestLexicographicRefine:
 
         monkeypatch.setattr(assign_mod, "_bottleneck_search", counted)
         refined = lexicographic_refine(d, rel, theta_rho, base, k_eval)
-        # 13: the full problem's search and one per level down to the
+        # 8: the full problem's search and one per level down to the
         # zero-gain tail that the carried matching does not settle (50, one
-        # per level, then 19 with the tail closed by one sort)
-        assert searches <= 13
+        # per level, then 19 with the tail closed by one sort, 13 with the
+        # max-gain matching carried, 8 once a near-lexicographic one is)
+        assert searches <= 8
         oracle = lexicographic_refine_oracle(d, rel, theta_rho, base, k_eval)
         assert refined.assignment == oracle.assignment
 
@@ -368,8 +369,9 @@ class TestLexicographicRefine:
         # scipy assignment solves on this instance: the binary search over
         # every distinct value made 10 (bottleneck) and 281 (refinement);
         # probing the row/column bound first makes 1 and 94, closing the
-        # zero-gain tail by one sort 1 and 63, and settling forced levels
-        # from the carried matching 1 and 49
+        # zero-gain tail by one sort 1 and 63, settling forced levels from
+        # the carried matching 1 and 49, and carrying a near-lexicographic
+        # matching from the first level it does not settle 1 and 33
         d, rel, theta_rho, k_eval = self._k50_instance()
         solves = 0
         lsa = assign_mod.linear_sum_assignment
@@ -384,7 +386,7 @@ class TestLexicographicRefine:
         assert solves <= 2
         solves = 0
         lexicographic_refine(d, rel, theta_rho, base, k_eval)
-        assert solves <= 49
+        assert solves <= 33
 
 
 class TestCarriedMatching:
@@ -471,6 +473,78 @@ class TestCarriedMatching:
             ours = lexicographic_refine(d, rel, theta_rho, base, depth)
             self._same(ours, lexicographic_refine_dense(d, rel, theta_rho, base, depth), base)
         assert proven_searches > 100 and settled_at_t > 10
+
+    @staticmethod
+    def _spy_lex_carry(monkeypatch):
+        """Record every ``_lex_carry`` call's arguments and result."""
+        calls = []
+        lex_carry = assign_mod._lex_carry
+
+        def spied(sub_d, sub_gains, t, floor):
+            calls.append((sub_d, sub_gains, t, floor, lex_carry(sub_d, sub_gains, t, floor)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(assign_mod, "_lex_carry", spied)
+        return calls
+
+    def test_lex_carry_once_per_refinement(self, monkeypatch):
+        """The near-lexicographic matching is solved at most once per
+        refinement, only where the carried matching certifies the level's
+        floor but its largest edge t lies above the reduced problem's bound,
+        and is carried only when it certifies the floor too."""
+        calls = self._spy_lex_carry(monkeypatch)
+        rng = np.random.default_rng(4)
+        refinements = swapped = settled = 0
+        for _ in range(600):
+            d, rel, theta_rho, depth = tailed_instance(rng)
+            base = bottleneck_with_quality(d, rel, theta_rho, depth)
+            calls.clear()
+            ours = lexicographic_refine(d, rel, theta_rho, base, depth)
+            self._same(ours, lexicographic_refine_dense(d, rel, theta_rho, base, depth), base)
+            assert len(calls) <= 1
+            refinements += len(calls)
+            for sub_d, sub_gains, t, floor, cols in calls:
+                rows = np.arange(len(sub_d))
+                bound = max(sub_d.min(axis=1).max(), sub_d.min(axis=0).max())
+                assert t > bound and t in sub_d
+                # a matching over the edges <= t clears the floor
+                best = max_gain_matching(sub_d <= t, sub_gains)
+                assert best is not None and best[1] >= floor - FEASIBILITY_TOL
+                if cols is not None:
+                    assert sorted(cols.tolist()) == rows.tolist()
+                    assert sub_d[rows, cols].max() <= t
+                    assert sub_gains[rows, cols].sum() >= floor - FEASIBILITY_TOL
+                    swapped += 1
+                    settled += sub_d[rows, cols].max() <= bound
+        # of the 600 refinements 175 solve it, 75 of those carry the result
+        # (the rest miss a tight floor) and 14 settle their level at the bound
+        assert refinements > 150 and swapped > 50 and settled > 10
+
+    def test_lex_carry_that_misses_the_floor_is_not_carried(self, monkeypatch):
+        """At a tight floor the least-squares matching can miss it: the
+        level is then searched below the carried matching's t and the
+        refinement equals the dense level loop. Carrying the miss would
+        settle the level at an infeasible bound and fall back to the base."""
+        d = np.array([
+            [0.1, 0.8, 0.9, 0.8],
+            [0.4, 0.1, 0.5, 0.5],
+            [0.5, 0.7, 0.1, 0.4],
+            [0.6, 0.8, 0.4, 0.1],
+        ])
+        rel = np.array([0.2, 0.2, 0.5, 0.5])
+        gains = rel[:, None] * position_discounts(4)[None, :]
+        # the floor is the gain of the lexicographic optimum
+        theta_rho = float(matching_values(gains, (3, 2, 1, 0)).sum())
+        calls = self._spy_lex_carry(monkeypatch)
+        base = bottleneck_with_quality(d, rel, theta_rho)
+        refined = lexicographic_refine(d, rel, theta_rho, base)
+        # level 2 of 4: rows 2, 3 and columns 0, 1 remain; the carried
+        # matching (0.6, 0.5) clears the floor, the least-squares one
+        # (0.4, 0.4) meets the bound 0.4 but misses the floor
+        ((sub_d, _, t, _, cols),) = calls
+        assert sub_d.tolist() == [[0.4, 0.5], [0.6, 0.4]] and t == 0.6 and cols is None
+        assert base.assignment == (3, 2, 0, 1) and refined.assignment == (3, 2, 1, 0)
+        self._same(refined, lexicographic_refine_dense(d, rel, theta_rho, base), base)
 
     def test_offline_k50_inputs_match_the_dense_loop(self, monkeypatch):
         """Every minmax-lex step of a seeded K=50 offline run (synth

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fairrank import io as fio
-from fairrank.core import Stream
+from fairrank.core import POLARITY_LIMIT, Stream
 from fairrank.errors import ParseError, ValidationError
 from fairrank.synth import SynthSpec, gen_random_instance, gen_synth
 
@@ -141,19 +141,31 @@ class TestSameAsOracle:
                     continue
                 middle = (Decimal(x) + Decimal(above)) / 2  # exact: a halfway case
                 literals += [str(middle), format(middle, "e")]
-        # polarity holds any finite value: the components are read back as is
+        # polarity within POLARITY_LIMIT is read back as is; a query holding
+        # components beyond it is rejected, and the message both loaders must
+        # agree on lists every parsed component by repr
         width = 500
-        literals += ["1.0"] * (-len(literals) % width)
-        lines = [
-            '{"query_id": "q%d", "t": %d, "polarity": [%s], "relevance": {"a": 0.5, "b": 0.5}}'
-            % (i + 1, i + 1, ", ".join(literals[i * width:(i + 1) * width]))
-            for i in range(len(literals) // width)
-        ]
+        inside = [v for v in literals if abs(float(json.loads(v))) <= POLARITY_LIMIT]
+        beyond = [v for v in literals if abs(float(json.loads(v))) > POLARITY_LIMIT]
+        assert len(inside) > 40_000 and len(beyond) > 20_000
+        inside += ["1.0"] * (-len(inside) % width)
+
+        def polarity_lines(values):
+            return [
+                '{"query_id": "q%d", "t": %d, "polarity": [%s], "relevance": {"a": 0.5, "b": 0.5}}'
+                % (i + 1, i + 1, ", ".join(values[i * width:(i + 1) * width]))
+                for i in range(-(-len(values) // width))
+            ]
+
+        lines = polarity_lines(inside)
         path = _write(tmp_path / "polarity.jsonl", lines)
         (_, _, _, _, _, shape, polarity, _, _), _ = assert_same_as_oracle(path)
         assert shape == (len(lines), width)
-        expected = np.array([float(json.loads(v)) for v in literals]).reshape(shape)
+        expected = np.array([float(json.loads(v)) for v in inside]).reshape(shape)
         assert polarity == expected.tobytes()
+        for i, line in enumerate(polarity_lines(beyond)):
+            (error, message), _ = assert_same_as_oracle(_write(tmp_path / f"beyond{i}.jsonl", [line]))
+            assert error is ValidationError and message.endswith(f"beyond ±{POLARITY_LIMIT:g}")
         # relevance in raw mode: the magnitudes, renormalized
         magnitudes = [v.lstrip("-") for v in literals]
         names = [f"i{j:03d}" for j in range(width)]
