@@ -241,17 +241,18 @@ def _lex_carry(sub_d, sub_gains, t: float, floor: float):
 
 
 def lexicographic_refine(
-    d, relevance, theta_rho: float, base: MatchResult, dcg_depth: int | None = None
+    d, relevance, theta_rho: float, dcg_depth: int | None = None
 ) -> MatchResult:
-    """Greedy refinement of a bottleneck-optimal matching.
+    """Greedy refinement of the bottleneck-optimal matching.
 
-    Repeatedly fixes an edge realizing the current level's bottleneck value
-    (choosing the one whose remaining subproblem has the smallest next
-    bottleneck, the first in row-major order among equals) and re-solves the
-    reduced problem, re-checking the quality constraint on the full matching
-    each step. The bottleneck value is preserved exactly; falls back to
-    ``base`` whenever refinement cannot strictly (lexicographically) match
-    it.
+    Runs the bottleneck search of ``bottleneck_with_quality`` (infeasible
+    when that finds no matching), then repeatedly fixes an edge realizing
+    the current level's bottleneck value (choosing the one whose remaining
+    subproblem has the smallest next bottleneck, the first in row-major
+    order among equals) and re-solves the reduced problem, re-checking the
+    quality constraint on the full matching each step. The bottleneck value
+    is preserved exactly; falls back to the search's own answer whenever
+    refinement cannot strictly (lexicographically) match it.
 
     The full problem is searched once. A column class is a run of adjacent
     columns equal in values and gains over all rows; its first remaining
@@ -281,25 +282,11 @@ def lexicographic_refine(
     value, largest first.
     """
     d, relevance = _checked(d, relevance)
-    if not base.feasible:
-        return base
     gains = _gains(relevance, dcg_depth)
     level = _bottleneck_search(d, gains, theta_rho)
     if level is None:
-        return base
-    return _refine(d, gains, theta_rho, base, level[0], level[1])
-
-
-def _refine_bottleneck(
-    d: np.ndarray, relevance: np.ndarray, theta_rho: float, base: MatchResult,
-    dcg_depth: int | None = None,
-) -> MatchResult:
-    """``lexicographic_refine`` of ``base = bottleneck_with_quality(d,
-    relevance, theta_rho, dcg_depth)``, feasible: that answer is the full
-    problem's search (its threshold and matching), so the K x K problem is
-    searched once per step."""
-    gains = _gains(relevance, dcg_depth)
-    return _refine(d, gains, theta_rho, base, base.objective, base.assignment)
+        return MatchResult.infeasible()
+    return _refine(d, gains, theta_rho, MatchResult(level[1], level[0], True))
 
 
 def _take(matrix, rows, cols):
@@ -315,10 +302,11 @@ def _column_classes(d: np.ndarray, gains: np.ndarray):
     return np.flatnonzero(~same), np.cumsum(~same) - 1
 
 
-def _refine(d, gains, theta_rho, base, z, matched) -> MatchResult:
-    """The level loop of ``lexicographic_refine``, from the full problem's
-    minimal threshold ``z`` and the matching ``matched`` its search found."""
+def _refine(d, gains, theta_rho, base: MatchResult) -> MatchResult:
+    """The level loop of ``lexicographic_refine``, from ``base``, the full
+    problem's search: its minimal threshold and the matching it found."""
     k = d.shape[0]
+    z = base.objective
     # columns leave a class from the front, so the live columns of class c
     # are first[c]..ends[c]-1
     starts, classes = _column_classes(d, gains)
@@ -404,7 +392,7 @@ def _refine(d, gains, theta_rho, base, z, matched) -> MatchResult:
                 cell = r, c
         return cell
 
-    carry(np.arange(k), np.asarray(matched))
+    carry(np.arange(k), np.asarray(base.assignment))
     fixed_gain = 0.0
     assignment = [0] * k
     without = None

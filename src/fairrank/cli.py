@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io as fio
 from .core import Stream
-from .errors import FairRankError
+from .errors import FairRankError, ValidationError
 from .metrics import group_unfairness, individual_unfairness
 from .rerank import RerankConfig, evaluate_run, rerank_offline, rerank_online
 from .synth import SynthSpec, gen_synth
@@ -193,13 +193,21 @@ SWEEP_COLUMNS = (
 
 
 def cmd_sweep(args) -> int:
+    try:
+        theta_grid = [float(x) for x in args.theta_grid.split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"--theta-grid must be comma-separated numbers, got {args.theta_grid!r}"
+        ) from None
+    if args.repeats < 1:
+        raise ValidationError(f"--repeats must be at least 1, got {args.repeats}")
     individuals, stream = fio.load_stream(args.stream, raw=args.raw)
     group_of = fio.load_groups(args.groups) if args.groups else None
     dataset = fio.build_dataset(individuals, group_of)
     rows = sweep_table(
         dataset,
         stream,
-        theta_grid=[float(x) for x in args.theta_grid.split(",")],
+        theta_grid=theta_grid,
         kinds=args.kinds.split(","),
         objectives=args.objectives.split(","),
         repeats=args.repeats,

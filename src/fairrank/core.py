@@ -61,31 +61,20 @@ def attention_weights(n: int, cutoff: int = DEFAULT_ATTENTION_CUTOFF) -> np.ndar
     return _attention_weights_cached(n, cutoff).copy()
 
 
-def _dcg(values) -> float:
-    """Position-discounted sum of ``values`` (Python floats, rank order),
-    added one at a time."""
-    return float(sum(v / math.log2(j + 2) for j, v in enumerate(values)))
-
-
-def _ndcg(values, ideal_dcg: float) -> float:
-    """nDCG of a ranking whose top relevance values are ``values``, given the
-    ideal DCG; a query whose ideal DCG is zero is vacuously perfect and
-    scores 1 (``values`` is not read then)."""
-    return 1.0 if ideal_dcg == 0.0 else _dcg(values) / ideal_dcg
-
-
-def _ndcg_rows(values: np.ndarray, ideal_values: np.ndarray) -> np.ndarray:
-    """``_ndcg`` of each row of the (T, k) ``values`` against the same row
-    of ``ideal_values``, bit for bit: each DCG adds its k discounted columns
-    one at a time from 0.0, as ``_dcg`` adds its terms, and a row whose
-    ideal DCG is zero scores 1."""
-    dcg, ideal = np.zeros(len(values)), np.zeros(len(values))
+def _dcg_rows(values: np.ndarray) -> np.ndarray:
+    """DCG of each row of the (T, k) ``values`` (relevance in rank order):
+    the discounted columns added one at a time from 0.0."""
+    dcg = np.zeros(len(values))
     for j in range(values.shape[1]):
-        discount = math.log2(j + 2)
-        dcg += values[:, j] / discount
-        ideal += ideal_values[:, j] / discount
+        dcg += values[:, j] / math.log2(j + 2)
+    return dcg
+
+
+def _ndcg_rows(values: np.ndarray, ideal_dcg: np.ndarray) -> np.ndarray:
+    """nDCG of each row of the (T, k) ``values`` against the (T,) ideal
+    DCGs; a row whose ideal DCG is zero is vacuously perfect and scores 1."""
     out = np.ones(len(values))
-    np.divide(dcg, ideal, out=out, where=ideal != 0.0)
+    np.divide(_dcg_rows(values), ideal_dcg, out=out, where=ideal_dcg != 0.0)
     return out
 
 

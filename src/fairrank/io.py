@@ -55,6 +55,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 import warnings
 from io import StringIO
 from pathlib import Path
@@ -62,7 +63,9 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .core import AttentionModel, Dataset, Ledger, Stream, _fsum, _ndcg_rows, ideal_order
+from .core import (
+    AttentionModel, Dataset, Ledger, Stream, _dcg_rows, _fsum, _ndcg_rows, ideal_order
+)
 from .errors import (
     CoverageError,
     LengthMismatchError,
@@ -561,8 +564,10 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
     relevance, int32 orderings), the query ids differ from the stream
     block's, a value has the wrong JSON type (see ``_replay_config`` for the
     config echo), an ordering is not a permutation, a stored nDCG differs
-    from the one its ordering gives, or a step flagged as a fallback does
-    not carry the ideal ordering.
+    from the one its ordering gives, a step flagged as a fallback does
+    not carry the ideal ordering, or the objective trace is not NaN exactly
+    on the fallback steps (every step when the objective is ``none``) and a
+    finite number >= 0 elsewhere.
     """
     config = _replay_config(payload["config"])
     stream = _decode_stream(payload["stream"])
@@ -579,7 +584,7 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
     if not all(type(f) is bool for f in payload["fallback"]):
         raise ValidationError("run file fallback flags must be true or false")
     _number_types(payload["ndcg"], "run file ndcg", None)
-    trace = [x for x in payload["objective_trace"] if x is not None]
+    trace = [math.nan if x is None else x for x in payload["objective_trace"]]
     _number_types(trace, "run file objective_trace", None)
     if type(payload["sweeps"]) is not int or payload["sweeps"] < 0:
         raise ValidationError(
@@ -596,13 +601,22 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
                 f"run file query {stream.query_ids[step]!r}: "
                 "flagged as a fallback but not ranked in the ideal order"
             )
+    # NaN exactly on the steps that solved no matching, a float >= 0
+    # elsewhere (compared in Python, so a huge int is not read as finite)
+    unsolved = payload["fallback"] if config.objective != "none" else [True] * T
+    for query_id, value, no_match in zip(stream.query_ids, trace, unsolved):
+        if no_match != (value != value) or not (no_match or 0 <= value <= sys.float_info.max):
+            want = "NaN" if no_match else "a finite number >= 0"
+            raise ValidationError(
+                f"run file query {query_id!r}: objective trace {value!r}, expected {want}"
+            )
     # the ideal DCG needs only each query's k_eval largest relevance values,
     # in descending order; which of equal values comes first cannot change it
     n = len(stream.individuals)
     k = min(config.k_eval, n)
     ideal_heads = np.sort(np.partition(relevance, n - k, axis=1)[:, n - k :], axis=1)[:, ::-1]
     heads = np.take_along_axis(relevance, orderings[:, :k], axis=1)
-    ndcg = _ndcg_rows(heads, ideal_heads).tolist()
+    ndcg = _ndcg_rows(heads, _dcg_rows(ideal_heads)).tolist()
     # compared in Python, so an int or a huge int entry compares exactly
     for query_id, stored, value in zip(stream.query_ids, payload["ndcg"], ndcg):
         if stored != value:
@@ -619,9 +633,7 @@ def replay_run(payload: dict, group_of: dict[str, str] | None = None) -> RunResu
         orderings=orderings,
         ndcg=[float(x) for x in payload["ndcg"]],
         fallback=list(payload["fallback"]),
-        objective_trace=[
-            math.nan if x is None else float(x) for x in payload["objective_trace"]
-        ],
+        objective_trace=[float(x) for x in trace],
         ledger=ledger,
         sweeps=payload["sweeps"],
     )

@@ -222,10 +222,15 @@ def individual_divergences(
     individuals = ledger.dataset.individuals if scope is None else tuple(scope)
     if not individuals:
         raise EmptyScopeError("no individuals in scope")
-    values = _divergence_values(kind, *_readings(ledger, mode, _sequences_for(kind, ledger)))
+    values = _individual_values(ledger, kind, mode)
     if scope is not None:
         values = values[[ledger.dataset.index[i] for i in individuals]]
     return dict(zip(individuals, values.tolist()))
+
+
+def _individual_values(ledger: Ledger, kind: DivergenceKind, mode: str) -> np.ndarray:
+    """Component-summed divergence of every individual, in dataset order."""
+    return _divergence_values(kind, *_readings(ledger, mode, _sequences_for(kind, ledger)))
 
 
 def _sequences_for(kind: DivergenceKind, ledger: Ledger) -> Dataset | None:
@@ -268,8 +273,7 @@ def individual_unfairness(
         raise EmptyScopeError("ledger has no processed queries")
     if scope is not None:
         return max(individual_divergences(ledger, kind, mode, scope).values())
-    readings = _readings(ledger, mode, _sequences_for(kind, ledger))
-    return float(_divergence_values(kind, *readings).max())
+    return float(_individual_values(ledger, kind, mode).max())
 
 
 def _group_values(kind: DivergenceKind, summaries: dict[str, GroupSummary]) -> dict[str, float]:

@@ -26,6 +26,10 @@ step against the end-of-stream objective with all other assignments held
 fixed, and score a proposal by replacing the step's attention row in the
 ledger, accepting only strict improvements, until a sweep makes no
 progress.
+
+Both engines rank through one step loop, ``_run``, which takes each step's
+matching from a callback (online the solver's, offline the final descent
+ordering's) and reads the trace from the step's divergence matrix there.
 """
 
 import itertools
@@ -38,11 +42,14 @@ import numpy as np
 
 from .assign import (
     FEASIBILITY_TOL,
-    _refine_bottleneck,
+    _all_permutations,
     bottleneck_with_quality,
     constrained_min_sum,
+    lexicographic_refine,
 )
-from .core import Assignment, AttentionModel, Dataset, Ledger, Stream, _dcg, _ndcg, ideal_order
+from .core import (
+    Assignment, AttentionModel, Dataset, Ledger, Stream, _dcg_rows, _ndcg_rows, ideal_order
+)
 from .divergence import (
     DivergenceKind,
     _component_values,
@@ -51,7 +58,7 @@ from .divergence import (
     w1_insert_matrix,
 )
 from .errors import ValidationError
-from .metrics import MetricsReport, _reports, improvement_panel, individual_divergences
+from .metrics import MetricsReport, _individual_values, _reports, improvement_panel
 
 OBJECTIVES = ("minmax", "minmax-lex", "minsum", "none")
 IMPROVEMENT_TOL = 1e-12
@@ -159,12 +166,10 @@ class RunResult:
 
 def _solve_step(d, relevance_head, theta_rho, config):
     """Dispatch one per-query subproblem to the configured solver."""
-    if config.objective in ("minmax", "minmax-lex"):
-        res = bottleneck_with_quality(d, relevance_head, theta_rho, config.k_eval)
-        if res.feasible and config.objective == "minmax-lex":
-            # the bottleneck search is refinement's first level
-            res = _refine_bottleneck(d, relevance_head, theta_rho, res, config.k_eval)
-        return res
+    if config.objective == "minmax":
+        return bottleneck_with_quality(d, relevance_head, theta_rho, config.k_eval)
+    if config.objective == "minmax-lex":
+        return lexicographic_refine(d, relevance_head, theta_rho, config.k_eval)
     return constrained_min_sum(d, relevance_head, theta_rho, config.k_eval)
 
 
@@ -172,14 +177,16 @@ def _cost_kind(config: RerankConfig) -> DivergenceKind:
     return DivergenceKind.L1 if config.objective == "minsum" else config.kind
 
 
-def _step_setup(dataset: Dataset, rel: np.ndarray, config: RerankConfig):
-    """One step's assignment-independent constants from its relevance row
-    ``rel`` (dataset order): the ideal ordering as dataset positions, its
-    DCG at the evaluation depth and the relevance of its ``k_re`` head
-    candidates."""
-    ideal = ideal_order(dataset.id_order, rel)
-    rel_head = rel[ideal[: config.k_re]]
-    return ideal, _dcg(rel_head[: config.k_eval].tolist()), rel_head
+def _ideal(dataset: Dataset, relevance: np.ndarray, config: RerankConfig):
+    """Each step's assignment-independent constants from the (T, n)
+    ``relevance`` (dataset order): the ideal orderings as a (T, n) array of
+    dataset positions, the (T, k_re) relevance of each step's head
+    candidates and the (T,) ideal DCGs at the evaluation depth."""
+    ideal = np.empty(relevance.shape, dtype=np.intp)
+    for step, rel in enumerate(relevance):
+        ideal[step] = ideal_order(dataset.id_order, rel)
+    rel_heads = np.take_along_axis(relevance, ideal[:, : config.k_re], axis=1)
+    return ideal, rel_heads, _dcg_rows(rel_heads[:, : config.k_eval])
 
 
 def _with_head(ideal: np.ndarray, order) -> np.ndarray:
@@ -190,7 +197,15 @@ def _with_head(ideal: np.ndarray, order) -> np.ndarray:
     return rows
 
 
-def rerank_online(dataset: Dataset, stream: Stream, config: RerankConfig) -> RunResult:
+def _run(dataset: Dataset, stream: Stream, config: RerankConfig, choose) -> RunResult:
+    """Rank the stream in order, accruing each query into a fresh ledger.
+
+    At each step ``choose(step, d, rel_head, theta_rho)`` gets the head's
+    divergence matrix against the ledger so far and returns each head
+    candidate's column (0-based rank), or None to emit the ideal ordering as
+    a fallback. The trace reads ``d`` at the chosen matching: its sum for
+    ``minsum``, its maximum otherwise.
+    """
     ledger = Ledger(dataset, stream)
     if config.k_re > dataset.n:
         raise ValidationError(
@@ -198,37 +213,45 @@ def rerank_online(dataset: Dataset, stream: Stream, config: RerankConfig) -> Run
         )
     attention = AttentionModel(config.k_att)
     cost_kind = _cost_kind(config)
-
-    orderings = np.empty(ledger.relevance.shape, dtype=np.intp)
-    ndcg, fallback, trace = [], [], []
-    for step, (rel, polarity) in enumerate(zip(ledger.relevance, stream.polarity)):
-        rows, ideal_dcg, rel_head = _step_setup(dataset, rel, config)
-        fell_back = False
-        objective_value = math.nan
+    orderings, rel_heads, ideal_dcg = _ideal(dataset, ledger.relevance, config)
+    K = config.k_re
+    head_rows = np.arange(K)
+    fallback, trace = [], []
+    for step, (rows, rel_head, polarity, rho) in enumerate(
+        zip(orderings, rel_heads, stream.polarity, ideal_dcg.tolist())
+    ):
+        cols = None
         if config.objective != "none":
             d = divergence_matrix(
-                ledger, rows[: config.k_re], rel_head, polarity, attention, cost_kind,
-                config.polarity_mode,
+                ledger, rows[:K], rel_head, polarity, attention, cost_kind, config.polarity_mode
             )
-            try:
-                res = _solve_step(d, rel_head, config.theta * ideal_dcg, config)
-            except ValidationError as exc:
-                raise ValidationError(
-                    f"query {stream.query_ids[step]!r} (polarity {polarity.tolist()}): {exc}"
-                ) from None
-            if res.feasible:
-                rows = _with_head(rows, np.argsort(res.assignment))
-                objective_value = res.objective
-            else:
-                fell_back = True
+            cols = choose(step, d, rel_head, config.theta * rho)
+        if cols is None:
+            trace.append(math.nan)
+        else:
+            cols = np.asarray(cols)
+            values = d[head_rows, cols]
+            trace.append(float(values.sum() if config.objective == "minsum" else values.max()))
+            rows[:K] = rows[:K][np.argsort(cols)]
+        fallback.append(cols is None and config.objective != "none")
         ledger.update(rows, attention)
-        orderings[step] = rows
-        ndcg.append(_ndcg(rel[rows[: config.k_eval]].tolist(), ideal_dcg))
-        fallback.append(fell_back)
-        trace.append(objective_value)
-    return RunResult(
-        config, list(stream.query_ids), orderings, ndcg, fallback, trace, ledger
-    )
+    heads = np.take_along_axis(ledger.relevance, orderings[:, : config.k_eval], axis=1)
+    ndcg = _ndcg_rows(heads, ideal_dcg).tolist()
+    return RunResult(config, list(stream.query_ids), orderings, ndcg, fallback, trace, ledger)
+
+
+def rerank_online(dataset: Dataset, stream: Stream, config: RerankConfig) -> RunResult:
+    def choose(step, d, rel_head, theta_rho):
+        try:
+            res = _solve_step(d, rel_head, theta_rho, config)
+        except ValidationError as exc:
+            raise ValidationError(
+                f"query {stream.query_ids[step]!r} (polarity {stream.polarity[step].tolist()}): "
+                f"{exc}"
+            ) from None
+        return res.assignment if res.feasible else None
+
+    return _run(dataset, stream, config, choose)
 
 
 # -- offline coordinate descent ----------------------------------------------
@@ -287,27 +310,25 @@ def _final_w1_matrix(ledger, step0, polarity, rows, config, attention):
     return w1_insert_matrix(base, rel_sorted, eta[None, :] * w_new[:, None])
 
 
-def _profile(ledger, config) -> tuple[float, ...]:
+def _profile(ledger, config) -> np.ndarray:
     """The end-of-stream objective profile descent minimizes.
 
     For min-max objectives it is every individual's divergence sorted
     descending (lexicographic acceptance keeps descent moving across
     plateaus of the maximum); for min-sum it is the summed L1 divergence.
     """
-    values = individual_divergences(
-        ledger, _cost_kind(config), config.polarity_mode
-    ).values()
+    values = _individual_values(ledger, _cost_kind(config), config.polarity_mode)
     if config.objective == "minsum":
-        return (float(np.sum(list(values))),)
-    return tuple(sorted(values, reverse=True))
+        return values.sum(keepdims=True)
+    return np.sort(values)[::-1]
 
 
-def _lex_less(a, b, tol: float) -> bool:
-    for x, y in zip(a, b):
-        if abs(x - y) <= tol:
-            continue
-        return x < y
-    return False
+def _lex_less(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """Whether ``a`` is below ``b`` at their first entries more than ``tol``
+    apart."""
+    differ = ~(np.abs(a - b) <= tol)
+    first = differ.argmax()
+    return bool(differ[first] and a[first] < b[first])
 
 
 def _step_options(rel_head, ideal, theta_rho, config: RerankConfig):
@@ -316,14 +337,10 @@ def _step_options(rel_head, ideal, theta_rho, config: RerankConfig):
     K = len(rel_head)
     if math.factorial(K) > PER_STEP_CAP:
         return None
-    options = []
-    values = rel_head.tolist()
-    for order in itertools.permutations(range(K)):
-        # k_eval <= k_re, so the head alone decides the DCG
-        head = [values[i] for i in order[: config.k_eval]]
-        if _dcg(head) >= theta_rho - FEASIBILITY_TOL:
-            options.append(_with_head(ideal, list(order)))
-    return options
+    orders = _all_permutations(K)
+    # k_eval <= k_re, so the head alone decides the DCG
+    feasible = _dcg_rows(rel_head[orders[:, : config.k_eval]]) >= theta_rho - FEASIBILITY_TOL
+    return [_with_head(ideal, order) for order in orders[feasible]]
 
 
 def rerank_offline(
@@ -349,17 +366,23 @@ def rerank_offline(
     or more options, times 2^r for r steps of one (only rounding allows
     those); none at larger ``k_re``. Only strict (lexicographic) improvements
     are accepted, so the final objective never exceeds the online one. Stops
-    after ``max_sweeps`` rounds or when no move of any size improves. The
-    final orderings are then replayed once for the per-step nDCG and
-    objective trace.
+    after ``max_sweeps`` rounds (an integer >= 0, else ValidationError before
+    any ranking) or when no move of any size improves. The final orderings
+    are then ranked once more through the online step loop, for the per-step
+    nDCG and objective trace.
     """
+    integral = isinstance(max_sweeps, numbers.Integral) and not isinstance(max_sweeps, bool)
+    if not integral or max_sweeps < 0:
+        raise ValidationError(f"max_sweeps must be an integer >= 0, got {max_sweeps!r}")
     online = rerank_online(dataset, stream, config)
-    if max_sweeps <= 0 or len(stream) <= 1 or config.objective == "none":
+    if max_sweeps == 0 or len(stream) <= 1 or config.objective == "none":
         return online
     attention = AttentionModel(config.k_att)
     ledger = online.ledger
-    steps = [_step_setup(dataset, rel, config) for rel in ledger.relevance]
-    orderings = online.orderings.copy()
+    ideal, rel_heads, ideal_dcg = _ideal(dataset, ledger.relevance, config)
+    floors = (config.theta * ideal_dcg).tolist()
+    K = config.k_re
+    orderings = online.orderings
     best = _profile(ledger, config)
     step_config = config
     if config.objective == "minmax":
@@ -373,17 +396,16 @@ def rerank_offline(
     def sweep() -> bool:
         nonlocal best
         improved = False
-        for step0, (polarity, (ideal, ideal_dcg, rel_head)) in enumerate(
-            zip(stream.polarity, steps)
+        for step0, (polarity, rows, rel_head, floor) in enumerate(
+            zip(stream.polarity, ideal, rel_heads, floors)
         ):
             if online.fallback[step0]:
                 continue
-            head = ideal[: len(rel_head)]
-            d = final_matrix(ledger, step0, polarity, head, config, attention)
-            res = _solve_step(d, rel_head, config.theta * ideal_dcg, step_config)
+            d = final_matrix(ledger, step0, polarity, rows[:K], config, attention)
+            res = _solve_step(d, rel_head, floor, step_config)
             if not res.feasible:
                 continue
-            proposal = _with_head(ideal, np.argsort(res.assignment))
+            proposal = _with_head(rows, np.argsort(res.assignment))
             if np.array_equal(proposal, orderings[step0]):
                 continue
             kept = ledger._replace_attention(step0, attention.scatter(proposal))
@@ -400,8 +422,8 @@ def rerank_offline(
         nonlocal best, options_cache
         if options_cache is None:
             options_cache = []
-            for ideal, ideal_dcg, rel_head in steps:
-                options = _step_options(rel_head, ideal, config.theta * ideal_dcg, config)
+            for rows, rel_head, floor in zip(ideal, rel_heads, floors):
+                options = _step_options(rel_head, rows, floor, config)
                 options_cache.append(
                     None if options is None
                     else [(o, attention.scatter(o)) for o in options]
@@ -445,47 +467,19 @@ def rerank_offline(
             continue
         break
 
-    # replay final orderings for per-step statistics
-    final_ledger = Ledger(dataset, stream)
-    ndcg, trace = [], []
-    positions = np.arange(dataset.n)
+    # the final orderings, ranked once more for per-step nDCG and trace
     rank_of = np.empty(dataset.n, dtype=np.intp)
-    for step0, (rel, polarity, rows, (ideal, ideal_dcg, rel_head)) in enumerate(
-        zip(ledger.relevance, stream.polarity, orderings, steps)
-    ):
-        K = len(rel_head)
-        if online.fallback[step0]:
-            trace.append(math.nan)
-        else:
-            d = divergence_matrix(
-                final_ledger,
-                ideal[:K],
-                rel_head,
-                polarity,
-                attention,
-                _cost_kind(config),
-                config.polarity_mode,
-            )
-            # the rank of each head candidate, 0-based, from the inverse
-            # permutation of the ordering
-            rank_of[rows] = positions
-            chosen = rank_of[ideal[:K]]
-            values = d[np.arange(K), chosen]
-            trace.append(
-                float(values.sum() if config.objective == "minsum" else values.max())
-            )
-        final_ledger.update(rows, attention)
-        ndcg.append(_ndcg(rel[rows[: config.k_eval]].tolist(), ideal_dcg))
-    return RunResult(
-        config,
-        list(online.query_ids),
-        orderings,
-        ndcg,
-        list(online.fallback),
-        trace,
-        final_ledger,
-        sweeps=sweeps,
-    )
+    head_ranks = np.arange(K)
+
+    def replay(step, d, rel_head, theta_rho):
+        if online.fallback[step]:
+            return None
+        rank_of[orderings[step, :K]] = head_ranks
+        return rank_of[ideal[step, :K]]
+
+    result = _run(dataset, stream, config, replay)
+    result.sweeps = sweeps
+    return result
 
 
 def _check_same_stream(result: RunResult, baseline: RunResult) -> None:

@@ -177,7 +177,7 @@ def run_solver(instances: int = 200, seed: int = 0) -> VerifyReport:
 
         if ours_mm.feasible:
             report.checks += 1
-            refined = lexicographic_refine(d, rel, theta_rho, ours_mm, depth)
+            refined = lexicographic_refine(d, rel, theta_rho, depth)
             base_vec = tuple(np.sort(matching_values(d, ours_mm.assignment))[::-1])
             ref_vec = tuple(np.sort(matching_values(d, refined.assignment))[::-1])
             if abs(ref_vec[0] - ours_mm.objective) > 1e-12:

@@ -44,6 +44,15 @@ def ideal_dcg(rel, depth=None):
     return float(np.sort(np.asarray(rel))[::-1] @ np.sort(disc)[::-1])
 
 
+def same_result(ours, reference) -> bool:
+    """Equal by value: assignment, feasibility and objective (NaN equals
+    NaN)."""
+    return (ours.assignment, ours.feasible) == (reference.assignment, reference.feasible) and (
+        ours.objective == reference.objective
+        or math.isnan(ours.objective) and math.isnan(reference.objective)
+    )
+
+
 def tailed_instance(rng):
     """A K<=12 instance whose columns beyond ``k_att`` repeat one value per
     row (zero attention), with discounts cut at ``depth`` <= K, for a
@@ -237,7 +246,7 @@ class TestLexicographicRefine:
         d = np.array([[0.5, 0.5], [0.1, 0.4]])
         rel = [0.7, 0.3]
         base = bottleneck_with_quality(d, rel, 0.0)
-        refined = lexicographic_refine(d, rel, 0.0, base)
+        refined = lexicographic_refine(d, rel, 0.0)
         assert refined.objective == pytest.approx(base.objective)
         values = sorted(matching_values(d, refined.assignment), reverse=True)
         assert values == pytest.approx([0.5, 0.1])
@@ -246,27 +255,26 @@ class TestLexicographicRefine:
         d = np.array([[0.1, 0.9], [0.9, 0.2]])
         rel = [0.5, 0.5]
         base = bottleneck_with_quality(d, rel, 0.0)
-        refined = lexicographic_refine(d, rel, 0.0, base)
+        refined = lexicographic_refine(d, rel, 0.0)
         assert refined.assignment == base.assignment
 
     def test_k1_identity(self):
         d = np.array([[0.3]])
-        base = bottleneck_with_quality(d, [1.0], 0.0)
-        refined = lexicographic_refine(d, [1.0], 0.0, base)
+        refined = lexicographic_refine(d, [1.0], 0.0)
         assert refined.assignment == (0,)
 
-    def test_infeasible_base_returned_as_is(self):
+    def test_infeasible_search_returns_infeasible(self):
         d = np.ones((2, 2))
         rel = [0.6, 0.4]
-        base = bottleneck_with_quality(d, rel, ideal_dcg(rel) + 1.0)
-        assert lexicographic_refine(d, rel, ideal_dcg(rel) + 1.0, base) is base
+        refined = lexicographic_refine(d, rel, ideal_dcg(rel) + 1.0)
+        assert same_result(refined, assign_mod.MatchResult.infeasible())
 
     def test_never_worse_than_base_and_bottleneck_preserved(self):
         rng = np.random.default_rng(19)
         for _ in range(80):
             d, rel, theta_rho, depth = random_subproblem(rng)
             base = bottleneck_with_quality(d, rel, theta_rho, depth)
-            refined = lexicographic_refine(d, rel, theta_rho, base, depth)
+            refined = lexicographic_refine(d, rel, theta_rho, depth)
             base_vec = sorted(matching_values(d, base.assignment), reverse=True)
             ref_vec = sorted(matching_values(d, refined.assignment), reverse=True)
             assert ref_vec[0] == pytest.approx(base_vec[0], abs=1e-12)
@@ -299,15 +307,11 @@ class TestLexicographicRefine:
             d, rel, theta_rho, depth = tailed_instance(rng)
             base = bottleneck_with_quality(d, rel, theta_rho, depth)
             closed.clear()
-            ours = lexicographic_refine(d, rel, theta_rho, base, depth)
+            ours = lexicographic_refine(d, rel, theta_rho, depth)
             closures += len(closed)
             tied += any(np.unique(rows).size < rows.size for rows in closed)
             oracle = lexicographic_refine_oracle(d, rel, theta_rho, base, depth)
-            assert (ours.assignment, ours.feasible) == (oracle.assignment, oracle.feasible)
-            assert ours.objective == oracle.objective or (
-                math.isnan(ours.objective) and math.isnan(oracle.objective)
-            )
-            assert (ours is base) == (oracle is base)
+            assert same_result(ours, oracle)
             fallbacks += base.feasible and oracle is base
         assert fallbacks > 0
         # the closing sort runs (781 of the 2,000 instances), also on rows of
@@ -338,10 +342,10 @@ class TestLexicographicRefine:
         d, rel, theta_rho, k_eval = self._k50_instance()
         d[:, k_eval:] = np.round(d[:, k_eval:], 3)
         base = bottleneck_with_quality(d, rel, theta_rho, k_eval)
-        refined = lexicographic_refine(d, rel, theta_rho, base, k_eval)
+        refined = lexicographic_refine(d, rel, theta_rho, k_eval)
         assert len(closed) == 1 and np.unique(closed[0]).size < closed[0].size
         oracle = lexicographic_refine_oracle(d, rel, theta_rho, base, k_eval)
-        assert refined == oracle and refined is not base
+        assert refined == oracle and refined.assignment != base.assignment
 
     def test_one_search_per_distinct_subproblem(self, monkeypatch):
         d, rel, theta_rho, k_eval = self._k50_instance()
@@ -356,7 +360,7 @@ class TestLexicographicRefine:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(assign_mod, "_bottleneck_search", counted)
-        refined = lexicographic_refine(d, rel, theta_rho, base, k_eval)
+        refined = lexicographic_refine(d, rel, theta_rho, k_eval)
         # 8: the full problem's search and one per level down to the
         # zero-gain tail that the carried matching does not settle (50, one
         # per level, then 19 with the tail closed by one sort, 13 with the
@@ -382,10 +386,10 @@ class TestLexicographicRefine:
             return lsa(*args, **kwargs)
 
         monkeypatch.setattr(assign_mod, "linear_sum_assignment", counted)
-        base = bottleneck_with_quality(d, rel, theta_rho, k_eval)
+        bottleneck_with_quality(d, rel, theta_rho, k_eval)
         assert solves <= 2
         solves = 0
-        lexicographic_refine(d, rel, theta_rho, base, k_eval)
+        lexicographic_refine(d, rel, theta_rho, k_eval)
         assert solves <= 33
 
 
@@ -406,12 +410,6 @@ class TestCarriedMatching:
         monkeypatch.setattr(assign_mod, "linear_sum_assignment", counted)
         return costs
 
-    @staticmethod
-    def _same(ours, reference, base):
-        assert (ours is base) == (reference is base)
-        if ours is not base:
-            assert ours == reference
-
     def test_gain_inside_the_margin_still_solves(self, monkeypatch):
         # level 0 is forced at 0.5 (cell (0, 0)); the carried matching leaves
         # cell (1, 1), whose gain is the reduced problem's whole gain
@@ -431,13 +429,20 @@ class TestCarriedMatching:
         clear = [th for th, gap in margins.items() if gap > 1e-14]
         assert inside and clear
         costs = self._count_solves(monkeypatch)
+        refine = assign_mod._refine
+
+        def counted_from_the_levels(*args):
+            # the solves of the full problem's search come before the levels
+            costs.clear()
+            return refine(*args)
+
+        monkeypatch.setattr(assign_mod, "_refine", counted_from_the_levels)
         for theta_rho, solves in ((inside[0], 1), (clear[0], 0)):
             base = bottleneck_with_quality(d, rel, theta_rho)
             assert base.feasible and base.objective == 0.5
-            costs.clear()
-            refined = assign_mod._refine_bottleneck(d, rel, theta_rho, base)
+            refined = lexicographic_refine(d, rel, theta_rho)
             assert len(costs) == solves
-            self._same(refined, lexicographic_refine_dense(d, rel, theta_rho, base), base)
+            assert same_result(refined, lexicographic_refine_dense(d, rel, theta_rho, base))
 
     def test_proven_threshold_bounds_the_probes(self, monkeypatch):
         """Where the carried matching's largest edge t lies above the
@@ -470,8 +475,8 @@ class TestCarriedMatching:
         for _ in range(600):
             d, rel, theta_rho, depth = tailed_instance(rng)
             base = bottleneck_with_quality(d, rel, theta_rho, depth)
-            ours = lexicographic_refine(d, rel, theta_rho, base, depth)
-            self._same(ours, lexicographic_refine_dense(d, rel, theta_rho, base, depth), base)
+            ours = lexicographic_refine(d, rel, theta_rho, depth)
+            assert same_result(ours, lexicographic_refine_dense(d, rel, theta_rho, base, depth))
         assert proven_searches > 100 and settled_at_t > 10
 
     @staticmethod
@@ -499,8 +504,8 @@ class TestCarriedMatching:
             d, rel, theta_rho, depth = tailed_instance(rng)
             base = bottleneck_with_quality(d, rel, theta_rho, depth)
             calls.clear()
-            ours = lexicographic_refine(d, rel, theta_rho, base, depth)
-            self._same(ours, lexicographic_refine_dense(d, rel, theta_rho, base, depth), base)
+            ours = lexicographic_refine(d, rel, theta_rho, depth)
+            assert same_result(ours, lexicographic_refine_dense(d, rel, theta_rho, base, depth))
             assert len(calls) <= 1
             refinements += len(calls)
             for sub_d, sub_gains, t, floor, cols in calls:
@@ -537,27 +542,26 @@ class TestCarriedMatching:
         theta_rho = float(matching_values(gains, (3, 2, 1, 0)).sum())
         calls = self._spy_lex_carry(monkeypatch)
         base = bottleneck_with_quality(d, rel, theta_rho)
-        refined = lexicographic_refine(d, rel, theta_rho, base)
+        refined = lexicographic_refine(d, rel, theta_rho)
         # level 2 of 4: rows 2, 3 and columns 0, 1 remain; the carried
         # matching (0.6, 0.5) clears the floor, the least-squares one
         # (0.4, 0.4) meets the bound 0.4 but misses the floor
         ((sub_d, _, t, _, cols),) = calls
         assert sub_d.tolist() == [[0.4, 0.5], [0.6, 0.4]] and t == 0.6 and cols is None
         assert base.assignment == (3, 2, 0, 1) and refined.assignment == (3, 2, 1, 0)
-        self._same(refined, lexicographic_refine_dense(d, rel, theta_rho, base), base)
+        assert same_result(refined, lexicographic_refine_dense(d, rel, theta_rho, base))
 
     def test_offline_k50_inputs_match_the_dense_loop(self, monkeypatch):
         """Every minmax-lex step of a seeded K=50 offline run (synth
-        continuous, n=200, T=8), refined from its own search and from the
-        step's bottleneck answer, equals the dense level loop."""
+        continuous, n=200, T=8) equals the dense level loop."""
         inputs = []
-        refine = rerank_mod._refine_bottleneck
+        refine = rerank_mod.lexicographic_refine
 
-        def captured(d, relevance, theta_rho, base, dcg_depth=None):
+        def captured(d, relevance, theta_rho, dcg_depth=None):
             inputs.append((d.copy(), relevance.copy(), theta_rho, dcg_depth))
-            return refine(d, relevance, theta_rho, base, dcg_depth)
+            return refine(d, relevance, theta_rho, dcg_depth)
 
-        monkeypatch.setattr(rerank_mod, "_refine_bottleneck", captured)
+        monkeypatch.setattr(rerank_mod, "lexicographic_refine", captured)
         dataset, stream = gen_synth(SynthSpec(n=200, T=8, seed=5, variant="continuous"))
         config = RerankConfig(kind="L1", objective="minmax-lex", theta=0.8, k_re=50,
                               k_att=10, k_eval=10)
@@ -566,8 +570,7 @@ class TestCarriedMatching:
         for d, rel, theta_rho, depth in inputs:
             base = bottleneck_with_quality(d, rel, theta_rho, depth)
             reference = lexicographic_refine_dense(d, rel, theta_rho, base, depth)
-            self._same(lexicographic_refine(d, rel, theta_rho, base, depth), reference, base)
-            self._same(refine(d, rel, theta_rho, base, depth), reference, base)
+            assert same_result(lexicographic_refine(d, rel, theta_rho, depth), reference)
 
 
 class TestConstrainedMinSum:
@@ -791,11 +794,10 @@ class TestInputChecks:
 
     @staticmethod
     def _solvers():
-        base = bottleneck_with_quality(TestInputChecks.D, TestInputChecks.REL, 0.5)
-        assert base.feasible
+        assert bottleneck_with_quality(TestInputChecks.D, TestInputChecks.REL, 0.5).feasible
         return {
             "bottleneck": lambda d, rel: bottleneck_with_quality(d, rel, 0.5),
-            "refine": lambda d, rel: lexicographic_refine(d, rel, 0.5, base),
+            "refine": lambda d, rel: lexicographic_refine(d, rel, 0.5),
             "min-sum": lambda d, rel: constrained_min_sum(d, rel, 0.5),
             "brute-force": lambda d, rel: brute_force("minmax", d, rel, 0.5),
         }

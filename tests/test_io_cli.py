@@ -546,6 +546,39 @@ class TestReplayChecks:
         with pytest.raises(ValidationError, match="q0002.*fallback"):
             fio.replay_run(payload, group_of)
 
+    @pytest.mark.parametrize(
+        "value", [math.nan, None, -5.0, -1e-300, math.inf, 10**400],
+        ids=["nan", "null", "negative", "tiny-negative", "inf", "huge-int"],
+    )
+    def test_trace_of_a_solved_step_must_be_finite_and_non_negative(self, payload, value):
+        payload, group_of = payload
+        assert not payload["fallback"][2]
+        payload["objective_trace"][2] = value
+        with pytest.raises(ValidationError, match="q0003.*objective trace .*, expected a finite"):
+            fio.replay_run(payload, group_of)
+        payload["objective_trace"][2] = 0  # an integral entry counts by value
+        assert fio.replay_run(payload, group_of).objective_trace[2] == 0.0
+
+    def test_trace_is_nan_exactly_where_no_matching_was_solved(self, tied_payload):
+        payload, group_of = tied_payload
+        # the objective is none, so no step solved a matching
+        payload["objective_trace"][1] = 0.5
+        with pytest.raises(ValidationError, match="q0002.*objective trace 0.5, expected NaN"):
+            fio.replay_run(payload, group_of)
+        # a minmax run: every step ranked in the ideal order may be a fallback
+        payload["objective_trace"][1] = None
+        payload["config"]["objective"] = "minmax"
+        payload["fallback"] = [True] * len(payload["fallback"])
+        fio.replay_run(payload, group_of)
+        payload["fallback"][2] = False
+        with pytest.raises(ValidationError, match="q0003.*objective trace nan, expected a finite"):
+            fio.replay_run(payload, group_of)
+        payload["objective_trace"][2] = 0.25
+        fio.replay_run(payload, group_of)
+        payload["fallback"][2] = True
+        with pytest.raises(ValidationError, match="q0003.*objective trace 0.25, expected NaN"):
+            fio.replay_run(payload, group_of)
+
     def test_unknown_id_in_an_ordering_rejected(self, payload):
         payload, group_of = payload
         positions = block_orderings(payload)
@@ -1167,6 +1200,33 @@ class TestCli:
         lines = table.read_text().strip().splitlines()
         assert lines[0].startswith("theta,kind,objective,repeat,polarity_mode")
         assert len(lines) == 1 + 2 * 1 * 1 * 2 * 2
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--theta-grid", "0.5,abc"], "--theta-grid"),
+        (["--repeats", "0"], "--repeats"),
+        (["--repeats", "-1"], "--repeats"),
+    ], ids=["theta-not-a-number", "zero-repeats", "negative-repeats"])
+    def test_sweep_rejects_a_bad_grid(self, tmp_path, capsys, flags, flag):
+        data = tmp_path / "data"
+        main(["generate", "--n", "6", "--T", "2", "--out", str(data)])
+        capsys.readouterr()
+        table = tmp_path / "sweep.csv"
+        code = main(["sweep", "--stream", str(data / "stream.jsonl"), *flags,
+                     "--out", str(table)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be") and "Traceback" not in err
+        assert not table.exists()
+
+    def test_negative_max_sweeps_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(["generate", "--n", "6", "--T", "2", "--out", str(data)])
+        out = tmp_path / "off.json"
+        code = main(["rank", "--stream", str(data / "stream.jsonl"), "--offline",
+                     "--max-sweeps", "-2", "--k-re", "3", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: max_sweeps must be an integer >= 0")
+        assert not out.exists()
 
     def test_validation_failure_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

@@ -10,7 +10,7 @@ import pytest
 
 from fairrank import io as fio
 from fairrank import rerank as rr
-from fairrank.assign import brute_force
+from fairrank.assign import brute_force, matching_values
 from fairrank.core import POLARITY_LIMIT, AttentionModel, Dataset, Ledger, Stream
 from fairrank.divergence import DivergenceKind, divergence_matrix
 from fairrank.errors import CoverageError, StreamOrderError, ValidationError
@@ -216,6 +216,60 @@ class TestPerStepOptimality:
                 mirror.update(run.orderings[step], attention)
 
 
+class TestTraceIsTheSolverObjective:
+    """Each engine's trace reads the step's divergence matrix at its
+    matching as the solver's ``MatchResult.objective`` does, bit for bit."""
+
+    @staticmethod
+    def _instance(kind, objective):
+        dataset, stream = gen_random_instance(12, 2, 6, "continuous", seed=71, components=2)
+        config = small_config(kind=kind, objective=objective, theta=0.8, k_re=7, k_att=3,
+                              k_eval=4, polarity_mode="aware")
+        return dataset, stream, config
+
+    @pytest.mark.parametrize("kind", ["L1", "L2var", "W1"])
+    @pytest.mark.parametrize("objective", ["minmax", "minmax-lex", "minsum"])
+    def test_online_trace_is_each_solve_objective(self, monkeypatch, kind, objective):
+        objectives = []
+        solve = rr._solve_step
+
+        def recorded(*args):
+            res = solve(*args)
+            objectives.append(res.objective if res.feasible else math.nan)
+            return res
+
+        monkeypatch.setattr(rr, "_solve_step", recorded)
+        run = rerank_online(*self._instance(kind, objective))
+        assert repr(run.objective_trace) == repr(objectives)
+
+    @pytest.mark.parametrize("kind", ["L1", "L2var", "W1"])
+    @pytest.mark.parametrize("objective", ["minmax", "minmax-lex", "minsum"])
+    def test_offline_trace_is_the_final_matching_objective(self, kind, objective):
+        dataset, stream, config = self._instance(kind, objective)
+        run = rerank_offline(dataset, stream, config, max_sweeps=3)
+        mirror = Ledger(dataset, stream)
+        attention = AttentionModel(config.k_att)
+        cost_kind = DivergenceKind.L1 if objective == "minsum" else config.kind
+        want = []
+        for step, rel in enumerate(relevance_dicts(stream)):
+            candidates = ideal_ranking_oracle(rel)[: config.k_re]
+            d = divergence_matrix(mirror, *query_columns(mirror, candidates), attention,
+                                  cost_kind, config.polarity_mode)
+            head = run.orderings[step, : config.k_re].tolist()
+            cols = [head.index(row) for row in rows_of(dataset, candidates)]
+            values = matching_values(d, cols)
+            if run.fallback[step]:
+                want.append(math.nan)
+            elif objective == "minsum":  # as constrained_min_sum writes it
+                want.append(float(values.sum()))
+            else:  # as lexicographic_refine writes it; the bottleneck search takes max()
+                want.append(float(np.sort(values)[::-1][0]))
+            mirror.update(run.orderings[step], attention)
+        assert repr(run.objective_trace) == repr(want)
+        # descent moved some step away from the online ranking
+        assert (run.orderings != rerank_online(dataset, stream, config).orderings).any()
+
+
 class TestThetaMonotonicity:
     def test_step_objective_never_rises_as_theta_drops(self):
         rng = np.random.default_rng(17)
@@ -315,6 +369,19 @@ class TestOffline:
         off = rerank_offline(dataset, stream, config, max_sweeps=0)
         assert [a.ordering for a in off.assignments] == [a.ordering for a in on.assignments]
 
+    @pytest.mark.parametrize("max_sweeps", [2.5, True, False, -3, "2", None, np.float64(2.0)])
+    def test_max_sweeps_must_be_a_non_negative_integer(self, monkeypatch, max_sweeps):
+        dataset, stream = gen_random_instance(5, 2, 3, "signed", seed=37)
+        monkeypatch.setattr(rr, "rerank_online", lambda *args: pytest.fail("ranked first"))
+        with pytest.raises(ValidationError, match="max_sweeps must be an integer >= 0"):
+            rerank_offline(dataset, stream, small_config(k_re=3, k_att=2, k_eval=3), max_sweeps)
+
+    def test_numpy_integer_max_sweeps_accepted(self):
+        dataset, stream = gen_random_instance(5, 2, 3, "signed", seed=37)
+        config = small_config(k_re=3, k_att=2, k_eval=3)
+        off = rerank_offline(dataset, stream, config, max_sweeps=np.int64(2))
+        assert off.sweeps == rerank_offline(dataset, stream, config, max_sweeps=2).sweeps
+
     @pytest.mark.parametrize("objective", ["minmax", "minsum"])
     def test_never_worse_than_online_and_matches_joint_oracle(self, objective):
         rng = np.random.default_rng(41)
@@ -390,7 +457,7 @@ class TestOffline:
             for rows in orderings:
                 fresh.update(rows, attention)
             want = individual_divergences(fresh, config.kind, mode)
-            assert rr._profile(ledger, config) == tuple(sorted(want.values(), reverse=True))
+            assert rr._profile(ledger, config).tolist() == sorted(want.values(), reverse=True)
 
     def test_quality_holds_after_descent(self):
         dataset, stream = gen_random_instance(6, 2, 4, "signed", seed=43)
