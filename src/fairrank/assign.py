@@ -6,8 +6,9 @@ are ranking positions 1..K. Position j carries a gain of
 a matching is quality-feasible when its total gain reaches ``theta_rho``
 within the shared feasibility tolerance. Every solver checks its input
 first: the matrix square and finite (the enumeration oracle reads +inf as a
-forbidden edge), the relevance K finite, non-negative values; anything else
-raises ValidationError.
+forbidden edge), the relevance K finite, non-negative values, the floor
+``theta_rho`` a real number other than NaN and the depth None or an integer
+>= 1; anything else raises ValidationError.
 
 * ``bottleneck_with_quality``— minimize the maximum edge value subject to
   the quality constraint with a max-gain feasibility probe (one assignment
@@ -24,10 +25,12 @@ raises ValidationError.
   reduced problem, and when its largest edge meets the reduced problem's
   row/column bound and its gain clears the floor beyond rounding error, that
   bound is the level's threshold with no assignment solve; otherwise its
-  largest edge caps the search. Once per refinement, one solve first swaps
-  that matching for a certified one nearer the lexicographic optimum (min
-  sum of squared value ratios). A tail of interchangeable zero-gain
-  columns closes with one sort;
+  largest edge t is a proven threshold, and one probe at the largest value
+  below t decides whether the level value is t or lies below it, where
+  the search goes on. Once per refinement, one solve first swaps that
+  matching for a certified one nearer the lexicographic optimum (min sum
+  of squared value ratios). A tail of interchangeable zero-gain columns
+  closes with one sort;
 * ``constrained_min_sum``    — minimize total cost subject to the quality
   constraint: the cost-optimal matching when it meets the floor, infeasible
   when the max-gain matching misses it, and otherwise one binary MILP
@@ -37,6 +40,7 @@ raises ValidationError.
 
 import itertools
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,6 +70,7 @@ class MatchResult:
 
 def position_discounts(k: int, dcg_depth: int | None = None) -> np.ndarray:
     """1/log2(j+1) for positions j=1..k, zero beyond ``dcg_depth``."""
+    _check_depth(dcg_depth)
     disc = 1.0 / np.log2(np.arange(1, k + 1, dtype=np.float64) + 1.0)
     if dcg_depth is not None:
         disc[dcg_depth:] = 0.0
@@ -88,10 +93,29 @@ def _solve_lsa(costs: np.ndarray):
     return tuple(cols.tolist())
 
 
-def _checked(matrix, relevance, allow_inf: bool = False):
+def _check_depth(dcg_depth) -> None:
+    """ValidationError unless ``dcg_depth`` is None or an integer >= 1."""
+    if dcg_depth is not None and (
+        isinstance(dcg_depth, bool)
+        or not isinstance(dcg_depth, numbers.Integral)
+        or dcg_depth < 1
+    ):
+        raise ValidationError(f"dcg_depth must be None or an integer >= 1, got {dcg_depth!r}")
+
+
+def _checked(matrix, relevance, theta_rho, dcg_depth, allow_inf: bool = False):
     """The solvers' shared input check: ``matrix`` as a finite, non-empty
     K x K float array (with ``allow_inf``, +inf cells stay as forbidden
-    edges) and ``relevance`` as K finite, non-negative floats."""
+    edges), ``relevance`` as K finite, non-negative floats, ``theta_rho``
+    a real number other than NaN (a NaN floor would pass every matching)
+    and ``dcg_depth`` None or an integer >= 1."""
+    if (
+        isinstance(theta_rho, bool)
+        or not isinstance(theta_rho, numbers.Real)
+        or math.isnan(theta_rho)
+    ):
+        raise ValidationError(f"theta_rho must be a real number, not NaN, got {theta_rho!r}")
+    _check_depth(dcg_depth)
     try:
         matrix = np.asarray(matrix, dtype=np.float64)
         relevance = np.asarray(relevance, dtype=np.float64)
@@ -122,7 +146,7 @@ def _bottleneck_search(
     gains: np.ndarray,
     theta_rho: float,
     cap: float = math.inf,
-    proven=None,
+    proven: float | None = None,
 ):
     """Minimal threshold z (<= cap) admitting a quality-feasible matching
     over edges d <= z. Returns (z, assignment, gain) or None.
@@ -132,14 +156,13 @@ def _bottleneck_search(
     when it admits no quality-feasible matching is the threshold
     binary-searched over the distinct values in (bound, cap]. Each probe is
     one max-gain assignment solve over the edges d <= z. ``proven`` is a
-    (t, assignment, gain) triple of a matching known to pass every probe at
-    or above its largest edge t <= cap: the search then skips the probe at
-    the largest value and binary-searches only the values in (bound, t),
-    returning ``proven`` itself when none of them is feasible.
+    threshold t <= cap known to be feasible: feasibility only grows with the
+    threshold, so one probe at the largest value below t decides whether
+    any lower threshold is. When none is, the search returns (t, None,
+    None) without computing the bound; otherwise it runs as above, capped
+    at that value, whose probe is the known-feasible top of the binary
+    search.
     """
-    bound = max(d.min(axis=1).max(), d.min(axis=0).max())
-    if bound > cap:
-        return None
     neg_gains = -gains
     rows = np.arange(d.shape[0])
 
@@ -156,21 +179,26 @@ def _bottleneck_search(
             return None
         return cols, gain
 
-    best = probe(bound)
+    top = None  # a quality-feasible probe at cap, once known
+    if proven is not None:
+        below = d[d < proven]
+        if below.size:
+            cap = below.max()
+            top = probe(cap)
+        if top is None:
+            return proven, None, None
+    bound = max(d.min(axis=1).max(), d.min(axis=0).max())
+    if bound > cap:
+        return None
+    best = top if top is not None and bound == cap else probe(bound)
     if best is None:
-        if proven is None:
-            values = np.unique(d[(d > bound) & (d <= cap)])
-            if values.size == 0:
-                return None
-            hi = values.size - 1
-            best = probe(values[hi])
-            if best is None:
-                return None
-        else:
-            # index values.size stands for t, feasible by the certificate
-            values = np.unique(d[(d > bound) & (d < proven[0])])
-            hi = values.size
-            best = np.asarray(proven[1]), proven[2]
+        values = np.unique(d[(d > bound) & (d <= cap)])
+        if values.size == 0:
+            return None
+        hi = values.size - 1
+        best = top if top is not None else probe(values[hi])
+        if best is None:
+            return None
         lo = 0
         while lo < hi:
             mid = (lo + hi) // 2
@@ -192,7 +220,7 @@ def bottleneck_with_quality(
     Infeasible when even the unrestricted max-DCG matching misses the
     quality threshold.
     """
-    d, relevance = _checked(d, relevance)
+    d, relevance = _checked(d, relevance, theta_rho, dcg_depth)
     found = _bottleneck_search(d, _gains(relevance, dcg_depth), theta_rho)
     if found is None:
         return MatchResult.infeasible()
@@ -262,15 +290,18 @@ def lexicographic_refine(
     matching of the search that produced the level: that matching's largest
     edge is the level value, so it puts the forced row in the forced cell's
     class, and without that pair it matches the reduced problem (columns of
-    a class are interchangeable). If its largest edge t equals the reduced problem's row/column
-    bound (kept from per-class row and column minima) and its gain clears
-    the floor by more than the summation error, the search's first probe,
-    at that bound, is feasible, so the bound is the search's answer: no
-    sub-problem is built and no assignment solved. At the first level
+    a class are interchangeable). If its largest edge t equals the reduced
+    problem's row/column bound (kept from per-class row and column minima)
+    and its gain clears the floor by more than the summation error, the
+    search's first probe, at that bound, is feasible, so the bound is the
+    search's answer: no sub-problem is built and no assignment solved. At the first level
     where t lies above the bound, ``_lex_carry`` swaps in a certified
     matching nearer the lexicographic optimum, whose t often meets it. If t
-    still lies above the bound, t is a feasible threshold and the search
-    probes only below it.
+    still lies above the bound, t is a proven threshold: one probe at the
+    largest value below t decides the level. When that probe fails, the
+    level value is t and the carried matching stays, for one assignment
+    solve; otherwise the search goes on below that value and its matching
+    is carried.
     Refinement reads only the threshold of each search, never its matching,
     so outputs are those of searching every level. A level with two or more
     candidate cells searches every candidate's reduced problem, trying a
@@ -281,7 +312,7 @@ def lexicographic_refine(
     remaining column: those levels are one stable sort of the rows by
     value, largest first.
     """
-    d, relevance = _checked(d, relevance)
+    d, relevance = _checked(d, relevance, theta_rho, dcg_depth)
     gains = _gains(relevance, dcg_depth)
     level = _bottleneck_search(d, gains, theta_rho)
     if level is None:
@@ -343,14 +374,12 @@ def _refine(d, gains, theta_rho, base: MatchResult) -> MatchResult:
     class_gains = nonzero[:, starts].any(axis=0).tolist()
     gain_rows, gain_classes = sum(row_gains), sum(class_gains)
 
-    # the carried matching, held as each live row's class (columns of a
-    # class are interchangeable), edge value and gain (dead rows -inf and 0)
-    match = np.zeros(k, dtype=np.intp)
+    # the carried matching, held as each live row's edge value and gain
+    # (dead rows -inf and 0)
     edge = np.empty(k)
     edge_gain = np.empty(k)
 
     def carry(rows, cols):
-        match[rows] = classes[cols]
         edge[rows] = d[rows, cols]
         edge_gain[rows] = gains[rows, cols]
 
@@ -432,7 +461,6 @@ def _refine(d, gains, theta_rho, base: MatchResult) -> MatchResult:
                 continue
             rows, cols = row_live.nonzero()[0], col_live.nonzero()[0]
             sub_d, sub_gains = _take(d, rows, cols), _take(gains, rows, cols)
-            proven = None
             if certified and not lex_tried:  # once per refinement
                 lex_tried = True
                 if (lex := _lex_carry(sub_d, sub_gains, t, floor)) is not None:
@@ -441,18 +469,13 @@ def _refine(d, gains, theta_rho, base: MatchResult) -> MatchResult:
                     if t <= bound:
                         z = float(bound)
                         continue
-            if certified:
-                # the carried matching in the sub-problem's columns: these
-                # run class by class, so the rows sorted by class take them
-                # in turn
-                carried = np.empty(m - 1, dtype=np.intp)
-                carried[np.argsort(match[rows], kind="stable")] = np.arange(m - 1)
-                proven = t, carried, edge_gain.sum()
-            found = _bottleneck_search(sub_d, sub_gains, floor, z, proven)
+            # a certified carried matching proves its largest edge t feasible
+            found = _bottleneck_search(sub_d, sub_gains, floor, z, float(t) if certified else None)
             if found is None:
                 return base
             z = found[0]
-            carry(rows, cols[list(found[1])])
+            if found[1] is not None:  # at t the carried matching stays
+                carry(rows, cols[list(found[1])])
             continue
 
         # two or more candidate cells: search each candidate's reduced problem
@@ -512,7 +535,7 @@ def constrained_min_sum(
     MILP (``_min_sum_milp``) proves the optimum. A solve that cannot prove
     it, or whose matching misses the floor, raises FairRankError.
     """
-    costs, relevance = _checked(costs, relevance)
+    costs, relevance = _checked(costs, relevance, theta_rho, dcg_depth)
     gains = _gains(relevance, dcg_depth)
 
     def gain_of(cols):
@@ -585,7 +608,7 @@ def brute_force(
     An infinite cell is a forbidden edge."""
     if objective not in OBJECTIVES:
         raise ValidationError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    matrix, relevance = _checked(d_or_costs, relevance, allow_inf=True)
+    matrix, relevance = _checked(d_or_costs, relevance, theta_rho, dcg_depth, allow_inf=True)
     k = matrix.shape[0]
     if k > 8:
         raise ValidationError(f"brute_force enumerates K! matchings; K={k} exceeds 8")

@@ -33,11 +33,24 @@ EXIT_VERIFY_FAILED = 3
 
 
 def _env_seed() -> int:
-    return int(os.environ.get("FAIRRANK_SEED", "0"))
+    raw = os.environ.get("FAIRRANK_SEED", "0")
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise ValidationError(f"FAIRRANK_SEED must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _resolved_seed(args) -> int:
-    return _env_seed() if args.seed is None else args.seed
+    """``--seed``, else FAIRRANK_SEED, else 0; negative seeds raise
+    ValidationError naming their source."""
+    if args.seed is None:
+        return _env_seed()
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
 
 
 def cmd_generate(args) -> int:
@@ -201,6 +214,7 @@ def cmd_sweep(args) -> int:
         ) from None
     if args.repeats < 1:
         raise ValidationError(f"--repeats must be at least 1, got {args.repeats}")
+    seed = _resolved_seed(args)
     individuals, stream = fio.load_stream(args.stream, raw=args.raw)
     group_of = fio.load_groups(args.groups) if args.groups else None
     dataset = fio.build_dataset(individuals, group_of)
@@ -212,7 +226,7 @@ def cmd_sweep(args) -> int:
         objectives=args.objectives.split(","),
         repeats=args.repeats,
         polarity_modes=args.polarity_modes.split(","),
-        seed=_resolved_seed(args),
+        seed=seed,
         k_re=args.k_re,
         k_att=args.k_att,
         k_eval=args.k_eval,
@@ -227,10 +241,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.instances is not None and args.instances < 1:
+        raise ValidationError(f"--instances must be at least 1, got {args.instances}")
+    seed = _resolved_seed(args)
     names = SUITES if args.suite == "all" else (args.suite,)
     failed = False
     for name in names:
-        report = run_suite(name, args.instances, _resolved_seed(args))
+        report = run_suite(name, args.instances, seed)
         for line in report.lines():
             print(line)
         failed = failed or not report.passed

@@ -240,6 +240,40 @@ class TestBottleneckSearch:
         assert min(caps.values()) > 100
         assert quality_misses > 100 and past_bound > 100
 
+    def test_proven_threshold_matches_the_oracle(self):
+        """Given a feasible threshold t (the largest edge of a
+        quality-feasible matching), the search returns the oracle's
+        threshold: t itself when nothing below t is feasible, and otherwise
+        the oracle's threshold, matching and gain."""
+        rng = np.random.default_rng(909)
+        at_t = below_t = 0
+        for _ in range(2500):
+            d, rel, theta_rho, depth = tailed_instance(rng)
+            gains = rel[:, None] * position_discounts(len(rel), depth)[None, :]
+            optimum = bottleneck_search_oracle(d, gains, theta_rho)
+            if optimum is None:
+                continue
+            # a quality-feasible matching over the edges <= a random
+            # threshold at or above the optimum, and its largest edge t
+            values = np.unique(d)
+            threshold = rng.choice(values[values >= optimum[0]])
+            cols, gain = max_gain_matching(d <= threshold, gains)
+            assert gain >= theta_rho - FEASIBILITY_TOL
+            t = float(matching_values(d, cols).max())
+            cap = (math.inf, t, rng.choice(np.append(values[values >= t], math.inf)))[
+                int(rng.integers(0, 3))
+            ]
+            ours = assign_mod._bottleneck_search(d, gains, theta_rho, cap, t)
+            oracle = bottleneck_search_oracle(d, gains, theta_rho, cap)
+            assert ours[0] == oracle[0]
+            if ours[0] == t:
+                at_t += 1
+                assert ours[1:] == (None, None)
+            else:
+                below_t += 1
+                assert ours == oracle
+        assert at_t > 100 and below_t > 100
+
 
 class TestLexicographicRefine:
     def test_prefers_smaller_second_largest(self):
@@ -374,8 +408,9 @@ class TestLexicographicRefine:
         # every distinct value made 10 (bottleneck) and 281 (refinement);
         # probing the row/column bound first makes 1 and 94, closing the
         # zero-gain tail by one sort 1 and 63, settling forced levels from
-        # the carried matching 1 and 49, and carrying a near-lexicographic
-        # matching from the first level it does not settle 1 and 33
+        # the carried matching 1 and 49, carrying a near-lexicographic
+        # matching from the first level it does not settle 1 and 33, and
+        # proving a carried threshold with one probe below it 1 and 9
         d, rel, theta_rho, k_eval = self._k50_instance()
         solves = 0
         lsa = assign_mod.linear_sum_assignment
@@ -390,13 +425,14 @@ class TestLexicographicRefine:
         assert solves <= 2
         solves = 0
         lexicographic_refine(d, rel, theta_rho, k_eval)
-        assert solves <= 33
+        assert solves <= 9
 
 
 class TestCarriedMatching:
     """Forced levels settle from the matching carried over from the last
     search; a search runs only where that matching cannot prove the level
-    value."""
+    value, and where its largest edge t proves a threshold, one probe below
+    t decides whether the level value is t."""
 
     @staticmethod
     def _count_solves(monkeypatch):
@@ -446,8 +482,9 @@ class TestCarriedMatching:
 
     def test_proven_threshold_bounds_the_probes(self, monkeypatch):
         """Where the carried matching's largest edge t lies above the
-        reduced problem's bound, every probe is below t and the search
-        returns the threshold of a search without the certificate."""
+        reduced problem's bound, t is a feasible threshold, every probe is
+        below t, a search that returns t makes one solve, and every search
+        returns the threshold of a search without the proof."""
         costs = self._count_solves(monkeypatch)
         search = assign_mod._bottleneck_search
         proven_searches = settled_at_t = 0
@@ -458,16 +495,16 @@ class TestCarriedMatching:
             found = search(d, gains, theta_rho, cap, proven)
             if proven is not None:
                 proven_searches += 1
-                # the certificate is a matching of this problem with largest
-                # edge t that passes the quality floor
-                rows, cols = np.arange(len(d)), np.asarray(proven[1])
-                assert sorted(cols.tolist()) == rows.tolist()
-                assert d[rows, cols].max() == proven[0] <= cap
-                assert gains[rows, cols].sum() >= theta_rho - FEASIBILITY_TOL
                 probes = [d[np.isfinite(c)].max() for c in costs[first:]]
-                assert all(z < proven[0] for z in probes)
+                assert all(z < proven for z in probes)
+                # the max-gain matching over the edges d <= t clears the floor
+                assert isinstance(proven, float) and proven <= cap
+                best = max_gain_matching(d <= proven, gains)
+                assert best is not None and best[1] >= theta_rho - FEASIBILITY_TOL
                 assert found[0] == bottleneck_search_oracle(d, gains, theta_rho, cap)[0]
-                settled_at_t += found[0] == proven[0]
+                if found[0] == proven:
+                    settled_at_t += 1
+                    assert len(probes) == 1 and found[1:] == (None, None)
             return found
 
         monkeypatch.setattr(assign_mod, "_bottleneck_search", checked)
@@ -785,8 +822,10 @@ class TestBruteForce:
 
 
 class TestInputChecks:
-    """Every solver rejects a non-square or non-finite matrix and a relevance
-    vector that is not K finite, non-negative entries, before solving."""
+    """Every solver rejects a non-square or non-finite matrix, a relevance
+    vector that is not K finite, non-negative entries, a floor that is not a
+    real number or is NaN and a depth that is not None or an integer >= 1,
+    before solving."""
 
     D = np.array([[0.4, 0.1, 0.3, 0.2], [0.2, 0.5, 0.1, 0.3],
                   [0.3, 0.2, 0.6, 0.1], [0.1, 0.4, 0.2, 0.7]])
@@ -795,11 +834,15 @@ class TestInputChecks:
     @staticmethod
     def _solvers():
         assert bottleneck_with_quality(TestInputChecks.D, TestInputChecks.REL, 0.5).feasible
+
+        def at_half(solver):
+            return lambda d, rel, th=0.5, depth=None: solver(d, rel, th, depth)
+
         return {
-            "bottleneck": lambda d, rel: bottleneck_with_quality(d, rel, 0.5),
-            "refine": lambda d, rel: lexicographic_refine(d, rel, 0.5),
-            "min-sum": lambda d, rel: constrained_min_sum(d, rel, 0.5),
-            "brute-force": lambda d, rel: brute_force("minmax", d, rel, 0.5),
+            "bottleneck": at_half(bottleneck_with_quality),
+            "refine": at_half(lexicographic_refine),
+            "min-sum": at_half(constrained_min_sum),
+            "brute-force": at_half(lambda *args: brute_force("minmax", *args)),
         }
 
     def _bad_inputs(self):
@@ -829,6 +872,30 @@ class TestInputChecks:
             with pytest.raises(ValidationError):
                 solve(d, rel)
                 pytest.fail(f"{solver} accepted {name}")
+
+    @pytest.mark.parametrize("solver", ["bottleneck", "refine", "min-sum", "brute-force"])
+    def test_bad_floor_or_depth_raises_validation_error(self, solver):
+        # a NaN floor fails no `gain < floor` test, so it would pass every
+        # matching; depth -1 would zero only the last discount, True act as 1
+        solve = self._solvers()[solver]
+        for theta_rho in (math.nan, np.float32(math.nan), True, np.bool_(False), "0.5", None):
+            with pytest.raises(ValidationError, match="theta_rho"):
+                solve(self.D, self.REL, theta_rho)
+        for depth in (-1, 0, True, 2.5, "2", np.float64(2.0)):
+            with pytest.raises(ValidationError, match="dcg_depth"):
+                solve(self.D, self.REL, 0.5, depth)
+        # any real floor (an infinite one included) and integer depth is accepted
+        assert solve(self.D, self.REL, np.float64(0.5), np.int64(2)).feasible
+        assert solve(self.D, self.REL, 0, 4).feasible and not solve(self.D, self.REL, 7).feasible
+        assert solve(self.D, self.REL, -math.inf, 9).feasible
+        assert not solve(self.D, self.REL, math.inf).feasible
+
+    def test_position_discounts_rejects_a_bad_depth(self):
+        for depth in (-1, 0, True, 2.5, "2"):
+            with pytest.raises(ValidationError, match="dcg_depth"):
+                position_discounts(3, depth)
+        assert position_discounts(3, np.int64(2)).tolist() == [1.0, 1.0 / math.log2(3), 0.0]
+        assert position_discounts(3, 5).tolist() == position_discounts(3).tolist()
 
     def test_infinite_cells(self):
         # +inf marks a forbidden edge only for the enumeration oracle

@@ -1285,6 +1285,43 @@ class TestCli:
         monkeypatch.setenv("FAIRRANK_SEED", "99")
         assert generate("env") == flagged != default
 
+    @pytest.mark.parametrize("env, args, source", [
+        (None, ["verify", "--suite", "solver", "--seed", "-1"], "--seed"),
+        (None, ["generate", "--variant", "continuous", "--seed", "-1"], "--seed"),
+        (None, ["generate", "--variant", "binary", "--seed", "-1"], "--seed"),
+        (None, ["sweep", "--seed", "-1", "--repeats", "2"], "--seed"),
+        ("abc", ["generate", "--variant", "continuous"], "FAIRRANK_SEED"),
+        ("abc", ["verify", "--suite", "solver"], "FAIRRANK_SEED"),
+        ("-2", ["sweep", "--repeats", "2"], "FAIRRANK_SEED"),
+        ("", ["generate"], "FAIRRANK_SEED"),
+        (None, ["verify", "--instances", "0"], "--instances"),
+        (None, ["verify", "--suite", "w1", "--instances", "-5"], "--instances"),
+    ], ids=["verify-negative-seed", "continuous-negative-seed", "binary-negative-seed",
+            "sweep-negative-seed", "generate-env-not-an-integer",
+            "verify-env-not-an-integer", "sweep-env-negative", "generate-env-empty",
+            "verify-zero-instances", "verify-negative-instances"])
+    def test_bad_seed_or_instance_count_exits_1(self, tmp_path, monkeypatch, capsys,
+                                                env, args, source):
+        # numpy rejects a negative seed with a bare ValueError, and `verify`
+        # would read 0 instances as the default count and -5 as no check
+        data = tmp_path / "data"
+        main(["generate", "--n", "6", "--T", "2", "--seed", "0", "--out", str(data)])
+        if env is None:
+            monkeypatch.delenv("FAIRRANK_SEED", raising=False)
+        else:
+            monkeypatch.setenv("FAIRRANK_SEED", env)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        if args[0] == "sweep":
+            args = [*args, "--stream", str(data / "stream.jsonl")]
+        if args[0] != "verify":
+            args = [*args, "--out", str(out)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {source} must be")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
     def test_rank_has_no_seed_option(self, tmp_path):
         data = tmp_path / "data"
         main(["generate", "--n", "6", "--T", "2", "--out", str(data)])
